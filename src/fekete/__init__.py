@@ -7,7 +7,12 @@ and the continuous-limit objects (equilibrium measures, weighted capacities,
 Frostman conditions) they converge to.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# Library convention: silent unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .circle import CircleSolution, CircleWeight, circle_diameter, circle_points, mobius
 from .energy import (

@@ -47,7 +47,6 @@ from .real_line import (
     pseudo_jacobi,
     s1_diameter,
     s1_points,
-    s1_polynomial,
     sgt1_diameter,
 )
 from .verify import SUITES, run_suites
@@ -142,14 +141,25 @@ def _emit_result(payload: dict, fmt: str, out_path: str | None) -> None:
 # command handlers
 # ---------------------------------------------------------------------------
 
+def _optimize_and_emit(weight, params: dict, args) -> int:
+    cfg = OptimizerConfig(seed=args.seed)
+    log.info("optimizing %d points with %d starts", args.n, cfg.starts)
+    res = optimize(weight, args.n, cfg)
+    payload = _result_payload(
+        params, res.points, res.log_diameter, res.grad_norm,
+        extra={"iterations": res.iterations, "converged": res.converged},
+    )
+    if isinstance(weight, CircleWeight):
+        payload["cartesian"] = [[math.cos(t), math.sin(t)] for t in res.points]
+    _emit_result(payload, args.format, args.out)
+    if not res.converged:
+        print("optimizer did not reach the gradient tolerance; "
+              "best iterate emitted", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
+
+
 def _cmd_real(args) -> int:
-    if args.a == 0:
-        raise CliError("a must be nonzero")
-    if args.s < 1.0:
-        raise CliError("weight exponent must satisfy s >= 1; "
-                       "the maximization is unbounded for s < 1")
-    if args.n < 2:
-        raise CliError("n must be >= 2")
     weight = RealWeight(a=args.a, s=args.s)
     params = {"command": "real", "a": weight.a, "s": weight.s, "n": args.n,
               "method": args.method, "seed": args.seed}
@@ -157,8 +167,7 @@ def _cmd_real(args) -> int:
     if args.method == "closed":
         if weight.s == 1.0:
             gamma = args.gamma if args.gamma is not None else canonical_gamma(args.n)
-            sol = s1_polynomial(weight.a, args.n, gamma)
-            pts = np.asarray(sol.points)
+            pts = s1_points(weight.a, args.n, gamma)
             diameter = s1_diameter(weight.a, args.n)
             params["gamma"] = gamma
         else:
@@ -169,26 +178,10 @@ def _cmd_real(args) -> int:
         _emit_result(payload, args.format, args.out)
         return EXIT_OK
 
-    cfg = OptimizerConfig(seed=args.seed)
-    log.info("optimizing %d points with %d starts", args.n, cfg.starts)
-    res = optimize(weight, args.n, cfg)
-    payload = _result_payload(
-        params, res.points, res.log_diameter, res.grad_norm,
-        extra={"iterations": res.iterations, "converged": res.converged},
-    )
-    _emit_result(payload, args.format, args.out)
-    if not res.converged:
-        print("optimizer did not reach the gradient tolerance; "
-              "best iterate emitted", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _optimize_and_emit(weight, params, args)
 
 
 def _cmd_circle(args) -> int:
-    if abs(args.b) == 1.0:
-        raise CliError("b = +-1 is excluded (charge on the circle)")
-    if args.n < 2:
-        raise CliError("n must be >= 2")
     weight = CircleWeight(args.b)
     params = {"command": "circle", "b": weight.b, "n": args.n,
               "method": args.method, "seed": args.seed}
@@ -205,19 +198,7 @@ def _cmd_circle(args) -> int:
         _emit_result(payload, args.format, args.out)
         return EXIT_OK
 
-    cfg = OptimizerConfig(seed=args.seed)
-    res = optimize(weight, args.n, cfg)
-    payload = _result_payload(
-        params, res.points, res.log_diameter, res.grad_norm,
-        extra={"iterations": res.iterations, "converged": res.converged},
-    )
-    payload["cartesian"] = [[math.cos(t), math.sin(t)] for t in res.points]
-    _emit_result(payload, args.format, args.out)
-    if not res.converged:
-        print("optimizer did not reach the gradient tolerance; "
-              "best iterate emitted", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _optimize_and_emit(weight, params, args)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -233,25 +214,22 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+_FAMILY_PARAMETER = {
+    "real-s": ("s", MeasureSpec.real_sgt1),
+    "circle-poisson": ("b", MeasureSpec.circle_poisson),
+    "harmonic-inf": ("r", MeasureSpec.harmonic_inf),
+    "harmonic-i": ("r", MeasureSpec.harmonic_i),
+}
+
+
 def _measure_from_args(args) -> MeasureSpec:
-    fam = args.family
-    if fam == "real-s":
-        if args.s is None or args.s <= 1.0:
-            raise CliError("family real-s needs --s with s > 1")
-        return MeasureSpec.real_sgt1(args.s)
-    if fam == "arctan":
+    if args.family == "arctan":
         return MeasureSpec.arctan()
-    if fam == "circle-poisson":
-        if args.b is None or abs(args.b) == 1.0:
-            raise CliError("family circle-poisson needs --b with b != +-1")
-        return MeasureSpec.circle_poisson(args.b)
-    if fam == "harmonic-inf" or fam == "harmonic-i":
-        if args.r is None or args.r <= 0:
-            raise CliError(f"family {fam} needs --r with r > 0")
-        if fam == "harmonic-inf":
-            return MeasureSpec.harmonic_inf(args.r)
-        return MeasureSpec.harmonic_i(args.r)
-    raise CliError(f"unknown family {fam!r}")
+    name, make = _FAMILY_PARAMETER[args.family]
+    value = getattr(args, name)
+    if value is None:
+        raise CliError(f"family {args.family} needs --{name}")
+    return make(value)
 
 
 def _cmd_measure(args) -> int:
@@ -295,8 +273,6 @@ def _cmd_converge(args) -> int:
     ns = _parse_n_list(args.n_list)
     rows = []
     if args.s is not None:
-        if args.s < 1.0:
-            raise CliError("s must satisfy s >= 1")
         cap = capacity_real(args.s)
         for n in ns:
             if args.s == 1.0:
@@ -309,8 +285,6 @@ def _cmd_converge(args) -> int:
                 ks = ks_distance(pts, MeasureSpec.real_sgt1(args.s))
             rows.append((n, delta, cap, delta - cap, ks))
     else:
-        if abs(args.b) == 1.0:
-            raise CliError("b = +-1 is excluded")
         cap = capacity_circle(args.b)
         m = MeasureSpec.circle_poisson(args.b)
         for n in ns:
@@ -408,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_logging() -> None:
     level_name = os.environ.get("FEKETE_LOG", "off").lower()
     if level_name == "off":
-        logging.getLogger("fekete").addHandler(logging.NullHandler())
         return
     levels = {"info": logging.INFO, "debug": logging.DEBUG}
     if level_name not in levels:

@@ -156,17 +156,18 @@ def energy_gradient(points, weight) -> np.ndarray:
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, np.inf)
     if isinstance(weight, RealWeight):
-        if np.any(np.abs(_pair_differences(x)) == 0.0):
+        if np.any(d == 0.0):
             raise DegenerateInputError("coincident points: gradient undefined")
         return np.sum(2.0 / d, axis=1) - 2.0 * weight.s * (n - 1) * x / (
             x * x + weight.a * weight.a
         )
     if isinstance(weight, CircleWeight):
-        if np.any(np.sin(_pair_differences(x) / 2.0) == 0.0):
-            raise DegenerateInputError("coincident angles: gradient undefined")
         half = d / 2.0
         np.fill_diagonal(half, math.pi / 2.0)  # cot(pi/2) = 0 placeholder
-        cot = np.cos(half) / np.sin(half)
+        sin_half = np.sin(half)
+        if np.any(sin_half == 0.0):
+            raise DegenerateInputError("coincident angles: gradient undefined")
+        cot = np.cos(half) / sin_half
         np.fill_diagonal(cot, 0.0)
         den = 1.0 - 2.0 * weight.b * np.cos(x) + weight.b * weight.b
         return np.sum(cot, axis=1) - 2.0 * (n - 1) * weight.b * np.sin(x) / den

@@ -1,7 +1,10 @@
 """Acceptance criteria, one test per criterion, at their pinned tolerances.
 
-Each test ends by printing a single PASS line (visible with pytest -s); a
-failing assert marks the criterion FAIL.
+Criteria 04 (discriminant oracle), 05 (identity battery) and 07 (measure
+suite) are checks of ``fekete.verify`` on the same inputs at the same or
+tighter tolerances; they run once per session in ``tests/test_verify.py``.
+Each test here ends by printing a single PASS line (visible with pytest -s);
+a failing assert marks the criterion FAIL.
 """
 
 import json
@@ -13,37 +16,25 @@ import pytest
 from fekete import (
     CircleWeight,
     MeasureSpec,
-    OdeFamily,
     OptimizerConfig,
     RealWeight,
-    SingularParameterError,
     capacity_circle,
     capacity_real,
     circle_diameter,
     circle_points,
-    density,
-    discriminant_resultant,
     frostman_check,
-    jacobi,
-    jacobi_discriminant,
     ks_distance,
     log_weighted_vandermonde,
     mobius,
-    ode_monic_solution,
-    ode_residual,
     optimize,
     pseudo_jacobi,
-    recurrence_family,
     roots,
     s1_diameter,
     sgt1_diameter,
-    sgt1_diameter_routes,
     sine_product,
     sine_product_bound,
-    total_mass,
 )
 from fekete.cli import main as cli_main
-from fekete.real_line import gj_scale
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -108,85 +99,6 @@ def test_criterion_03_optimizer_matches_closed_form_circle():
                f"preimage gap dev {worst_gap:.2e}")
 
 
-def test_criterion_04_discriminant_oracle():
-    worst_jac = 0.0
-    for n in range(2, 9):
-        sample = (-0.5, 1.3, -3.7, -2.0 * (n - 1) - 1.0)
-        for al in sample:
-            for be in sample:
-                if any(abs(al + be + n + k) < 1e-6 for k in range(1, n + 1)):
-                    continue
-                p = jacobi(al, be, n)
-                if p.degree != n:
-                    continue
-                closed = jacobi_discriminant(al, be, n)
-                oracle = discriminant_resultant(p).real
-                worst_jac = max(worst_jac,
-                                abs(closed - oracle) / max(abs(closed), abs(oracle)))
-    worst_transfer = 0.0
-    for s in (1.5, 2.0):
-        for a in (1.0, 2.0):
-            for n in range(2, 9):
-                g = pseudo_jacobi(a, s, n)
-                al = -s * (n - 1) - 1.0
-                c = gj_scale(a, s, n)
-                transfer = (abs(c) ** (2 * n - 2) / a ** (n * (n - 1))
-                            * abs(jacobi_discriminant(al, al, n)))
-                got = abs(discriminant_resultant(g))
-                worst_transfer = max(worst_transfer, abs(got - transfer) / transfer)
-    assert worst_jac <= 1e-8
-    assert worst_transfer <= 1e-8
-    _report(4, f"discriminant oracle: jacobi rel dev {worst_jac:.2e}, "
-               f"transfer rel dev {worst_transfer:.2e}")
-
-
-def test_criterion_05_identity_battery():
-    worst_gj = 0.0
-    for s in (1.5, 2.0, 3.25):
-        for n in range(2, 21):
-            g = pseudo_jacobi(1.0, s, n)
-            al = -s * (n - 1) - 1.0
-            p = jacobi(al, al, n)
-            c = gj_scale(1.0, s, n)
-            composed = np.array([c * p.coeffs[k] * (-1j) ** k for k in range(n + 1)])
-            scale = float(np.max(np.abs(g.coeffs)))
-            worst_gj = max(worst_gj,
-                           float(np.max(np.abs(composed - g.coeffs))) / scale)
-    assert worst_gj <= 1e-10
-
-    worst_ode = 0.0
-    for s in (1.5, 2.0, 3.25):
-        for n in range(2, 31):
-            f = pseudo_jacobi(1.0, s, n)
-            res = ode_residual(f, 1.0, s, n)
-            scale = n * (2 * s * (n - 1) - n + 1) * float(np.max(np.abs(f.coeffs)))
-            worst_ode = max(worst_ode, float(np.max(np.abs(res.coeffs))) / scale)
-    assert worst_ode <= 1e-10
-
-    worst_rec = 0.0
-    for sigma in (3.0, 4.0, 10.0):
-        fam = recurrence_family(sigma, 15)
-        for n in range(2, 16):
-            try:
-                ref = ode_monic_solution(OdeFamily(a=1.0, lam=2.0 * sigma, n=n))
-            except SingularParameterError:
-                continue
-            scale = max(1.0, float(np.max(np.abs(ref.coeffs))))
-            got = np.zeros(n + 1, dtype=complex)
-            got[: fam[n].degree + 1] = fam[n].coeffs
-            worst_rec = max(worst_rec, float(np.max(np.abs(got - ref.coeffs))) / scale)
-    assert worst_rec <= 1e-12
-
-    worst_routes = 0.0
-    for s in (1.5, 2.0, 3.25):
-        for n in range(2, 21):
-            d1, d2 = sgt1_diameter_routes(1.0, s, n)
-            worst_routes = max(worst_routes, abs(d1 - d2) / d1)
-    assert worst_routes <= 1e-10
-    _report(5, f"identities: jacobi-connection {worst_gj:.2e}, ode {worst_ode:.2e}, "
-               f"recurrence {worst_rec:.2e}, routes {worst_routes:.2e}")
-
-
 def test_criterion_06_spot_values():
     assert abs(sgt1_diameter(1.0, 2.0, 2) - 3.0 * SQRT3 / 8.0) <= 1e-10
     assert abs(s1_diameter(1.0, 2) - 1.0) <= 1e-10
@@ -194,44 +106,6 @@ def test_criterion_06_spot_values():
     assert abs(circle_diameter(0.5, 2) - 8.0 / 3.0) <= 1e-10
     assert abs(capacity_real(1.0) - 0.5) <= 1e-10
     _report(6, "spot values: delta2(s=2), delta2/3(s=1), circle delta2(b=1/2), cap(s=1)")
-
-
-def test_criterion_07_measure_suite():
-    families = (
-        [MeasureSpec.real_sgt1(s) for s in (1.5, 2.0, 5.0)]
-        + [MeasureSpec.arctan()]
-        + [MeasureSpec.circle_poisson(b) for b in (0.0, 0.5, 2.0, -0.5)]
-        + [MeasureSpec.harmonic_inf(r) for r in (1.0, SQRT3)]
-        + [MeasureSpec.harmonic_i(r) for r in (1.0, SQRT3)]
-    )
-    worst_mass = max(abs(total_mass(m) - 1.0) for m in families)
-    assert worst_mass <= 1e-8
-
-    for s in (1.5, 2.0, 5.0):
-        m = MeasureSpec.real_sgt1(s)
-        assert density(m, m.support[0]) == 0.0
-        assert density(m, m.support[1]) == 0.0
-
-    s = 2.0
-    target = MeasureSpec.real_sgt1(s)
-    m_i = MeasureSpec.harmonic_i(SQRT3)
-    m_inf = MeasureSpec.harmonic_inf(SQRT3)
-    worst_combo = max(
-        abs(s * density(m_i, x) - (s - 1) * density(m_inf, x) - density(target, x))
-        for x in np.linspace(-SQRT3, SQRT3, 102)[1:-1])
-    assert worst_combo <= 1e-10
-
-    worst_vw = 0.0
-    for sv in (1.5, 2.0, 5.0):
-        expansion = (-((2 * sv - 1) ** 2 / 2.0) * math.log(2 * sv - 1)
-                     + (sv - 1) ** 2 * math.log(sv - 1)
-                     + sv * sv * math.log(sv)
-                     + (2 * sv * sv - 2 * sv + 1) * math.log(2.0))
-        v = -math.log(capacity_real(sv))
-        worst_vw = max(worst_vw, abs(v - expansion) / max(1.0, abs(v)))
-    assert worst_vw <= 1e-12
-    _report(7, f"measures: mass dev {worst_mass:.2e}, combination {worst_combo:.2e}, "
-               f"robin expansion {worst_vw:.2e}")
 
 
 def test_criterion_08_frostman_s2():
@@ -325,8 +199,4 @@ def test_criterion_11_cli_contract(capsys):
     # further exit-code behaviors
     code, _, _ = run("converge", "--s", "2", "--n-list", "5,3")
     assert code == 2
-
-    # full verification battery
-    code, out, _ = run("verify", "--suite", "all")
-    assert code == 0, f"verify failed:\n{out}"
-    _report(11, "CLI contract and full verify battery")
+    _report(11, "CLI contract")

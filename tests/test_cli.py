@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -34,6 +35,13 @@ class TestRealCommand:
         payload = json.loads(out)
         np.testing.assert_allclose(payload["points"], [-1.0, 1.0], atol=1e-9)
         assert payload["diameter"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_closed_s1_large_n(self, capsys):
+        n = 1500
+        code, out, _ = run(capsys, "real", "--a", "1", "--s", "1", "--n", str(n))
+        assert code == 0
+        steps = np.diff(np.arctan(json.loads(out)["points"]))
+        np.testing.assert_allclose(steps, math.pi / n, atol=1e-9)
 
     def test_invalid_s_exits_two(self, capsys):
         code, out, err = run(capsys, "real", "--a", "1", "--s", "0.5", "--n", "4")
@@ -141,6 +149,10 @@ class TestMeasureCommand:
                          "--grid", "0:1:2")
         assert code == 2
 
+    def test_missing_family_parameter_exits_two(self, capsys):
+        code, _, err = run(capsys, "measure", "--family", "real-s", "--grid", "0:1:2")
+        assert code == 2 and "--s" in err
+
     def test_json_rows(self, capsys):
         code, out, _ = run(capsys, "measure", "--family", "harmonic-inf", "--r", "1",
                            "--grid", "-1:1:5")
@@ -177,6 +189,12 @@ class TestConvergeCommand:
     def test_non_increasing_n_list_exits_two(self, capsys):
         code, _, err = run(capsys, "converge", "--s", "2", "--n-list", "5,3")
         assert code == 2 and "increasing" in err
+
+    @pytest.mark.parametrize("target,message", [(("--s", "0.5"), "s >= 1"),
+                                                (("--b", "1"), "excluded")])
+    def test_invalid_target_exits_two(self, capsys, target, message):
+        code, _, err = run(capsys, "converge", *target, "--n-list", "2,3")
+        assert code == 2 and message in err
 
     def test_requires_exactly_one_target(self, capsys):
         code, _, _ = run(capsys, "converge", "--s", "2", "--b", "0.5",
@@ -220,6 +238,13 @@ class TestOutputContract:
         assert out == ""
         payload = json.loads(target.read_text())
         assert payload["params"]["n"] == 2
+
+    def test_repeated_calls_add_no_log_handlers(self, capsys):
+        logger = logging.getLogger("fekete")
+        before = len(logger.handlers)
+        for _ in range(3):
+            run(capsys, "circle", "--b", "0.5", "--n", "2")
+        assert len(logger.handlers) == before
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

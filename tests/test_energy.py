@@ -89,6 +89,8 @@ class TestEnergyGradient:
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateInputError):
             energy_gradient([1.0, 1.0], RealWeight(1.0, 2.0))
+        with pytest.raises(DegenerateInputError):
+            energy_gradient([1.0, 1.0], CircleWeight(0.5))
 
     @pytest.mark.parametrize("weight", [RealWeight(1.0, 2.0), CircleWeight(0.5),
                                         CircleWeight(2.0)])
