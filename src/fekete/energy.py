@@ -23,6 +23,7 @@ variant differentiates the analogous objective with respect to the angles.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -100,9 +101,17 @@ def _as_points(points) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_mask(n: int) -> np.ndarray:
+    """Read-only mask of the strict upper triangle of an n x n matrix; it
+    selects the pairs j < k in the same row-major order as np.triu_indices."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
+
+
 def _pair_differences(x: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(x.size, 1)
-    return (x[:, None] - x[None, :])[iu]
+    return (x[:, None] - x[None, :])[_upper_mask(x.size)]
 
 
 def log_weighted_vandermonde(points, weight) -> float:

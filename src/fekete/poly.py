@@ -8,14 +8,13 @@ concurrent use.
 
 Root extraction uses companion-matrix eigenvalues refined by a few Newton
 steps.  The discriminant is computed from the Sylvester resultant of p and p'
-and serves as a small-degree oracle against closed-form discriminants
-implemented elsewhere.
+in exact Gaussian-integer arithmetic, rounded once at the end, and serves as a
+small-degree oracle against closed-form discriminants implemented elsewhere.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -132,76 +131,71 @@ def roots(p: Poly, newton_steps: int = 3) -> np.ndarray:
     return r[order]
 
 
-class _GaussRat:
-    """Exact complex number with rational real and imaginary parts.
+def _dyadic_row(p: Poly) -> tuple[list[int], list[int], int]:
+    """Coefficients of p, leading first, as Gaussian integers over 2^shift.
 
-    Floating-point coefficients are dyadic rationals, so lifting them here
-    makes the Sylvester determinant exact; double-precision elimination loses
-    too many digits to the cancellation inherent in resultants.
+    Every double is num / 2^e with e >= 0, so one shift per polynomial turns
+    all its coefficients into integer (re, im) pairs without changing a value.
     """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction, im: Fraction):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "_GaussRat":
-        return cls(Fraction(z.real), Fraction(z.imag))
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __mul__(self, other: "_GaussRat") -> "_GaussRat":
-        return _GaussRat(self.re * other.re - self.im * other.im,
-                         self.re * other.im + self.im * other.re)
-
-    def __sub__(self, other: "_GaussRat") -> "_GaussRat":
-        return _GaussRat(self.re - other.re, self.im - other.im)
-
-    def __truediv__(self, other: "_GaussRat") -> "_GaussRat":
-        norm = other.re * other.re + other.im * other.im
-        return _GaussRat((self.re * other.re + self.im * other.im) / norm,
-                         (self.im * other.re - self.re * other.im) / norm)
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+    ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio())
+              for z in reversed(p.coeffs.tolist())]
+    shift = max(den.bit_length() - 1 for pair in ratios for _, den in pair)
+    re = [num << (shift + 1 - den.bit_length()) for (num, den), _ in ratios]
+    im = [num << (shift + 1 - den.bit_length()) for _, (num, den) in ratios]
+    return re, im, shift
 
 
-def _sylvester(p: Poly, q: Poly) -> list[list[_GaussRat]]:
+def _sylvester(p: Poly, q: Poly) -> tuple[list[list[int]], list[list[int]], int]:
+    """Sylvester matrix of p and q as real and imaginary integer parts, and
+    the shift K with det(Sylvester matrix) = det(re + i im) / 2^K."""
     m, n = p.degree, q.degree
-    zero = _GaussRat(Fraction(0), Fraction(0))
-    s = [[zero for _ in range(m + n)] for _ in range(m + n)]
-    pc = [_GaussRat.from_complex(c) for c in p.coeffs[::-1]]
-    qc = [_GaussRat.from_complex(c) for c in q.coeffs[::-1]]
-    for i in range(n):
-        s[i][i : i + m + 1] = pc
-    for i in range(m):
-        s[n + i][i : i + n + 1] = qc
-    return s
+    size = m + n
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    shift = 0
+    for rows, offset, poly in ((n, 0, p), (m, n, q)):
+        c_re, c_im, c_shift = _dyadic_row(poly)
+        shift += rows * c_shift
+        for i in range(rows):
+            re[offset + i][i : i + len(c_re)] = c_re
+            im[offset + i][i : i + len(c_im)] = c_im
+    return re, im, shift
 
 
-def _det_bareiss(a: list[list[_GaussRat]]) -> _GaussRat:
-    """Fraction-free Gaussian elimination; exact for exact entries."""
-    size = len(a)
+def _det_bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[int, int]:
+    """Determinant of the Gaussian-integer matrix re + i im, in place.
+
+    Fraction-free (Bareiss) elimination: every entry after step k is a k+1
+    minor, so the division by the previous pivot is exact in Z[i] and is done
+    as a multiplication by the pivot's conjugate and a floor division by its
+    squared norm.
+    """
+    size = len(re)
     sign = 1
-    prev = _GaussRat(Fraction(1), Fraction(0))
+    prev_re, prev_im, prev_norm = 1, 0, 1
     for k in range(size - 1):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, size) if not a[i][k].is_zero()), None)
+        if not (re[k][k] or im[k][k]):
+            pivot = next((i for i in range(k + 1, size) if re[i][k] or im[i][k]), None)
             if pivot is None:
-                return _GaussRat(Fraction(0), Fraction(0))
-            a[k], a[pivot] = a[pivot], a[k]
+                return 0, 0
+            re[k], re[pivot] = re[pivot], re[k]
+            im[k], im[pivot] = im[pivot], im[k]
             sign = -sign
+        row_re, row_im = re[k], im[k]
+        p_re, p_im = row_re[k], row_im[k]
         for i in range(k + 1, size):
+            cur_re, cur_im = re[i], im[i]
+            l_re, l_im = cur_re[k], cur_im[k]
             for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    det = a[size - 1][size - 1]
-    if sign < 0:
-        det = _GaussRat(Fraction(0), Fraction(0)) - det
-    return det
+                a_re, a_im = cur_re[j], cur_im[j]
+                b_re, b_im = row_re[j], row_im[j]
+                x_re = a_re * p_re - a_im * p_im - (l_re * b_re - l_im * b_im)
+                x_im = a_re * p_im + a_im * p_re - (l_re * b_im + l_im * b_re)
+                cur_re[j] = (x_re * prev_re + x_im * prev_im) // prev_norm
+                cur_im[j] = (x_im * prev_re - x_re * prev_im) // prev_norm
+        prev_re, prev_im = p_re, p_im
+        prev_norm = p_re * p_re + p_im * p_im
+    return sign * re[-1][-1], sign * im[-1][-1]
 
 
 def discriminant_resultant(p: Poly) -> complex:
@@ -209,15 +203,22 @@ def discriminant_resultant(p: Poly) -> complex:
 
     Equals gamma^(2n-2) * prod_{j<k} (r_j - r_k)^2 over the roots r of p with
     leading coefficient gamma; in particular the squared root-gap product for
-    monic p.  The determinant is evaluated exactly (Bareiss elimination over
-    the rational re/im parts of the coefficients), so the only error is the
-    final conversion to a double.  Intended as a small-degree oracle
-    (degree <= 8 keeps the exact arithmetic cheap).
+    monic p.  Double coefficients are dyadic rationals, so each Sylvester row
+    is scaled exactly to Gaussian integers over one power of two and the
+    determinant is evaluated by Bareiss elimination in exact integer
+    arithmetic; the only rounding is the final correctly rounded conversion of
+    its real and imaginary parts to doubles (double-precision elimination
+    loses too many digits to the cancellation inherent in resultants).
+    Intended as a small-degree oracle (degree <= 8 keeps the exact arithmetic
+    cheap).
     """
     n = p.degree
     if p.is_zero() or n < 2:
         raise InvalidInputError("discriminant requires degree >= 2 and a nonzero leading coefficient")
-    res = _det_bareiss(_sylvester(p, p.derivative())).to_complex()
+    re, im, shift = _sylvester(p, p.derivative())
+    det_re, det_im = _det_bareiss(re, im)
+    # int / int is correctly rounded in CPython, whatever the operand sizes
+    res = complex(det_re / (1 << shift), det_im / (1 << shift))
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
     return complex(sign * res / p.leading)
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -178,7 +177,9 @@ def s1_polynomial(a: float, n: int, gamma: float | None = None) -> S1Solution:
     F(x) = [(an - Bi)(x + ai)^n + (an + Bi)(x - ai)^n] / (2an) with
     B = a n cot(n pi/2 + n gamma).  The two summands are complex conjugates on
     the real axis, so F has real coefficients.  gamma defaults to the
-    canonical symmetric phase.
+    canonical symmetric phase.  Raises NumericalError when a coefficient
+    cannot be represented in double precision (e.g. n = 1500, or a = 1.3 at
+    n = 1000); s1_points has no such limit.
     """
     a = _checked_a(a)
     n = _checked_n(n)
@@ -194,13 +195,20 @@ def s1_polynomial(a: float, n: int, gamma: float | None = None) -> S1Solution:
     b_const = a * n * math.cos(phase) / sin_phase
     lead_plus = a * n - 1j * b_const
     lead_minus = a * n + 1j * b_const
-    coeffs = np.empty(n + 1, dtype=complex)
-    for k in range(n + 1):
-        binom = math.comb(n, k)
-        coeffs[k] = binom * (
-            lead_plus * (1j * a) ** (n - k) + lead_minus * (-1j * a) ** (n - k)
+    try:
+        coeffs = np.array([
+            math.comb(n, k)
+            * (lead_plus * (1j * a) ** (n - k) + lead_minus * (-1j * a) ** (n - k))
+            for k in range(n + 1)
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs /= 2.0 * a * n
+    except OverflowError:  # C(n, k) or a power of a beyond the double range
+        coeffs = None
+    if coeffs is None or not np.all(np.isfinite(coeffs)):
+        raise NumericalError(
+            f"s1_polynomial(a={a!r}, n={n}): a coefficient exceeds the double range"
         )
-    coeffs /= 2.0 * a * n
     points = s1_points(a, n, gamma)
     return S1Solution(gamma=gamma, B=b_const, points=tuple(points), poly=Poly(coeffs.real))
 
@@ -256,14 +264,6 @@ def pseudo_jacobi(a: float, s: float, n: int) -> Poly:
     return ode_monic_solution(OdeFamily(a=a, lam=2.0 * s * (n - 1), n=n))
 
 
-def _gen_binomial(t: Fraction, m: int) -> Fraction:
-    """Generalized binomial coefficient t (t-1) ... (t-m+1) / m!."""
-    out = Fraction(1)
-    for i in range(m):
-        out *= t - i
-    return out / math.factorial(m)
-
-
 def jacobi(alpha: float, beta: float, n: int) -> Poly:
     """Jacobi polynomial P_n^(alpha, beta) for arbitrary real parameters.
 
@@ -271,34 +271,40 @@ def jacobi(alpha: float, beta: float, n: int) -> Poly:
 
         2^(-n) sum_k C(n+alpha, n-k) C(n+beta, k) (x-1)^k (x+1)^(n-k),
 
-    which stays valid outside the classical range alpha, beta > -1.  The
-    alternating sum is accumulated in exact rational arithmetic (double
-    arguments are dyadic rationals) and rounded once per coefficient, so even
-    coefficients that nearly cancel come out correctly rounded.  The leading
-    coefficient is (alpha+beta+n+1)_n / (n! 2^n) and may vanish (then the
-    returned degree drops below n); the value at 1 is C(n+alpha, n).
+    which stays valid outside the classical range alpha, beta > -1.  Double
+    arguments are dyadic rationals alpha = A/da and beta = B/db, so each term
+    c_k = C(n+alpha, n-k) C(n+beta, k) times da^n db^n n! is the integer
+
+        C(n, k) da^k db^(n-k) prod_{i<n-k} ((n-i) da + A) prod_{i<k} ((n-i) db + B).
+
+    The alternating sum is accumulated in exact integer arithmetic and each
+    coefficient is divided once by da^n db^n n! 2^n with correct rounding, so
+    even coefficients that nearly cancel come out correctly rounded.  The
+    leading coefficient is (alpha+beta+n+1)_n / (n! 2^n) and may vanish (then
+    the returned degree drops below n); the value at 1 is C(n+alpha, n).
     """
     if int(n) != n or n < 0:
         raise InvalidInputError(f"jacobi requires integer n >= 0, got {n!r}")
     n = int(n)
-    alpha_q = Fraction(float(alpha))
-    beta_q = Fraction(float(beta))
-    coeffs = [Fraction(0)] * (n + 1)
+    num_a, den_a = float(alpha).as_integer_ratio()
+    num_b, den_b = float(beta).as_integer_ratio()
+    coeffs = [0] * (n + 1)
     for k in range(n + 1):
-        c = _gen_binomial(n + alpha_q, n - k) * _gen_binomial(n + beta_q, k)
+        c = (math.comb(n, k) * den_a ** k * den_b ** (n - k)
+             * math.prod((n - i) * den_a + num_a for i in range(n - k))
+             * math.prod((n - i) * den_b + num_b for i in range(k)))
         if not c:
             continue
         # expand (x-1)^k (x+1)^(n-k) by direct convolution of binomial rows
         left = [math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)]
         right = [math.comb(n - k, j) for j in range(n - k + 1)]
         for i, li in enumerate(left):
-            if not li:
-                continue
             cli = c * li
             for j, rj in enumerate(right):
                 coeffs[i + j] += cli * rj
-    scale = Fraction(1, 2 ** n)
-    return Poly([float(v * scale) for v in coeffs])
+    # int / int is correctly rounded in CPython, whatever the operand sizes
+    den = (den_a * den_b) ** n * math.factorial(n) << n
+    return Poly([v / den for v in coeffs])
 
 
 def log_abs_jacobi_discriminant(alpha: float, beta: float, n: int) -> tuple[float, int]:

@@ -5,6 +5,7 @@ import pytest
 
 from fekete import (
     InvalidInputError,
+    NumericalError,
     OdeFamily,
     Poly,
     RealWeight,
@@ -108,6 +109,16 @@ class TestS1:
         sol = s1_polynomial(1.0, 4)
         assert sol.gamma == pytest.approx(canonical_gamma(4))
         assert sol.B == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a, n", [(1.0, 1500), (0.5, 1500), (1.3, 1000)])
+    def test_polynomial_beyond_double_range_raises(self, a, n):
+        with pytest.raises(NumericalError, match=f"a={a!r}, n={n}"):
+            s1_polynomial(a, n)
+
+    def test_polynomial_large_n_finite(self):
+        sol = s1_polynomial(1.0, 1000)
+        assert sol.poly.degree == 1000
+        assert np.all(np.isfinite(sol.poly.coeffs))
 
     def test_diameter(self):
         assert s1_diameter(1.0, 2) == pytest.approx(1.0)
