@@ -64,6 +64,7 @@ from .real_line import (
     s1_polynomial,
     sgt1_diameter,
     sgt1_diameter_routes,
+    sgt1_points,
     support_radius,
 )
 
@@ -117,6 +118,7 @@ __all__ = [
     "s1_polynomial",
     "sgt1_diameter",
     "sgt1_diameter_routes",
+    "sgt1_points",
     "sine_product",
     "sine_product_bound",
     "support_radius",

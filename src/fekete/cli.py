@@ -40,14 +40,13 @@ from .equilibrium import (
     ks_distance,
 )
 from .errors import FeketeError, InvalidInputError
-from .poly import roots
 from .real_line import (
     RealWeight,
     canonical_gamma,
-    pseudo_jacobi,
     s1_diameter,
     s1_points,
     sgt1_diameter,
+    sgt1_points,
 )
 from .verify import SUITES, run_suites
 
@@ -159,20 +158,25 @@ def _optimize_and_emit(weight, params: dict, args) -> int:
     return EXIT_OK
 
 
+def _closed_line(weight: RealWeight, n: int, gamma: float | None = None):
+    """Closed-form points, diameter and phase on the line: the arctangent
+    progression at s = 1 (phase gamma, canonical by default), the
+    Jacobi-matrix eigenvalues with no phase for s > 1."""
+    if weight.s == 1.0:
+        gamma = gamma if gamma is not None else canonical_gamma(n)
+        return s1_points(weight.a, n, gamma), s1_diameter(weight.a, n), gamma
+    return sgt1_points(weight.a, weight.s, n), sgt1_diameter(weight.a, weight.s, n), None
+
+
 def _cmd_real(args) -> int:
     weight = RealWeight(a=args.a, s=args.s)
     params = {"command": "real", "a": weight.a, "s": weight.s, "n": args.n,
               "method": args.method, "seed": args.seed}
 
     if args.method == "closed":
-        if weight.s == 1.0:
-            gamma = args.gamma if args.gamma is not None else canonical_gamma(args.n)
-            pts = s1_points(weight.a, args.n, gamma)
-            diameter = s1_diameter(weight.a, args.n)
+        pts, diameter, gamma = _closed_line(weight, args.n, args.gamma)
+        if gamma is not None:
             params["gamma"] = gamma
-        else:
-            pts = np.sort(roots(pseudo_jacobi(weight.a, weight.s, args.n)).real)
-            diameter = sgt1_diameter(weight.a, weight.s, args.n)
         grad_norm = float(np.max(np.abs(energy_gradient(pts, weight))))
         payload = _result_payload(params, pts, math.log(diameter), grad_norm)
         _emit_result(payload, args.format, args.out)
@@ -274,16 +278,11 @@ def _cmd_converge(args) -> int:
     rows = []
     if args.s is not None:
         cap = capacity_real(args.s)
+        weight = RealWeight(1.0, args.s)
+        m = MeasureSpec.arctan() if weight.s == 1.0 else MeasureSpec.real_sgt1(weight.s)
         for n in ns:
-            if args.s == 1.0:
-                delta = s1_diameter(1.0, n)
-                pts = s1_points(1.0, n, canonical_gamma(n))
-                ks = ks_distance(pts, MeasureSpec.arctan())
-            else:
-                delta = sgt1_diameter(1.0, args.s, n)
-                pts = np.sort(roots(pseudo_jacobi(1.0, args.s, n)).real)
-                ks = ks_distance(pts, MeasureSpec.real_sgt1(args.s))
-            rows.append((n, delta, cap, delta - cap, ks))
+            pts, delta, _ = _closed_line(weight, n)
+            rows.append((n, delta, cap, delta - cap, ks_distance(pts, m)))
     else:
         cap = capacity_circle(args.b)
         m = MeasureSpec.circle_poisson(args.b)

@@ -16,13 +16,14 @@ For s > 1 and r = sqrt(2s-1)/(s-1) the real-s density is the combination
 s * harmonic-i - (s-1) * harmonic-inf, which is how it arises from sweeping
 the attracting charge onto the support.
 
-CDFs and logarithmic potentials are computed with adaptive Gauss-Kronrod
-quadrature; densities with inverse-square-root edges are integrated after the
-substitution x = r sin(theta), which removes the endpoint derivative blowup,
-and the integrable log singularity of the potential is handled by splitting
-the integration at the singular point.  Densities evaluate to 0 outside their
-support (including at the boundary; the harmonic families diverge in the
-open-interior limit there).
+CDFs are elementary closed forms (arctangents, and the sweep identity above
+for real-s).  Total masses and logarithmic potentials are computed with
+adaptive Gauss-Kronrod quadrature; densities with inverse-square-root edges
+are integrated after the substitution x = r sin(theta), which removes the
+endpoint derivative blowup, and the integrable log singularity of the
+potential is handled by splitting the integration at the singular point.
+Densities evaluate to 0 outside their support (including at the boundary;
+the harmonic families diverge in the open-interior limit there).
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ _ARCTAN = "arctan"
 _CIRCLE_POISSON = "circle-poisson"
 _HARMONIC_INF = "harmonic-inf"
 _HARMONIC_I = "harmonic-i"
-
-_SQRT_EDGE_FAMILIES = (_REAL_SGT1, _HARMONIC_INF, _HARMONIC_I)
 
 
 @dataclass(frozen=True)
@@ -179,12 +178,22 @@ def _sqrt_edge_integral(m: MeasureSpec, f, theta_hi: float, singular_theta=None)
     return _quad_checked(g, -math.pi / 2.0, theta_hi, points=pts)
 
 
+def _harmonic_cdf(r: float, x: float, slope: float) -> float:
+    """1/2 + atan(slope x / sqrt(r^2 - x^2)) / pi for |x| < r.
+
+    slope = 1 is the arcsine law (harmonic-inf), slope = sqrt(1 + r^2) the
+    hitting distribution from i (harmonic-i).  sqrt((r-x)(r+x)) avoids the
+    cancellation of r^2 - x^2 at the edges."""
+    return 0.5 + math.atan2(slope * x, math.sqrt((r - x) * (r + x))) / math.pi
+
+
 def cdf(m: MeasureSpec, x: float) -> float:
     """Cumulative mass of the family up to x, clamped to [0, 1].
 
-    Arctan uses the closed form 1/2 + arctan(x)/pi; the square-root-edge
-    families integrate through the x = r sin(theta) substitution; the circle
-    family integrates the Poisson density from angle 0.
+    Every family has an elementary CDF: 1/2 + arctan(x)/pi for arctan, the
+    arctangent forms of _harmonic_cdf for the harmonic families, the sweep
+    identity s H_i - (s-1) H_inf for real-s, and the half-angle form
+    arctan(|(1+b)/(1-b)| tan(t/2))/pi (plus 1 past t = pi) for the circle.
     """
     x = float(x)
     if m.family == _ARCTAN:
@@ -195,10 +204,15 @@ def cdf(m: MeasureSpec, x: float) -> float:
     if x >= hi:
         return 1.0
     if m.family == _CIRCLE_POISSON:
-        val = _quad_checked(lambda t: density(m, t), 0.0, x)
+        val = math.atan(abs((1.0 + m.b) / (1.0 - m.b)) * math.tan(x / 2.0)) / math.pi
+        if x > math.pi:
+            val += 1.0
+    elif m.family == _HARMONIC_INF:
+        val = _harmonic_cdf(hi, x, 1.0)
     else:
-        r = hi
-        val = _sqrt_edge_integral(m, lambda _: 1.0, math.asin(min(max(x / r, -1.0), 1.0)))
+        val = _harmonic_cdf(hi, x, math.sqrt(1.0 + hi * hi))
+        if m.family == _REAL_SGT1:
+            val = m.s * val - (m.s - 1.0) * _harmonic_cdf(hi, x, 1.0)
     return min(max(val, 0.0), 1.0)
 
 

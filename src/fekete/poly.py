@@ -7,18 +7,23 @@ immutable after construction; everything here is a pure function and safe for
 concurrent use.
 
 Root extraction uses companion-matrix eigenvalues refined by a few Newton
-steps.  The discriminant is computed from the Sylvester resultant of p and p'
-in exact Gaussian-integer arithmetic, rounded once at the end, and serves as a
-small-degree oracle against closed-form discriminants implemented elsewhere.
+steps.  The monomial basis is ill-conditioned, so it loses accuracy quickly
+with the degree and serves only as a small-degree oracle: the Fekete points
+on the line come from Jacobi-matrix eigenvalues (``real_line.sgt1_points``)
+and arctangent progressions.  The discriminant is computed from the
+Sylvester resultant of p and p' in exact Gaussian-integer arithmetic, rounded
+once at the end, and serves as a small-degree oracle against closed-form
+discriminants implemented elsewhere.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 
 __all__ = [
     "Poly",
@@ -210,17 +215,24 @@ def discriminant_resultant(p: Poly) -> complex:
     its real and imaginary parts to doubles (double-precision elimination
     loses too many digits to the cancellation inherent in resultants).
     Intended as a small-degree oracle (degree <= 8 keeps the exact arithmetic
-    cheap).
+    cheap).  Raises NumericalError when the discriminant exceeds the double
+    range.
     """
     n = p.degree
     if p.is_zero() or n < 2:
         raise InvalidInputError("discriminant requires degree >= 2 and a nonzero leading coefficient")
     re, im, shift = _sylvester(p, p.derivative())
     det_re, det_im = _det_bareiss(re, im)
-    # int / int is correctly rounded in CPython, whatever the operand sizes
-    res = complex(det_re / (1 << shift), det_im / (1 << shift))
+    try:
+        # int / int is correctly rounded in CPython, whatever the operand sizes
+        res = complex(det_re / (1 << shift), det_im / (1 << shift))
+    except OverflowError:
+        res = complex(math.inf)
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    return complex(sign * res / p.leading)
+    disc = complex(sign * res / p.leading)
+    if not cmath.isfinite(disc):
+        raise NumericalError(f"discriminant of a degree-{n} polynomial exceeds the double range")
+    return disc
 
 
 def pochhammer(t: float, n: int) -> float:

@@ -15,10 +15,14 @@ regimes:
 
       (x^2 + a^2) f''(x) - 2 s (n-1) x f'(x) + n (2 s (n-1) - n + 1) f(x) = 0.
 
-  The same polynomial is a rotated Jacobi polynomial with both parameters
-  equal to -s(n-1) - 1 (outside the classical range), which yields a product
-  formula for its discriminant and hence a second, independent route to the
-  weighted diameter.
+  Its monic three-term recurrence has positive coefficients, so the points
+  are computed as the eigenvalues of a symmetric tridiagonal Jacobi matrix
+  (sgt1_points), which stays accurate at any n; the monomial coefficients
+  and their companion-matrix roots are small-n oracles only.  The same
+  polynomial is a rotated Jacobi polynomial with both parameters equal to
+  -s(n-1) - 1 (outside the classical range), which yields a product formula
+  for its discriminant and hence a second, independent route to the weighted
+  diameter.
 
 Diameter formulas are evaluated in log space (log-gamma plus signed
 log-Pochhammer) so that they remain finite well past the point where n!
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InvalidInputError, NumericalError, SingularParameterError
 from .poly import Poly, log_abs_pochhammer, pochhammer
@@ -45,6 +50,7 @@ __all__ = [
     "s1_diameter",
     "ode_monic_solution",
     "pseudo_jacobi",
+    "sgt1_points",
     "jacobi",
     "jacobi_discriminant",
     "log_abs_jacobi_discriminant",
@@ -438,6 +444,40 @@ def sgt1_diameter(a: float, s: float, n: int) -> float:
     return direct
 
 
+def _recurrence_coefficients(sigma: float, n_max: int) -> np.ndarray:
+    """c_k = (k-1)(2 sigma - k + 3) / ((2 sigma - 2k + 3)(2 sigma - 2k + 5))
+    for k = 2..n_max, the coefficients of the monic three-term recurrence
+    G_k = x G_{k-1} - c_k G_{k-2}."""
+    k = np.arange(2, n_max + 1, dtype=float)
+    d1 = 2.0 * sigma - 2.0 * k + 3.0
+    d2 = 2.0 * sigma - 2.0 * k + 5.0
+    singular = (np.abs(d1) <= _SINGULAR_TOL) | (np.abs(d2) <= _SINGULAR_TOL)
+    if singular.any():
+        raise SingularParameterError(
+            f"recurrence denominator vanishes at step n = {int(k[singular.argmax()])} "
+            f"for sigma = {sigma}"
+        )
+    return (k - 1.0) * (2.0 * sigma - k + 3.0) / (d1 * d2)
+
+
+def sgt1_points(a: float, s: float, n: int) -> np.ndarray:
+    """The unique s > 1 Fekete set, the roots of pseudo_jacobi(a, s, n), sorted.
+
+    At sigma = s(n-1) every recurrence coefficient c_k, k <= n, is positive,
+    so the roots are a times the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix with zero diagonal and off-diagonal sqrt(c_2), ...,
+    sqrt(c_n) (Golub & Welsch 1969).  Unlike companion-matrix roots of the
+    monomial expansion, this stays accurate at any n.
+    """
+    a = _checked_a(a)
+    s = float(s)
+    if s <= 1.0:
+        raise InvalidInputError("sgt1_points requires s > 1")
+    n = _checked_n(n)
+    off = np.sqrt(_recurrence_coefficients(s * (n - 1), n))
+    return a * eigvalsh_tridiagonal(np.zeros(n), off)
+
+
 def recurrence_family(sigma: float, n_max: int) -> list[Poly]:
     """Monic family G_0 = 1, G_1 = x and, for 2 <= n <= n_max,
 
@@ -450,16 +490,10 @@ def recurrence_family(sigma: float, n_max: int) -> list[Poly]:
     """
     sigma = float(sigma)
     n_max = _checked_n(n_max)
+    coefs = _recurrence_coefficients(sigma, n_max).tolist()
     polys = [Poly([1.0]), Poly([0.0, 1.0])]
     for n in range(2, n_max + 1):
-        d1 = 2.0 * sigma - 2.0 * n + 3.0
-        d2 = 2.0 * sigma - 2.0 * n + 5.0
-        if abs(d1) <= _SINGULAR_TOL or abs(d2) <= _SINGULAR_TOL:
-            raise SingularParameterError(
-                f"recurrence denominator vanishes at step n = {n} for sigma = {sigma}"
-            )
-        coef = (n - 1) * (2.0 * sigma - n + 3.0) / (d1 * d2)
-        polys.append(polys[n - 1].shifted_up() - coef * polys[n - 2])
+        polys.append(polys[n - 1].shifted_up() - coefs[n - 2] * polys[n - 2])
     return polys
 
 

@@ -155,6 +155,7 @@ def _suite_real() -> list[CheckResult]:
     out.append(CheckResult("real", "diameter-route-agreement", worst, 1e-10))
 
     worst = 0.0
+    worst_routes = 0.0
     for s in (1.5, 2.0):
         radius = rl.support_radius(1.0, s)
         for n in range(2, 31):
@@ -165,7 +166,10 @@ def _suite_real() -> list[CheckResult]:
             inside = 0.0 if float(np.max(np.abs(xs))) < radius else math.inf
             simple = 0.0 if (n == 1 or float(np.min(np.diff(xs))) > 0) else math.inf
             worst = max(worst, sym, imag, inside, simple)
+            gap = float(np.max(np.abs(rl.sgt1_points(1.0, s, n) - xs)))
+            worst_routes = max(worst_routes, gap / float(np.max(np.abs(xs))))
     out.append(CheckResult("real", "pseudo-jacobi-roots-real-symmetric-inside", worst, 1e-9))
+    out.append(CheckResult("real", "tridiagonal-vs-companion-roots", worst_routes, 1e-10))
 
     rng = np.random.default_rng(104)
     worst = 0.0
@@ -346,6 +350,17 @@ def _suite_energy() -> list[CheckResult]:
 # equilibrium
 # ---------------------------------------------------------------------------
 
+def _cdf_by_quadrature(m: eq.MeasureSpec, x: float) -> float:
+    """The density integrated up to x by adaptive quadrature: from angle 0 on
+    the circle, through x = r sin(theta) on the square-root-edge families."""
+    lo, hi = m.support
+    if m.is_circle:
+        return quad(lambda t: eq.density(m, t), lo, x, epsabs=1e-11, epsrel=1e-11)[0]
+    return quad(lambda th: eq.density(m, hi * math.sin(th)) * hi * math.cos(th),
+                -math.pi / 2.0, math.asin(min(max(x / hi, -1.0), 1.0)),
+                epsabs=1e-11, epsrel=1e-11)[0]
+
+
 def _suite_equilibrium() -> list[CheckResult]:
     out = []
     families = (
@@ -386,6 +401,7 @@ def _suite_equilibrium() -> list[CheckResult]:
 
     worst_mono = 0.0
     worst_edge = 0.0
+    worst_quad = 0.0
     for m in (eq.MeasureSpec.real_sgt1(2.0), eq.MeasureSpec.harmonic_i(math.sqrt(3.0)),
               eq.MeasureSpec.harmonic_inf(1.0), eq.MeasureSpec.circle_poisson(0.5)):
         lo, hi = m.support
@@ -393,10 +409,13 @@ def _suite_equilibrium() -> list[CheckResult]:
         vals = [eq.cdf(m, x) for x in xs]
         worst_mono = max(worst_mono, max(0.0, -min(np.diff(vals))))
         worst_edge = max(worst_edge, abs(vals[0]), abs(vals[-1] - 1.0))
+        worst_quad = max(worst_quad, max(abs(v - _cdf_by_quadrature(m, x))
+                                         for x, v in zip(xs, vals)))
     worst_edge = max(worst_edge, abs(eq.cdf(eq.MeasureSpec.arctan(), -1e12)),
                      abs(eq.cdf(eq.MeasureSpec.arctan(), 1e12) - 1.0))
     out.append(CheckResult("equilibrium", "cdf-nondecreasing", worst_mono, 1e-12))
     out.append(CheckResult("equilibrium", "cdf-endpoints", worst_edge, 1e-8))
+    out.append(CheckResult("equilibrium", "cdf-vs-quadrature", worst_quad, 1e-10))
 
     worst = 0.0
     for sv in (2.0, 5.0):

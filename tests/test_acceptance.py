@@ -31,6 +31,7 @@ from fekete import (
     roots,
     s1_diameter,
     sgt1_diameter,
+    sgt1_points,
     sine_product,
     sine_product_bound,
 )
@@ -124,8 +125,8 @@ def test_criterion_09_convergence():
     assert abs(deltas[48] - cap) < abs(deltas[8] - cap)
 
     m = MeasureSpec.real_sgt1(2.0)
-    d10 = ks_distance(np.sort(roots(pseudo_jacobi(1.0, 2.0, 10)).real), m)
-    d50 = ks_distance(np.sort(roots(pseudo_jacobi(1.0, 2.0, 50)).real), m)
+    d10 = ks_distance(sgt1_points(1.0, 2.0, 10), m)
+    d50 = ks_distance(sgt1_points(1.0, 2.0, 50), m)
     assert d50 < d10
 
     cap_c = capacity_circle(0.5)

@@ -16,6 +16,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def line_residual(points, a, s):
+    """Scale-aware stationarity residual max_k |g_k| / (sum of |terms of g_k|)
+    of g_k = sum_{j != k} 2/(x_k - x_j) - 2 s (n-1) x_k / (x_k^2 + a^2)."""
+    x = np.asarray(points)
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, np.inf)
+    pair = 2.0 / d
+    field = 2.0 * s * (x.size - 1) * x / (x * x + a * a)
+    scale = np.sum(np.abs(pair), axis=1) + np.abs(field)
+    return float(np.max(np.abs(np.sum(pair, axis=1) - field) / scale))
+
+
 class TestRealCommand:
     def test_closed_s2(self, capsys):
         code, out, _ = run(capsys, "real", "--a", "1", "--s", "2", "--n", "2",
@@ -42,6 +54,12 @@ class TestRealCommand:
         assert code == 0
         steps = np.diff(np.arctan(json.loads(out)["points"]))
         np.testing.assert_allclose(steps, math.pi / n, atol=1e-9)
+
+    @pytest.mark.parametrize("s, n", [(2.0, 1000), (5.0, 50)])
+    def test_closed_sgt1_stationary_at_large_n(self, capsys, s, n):
+        code, out, _ = run(capsys, "real", "--a", "1", "--s", str(s), "--n", str(n))
+        assert code == 0
+        assert line_residual(json.loads(out)["points"], 1.0, s) <= 1e-9
 
     def test_invalid_s_exits_two(self, capsys):
         code, out, err = run(capsys, "real", "--a", "1", "--s", "0.5", "--n", "4")
@@ -175,6 +193,13 @@ class TestConvergeCommand:
         assert deltas[0] > deltas[1] > deltas[2] > caps[0]
         assert caps[0] == pytest.approx(3.0 ** 4.5 / 512.0, rel=1e-10)
         assert ks[2] < ks[1]
+
+    def test_real_ks_decreases_to_large_n(self, capsys):
+        code, out, _ = run(capsys, "converge", "--s", "2", "--n-list", "10,100,1000",
+                           "--format", "csv")
+        assert code == 0
+        ks = [float(line.split(",")[4]) for line in out.strip().splitlines()[1:]]
+        assert ks[0] > ks[1] > ks[2]
 
     def test_circle_table(self, capsys):
         code, out, _ = run(capsys, "converge", "--b", "0.5", "--n-list", "2,10,50",

@@ -15,8 +15,6 @@ from fekete import (
     ks_distance,
     log_potential,
     modified_robin_constant,
-    pseudo_jacobi,
-    roots,
     total_mass,
 )
 
@@ -110,6 +108,21 @@ class TestCdf:
         for x in (-1.5, 0.0, 0.4, 1.9):
             expected = 0.5 + math.asin(x / 2.0) / math.pi
             assert cdf(m, x) == pytest.approx(expected, abs=1e-9)
+
+    def test_left_edge_of_arcsine_law(self):
+        # 1.9e-6 inside the left edge, where r^2 - x^2 cancels
+        mpmath = pytest.importorskip("mpmath")
+        r, x = 1.7461343035679293, -1.7461324161603549
+        with mpmath.workdps(40):
+            expected = float(0.5 + mpmath.asin(mpmath.mpf(x) / r) / mpmath.pi)
+        assert abs(cdf(MeasureSpec.harmonic_inf(r), x) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("b", [-0.5, 2.0, -3.0])
+    def test_circle_poisson_matches_quadrature(self, b):
+        m = MeasureSpec.circle_poisson(b)
+        for t in (0.3, 2.0, math.pi, 4.0, 6.0):
+            expected = quad(lambda u: density(m, u), 0.0, t, epsabs=1e-13, epsrel=1e-13)[0]
+            assert cdf(m, t) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("m", [
         MeasureSpec.real_sgt1(2.0),
@@ -213,12 +226,6 @@ class TestKsDistance:
 
     def test_single_point_at_median(self):
         assert ks_distance([0.0], MeasureSpec.arctan()) == pytest.approx(0.5)
-
-    def test_root_counting_measures_converge(self):
-        m = MeasureSpec.real_sgt1(2.0)
-        d10 = ks_distance(np.sort(roots(pseudo_jacobi(1.0, 2.0, 10)).real), m)
-        d50 = ks_distance(np.sort(roots(pseudo_jacobi(1.0, 2.0, 50)).real), m)
-        assert d50 < d10
 
     def test_log_potential_rejects_circle(self):
         with pytest.raises(InvalidInputError):

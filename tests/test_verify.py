@@ -22,6 +22,7 @@ INVENTORY = {
         "discriminant-transfer",
         "diameter-route-agreement",
         "pseudo-jacobi-roots-real-symmetric-inside",
+        "tridiagonal-vs-companion-roots",
         "s1-roots-vs-points",
         "jacobi-discriminant-vs-resultant",
         "ode-residual-zero",
@@ -51,6 +52,7 @@ INVENTORY = {
         "robin-constant-expansion",
         "cdf-nondecreasing",
         "cdf-endpoints",
+        "cdf-vs-quadrature",
         "modified-robin-consistency",
         "frostman-no-violation",
         "frostman-equality-on-support",
