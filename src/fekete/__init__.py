@@ -23,6 +23,7 @@ from .energy import (
     log_weighted_vandermonde,
     numeric_diameter,
     optimize,
+    scaled_residual,
     sine_product,
     sine_product_bound,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "s1_diameter",
     "s1_points",
     "s1_polynomial",
+    "scaled_residual",
     "sgt1_diameter",
     "sgt1_diameter_routes",
     "sgt1_points",

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .circle import CircleWeight, circle_diameter, circle_points
-from .energy import OptimizerConfig, energy_gradient, optimize
+from .energy import RESIDUAL_TOL, OptimizerConfig, energy_gradient, optimize
 from .equilibrium import (
     MeasureSpec,
     capacity_circle,
@@ -152,8 +152,8 @@ def _optimize_and_emit(weight, params: dict, args) -> int:
         payload["cartesian"] = [[math.cos(t), math.sin(t)] for t in res.points]
     _emit_result(payload, args.format, args.out)
     if not res.converged:
-        print("optimizer did not reach the gradient tolerance; "
-              "best iterate emitted", file=sys.stderr)
+        print("optimizer did not reach the scaled stationarity residual "
+              f"{RESIDUAL_TOL:g}; best iterate emitted", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

@@ -6,19 +6,34 @@ the closed forms: maximize the log weighted Vandermonde
     sum_{j<k} log|z_j - z_k| + (n-1) sum_k log w(z_k)
 
 over point configurations on the line (coordinates) or on the unit circle
-(angles).  The optimizer is multistart projected gradient ascent with
-Barzilai-Borwein step sizes, a backtracking line search guarded against point
-collisions, and a final Newton polish on the stationarity system.  All
-evaluations are pure; each start owns its state, and the multistart reduction
-is a deterministic max (ties resolved toward the lower start index).
-
-The stationarity residual on the line is
+(angles).  The stationarity residual on the line is
 
     g_k = sum_{j != k} 2/(x_k - x_j) - 2 s (n-1) x_k / (x_k^2 + a^2),
 
 i.e. the gradient of the unnormalized objective
 sum_{j<k} log (x_j - x_k)^2 - s(n-1) sum_k log(x_k^2 + a^2); the circle
 variant differentiates the analogous objective with respect to the angles.
+`scaled_residual` divides each |g_k| by the sum of the sizes 2q/|z_k - c| of
+its terms, one per charge q at c (the other points and the weight's charge):
+0 at a Fekete set, at most 1, and unchanged by scaling the problem.
+
+The optimizer works in angles for both weights: x = a tan(theta/2) maps the
+line onto theta in (-pi, pi), where the objective becomes, up to a constant,
+
+    sum_{j<k} log|2 sin((theta_j - theta_k)/2)| + sum_k phi(theta_k)
+
+with phi = (n-1)(s-1) log(2 cos(theta/2)); on the circle phi = (n-1) log w in
+its own angles.  Each start runs damped Newton ascent, a modified Newton
+method (Nocedal & Wright, Numerical Optimization, sec. 3.4): the step uses the
+eigendecomposition of the negated Hessian with |lambda| for each eigenvalue,
+dropping |lambda| <= 1e-10 max|lambda| (the s = 1 rotation, the free Moebius
+rotation), backtracks to the Armijo condition (constant 1e-4) and is kept
+only if the points stay ordered.  A start stops when its angle-space scaled
+residual is <= 1e-13, or, after one last full step, when g.p falls to the
+rounding level of the objective f, 1e-15 (1 + |f| + max|theta| sum_k
+scale_k).  A result is converged when its `scaled_residual` in the command's
+coordinates is <= RESIDUAL_TOL = 1e-10.  Each start owns its state, and the
+multistart reduction is a deterministic max (ties toward the lower start).
 """
 
 from __future__ import annotations
@@ -32,15 +47,17 @@ import numpy as np
 
 from .circle import TWO_PI, CircleWeight, mobius
 from .errors import DegenerateInputError, InvalidInputError
-from .real_line import RealWeight, support_radius
+from .real_line import RealWeight
 
 __all__ = [
     "FeketeResult",
     "OptimizerConfig",
+    "RESIDUAL_TOL",
     "log_weighted_vandermonde",
     "numeric_diameter",
     "discrete_energy",
     "energy_gradient",
+    "scaled_residual",
     "optimize",
     "sine_product",
     "sine_product_bound",
@@ -48,33 +65,22 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_MIN_GAP = 1e-12
+RESIDUAL_TOL = 1e-10  # a result is converged when scaled_residual <= this
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart settings; `box` bounds line coordinates to [-box, box].
-
-    A finite box is mandatory for the s = 1 line weight (the maximizer family
-    reaches toward infinity as the free phase approaches its boundary); when
-    left unset it defaults to 50 a.
-    """
+    """Multistart settings: number of starts, Newton steps per start, seed."""
 
     starts: int = 8
-    max_iters: int = 2000
-    grad_tol: float = 1e-9
+    max_iters: int = 200
     seed: int = 0
-    box: float | None = None
 
     def __post_init__(self):
         if self.starts < 1:
             raise InvalidInputError("starts must be >= 1")
-        if self.grad_tol <= 0:
-            raise InvalidInputError("grad_tol must be positive")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be >= 1")
-        if self.box is not None and not self.box > 0:
-            raise InvalidInputError("box must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -154,12 +160,13 @@ def discrete_energy(points, weight: RealWeight) -> float:
     return -2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1))
 
 
-def energy_gradient(points, weight) -> np.ndarray:
-    """Stationarity residual of the configuration (see module docstring).
-
-    Vanishes exactly at weighted Fekete configurations; coincident points are
-    a hard error here because the residual is undefined.
-    """
+def _gradient(points, weight, with_scale: bool = False):
+    """The stationarity residual g and, if with_scale, the sum of the sizes of
+    the terms of each g_k.  Each term is twice the derivative of
+    q log|z_k - c| for one charge c: another point (q = 1), or the weight's
+    charge, ai of strength s(n-1) on the line or b of strength n-1 on the
+    circle.  Its size is the modulus of that derivative in the complex plane,
+    2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points."""
     x = _as_points(points)
     n = x.size
     d = x[:, None] - x[None, :]
@@ -167,9 +174,12 @@ def energy_gradient(points, weight) -> np.ndarray:
     if isinstance(weight, RealWeight):
         if np.any(d == 0.0):
             raise DegenerateInputError("coincident points: gradient undefined")
-        return np.sum(2.0 / d, axis=1) - 2.0 * weight.s * (n - 1) * x / (
-            x * x + weight.a * weight.a
-        )
+        pair = 2.0 / d
+        field = 2.0 * weight.s * (n - 1) * x / (x * x + weight.a * weight.a)
+        g = np.sum(pair, axis=1) - field
+        if not with_scale:
+            return g
+        return g, np.sum(np.abs(pair), axis=1) + 2.0 * weight.s * (n - 1) / np.hypot(x, weight.a)
     if isinstance(weight, CircleWeight):
         half = d / 2.0
         np.fill_diagonal(half, math.pi / 2.0)  # cot(pi/2) = 0 placeholder
@@ -179,32 +189,35 @@ def energy_gradient(points, weight) -> np.ndarray:
         cot = np.cos(half) / sin_half
         np.fill_diagonal(cot, 0.0)
         den = 1.0 - 2.0 * weight.b * np.cos(x) + weight.b * weight.b
-        return np.sum(cot, axis=1) - 2.0 * (n - 1) * weight.b * np.sin(x) / den
+        field = 2.0 * (n - 1) * weight.b * np.sin(x) / den
+        g = np.sum(cot, axis=1) - field
+        if not with_scale:
+            return g
+        csc = 1.0 / np.abs(sin_half)
+        np.fill_diagonal(csc, 0.0)
+        return g, np.sum(csc, axis=1) + 2.0 * (n - 1) / np.sqrt(den)
     raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
 
 
-def _hessian(x: np.ndarray, weight) -> np.ndarray:
-    n = x.size
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, np.inf)
-    if isinstance(weight, RealWeight):
-        h = 2.0 / d ** 2
-        a2 = weight.a * weight.a
-        diag = -np.sum(h, axis=1) - 2.0 * weight.s * (n - 1) * (a2 - x * x) / (
-            x * x + a2
-        ) ** 2
-    else:
-        half = d / 2.0
-        np.fill_diagonal(half, math.pi / 2.0)
-        h = 0.5 / np.sin(half) ** 2
-        np.fill_diagonal(h, 0.0)
-        b = weight.b
-        den = 1.0 - 2.0 * b * np.cos(x) + b * b
-        diag = -np.sum(h, axis=1) - 2.0 * (n - 1) * b * (
-            np.cos(x) * den - 2.0 * b * np.sin(x) ** 2
-        ) / den ** 2
-    np.fill_diagonal(h, diag)
-    return h
+def energy_gradient(points, weight) -> np.ndarray:
+    """Stationarity residual of the configuration (see module docstring).
+
+    Vanishes exactly at weighted Fekete configurations; coincident points are
+    a hard error here because the residual is undefined.
+    """
+    return _gradient(points, weight)
+
+
+def scaled_residual(points, weight) -> float:
+    """max_k |g_k| / (sum of the sizes of the terms of g_k), in the weight's
+    own coordinates: 0 at a Fekete set, at most 1, unchanged by scaling the
+    line.  A term pulling z_k toward or away from a charge q at c has size
+    2q/|z_k - c|, at least its absolute value; this stays meaningful where
+    symmetry zeroes every term, as for n = 2 circle points at 0 and pi.
+    Coincident points are a hard error.
+    """
+    g, scale = _gradient(points, weight, with_scale=True)
+    return float(np.max(np.abs(g) / scale))
 
 
 def sine_product(ys) -> float:
@@ -224,106 +237,110 @@ def sine_product_bound(n: int) -> float:
     return 2.0 ** (-n * (n - 1)) * float(n) ** n
 
 
-def _min_gap_line(x: np.ndarray) -> float:
-    xs = np.sort(x)
-    return float(np.min(np.diff(xs))) if xs.size > 1 else math.inf
-
-
-def _min_gap_circle(t: np.ndarray) -> float:
-    ts = np.sort(np.mod(t, TWO_PI))
-    gaps = np.diff(ts)
-    wrap = ts[0] + TWO_PI - ts[-1]
-    inner = float(np.min(gaps)) if gaps.size else wrap
-    return min(inner, float(wrap))
-
-
-def _initial_points(weight, n, start, rng, box):
-    """Scaled Chebyshev nodes (line) or equispaced angles (circle); starts
-    after the first are randomly perturbed."""
+def _angle_problem(weight, n: int):
+    """The per-weight parts of the angle-space objective: the field (phi,
+    phi', phi'' per angle), the order test and the map to the command's
+    coordinates."""
     if isinstance(weight, RealWeight):
-        if weight.s > 1.0:
-            radius = support_radius(weight.a, weight.s)
+        c = (n - 1) * (weight.s - 1.0)
+
+        def field(t):
+            cos_half = np.cos(t / 2.0)
+            return (c * np.log(2.0 * cos_half), -0.5 * c * np.tan(t / 2.0),
+                    -0.25 * c / cos_half ** 2)
+
+        def ordered(t):
+            return -math.pi < t[0] and t[-1] < math.pi and bool(np.all(np.diff(t) > 0.0))
+
+        return field, ordered, lambda t: weight.a * np.tan(t / 2.0)
+    if isinstance(weight, CircleWeight):
+        b, m = weight.b, n - 1
+
+        def field(t):
+            cos, sin = np.cos(t), np.sin(t)
+            # 1 - 2b cos t + b^2, free of cancellation next to the charge
+            den = ((1.0 - b) ** 2 + 4.0 * b * np.sin(t / 2.0) ** 2 if b >= 0.0
+                   else (1.0 + b) ** 2 - 4.0 * b * np.cos(t / 2.0) ** 2)
+            return (-0.5 * m * np.log(den), -m * b * sin / den,
+                    -m * b * (cos * den - 2.0 * b * sin * sin) / den ** 2)
+
+        def ordered(t):
+            return t[-1] - t[0] < TWO_PI and bool(np.all(np.diff(t) > 0.0))
+
+        return field, ordered, lambda t: _gauge_circle(b, t)
+    raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
+
+
+def _angle_objective(t: np.ndarray, field) -> float:
+    chords = 2.0 * np.abs(np.sin(_pair_differences(t) / 2.0))
+    return float(np.sum(np.log(chords)) + np.sum(field(t)[0]))
+
+
+def _angle_derivatives(t: np.ndarray, field):
+    """Gradient, the summed sizes of its terms and the negated Hessian.  The
+    chord part contributes (1/2) cot(d/2), of size 1/chord = (1/2) csc(d/2),
+    to the gradient and the Laplacian with weights (1/4) csc^2(d/2) to the
+    negated Hessian."""
+    half = (t[:, None] - t[None, :]) / 2.0
+    np.fill_diagonal(half, math.pi / 2.0)  # cot = 0, csc^2 = 1 placeholders
+    sin_half = np.sin(half)
+    inv_chord = 0.5 / sin_half  # 1/chord, up to sign
+    np.fill_diagonal(inv_chord, 0.0)
+    neg_h = -inv_chord * inv_chord
+    _, d1, d2 = field(t)
+    np.fill_diagonal(neg_h, -np.sum(neg_h, axis=1) - d2)
+    g = np.sum(inv_chord * np.cos(half), axis=1) + d1
+    return g, np.sum(np.abs(inv_chord), axis=1) + np.abs(d1), neg_h
+
+
+def _newton(t: np.ndarray, field, ordered, max_iters: int):
+    """Damped Newton ascent from the ordered angles t (see module docstring);
+    returns the final angles, the Newton steps and the backtracks."""
+    f = _angle_objective(t, field)
+    steps = backtracks = 0
+    while steps < max_iters:
+        g, scale, neg_h = _angle_derivatives(t, field)
+        if np.max(np.abs(g) / scale) <= 1e-13:
+            break
+        lam, vec = np.linalg.eigh(neg_h)
+        lam = np.abs(lam)
+        keep = lam > 1e-10 * np.max(lam)
+        vec = vec[:, keep]
+        p = vec @ ((vec.T @ g) / lam[keep])
+        slope = float(g @ p)
+        if slope <= 1e-15 * (1.0 + abs(f) + np.max(np.abs(t)) * np.sum(scale)):
+            if ordered(t + p):
+                t = t + p
+                steps += 1
+            break
+        step = 1.0
+        for _ in range(60):
+            cand = t + step * p
+            if ordered(cand):
+                f_cand = _angle_objective(cand, field)
+                if f_cand > f + 1e-4 * step * slope:
+                    break
+            step *= 0.5
+            backtracks += 1
         else:
-            radius = weight.a * math.tan(math.pi / 2.0 - math.pi / (2.0 * n))
-        if box is not None:
-            radius = min(radius, 0.95 * box)
-        x = radius * np.cos((2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n))[::-1]
-        if start > 0:
-            while True:
-                cand = np.sort(x + rng.normal(0.0, 0.05 * radius / n, n))
-                if _min_gap_line(cand) > 1e-6 * radius / n:
-                    return cand
-        return x
-    t = TWO_PI * np.arange(n) / n
-    if start > 0:
-        while True:
-            cand = t + rng.uniform(0.0, TWO_PI) + rng.normal(0.0, 0.2 / n, n)
-            if _min_gap_circle(cand) > 1e-6 / n:
-                return cand
-    return t
+            break  # no ascent along p: stalled
+        t, f = cand, f_cand
+        steps += 1
+    return t, steps, backtracks
 
 
-def _ascent(objective, gradient, min_gap, project, x, max_iters, grad_tol):
-    """Gradient ascent with Barzilai-Borwein steps and backtracking."""
-    f = objective(x)
-    eta = 1e-3
-    x_prev = g_prev = None
-    iters = 0
-    while iters < max_iters:
-        g = gradient(x)
-        if np.max(np.abs(g)) <= grad_tol:
-            break
-        if x_prev is not None:
-            dx = x - x_prev
-            dg = g - g_prev
-            denom = float(np.dot(dx, dg))
-            if abs(denom) > 1e-300:
-                eta = abs(float(np.dot(dx, dx)) / denom)
-            eta = min(max(eta, 1e-12), 1e4)
-        x_prev, g_prev = x, g
-        accepted = None
-        while eta >= 1e-16:
-            cand = project(x + eta * g)
-            if min_gap(cand) > _MIN_GAP and objective(cand) > f - 1e-9 * (1.0 + abs(f)):
-                accepted = cand
-                break
-            eta *= 0.5
-        if accepted is None:
-            break  # line search stalled; leave refinement to the polish stage
-        x = accepted
-        f = objective(x)
-        iters += 1
-    return x, iters
-
-
-def _newton_polish(objective, gradient, hessian, min_gap, project, x, grad_tol,
-                   max_polish=60):
-    """Refine a near-stationary configuration by damped Newton steps on the
-    residual; least-squares solves tolerate the flat directions of the s = 1
-    and circle gauge freedoms."""
-    f = objective(x)
-    iters = 0
-    for _ in range(max_polish):
-        g = gradient(x)
-        if np.max(np.abs(g)) <= grad_tol:
-            break
-        step = np.linalg.lstsq(hessian(x), -g, rcond=None)[0]
-        if float(np.dot(step, g)) <= 0.0:
-            step = 1e-3 * g
-        t = 1.0
-        accepted = None
-        while t > 1e-14:
-            cand = project(x + t * step)
-            if min_gap(cand) > _MIN_GAP and objective(cand) >= f - 1e-12 * (1.0 + abs(f)):
-                accepted = cand
-                break
-            t *= 0.5
-        if accepted is None:
-            break
-        x = accepted
-        f = objective(x)
-        iters += 1
-    return x, iters
+def _initial_angles(n: int, start: int, rng, ordered, spin: bool) -> np.ndarray:
+    """Equispaced angles in (-pi, pi); starts after the first get seeded
+    perturbations of 0.2/n and, on the circle (spin), a random rotation."""
+    t = (2.0 * np.arange(n) + 1.0 - n) * math.pi / n
+    if start == 0:
+        return t
+    if spin:
+        t = t + rng.uniform(0.0, TWO_PI)
+    while True:
+        cand = np.sort(t + rng.normal(0.0, 0.2 / n, n))
+        if ordered(cand):
+            return cand
 
 
 def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
@@ -337,60 +354,38 @@ def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
 def optimize(weight, n: int, cfg: OptimizerConfig | None = None) -> FeketeResult:
     """Numerically maximize the weighted Vandermonde for n points.
 
-    Deterministic given cfg.seed.  Returns the best of cfg.starts runs; a run
-    that fails to push the stationarity residual below cfg.grad_tol is
-    reported through converged=False with the best iterate kept, never
-    silently.
+    Deterministic given cfg.seed.  Returns the best of cfg.starts runs; a
+    result whose scaled residual exceeds RESIDUAL_TOL is reported through
+    converged=False with the best iterate kept, never silently.  grad_norm is
+    max |g_k| in the command's coordinates.
     """
     if int(n) != n or n < 2:
         raise InvalidInputError(f"n must be an integer >= 2, got {n!r}")
     n = int(n)
     if cfg is None:
         cfg = OptimizerConfig()
-
-    box = cfg.box
-    is_line = isinstance(weight, RealWeight)
-    if is_line and weight.s == 1.0 and box is None:
-        box = 50.0 * weight.a
-    if is_line:
-        min_gap = _min_gap_line
-        project = (lambda x: np.clip(x, -box, box)) if box is not None else (lambda x: x)
-    elif isinstance(weight, CircleWeight):
-        min_gap = _min_gap_circle
-        project = lambda x: x
-    else:
-        raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
-
-    objective = lambda x: log_weighted_vandermonde(x, weight)
-    gradient = lambda x: energy_gradient(x, weight)
-    hessian = lambda x: _hessian(x, weight)
+    field, ordered, to_points = _angle_problem(weight, n)
 
     rng = np.random.default_rng(cfg.seed)
     best = None
     for start in range(cfg.starts):
-        x0 = _initial_points(weight, n, start, rng, box)
-        x, it_a = _ascent(objective, gradient, min_gap, project, x0,
-                          cfg.max_iters, cfg.grad_tol)
-        x, it_p = _newton_polish(objective, gradient, hessian, min_gap, project,
-                                 x, min(cfg.grad_tol, 1e-11))
-        f = objective(x)
-        log.debug("start %d: objective %.15g after %d+%d iterations", start, f, it_a, it_p)
+        t0 = _initial_angles(n, start, rng, ordered, isinstance(weight, CircleWeight))
+        t, steps, backtracks = _newton(t0, field, ordered, cfg.max_iters)
+        x = to_points(t)
+        f = log_weighted_vandermonde(x, weight)
+        log.debug("start %d: objective %.15g after %d+%d iterations",
+                  start, f, steps, backtracks)
         if best is None or f > best[0]:
-            best = (f, x, it_a + it_p)
+            best = (f, x, steps)
 
-    f, x, iters = best
-    if is_line:
-        x = np.sort(x)
-    else:
-        x = _gauge_circle(weight.b, x)
-        f = objective(x)
-    grad_norm = float(np.max(np.abs(energy_gradient(x, weight))))
+    f, x, steps = best
+    g, scale = _gradient(x, weight, with_scale=True)
     log_diameter = 2.0 * f / (n * (n - 1))
     return FeketeResult(
         points=tuple(float(v) for v in x),
         log_diameter=log_diameter,
         energy=-log_diameter,
-        grad_norm=grad_norm,
-        iterations=iters,
-        converged=grad_norm <= cfg.grad_tol,
+        grad_norm=float(np.max(np.abs(g))),
+        iterations=steps,
+        converged=float(np.max(np.abs(g) / scale)) <= RESIDUAL_TOL,
     )

@@ -43,6 +43,8 @@ class Poly:
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInputError("coefficients must form a non-empty 1-d sequence")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError("coefficients must be finite")
         last = arr.size - 1
         while last > 0 and arr[last] == 0:
             last -= 1

@@ -28,6 +28,40 @@ def line_residual(points, a, s):
     return float(np.max(np.abs(np.sum(pair, axis=1) - field) / scale))
 
 
+def circle_residual(angles, b):
+    """The same measure for g_k = sum_{j != k} cot((t_k - t_j)/2)
+    - 2 (n-1) b sin t_k / (1 - 2b cos t_k + b^2)."""
+    t = np.asarray(angles)
+    half = (t[:, None] - t[None, :]) / 2.0
+    np.fill_diagonal(half, math.pi / 2.0)
+    pair = np.cos(half) / np.sin(half)
+    np.fill_diagonal(pair, 0.0)
+    field = 2.0 * b * (t.size - 1) * np.sin(t) / (1.0 - 2.0 * b * np.cos(t) + b * b)
+    scale = np.sum(np.abs(pair), axis=1) + np.abs(field)
+    return float(np.max(np.abs(np.sum(pair, axis=1) - field) / scale))
+
+
+class TestOptimizeCommand:
+    """Inputs on which the earlier two-stage optimizer exited 3."""
+
+    @pytest.mark.parametrize("s, n", [(1.0, 48), (1.05, 24)])
+    def test_line_converges(self, capsys, s, n):
+        code, out, _ = run(capsys, "real", "--a", "1", "--s", str(s), "--n", str(n),
+                           "--method", "optimize")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert line_residual(payload["points"], 1.0, s) <= 1e-9
+
+    def test_circle_near_unit_charge_converges(self, capsys):
+        code, out, _ = run(capsys, "circle", "--b", "0.99", "--n", "24",
+                           "--method", "optimize")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert circle_residual(payload["points"], 0.99) <= 1e-9
+
+
 class TestRealCommand:
     def test_closed_s2(self, capsys):
         code, out, _ = run(capsys, "real", "--a", "1", "--s", "2", "--n", "2",
@@ -242,11 +276,12 @@ class TestVerifyCommand:
 
 class TestOutputContract:
     def test_determinism_byte_identical(self, capsys):
-        argv = ["real", "--a", "1", "--s", "2", "--n", "5", "--method", "optimize",
-                "--seed", "42"]
-        _, out1, _ = run(capsys, *argv)
-        _, out2, _ = run(capsys, *argv)
-        assert out1 == out2
+        for argv in (["real", "--a", "1", "--s", "2", "--n", "5"],
+                     ["circle", "--b", "0.5", "--n", "7"]):
+            argv = argv + ["--method", "optimize", "--seed", "42"]
+            _, out1, _ = run(capsys, *argv)
+            _, out2, _ = run(capsys, *argv)
+            assert out1 == out2
 
     def test_json_round_trip_full_precision(self, capsys):
         _, out, _ = run(capsys, "real", "--a", "1", "--s", "2", "--n", "4")

@@ -27,6 +27,11 @@ class TestPoly:
     def test_leading_nonzero_after_normalization(self):
         assert Poly([3.0, 0.0, 2.0, 0.0]).leading == 2.0
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(InvalidInputError):
+            Poly([bad, 1.0, 1.0])
+
     def test_coeffs_read_only(self):
         p = Poly([1.0, 1.0])
         with pytest.raises(ValueError):
@@ -123,6 +128,13 @@ class TestDiscriminant:
     def test_rejects_low_degree(self):
         with pytest.raises(InvalidInputError):
             discriminant_resultant(Poly([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_coefficient_is_invalid_input(self, bad):
+        # used to leak a bare OverflowError (inf) or ValueError (nan) from the
+        # integer conversion of the coefficients
+        with pytest.raises(InvalidInputError):
+            discriminant_resultant(Poly([bad, 1.0, 1.0]))
 
     def test_matches_root_gap_product(self):
         rng = np.random.default_rng(7)
