@@ -5,6 +5,12 @@ Closed-form maximizers of the weighted Vandermonde product for the weights
 independent numerical optimizer that recovers them from the discrete energy,
 and the continuous-limit objects (equilibrium measures, weighted capacities,
 Frostman conditions) they converge to.
+
+The package exports the production routes: the ``__all__`` names of
+``real_line``, ``circle``, ``energy``, ``equilibrium`` and ``errors``.  The
+polynomial oracles (companion roots, exact resultants, the pseudo-Jacobi and
+Jacobi polynomials and the discriminant route to the diameter) are imported
+from ``fekete.poly``, which importing ``fekete`` does not load.
 """
 
 import logging
@@ -14,115 +20,13 @@ __version__ = "0.1.0"
 # Library convention: silent unless the application configures logging.
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-from .circle import CircleSolution, CircleWeight, circle_diameter, circle_points, mobius
-from .energy import (
-    FeketeResult,
-    OptimizerConfig,
-    discrete_energy,
-    energy_gradient,
-    log_weighted_vandermonde,
-    numeric_diameter,
-    optimize,
-    scaled_residual,
-    sine_product,
-    sine_product_bound,
-)
-from .equilibrium import (
-    EquilibriumReport,
-    MeasureSpec,
-    capacity_circle,
-    capacity_real,
-    cdf,
-    density,
-    frostman_check,
-    ks_distance,
-    log_potential,
-    modified_robin_constant,
-    total_mass,
-)
-from .errors import (
-    DegenerateInputError,
-    FeketeError,
-    InvalidInputError,
-    NumericalError,
-    SingularParameterError,
-)
-from .poly import Poly, discriminant_resultant, log_abs_pochhammer, pochhammer, roots
-from .real_line import (
-    OdeFamily,
-    RealWeight,
-    S1Solution,
-    canonical_gamma,
-    g_at_ai,
-    jacobi,
-    jacobi_discriminant,
-    ode_monic_solution,
-    ode_residual,
-    pseudo_jacobi,
-    recurrence_family,
-    s1_diameter,
-    s1_points,
-    s1_polynomial,
-    sgt1_diameter,
-    sgt1_diameter_routes,
-    sgt1_points,
-    support_radius,
-)
+from . import circle, energy, equilibrium, errors, real_line
+from .circle import *  # noqa: F403
+from .energy import *  # noqa: F403
+from .equilibrium import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .real_line import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "CircleSolution",
-    "CircleWeight",
-    "DegenerateInputError",
-    "EquilibriumReport",
-    "FeketeError",
-    "FeketeResult",
-    "InvalidInputError",
-    "MeasureSpec",
-    "NumericalError",
-    "OdeFamily",
-    "OptimizerConfig",
-    "Poly",
-    "RealWeight",
-    "S1Solution",
-    "SingularParameterError",
-    "canonical_gamma",
-    "capacity_circle",
-    "capacity_real",
-    "cdf",
-    "circle_diameter",
-    "circle_points",
-    "density",
-    "discrete_energy",
-    "discriminant_resultant",
-    "energy_gradient",
-    "frostman_check",
-    "g_at_ai",
-    "jacobi",
-    "jacobi_discriminant",
-    "ks_distance",
-    "log_abs_pochhammer",
-    "log_potential",
-    "log_weighted_vandermonde",
-    "mobius",
-    "modified_robin_constant",
-    "numeric_diameter",
-    "ode_monic_solution",
-    "ode_residual",
-    "optimize",
-    "pochhammer",
-    "pseudo_jacobi",
-    "recurrence_family",
-    "roots",
-    "s1_diameter",
-    "s1_points",
-    "s1_polynomial",
-    "scaled_residual",
-    "sgt1_diameter",
-    "sgt1_diameter_routes",
-    "sgt1_points",
-    "sine_product",
-    "sine_product_bound",
-    "support_radius",
-    "total_mass",
-]
+__all__ = ["__version__"] + sorted(
+    name for module in (circle, energy, equilibrium, errors, real_line) for name in module.__all__
+)

@@ -35,10 +35,20 @@ class CircleWeight:
             raise InvalidInputError("charge location b = +-1 sits on the circle; excluded")
         object.__setattr__(self, "b", b)
 
-    def log_w(self, angles):
-        """log w(e^{it}) = -(1/2) log(1 - 2b cos t + b^2), vectorized over angles."""
+    def dist_sq(self, angles):
+        """|e^{it} - b|^2 = 1 - 2b cos t + b^2, vectorized over angles, as
+        (1-b)^2 + 4b sin^2(t/2) for b >= 0 and (1+b)^2 - 4b cos^2(t/2) for
+        b < 0: both terms are nonnegative, so nothing cancels next to the
+        charge."""
         t = np.asarray(angles, dtype=float)
-        return -0.5 * np.log(1.0 - 2.0 * self.b * np.cos(t) + self.b * self.b)
+        b = self.b
+        if b >= 0.0:
+            return (1.0 - b) ** 2 + 4.0 * b * np.sin(t / 2.0) ** 2
+        return (1.0 + b) ** 2 - 4.0 * b * np.cos(t / 2.0) ** 2
+
+    def log_w(self, angles):
+        """log w(e^{it}) = -(1/2) log |e^{it} - b|^2, vectorized over angles."""
+        return -0.5 * np.log(self.dist_sq(angles))
 
 
 @dataclass(frozen=True)

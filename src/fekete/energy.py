@@ -33,7 +33,9 @@ residual is <= 1e-13, or, after one last full step, when g.p falls to the
 rounding level of the objective f, 1e-15 (1 + |f| + max|theta| sum_k
 scale_k).  A result is converged when its `scaled_residual` in the command's
 coordinates is <= RESIDUAL_TOL = 1e-10.  Each start owns its state, and the
-multistart reduction is a deterministic max (ties toward the lower start).
+multistart reduction keeps the largest objective, counting objectives within
+1e-13 (1 + |f|) of it as ties, which the smaller scaled residual breaks
+(then the lower start).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .real_line import RealWeight
 __all__ = [
     "FeketeResult",
     "OptimizerConfig",
-    "RESIDUAL_TOL",
     "log_weighted_vandermonde",
     "numeric_diameter",
     "discrete_energy",
@@ -188,7 +189,7 @@ def _gradient(points, weight, with_scale: bool = False):
             raise DegenerateInputError("coincident angles: gradient undefined")
         cot = np.cos(half) / sin_half
         np.fill_diagonal(cot, 0.0)
-        den = 1.0 - 2.0 * weight.b * np.cos(x) + weight.b * weight.b
+        den = weight.dist_sq(x)
         field = 2.0 * (n - 1) * weight.b * np.sin(x) / den
         g = np.sum(cot, axis=1) - field
         if not with_scale:
@@ -258,9 +259,7 @@ def _angle_problem(weight, n: int):
 
         def field(t):
             cos, sin = np.cos(t), np.sin(t)
-            # 1 - 2b cos t + b^2, free of cancellation next to the charge
-            den = ((1.0 - b) ** 2 + 4.0 * b * np.sin(t / 2.0) ** 2 if b >= 0.0
-                   else (1.0 + b) ** 2 - 4.0 * b * np.cos(t / 2.0) ** 2)
+            den = weight.dist_sq(t)
             return (-0.5 * m * np.log(den), -m * b * sin / den,
                     -m * b * (cos * den - 2.0 * b * sin * sin) / den ** 2)
 
@@ -367,7 +366,7 @@ def optimize(weight, n: int, cfg: OptimizerConfig | None = None) -> FeketeResult
     field, ordered, to_points = _angle_problem(weight, n)
 
     rng = np.random.default_rng(cfg.seed)
-    best = None
+    runs = []
     for start in range(cfg.starts):
         t0 = _initial_angles(n, start, rng, ordered, isinstance(weight, CircleWeight))
         t, steps, backtracks = _newton(t0, field, ordered, cfg.max_iters)
@@ -375,11 +374,16 @@ def optimize(weight, n: int, cfg: OptimizerConfig | None = None) -> FeketeResult
         f = log_weighted_vandermonde(x, weight)
         log.debug("start %d: objective %.15g after %d+%d iterations",
                   start, f, steps, backtracks)
-        if best is None or f > best[0]:
-            best = (f, x, steps)
+        g, scale = _gradient(x, weight, with_scale=True)
+        runs.append((f, float(np.max(np.abs(g) / scale)), x, g, steps))
 
-    f, x, steps = best
-    g, scale = _gradient(x, weight, with_scale=True)
+    # objectives within rounding of the largest are ties: starts that reach
+    # the same maximum differ there by rounding alone, so the smaller
+    # residual decides (then the lower start)
+    top = max(run[0] for run in runs)
+    f, residual, x, g, steps = min(
+        (run for run in runs if run[0] >= top - 1e-13 * (1.0 + abs(top))),
+        key=lambda run: run[1])
     log_diameter = 2.0 * f / (n * (n - 1))
     return FeketeResult(
         points=tuple(float(v) for v in x),
@@ -387,5 +391,5 @@ def optimize(weight, n: int, cfg: OptimizerConfig | None = None) -> FeketeResult
         energy=-log_diameter,
         grad_norm=float(np.max(np.abs(g))),
         iterations=steps,
-        converged=float(np.max(np.abs(g) / scale)) <= RESIDUAL_TOL,
+        converged=residual <= RESIDUAL_TOL,
     )

@@ -260,20 +260,28 @@ def capacity_real(s: float) -> float:
 
         2^(2s - 2s^2 - 1) s^(-s^2) (s-1)^(-(s-1)^2) (2s-1)^((2s-1)^2 / 2),
 
-    continued by its limit value 1/2 at s = 1.
+    continued by its limit value 1/2 at s = 1.  In its log the coefficients
+    of log s and log 2 both collapse to -1/2, leaving
+
+        log cap = -(1/2) log(2s) + R,
+        R = -(s-1)^2 log(1 - 1/s) + ((2s-1)^2 / 2) log(1 - 1/(2s)),
+
+    whose two terms still cancel O(s) down to O(1); for s >= 4 R is summed
+    as its series -3/4 + sum_{k>=3} 2 (1 - 2^(1-k)) s^(2-k) / (k(k-1)(k-2)),
+    whose terms up to k = 31 reach the rounding level at s = 4.
     """
     s = float(s)
     if s < 1.0:
         raise InvalidInputError("capacity_real requires s >= 1")
     if s == 1.0:
         return 0.5
-    log_cap = (
-        (2.0 * s - 2.0 * s * s - 1.0) * math.log(2.0)
-        - s * s * math.log(s)
-        - (s - 1.0) ** 2 * math.log(s - 1.0)
-        + ((2.0 * s - 1.0) ** 2 / 2.0) * math.log(2.0 * s - 1.0)
-    )
-    return math.exp(log_cap)
+    if s < 4.0:
+        rest = (-(s - 1.0) ** 2 * math.log1p(-1.0 / s)
+                + ((2.0 * s - 1.0) ** 2 / 2.0) * math.log1p(-0.5 / s))
+    else:
+        rest = -0.75 + math.fsum(2.0 * (1.0 - 2.0 ** (1 - k)) * s ** (2 - k)
+                                 / (k * (k - 1) * (k - 2)) for k in range(3, 32))
+    return math.exp(-0.5 * math.log(2.0 * s) + rest)
 
 
 def capacity_circle(b: float) -> float:

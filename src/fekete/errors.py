@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FeketeError",
+    "InvalidInputError",
+    "DegenerateInputError",
+    "SingularParameterError",
+    "NumericalError",
+]
+
 
 class FeketeError(Exception):
     """Base class for every error raised by this package."""

@@ -4,10 +4,13 @@ Each suite replays the structural identities of its module on fixed, seeded
 inputs and reports the measured residual against the pinned tolerance:
 round trips between roots and coefficients, the resultant-vs-closed-form
 discriminant pair, the Jacobi connection of the extremal line polynomials,
-the two independent diameter routes, alpha/gamma gauge freedoms, gradient
-consistency against finite differences, the sine-product bound, unit masses
-and shape constraints of the limit measures, and small optimizer-vs-closed-
-form spot checks.  The heavier optimizer sweeps live in the acceptance test
+the product-formula diameter against the discriminant route, alpha/gamma
+gauge freedoms, gradient consistency against finite differences, the
+sine-product bound, unit masses and shape constraints of the limit measures,
+and small optimizer-vs-closed-form spot checks.  The oracle side of each
+pair (companion roots, exact resultants, the line's polynomials and the
+discriminant route) comes from ``fekete.poly``; the production side from
+the other modules.  The heavier optimizer sweeps live in the acceptance test
 suite; here every suite is kept fast enough to run on each call.
 """
 
@@ -24,7 +27,22 @@ from . import energy as en
 from . import equilibrium as eq
 from . import real_line as rl
 from .errors import SingularParameterError
-from .poly import Poly, discriminant_resultant, pochhammer, roots
+from .poly import (
+    OdeFamily,
+    Poly,
+    discriminant_resultant,
+    gj_scale,
+    jacobi,
+    jacobi_discriminant,
+    ode_monic_solution,
+    ode_residual,
+    pochhammer,
+    pseudo_jacobi,
+    recurrence_family,
+    roots,
+    s1_polynomial,
+    sgt1_diameter_via_discriminant,
+)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 
@@ -122,10 +140,10 @@ def _suite_real() -> list[CheckResult]:
     worst_imag = 0.0
     for s in (1.5, 2.0, 3.25):
         for n in range(2, 21):
-            g = rl.pseudo_jacobi(1.0, s, n)
+            g = pseudo_jacobi(1.0, s, n)
             al = -s * (n - 1) - 1.0
-            p = rl.jacobi(al, al, n)
-            c = rl.gj_scale(1.0, s, n)
+            p = jacobi(al, al, n)
+            c = gj_scale(1.0, s, n)
             composed = np.array([c * p.coeffs[k] * (-1j) ** k for k in range(n + 1)])
             scale = float(np.max(np.abs(g.coeffs)))
             worst_rel = max(worst_rel, float(np.max(np.abs(composed - g.coeffs))) / scale)
@@ -137,11 +155,11 @@ def _suite_real() -> list[CheckResult]:
     for s in (1.5, 2.0):
         for a in (1.0, 2.0):
             for n in range(2, 9):
-                g = rl.pseudo_jacobi(a, s, n)
+                g = pseudo_jacobi(a, s, n)
                 al = -s * (n - 1) - 1.0
-                c = rl.gj_scale(a, s, n)
+                c = gj_scale(a, s, n)
                 transfer = (abs(c) ** (2 * n - 2) / a ** (n * (n - 1))
-                            * abs(rl.jacobi_discriminant(al, al, n)))
+                            * abs(jacobi_discriminant(al, al, n)))
                 got = abs(discriminant_resultant(g))
                 worst = max(worst, abs(got - transfer) / transfer)
     out.append(CheckResult("real", "discriminant-transfer", worst, 1e-8))
@@ -150,7 +168,8 @@ def _suite_real() -> list[CheckResult]:
     for s in (1.5, 2.0, 3.25):
         for a in (1.0, 2.0):
             for n in range(2, 21):
-                direct, via_disc = rl.sgt1_diameter_routes(a, s, n)
+                direct = rl.sgt1_diameter(a, s, n)
+                via_disc = sgt1_diameter_via_discriminant(a, s, n)
                 worst = max(worst, abs(direct - via_disc) / direct)
     out.append(CheckResult("real", "diameter-route-agreement", worst, 1e-10))
 
@@ -159,7 +178,7 @@ def _suite_real() -> list[CheckResult]:
     for s in (1.5, 2.0):
         radius = rl.support_radius(1.0, s)
         for n in range(2, 31):
-            rts = roots(rl.pseudo_jacobi(1.0, s, n))
+            rts = roots(pseudo_jacobi(1.0, s, n))
             xs = np.sort(rts.real)
             sym = float(np.max(np.abs(xs + xs[::-1])))
             imag = float(np.max(np.abs(rts.imag)))
@@ -176,7 +195,7 @@ def _suite_real() -> list[CheckResult]:
     for n in range(2, 31):
         for _ in range(10):
             gamma = -math.pi / 2.0 + float(rng.uniform(0.1, 0.9)) * math.pi / n
-            sol = rl.s1_polynomial(1.0, n, gamma)
+            sol = s1_polynomial(1.0, n, gamma)
             rts = np.sort(roots(sol.poly).real)
             worst = max(worst, float(np.max(np.abs(rts - np.asarray(sol.points)))))
     out.append(CheckResult("real", "s1-roots-vs-points", worst, 1e-9))
@@ -188,10 +207,10 @@ def _suite_real() -> list[CheckResult]:
             for be in sample:
                 if any(abs(al + be + n + k) < 1e-6 for k in range(1, n + 1)):
                     continue
-                p = rl.jacobi(al, be, n)
+                p = jacobi(al, be, n)
                 if p.degree != n:
                     continue
-                worst = max(worst, _rel(rl.jacobi_discriminant(al, be, n),
+                worst = max(worst, _rel(jacobi_discriminant(al, be, n),
                                         discriminant_resultant(p).real))
     out.append(CheckResult("real", "jacobi-discriminant-vs-resultant", worst, 1e-8))
 
@@ -199,18 +218,18 @@ def _suite_real() -> list[CheckResult]:
     for s in (1.5, 2.0, 3.25):
         for a in (1.0, 2.0):
             for n in range(2, 31):
-                f = rl.pseudo_jacobi(a, s, n)
-                res = rl.ode_residual(f, a, s, n)
+                f = pseudo_jacobi(a, s, n)
+                res = ode_residual(f, a, s, n)
                 scale = n * (2.0 * s * (n - 1) - n + 1.0) * float(np.max(np.abs(f.coeffs)))
                 worst = max(worst, float(np.max(np.abs(res.coeffs))) / scale)
     out.append(CheckResult("real", "ode-residual-zero", worst, 1e-10))
 
     worst = 0.0
     for sigma in (3.0, 4.0, 10.0):
-        family = rl.recurrence_family(sigma, 15)
+        family = recurrence_family(sigma, 15)
         for n in range(2, 16):
             try:
-                reference = rl.ode_monic_solution(rl.OdeFamily(a=1.0, lam=2.0 * sigma, n=n))
+                reference = ode_monic_solution(OdeFamily(a=1.0, lam=2.0 * sigma, n=n))
             except SingularParameterError:
                 continue  # uniqueness hypothesis fails for this member
             scale = max(1.0, float(np.max(np.abs(reference.coeffs))))
@@ -328,7 +347,7 @@ def _suite_energy() -> list[CheckResult]:
     worst_diam = 0.0
     for n in (2, 3, 5):
         res = en.optimize(rl.RealWeight(1.0, 2.0), n, cfg)
-        ref = np.sort(roots(rl.pseudo_jacobi(1.0, 2.0, n)).real)
+        ref = np.sort(roots(pseudo_jacobi(1.0, 2.0, n)).real)
         worst_pts = max(worst_pts, float(np.max(np.abs(np.asarray(res.points) - ref))))
         worst_diam = max(worst_diam,
                          _rel(math.exp(res.log_diameter), rl.sgt1_diameter(1.0, 2.0, n)))

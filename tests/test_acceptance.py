@@ -28,13 +28,12 @@ from fekete import (
     log_weighted_vandermonde,
     mobius,
     optimize,
-    pseudo_jacobi,
-    roots,
     s1_diameter,
     sgt1_diameter,
     sgt1_points,
 )
 from fekete.cli import main as cli_main
+from fekete.poly import pseudo_jacobi, roots
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi

@@ -95,6 +95,12 @@ class TestRealCommand:
         assert code == 0
         assert line_residual(json.loads(out)["points"], 1.0, s) <= 1e-9
 
+    def test_closed_large_s_exits_zero(self, capsys):
+        code, out, _ = run(capsys, "real", "--a", "1", "--s", "1e8", "--n", "50")
+        assert code == 0
+        payload = json.loads(out)
+        assert line_residual(payload["points"], 1.0, 1e8) <= 1e-9
+
     def test_invalid_s_exits_two(self, capsys):
         code, out, err = run(capsys, "real", "--a", "1", "--s", "0.5", "--n", "4")
         assert code == 2
@@ -234,6 +240,14 @@ class TestConvergeCommand:
         assert code == 0
         ks = [float(line.split(",")[4]) for line in out.strip().splitlines()[1:]]
         assert ks[0] > ks[1] > ks[2]
+
+    def test_large_s_exits_zero(self, capsys):
+        code, out, _ = run(capsys, "converge", "--s", "1e8", "--n-list", "10,50",
+                           "--format", "csv")
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+        assert all(r[1] > r[2] for r in rows)
+        assert rows[0][2] == pytest.approx(3.340135934839185e-05, rel=1e-14)
 
     def test_circle_table(self, capsys):
         code, out, _ = run(capsys, "converge", "--b", "0.5", "--n-list", "2,10,50",

@@ -16,8 +16,6 @@ from fekete import (
     log_weighted_vandermonde,
     mobius,
     optimize,
-    pseudo_jacobi,
-    roots,
     s1_diameter,
     scaled_residual,
     sgt1_diameter,
@@ -26,6 +24,7 @@ from fekete import (
     sine_product_bound,
 )
 from fekete.energy import RESIDUAL_TOL
+from fekete.poly import pseudo_jacobi, roots
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -208,10 +207,26 @@ class TestOptimizer:
         assert math.exp(res.log_diameter) == pytest.approx(circle_diameter(b, 2), rel=1e-9)
 
 
+    def test_circle_next_to_unit_charge_converges(self):
+        # several starts reach the maximum, with objectives equal to
+        # rounding; the one with the smaller residual is kept
+        res = optimize(CircleWeight(0.999), 120)
+        assert res.converged
+        assert scaled_residual(res.points, CircleWeight(0.999)) <= RESIDUAL_TOL
+
+
 class TestScaledResidual:
     def test_zero_at_closed_forms(self):
         assert scaled_residual(sgt1_points(1.3, 2.0, 50), RealWeight(1.3, 2.0)) <= 1e-13
         assert scaled_residual(circle_points(0.5, 40).angles, CircleWeight(0.5)) <= 1e-13
+
+    @pytest.mark.parametrize("b", [0.9999, -0.9999])
+    def test_closed_circle_next_to_unit_charge(self, b):
+        # 1 - 2b cos t + b^2 written as it reads cancels next to the charge
+        assert scaled_residual(circle_points(b, 120).angles, CircleWeight(b)) <= RESIDUAL_TOL
+
+    def test_closed_circle_at_b_0999_to_rounding(self):
+        assert scaled_residual(circle_points(0.999, 120).angles, CircleWeight(0.999)) <= 1e-11
 
     def test_invariant_under_scaling(self):
         x = np.array([-1.5, -0.2, 0.4, 2.0])

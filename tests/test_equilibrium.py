@@ -160,6 +160,17 @@ class TestCapacity:
             v = -math.log(capacity_real(s))
             assert abs(v - expansion) <= 1e-12 * max(1.0, abs(v))
 
+    @pytest.mark.parametrize("s", [1e3, 1e4, 1e6, 1e8, 1e12])
+    def test_large_s_against_high_precision(self, s):
+        # the O(s^2) logs of the closed form cancel down to O(log s)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            t = mpmath.mpf(s)
+            ref = float(mpmath.exp((2 * t - 2 * t * t - 1) * mpmath.log(2) - t * t * mpmath.log(t)
+                                   - (t - 1) ** 2 * mpmath.log(t - 1)
+                                   + (2 * t - 1) ** 2 / 2 * mpmath.log(2 * t - 1)))
+        assert capacity_real(s) == pytest.approx(ref, rel=1e-14)
+
     def test_circle(self):
         assert capacity_circle(0.0) == pytest.approx(1.0)
         assert capacity_circle(0.5) == pytest.approx(4.0 / 3.0)

@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fekete import NumericalError, Poly, discriminant_resultant
-from fekete.real_line import jacobi
+from fekete import NumericalError
+from fekete.poly import Poly, discriminant_resultant, jacobi
 
 
 def _ref_det(a):

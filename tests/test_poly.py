@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fekete import InvalidInputError, Poly, discriminant_resultant, pochhammer, roots
-from fekete.poly import log_abs_pochhammer
+import fekete
+from fekete import InvalidInputError
+from fekete.poly import Poly, discriminant_resultant, log_abs_pochhammer, pochhammer, roots
 
 
 def monic_from_roots(rts):
@@ -176,3 +180,27 @@ class TestPochhammer:
     def test_negative_n_rejected(self):
         with pytest.raises(InvalidInputError):
             pochhammer(1.0, -1)
+
+
+class TestOracleSplit:
+    """The production modules run without the oracles: nothing they import
+    loads fekete.poly or fekete.verify, and the package exports exactly
+    their names."""
+
+    def test_production_imports_leave_oracles_unloaded(self):
+        code = ("import sys, fekete, fekete.real_line, fekete.circle, fekete.energy, "
+                "fekete.equilibrium; "
+                "print(sorted(m for m in ('fekete.poly', 'fekete.verify') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fekete.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    def test_package_exports_exactly_the_production_names(self):
+        from fekete import circle, energy, equilibrium, errors, real_line
+
+        production = {name for module in (circle, energy, equilibrium, errors, real_line)
+                      for name in module.__all__}
+        assert len(fekete.__all__) == len(set(fekete.__all__))
+        assert set(fekete.__all__) == production | {"__version__"}
+

@@ -6,11 +6,19 @@ import pytest
 from fekete import (
     InvalidInputError,
     NumericalError,
-    OdeFamily,
-    Poly,
     RealWeight,
     SingularParameterError,
     canonical_gamma,
+    capacity_real,
+    s1_diameter,
+    s1_points,
+    sgt1_diameter,
+    sgt1_points,
+    support_radius,
+)
+from fekete.poly import (
+    OdeFamily,
+    Poly,
     discriminant_resultant,
     g_at_ai,
     jacobi,
@@ -21,15 +29,9 @@ from fekete import (
     pseudo_jacobi,
     recurrence_family,
     roots,
-    s1_diameter,
-    s1_points,
     s1_polynomial,
-    sgt1_diameter,
-    sgt1_diameter_routes,
-    sgt1_points,
-    support_radius,
 )
-from fekete.real_line import gj_scale
+from fekete.real_line import _log_diameter_product
 
 SQRT3 = math.sqrt(3.0)
 
@@ -252,6 +254,25 @@ class TestGAtAi:
         assert g_at_ai(a, s, n) == pytest.approx(direct, rel=1e-11)
 
 
+def _mp_log_diameter(a, s, n):
+    """log delta_n^w for s > 1 from the closed product at 40 digits:
+    (1-2s) log 2a + (2/n) log n! - (2s/n) log|(-sigma)_n|
+    + (2(s-1)/n) log|(n-2 sigma-1)_n| + T / (n(n-1)), sigma = s(n-1), with
+    T = sum_k (k-2n+2) log k + (2k-2) log|k-sigma-1| + (n-k) log|n+k-2 sigma-2|."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
+        sigma = s * (n - 1)
+        l_num = mpmath.fsum(mpmath.log(sigma - i) for i in range(n))
+        l_den = mpmath.fsum(mpmath.log(2 * sigma + 1 - n - i) for i in range(n))
+        tail = mpmath.fsum((k - 2 * n + 2) * mpmath.log(k)
+                           + (2 * k - 2) * mpmath.log(abs(k - sigma - 1))
+                           + (n - k) * mpmath.log(abs(n + k - 2 * sigma - 2))
+                           for k in range(1, n + 1))
+        return float((1 - 2 * s) * mpmath.log(2 * a) + 2 * mpmath.loggamma(n + 1) / n
+                     - 2 * s * l_num / n + 2 * (s - 1) * l_den / n + tail / (n * (n - 1)))
+
+
 class TestDiameter:
     def test_two_point_value_against_calculus_oracle(self):
         # For n = 2, s = 2, a = 1 the objective over symmetric pairs {-t, t}
@@ -269,34 +290,26 @@ class TestDiameter:
         assert sgt1_diameter(2.0, 2.0, 2) == pytest.approx(base * 2.0 ** (1 - 4),
                                                            rel=1e-12)
 
-    def test_routes_agree(self):
-        for s in (1.5, 2.0, 3.25):
-            for n in range(2, 21):
-                direct, via_disc = sgt1_diameter_routes(1.0, s, n)
-                assert abs(direct - via_disc) <= 1e-10 * direct
+    @pytest.mark.parametrize("s", [1.5, 2.0, 5.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("n", [2, 50, 1000])
+    def test_matches_high_precision_product(self, s, n):
+        for a in (0.6, 1.0):
+            ref = _mp_log_diameter(a, s, n)
+            got = _log_diameter_product(a, s, n)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert abs(math.log(sgt1_diameter(1.0, s, n)) - _mp_log_diameter(1.0, s, n)) <= 1e-13
+
+    def test_large_n_matches_high_precision_product(self):
+        # the uncancelled product was off by 5.7e-13 here
+        assert abs(_log_diameter_product(1.0, 5.0, 10_000)
+                   - _mp_log_diameter(1.0, 5.0, 10_000)) <= 1e-13
 
     def test_decreasing_toward_capacity(self):
-        from fekete import capacity_real
-
         cap = capacity_real(2.0)
         deltas = [sgt1_diameter(1.0, 2.0, n) for n in range(2, 51)]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
         assert deltas[-1] > cap
         assert deltas[-1] - cap < 0.05
-
-
-class TestGJConnection:
-    @pytest.mark.parametrize("s", [1.5, 2.0, 3.25])
-    def test_coefficients_match(self, s):
-        for n in range(2, 21):
-            g = pseudo_jacobi(1.0, s, n)
-            al = -s * (n - 1) - 1.0
-            p = jacobi(al, al, n)
-            c = gj_scale(1.0, s, n)
-            composed = np.array([c * p.coeffs[k] * (-1j) ** k for k in range(n + 1)])
-            scale = np.max(np.abs(g.coeffs))
-            assert np.max(np.abs(composed.real - g.coeffs.real)) <= 1e-10 * scale
-            assert np.max(np.abs(composed.imag)) <= 1e-12
 
 
 class TestRecurrence:
