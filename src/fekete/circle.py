@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_n
 
 __all__ = ["CircleWeight", "CircleSolution", "mobius", "circle_points", "circle_diameter"]
 
@@ -82,9 +82,7 @@ def mobius(b: float, w):
 def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
     """Fekete set {phi(e^{i(alpha + 2 pi k/n)}), k = 0..n-1}; any alpha is optimal."""
     weight = CircleWeight(b)
-    if int(n) != n or n < 2:
-        raise InvalidInputError(f"n must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = checked_n(n)
     alpha = float(alpha)
     pre = np.exp(1j * (alpha + TWO_PI * np.arange(n) / n))
     pts = mobius(weight.b, pre)
@@ -100,7 +98,5 @@ def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
 def circle_diameter(b: float, n: int) -> float:
     """Weighted n-th diameter on the circle: n^(1/(n-1)) / |1 - b^2|."""
     weight = CircleWeight(b)
-    if int(n) != n or n < 2:
-        raise InvalidInputError(f"n must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = checked_n(n)
     return n ** (1.0 / (n - 1)) / abs(1.0 - weight.b * weight.b)

@@ -45,7 +45,7 @@ from .real_line import (
     canonical_gamma,
     s1_diameter,
     s1_points,
-    sgt1_diameter,
+    sgt1_log_diameter,
     sgt1_points,
 )
 from .verify import SUITES, run_suites
@@ -109,11 +109,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _result_payload(params: dict, points, log_diameter: float, grad_norm: float,
                     extra: dict | None = None) -> dict:
+    """The result fields; a diameter below the double range prints as 0, one
+    above it is an error."""
+    try:
+        diameter = math.exp(log_diameter)
+    except OverflowError:
+        raise CliError("the weighted diameter exp(L) exceeds the double range") from None
     payload = {
         "params": params,
         "points": [float(p) for p in points],
         "log_diameter": log_diameter,
-        "diameter": math.exp(log_diameter),
+        "diameter": diameter,
         "energy": -log_diameter,
         "grad_norm": grad_norm,
     }
@@ -159,13 +165,14 @@ def _optimize_and_emit(weight, params: dict, args) -> int:
 
 
 def _closed_line(weight: RealWeight, n: int, gamma: float | None = None):
-    """Closed-form points, diameter and phase on the line: the arctangent
+    """Closed-form points, log diameter and phase on the line: the arctangent
     progression at s = 1 (phase gamma, canonical by default), the
     Jacobi-matrix eigenvalues with no phase for s > 1."""
     if weight.s == 1.0:
         gamma = gamma if gamma is not None else canonical_gamma(n)
-        return s1_points(weight.a, n, gamma), s1_diameter(weight.a, n), gamma
-    return sgt1_points(weight.a, weight.s, n), sgt1_diameter(weight.a, weight.s, n), None
+        return s1_points(weight.a, n, gamma), math.log(s1_diameter(weight.a, n)), gamma
+    return (sgt1_points(weight.a, weight.s, n),
+            sgt1_log_diameter(weight.a, weight.s, n), None)
 
 
 def _cmd_real(args) -> int:
@@ -174,11 +181,11 @@ def _cmd_real(args) -> int:
               "method": args.method, "seed": args.seed}
 
     if args.method == "closed":
-        pts, diameter, gamma = _closed_line(weight, args.n, args.gamma)
+        pts, log_diameter, gamma = _closed_line(weight, args.n, args.gamma)
         if gamma is not None:
             params["gamma"] = gamma
         grad_norm = float(np.max(np.abs(energy_gradient(pts, weight))))
-        payload = _result_payload(params, pts, math.log(diameter), grad_norm)
+        payload = _result_payload(params, pts, log_diameter, grad_norm)
         _emit_result(payload, args.format, args.out)
         return EXIT_OK
 
@@ -281,7 +288,8 @@ def _cmd_converge(args) -> int:
         weight = RealWeight(1.0, args.s)
         m = MeasureSpec.arctan() if weight.s == 1.0 else MeasureSpec.real_sgt1(weight.s)
         for n in ns:
-            pts, delta, _ = _closed_line(weight, n)
+            pts, log_delta, _ = _closed_line(weight, n)
+            delta = math.exp(log_delta)
             rows.append((n, delta, cap, delta - cap, ks_distance(pts, m)))
     else:
         cap = capacity_circle(args.b)

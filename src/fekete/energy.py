@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import TWO_PI, CircleWeight, mobius
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, checked_n
 from .real_line import RealWeight
 
 __all__ = [
@@ -176,11 +176,13 @@ def _gradient(points, weight, with_scale: bool = False):
         if np.any(d == 0.0):
             raise DegenerateInputError("coincident points: gradient undefined")
         pair = 2.0 / d
-        field = 2.0 * weight.s * (n - 1) * x / (x * x + weight.a * weight.a)
-        g = np.sum(pair, axis=1) - field
+        # 2s(n-1) x / (x^2 + a^2) with h = |x - ai|: x^2 + a^2 would
+        # overflow or underflow at extreme x and a
+        h = np.hypot(x, weight.a)
+        g = np.sum(pair, axis=1) - 2.0 * weight.s * (n - 1) * (x / h) / h
         if not with_scale:
             return g
-        return g, np.sum(np.abs(pair), axis=1) + 2.0 * weight.s * (n - 1) / np.hypot(x, weight.a)
+        return g, np.sum(np.abs(pair), axis=1) + 2.0 * weight.s * (n - 1) / h
     if isinstance(weight, CircleWeight):
         half = d / 2.0
         np.fill_diagonal(half, math.pi / 2.0)  # cot(pi/2) = 0 placeholder
@@ -233,8 +235,7 @@ def sine_product(ys) -> float:
 
 def sine_product_bound(n: int) -> float:
     """The sharp upper bound 2^(-n(n-1)) n^n for the sine product."""
-    if n < 2:
-        raise InvalidInputError("bound defined for n >= 2")
+    n = checked_n(n)
     return 2.0 ** (-n * (n - 1)) * float(n) ** n
 
 
@@ -358,9 +359,7 @@ def optimize(weight, n: int, cfg: OptimizerConfig | None = None) -> FeketeResult
     converged=False with the best iterate kept, never silently.  grad_norm is
     max |g_k| in the command's coordinates.
     """
-    if int(n) != n or n < 2:
-        raise InvalidInputError(f"n must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = checked_n(n)
     if cfg is None:
         cfg = OptimizerConfig()
     field, ordered, to_points = _angle_problem(weight, n)

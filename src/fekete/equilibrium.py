@@ -36,6 +36,7 @@ from scipy.integrate import quad
 
 from .circle import TWO_PI, CircleWeight
 from .errors import InvalidInputError, NumericalError
+from .real_line import _checked_sgt1, support_radius
 
 __all__ = [
     "MeasureSpec",
@@ -78,10 +79,8 @@ class MeasureSpec:
 
     @classmethod
     def real_sgt1(cls, s: float) -> "MeasureSpec":
-        s = float(s)
-        if s <= 1.0:
-            raise InvalidInputError("real-s family requires s > 1")
-        radius = math.sqrt(2.0 * s - 1.0) / (s - 1.0)
+        s = _checked_sgt1(s, "real-s family")
+        radius = support_radius(1.0, s)
         return cls(family=_REAL_SGT1, support=(-radius, radius), s=s)
 
     @classmethod
@@ -298,10 +297,8 @@ def modified_robin_constant(s: float) -> float:
 
         F = s g(i, infinity) + (s-1) log(r/2).
     """
-    s = float(s)
-    if s <= 1.0:
-        raise InvalidInputError("modified_robin_constant requires s > 1")
-    r = math.sqrt(2.0 * s - 1.0) / (s - 1.0)
+    s = _checked_sgt1(s, "modified_robin_constant")
+    r = support_radius(1.0, s)
     green_i_inf = math.log((math.sqrt(r * r + 1.0) + 1.0) / r)
     return s * green_i_inf + (s - 1.0) * math.log(r / 2.0)
 

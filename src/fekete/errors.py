@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the check on point counts, shared across the package."""
 
 __all__ = [
     "FeketeError",
@@ -27,3 +27,10 @@ class SingularParameterError(FeketeError, ValueError):
 
 class NumericalError(FeketeError, RuntimeError):
     """A numerical routine failed to reach its accuracy target."""
+
+
+def checked_n(n, minimum: int = 2) -> int:
+    """n as an int; InvalidInputError unless it is an integer >= minimum."""
+    if int(n) != n or n < minimum:
+        raise InvalidInputError(f"n must be an integer >= {minimum}, got {n!r}")
+    return int(n)

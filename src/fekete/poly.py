@@ -32,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, SingularParameterError
+from .errors import InvalidInputError, NumericalError, SingularParameterError, checked_n
 from .real_line import (
     _SINGULAR_TOL,
     _checked_a,
     _checked_gamma,
-    _checked_n,
+    _checked_sgt1,
     _recurrence_coefficients,
     canonical_gamma,
     s1_points,
@@ -270,8 +270,7 @@ def discriminant_resultant(p: Poly) -> complex:
 
 def pochhammer(t: float, n: int) -> float:
     """Rising factorial t (t+1) ... (t+n-1); the empty product (n = 0) is 1."""
-    if n < 0:
-        raise InvalidInputError("pochhammer requires n >= 0")
+    n = checked_n(n, minimum=0)
     out = 1.0
     for i in range(n):
         out *= t + i
@@ -284,8 +283,7 @@ def log_abs_pochhammer(t: float, n: int) -> tuple[float, int]:
     Keeps magnitudes representable for large n where the plain product would
     overflow; sign 0 (with log -inf) flags a zero factor.
     """
-    if n < 0:
-        raise InvalidInputError("pochhammer requires n >= 0")
+    n = checked_n(n, minimum=0)
     log = 0.0
     sign = 1
     for i in range(n):
@@ -333,7 +331,7 @@ class OdeFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _checked_a(self.a))
-        object.__setattr__(self, "n", _checked_n(self.n, minimum=1))
+        object.__setattr__(self, "n", checked_n(self.n, minimum=1))
         lam = float(self.lam)
         for k in range(self.n - 1, 2 * self.n - 1):
             if abs(lam - k) <= _SINGULAR_TOL:
@@ -355,7 +353,7 @@ def s1_polynomial(a: float, n: int, gamma: float | None = None) -> S1Solution:
     n = 1000); s1_points has no such limit.
     """
     a = _checked_a(a)
-    n = _checked_n(n)
+    n = checked_n(n)
     if gamma is None:
         gamma = canonical_gamma(n)
     gamma = _checked_gamma(n, gamma)
@@ -423,10 +421,8 @@ def pseudo_jacobi(a: float, s: float, n: int) -> Poly:
     construction never degenerates.
     """
     a = _checked_a(a)
-    s = float(s)
-    if s <= 1.0:
-        raise InvalidInputError("pseudo_jacobi requires s > 1")
-    n = _checked_n(n)
+    s = _checked_sgt1(s, "pseudo_jacobi")
+    n = checked_n(n)
     return ode_monic_solution(OdeFamily(a=a, lam=2.0 * s * (n - 1), n=n))
 
 
@@ -449,9 +445,7 @@ def jacobi(alpha: float, beta: float, n: int) -> Poly:
     leading coefficient is (alpha+beta+n+1)_n / (n! 2^n) and may vanish (then
     the returned degree drops below n); the value at 1 is C(n+alpha, n).
     """
-    if int(n) != n or n < 0:
-        raise InvalidInputError(f"jacobi requires integer n >= 0, got {n!r}")
-    n = int(n)
+    n = checked_n(n, minimum=0)
     num_a, den_a = float(alpha).as_integer_ratio()
     num_b, den_b = float(beta).as_integer_ratio()
     coeffs = [0] * (n + 1)
@@ -483,7 +477,7 @@ def log_abs_jacobi_discriminant(alpha: float, beta: float, n: int) -> tuple[floa
     leading coefficient vanishes and the discriminant of the degree-n
     normalization is ambiguous.
     """
-    n = _checked_n(n)
+    n = checked_n(n)
     alpha = float(alpha)
     beta = float(beta)
     for k in range(1, n + 1):
@@ -534,10 +528,9 @@ def g_at_ai(a: float, s: float, n: int) -> float:
     discriminant route to the diameter.
     """
     a = _checked_a(a)
-    if float(s) <= 1.0:
-        raise InvalidInputError("g_at_ai requires s > 1")
-    n = _checked_n(n)
-    return math.exp(_log_g_at_ai(a, float(s), n))
+    s = _checked_sgt1(s, "g_at_ai")
+    n = checked_n(n)
+    return math.exp(_log_g_at_ai(a, s, n))
 
 
 def _log_diameter_discriminant(a: float, s: float, n: int) -> float:
@@ -562,10 +555,8 @@ def sgt1_diameter_via_discriminant(a: float, s: float, n: int) -> float:
     """The s > 1 weighted diameter by the discriminant route, an oracle for
     the product formula of ``real_line.sgt1_diameter``."""
     a = _checked_a(a)
-    s = float(s)
-    if s <= 1.0:
-        raise InvalidInputError("sgt1_diameter_via_discriminant requires s > 1")
-    n = _checked_n(n)
+    s = _checked_sgt1(s, "sgt1_diameter_via_discriminant")
+    n = checked_n(n)
     return math.exp(_log_diameter_discriminant(a, s, n))
 
 
@@ -580,7 +571,7 @@ def recurrence_family(sigma: float, n_max: int) -> list[Poly]:
     the pseudo-Jacobi polynomial when sigma = s(n-1), s > 1).
     """
     sigma = float(sigma)
-    n_max = _checked_n(n_max)
+    n_max = checked_n(n_max)
     coefs = _recurrence_coefficients(sigma, n_max).tolist()
     polys = [Poly([1.0]), Poly([0.0, 1.0])]
     for n in range(2, n_max + 1):
@@ -596,7 +587,7 @@ def ode_residual(f: Poly, a: float, s: float, n: int) -> Poly:
     """
     a = _checked_a(a)
     s = float(s)
-    n = _checked_n(n, minimum=1)
+    n = checked_n(n, minimum=1)
     if f.degree != n:
         raise InvalidInputError(f"expected degree {n}, got degree {f.degree}")
     x = Poly([0.0, 1.0])
@@ -611,5 +602,5 @@ def gj_scale(a: float, s: float, n: int) -> complex:
     """Scalar c = (2ai)^n n! / (n - 2s(n-1) - 1)_n linking the pseudo-Jacobi
     polynomial to P_n at alpha = beta = -s(n-1) - 1 via G(x) = c P(-ix/a)."""
     a = _checked_a(a)
-    n = _checked_n(n)
+    n = checked_n(n)
     return (2j * a) ** n * math.factorial(n) / pochhammer(n - 2.0 * s * (n - 1) - 1.0, n)

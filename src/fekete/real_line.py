@@ -16,9 +16,10 @@ regimes:
 
   Its monic three-term recurrence has positive coefficients, so the points
   are the eigenvalues of a symmetric tridiagonal Jacobi matrix (sgt1_points),
-  accurate at any n.  The weighted diameter has a closed product formula
-  (sgt1_diameter), evaluated in log space with its O(s log s) terms
-  cancelled exactly.
+  accurate at any n.  The weighted diameter has a closed product formula,
+  evaluated in log space with its O(s log s) terms cancelled exactly
+  (sgt1_log_diameter); sgt1_diameter is its exponential, which leaves the
+  double range at extreme a or s where the log does not.
 
 This module holds one route per quantity.  The polynomials themselves (the
 monomial coefficients, the Jacobi connection, closed-form discriminants and
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import InvalidInputError, SingularParameterError
+from .errors import InvalidInputError, SingularParameterError, checked_n
 
 __all__ = [
     "RealWeight",
@@ -42,6 +43,7 @@ __all__ = [
     "s1_points",
     "s1_diameter",
     "sgt1_points",
+    "sgt1_log_diameter",
     "sgt1_diameter",
     "support_radius",
 ]
@@ -57,10 +59,12 @@ def _checked_a(a: float) -> float:
     return abs(a)
 
 
-def _checked_n(n: int, minimum: int = 2) -> int:
-    if int(n) != n or n < minimum:
-        raise InvalidInputError(f"n must be an integer >= {minimum}, got {n!r}")
-    return int(n)
+def _checked_sgt1(s: float, what: str) -> float:
+    """s as a float; InvalidInputError naming `what` unless s > 1."""
+    s = float(s)
+    if s <= 1.0:
+        raise InvalidInputError(f"{what} requires s > 1")
+    return s
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,14 @@ class RealWeight:
         object.__setattr__(self, "s", s)
 
     def log_w(self, x):
-        """log w(x), vectorized; equals -(s/2) log(x^2 + a^2)."""
-        x = np.asarray(x, dtype=float)
-        return -0.5 * self.s * np.log(x * x + self.a * self.a)
+        """log w(x) = -s log |x - ai|, vectorized, as -s log hypot(x, a):
+        x^2 + a^2 would overflow or underflow at extreme x and a."""
+        return -self.s * np.log(np.hypot(np.asarray(x, dtype=float), self.a))
 
 
 def canonical_gamma(n: int) -> float:
     """Symmetric choice of the free s = 1 phase: -pi/2 + pi/(2n), giving B = 0."""
-    n = _checked_n(n)
+    n = checked_n(n)
     return -math.pi / 2.0 + math.pi / (2.0 * n)
 
 
@@ -112,7 +116,7 @@ def s1_points(a: float, n: int, gamma: float) -> np.ndarray:
     (-pi/2, pi/2), so the configuration is finite and increasing in k.
     """
     a = _checked_a(a)
-    n = _checked_n(n)
+    n = checked_n(n)
     gamma = _checked_gamma(n, gamma)
     angles = gamma + np.arange(n) * (math.pi / n)
     return np.sort(a * np.tan(angles))
@@ -121,11 +125,11 @@ def s1_points(a: float, n: int, gamma: float) -> np.ndarray:
 def s1_diameter(a: float, n: int) -> float:
     """Weighted n-th diameter for s = 1: n^(1/(n-1)) / (2a)."""
     a = _checked_a(a)
-    n = _checked_n(n)
+    n = checked_n(n)
     return n ** (1.0 / (n - 1)) / (2.0 * a)
 
 
-def _log_diameter_product(a: float, s: float, n: int) -> float:
+def sgt1_log_diameter(a: float, s: float, n: int) -> float:
     """log delta_n^w for s > 1 from the closed product formula.
 
     With sigma = s(n-1), i = 0..n-1 and k = 1..n,
@@ -143,6 +147,9 @@ def _log_diameter_product(a: float, s: float, n: int) -> float:
     sigma and 2 sigma collect into (2 sigma)^(-1/2) exactly, so the
     O(s log s) terms never form and every remaining sum is O(1).
     """
+    a = _checked_a(a)
+    s = _checked_sgt1(s, "sgt1_diameter")
+    n = checked_n(n)
     sig = s * (n - 1)
     i = np.arange(n, dtype=float)
     pairs = n * (n - 1)
@@ -158,14 +165,9 @@ def _log_diameter_product(a: float, s: float, n: int) -> float:
 
 
 def sgt1_diameter(a: float, s: float, n: int) -> float:
-    """Weighted n-th diameter for s > 1, the exponential of
-    _log_diameter_product."""
-    a = _checked_a(a)
-    s = float(s)
-    if s <= 1.0:
-        raise InvalidInputError("sgt1_diameter requires s > 1")
-    n = _checked_n(n)
-    return math.exp(_log_diameter_product(a, s, n))
+    """Weighted n-th diameter for s > 1, the exponential of sgt1_log_diameter;
+    OverflowError where it exceeds the double range."""
+    return math.exp(sgt1_log_diameter(a, s, n))
 
 
 def _recurrence_coefficients(sigma: float, n_max: int) -> np.ndarray:
@@ -195,10 +197,8 @@ def sgt1_points(a: float, s: float, n: int) -> np.ndarray:
     monomial expansion, this stays accurate at any n.
     """
     a = _checked_a(a)
-    s = float(s)
-    if s <= 1.0:
-        raise InvalidInputError("sgt1_points requires s > 1")
-    n = _checked_n(n)
+    s = _checked_sgt1(s, "sgt1_points")
+    n = checked_n(n)
     off = np.sqrt(_recurrence_coefficients(s * (n - 1), n))
     return a * eigvalsh_tridiagonal(np.zeros(n), off)
 
@@ -206,7 +206,5 @@ def sgt1_points(a: float, s: float, n: int) -> np.ndarray:
 def support_radius(a: float, s: float) -> float:
     """Half-length a sqrt(2s-1) / (s-1) of the limiting support for s > 1."""
     a = _checked_a(a)
-    s = float(s)
-    if s <= 1.0:
-        raise InvalidInputError("support_radius requires s > 1")
+    s = _checked_sgt1(s, "support_radius")
     return a * math.sqrt(2.0 * s - 1.0) / (s - 1.0)

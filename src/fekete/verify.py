@@ -115,7 +115,7 @@ def _suite_poly() -> list[CheckResult]:
         p = _monic_from_roots(rts)
         prod = np.prod([(rts[j] - rts[k]) ** 2
                         for j in range(deg) for k in range(j + 1, deg)])
-        worst = max(worst, _rel(discriminant_resultant(p), prod))
+        worst = max(worst, abs(discriminant_resultant(p) - prod) / abs(prod))
     out.append(CheckResult("poly", "discriminant-vs-root-product", worst, 1e-8))
 
     worst = 0.0
@@ -308,11 +308,11 @@ def _suite_energy() -> list[CheckResult]:
     out.append(CheckResult("energy", "line-gradient-vs-fd", worst, 1e-5))
 
     worst = 0.0
-    w_circ = circ.CircleWeight(0.5)
     for n in range(2, 9):
         t = np.sort(2.0 * math.pi * np.arange(n) / n + rng.uniform(-0.2, 0.2, n) / n)
-        worst = max(worst, float(np.max(np.abs(
-            en.energy_gradient(t, w_circ) - _fd_gradient(t, w_circ)))))
+        for w_circ in (circ.CircleWeight(0.5), circ.CircleWeight(2.0)):
+            worst = max(worst, float(np.max(np.abs(
+                en.energy_gradient(t, w_circ) - _fd_gradient(t, w_circ)))))
     out.append(CheckResult("energy", "circle-gradient-vs-fd", worst, 1e-5))
 
     worst = 0.0

@@ -101,6 +101,25 @@ class TestRealCommand:
         payload = json.loads(out)
         assert line_residual(payload["points"], 1.0, 1e8) <= 1e-9
 
+    @pytest.mark.parametrize("method", ["closed", "optimize"])
+    @pytest.mark.parametrize("s", ["1", "2"])
+    @pytest.mark.parametrize("a", ["1e-200", "1e200"])
+    def test_extreme_a_exits_cleanly(self, capsys, a, s, method):
+        # x^2 + a^2 over- or underflows there, and at s = 2 the diameter
+        # leaves the double range: exit 0 with finite values or 2 with a
+        # message, and no warning (the suite makes warnings errors)
+        code, out, err = run(capsys, "real", "--a", a, "--s", s, "--n", "20",
+                             "--method", method)
+        assert "Traceback" not in err
+        if code == 2:
+            assert a == "1e-200" and s == "2"
+            assert "exceeds the double range" in err
+        else:
+            assert code == 0
+            payload = json.loads(out)
+            assert all(math.isfinite(payload[k])
+                       for k in ("log_diameter", "diameter", "energy", "grad_norm"))
+
     def test_invalid_s_exits_two(self, capsys):
         code, out, err = run(capsys, "real", "--a", "1", "--s", "0.5", "--n", "4")
         assert code == 2

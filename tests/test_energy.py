@@ -94,28 +94,6 @@ class TestEnergyGradient:
         with pytest.raises(DegenerateInputError):
             energy_gradient([1.0, 1.0], CircleWeight(0.5))
 
-    @pytest.mark.parametrize("weight", [RealWeight(1.0, 2.0), CircleWeight(0.5),
-                                        CircleWeight(2.0)])
-    def test_matches_finite_differences(self, weight):
-        rng = np.random.default_rng(61)
-        h = 1e-6
-        for n in range(2, 9):
-            if isinstance(weight, RealWeight):
-                while True:
-                    x = np.sort(rng.uniform(-2, 2, n))
-                    if np.min(np.diff(x)) > 0.05:
-                        break
-            else:
-                x = TWO_PI * np.arange(n) / n + rng.uniform(-0.1, 0.1, n)
-            g = energy_gradient(x, weight)
-            for k in range(n):
-                xp, xm = x.copy(), x.copy()
-                xp[k] += h
-                xm[k] -= h
-                fd = (2 * log_weighted_vandermonde(xp, weight)
-                      - 2 * log_weighted_vandermonde(xm, weight)) / (2 * h)
-                assert abs(g[k] - fd) <= 1e-5
-
 
 class TestSineProduct:
     def test_pair_at_right_angle(self):

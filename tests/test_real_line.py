@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,9 +14,11 @@ from fekete import (
     s1_diameter,
     s1_points,
     sgt1_diameter,
+    sgt1_log_diameter,
     sgt1_points,
     support_radius,
 )
+from fekete.cli import main
 from fekete.poly import (
     OdeFamily,
     Poly,
@@ -28,10 +31,8 @@ from fekete.poly import (
     pochhammer,
     pseudo_jacobi,
     recurrence_family,
-    roots,
     s1_polynomial,
 )
-from fekete.real_line import _log_diameter_product
 
 SQRT3 = math.sqrt(3.0)
 
@@ -98,15 +99,6 @@ class TestS1:
             gamma = -math.pi / 2 + float(rng.uniform(0.1, 0.9)) * math.pi / n
             sol = s1_polynomial(1.0, n, gamma)
             assert sol.B == pytest.approx(-sum(sol.points), rel=1e-9, abs=1e-9)
-
-    def test_roots_match_points(self):
-        rng = np.random.default_rng(17)
-        for n in (2, 7, 15, 30):
-            for _ in range(5):
-                gamma = -math.pi / 2 + float(rng.uniform(0.1, 0.9)) * math.pi / n
-                sol = s1_polynomial(1.0, n, gamma)
-                rts = np.sort(roots(sol.poly).real)
-                assert np.max(np.abs(rts - np.asarray(sol.points))) <= 1e-9
 
     def test_default_gamma_is_canonical(self):
         sol = s1_polynomial(1.0, 4)
@@ -295,14 +287,24 @@ class TestDiameter:
     def test_matches_high_precision_product(self, s, n):
         for a in (0.6, 1.0):
             ref = _mp_log_diameter(a, s, n)
-            got = _log_diameter_product(a, s, n)
+            got = sgt1_log_diameter(a, s, n)
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
         assert abs(math.log(sgt1_diameter(1.0, s, n)) - _mp_log_diameter(1.0, s, n)) <= 1e-13
 
     def test_large_n_matches_high_precision_product(self):
         # the uncancelled product was off by 5.7e-13 here
-        assert abs(_log_diameter_product(1.0, 5.0, 10_000)
+        assert abs(sgt1_log_diameter(1.0, 5.0, 10_000)
                    - _mp_log_diameter(1.0, 5.0, 10_000)) <= 1e-13
+
+    def test_log_beyond_double_range_of_diameter(self, capsys):
+        # exp(L) overflows at a = 1e-200 and underflows at a = 1e200
+        ref = _mp_log_diameter(1e-200, 2.0, 20)
+        assert abs(sgt1_log_diameter(1e-200, 2.0, 20) - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert main(["real", "--a", "1e200", "--s", "2", "--n", "20"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        ref = _mp_log_diameter(1e200, 2.0, 20)
+        assert abs(payload["log_diameter"] - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert payload["diameter"] == 0.0
 
     def test_decreasing_toward_capacity(self):
         cap = capacity_real(2.0)
