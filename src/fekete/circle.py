@@ -79,6 +79,15 @@ def mobius(b: float, w):
     return complex(out) if out.ndim == 0 else out
 
 
+def _sorted_angles(z):
+    """Arguments of z in [0, 2 pi), ascending, and the order that sorts z;
+    np.mod(-tiny, 2 pi) rounds to 2 pi, which is reported as 0."""
+    angles = np.mod(np.angle(z), TWO_PI)
+    angles[angles == TWO_PI] = 0.0
+    order = np.argsort(angles)
+    return angles[order], order
+
+
 def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
     """Fekete set {phi(e^{i(alpha + 2 pi k/n)}), k = 0..n-1}; any alpha is optimal."""
     weight = CircleWeight(b)
@@ -86,12 +95,11 @@ def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
     alpha = float(alpha)
     pre = np.exp(1j * (alpha + TWO_PI * np.arange(n) / n))
     pts = mobius(weight.b, pre)
-    angles = np.mod(np.angle(pts), TWO_PI)
-    order = np.argsort(angles)
+    angles, order = _sorted_angles(pts)
     return CircleSolution(
         alpha=alpha,
         points=tuple(complex(z) for z in pts[order]),
-        angles=tuple(float(t) for t in angles[order]),
+        angles=tuple(float(t) for t in angles),
     )
 
 

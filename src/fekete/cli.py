@@ -148,7 +148,7 @@ def _emit_result(payload: dict, fmt: str, out_path: str | None) -> None:
 
 def _optimize_and_emit(weight, params: dict, args) -> int:
     cfg = OptimizerConfig(seed=args.seed)
-    log.info("optimizing %d points with %d starts", args.n, cfg.starts)
+    log.info("optimizing %d points with up to %d starts", args.n, cfg.starts)
     res = optimize(weight, args.n, cfg)
     payload = _result_payload(
         params, res.points, res.log_diameter, res.grad_norm,
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "optimize"), default="closed")
     p.add_argument("--gamma", type=float, default=None,
                    help="free phase for s = 1 (default: symmetric choice)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the fallback starts")
     common(p)
     p.set_defaults(handler=_cmd_real)
 
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "optimize"), default="closed")
     p.add_argument("--alpha", type=float, default=None,
                    help="free rotation of the preimage grid (default 0)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the fallback starts")
     common(p)
     p.set_defaults(handler=_cmd_circle)
 

@@ -20,7 +20,7 @@ its terms, one per charge q at c (the other points and the weight's charge):
 The optimizer works in angles for both weights: x = a tan(theta/2) maps the
 line onto theta in (-pi, pi), where the objective becomes, up to a constant,
 
-    sum_{j<k} log|2 sin((theta_j - theta_k)/2)| + sum_k phi(theta_k)
+    sum_{j<k} log|2 sin((theta_k - theta_j)/2)| + sum_k phi(theta_k)
 
 with phi = (n-1)(s-1) log(2 cos(theta/2)); on the circle phi = (n-1) log w in
 its own angles.  Each start runs damped Newton ascent, a modified Newton
@@ -31,11 +31,18 @@ rotation), backtracks to the Armijo condition (constant 1e-4) and is kept
 only if the points stay ordered.  A start stops when its angle-space scaled
 residual is <= 1e-13, or, after one last full step, when g.p falls to the
 rounding level of the objective f, 1e-15 (1 + |f| + max|theta| sum_k
-scale_k).  A result is converged when its `scaled_residual` in the command's
-coordinates is <= RESIDUAL_TOL = 1e-10.  Each start owns its state, and the
-multistart reduction keeps the largest objective, counting objectives within
-1e-13 (1 + |f|) of it as ties, which the smaller scaled residual breaks
-(then the lower start).
+scale_k).
+
+Every ordered stationary configuration is a global maximum, so the scaled
+residual alone picks the answer.  On the line, with -pi < theta_1 < ... <
+theta_n < pi, each pair difference lies in (0, 2 pi), where log sin(d/2) is
+strictly concave, and log cos(theta/2) is concave on (-pi, pi): the objective
+is concave, strictly for s > 1 and flat only along the common rotation at
+s = 1.  On the circle the Moebius map carries the objective to the unweighted
+one of the preimages plus a constant, concave in the same way.  The starts
+therefore run in order, and the first whose `scaled_residual` in the
+command's coordinates is <= RESIDUAL_TOL = 1e-10 is the converged answer;
+comparing objectives between such starts would compare rounding only.
 """
 
 from __future__ import annotations
@@ -47,21 +54,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, CircleWeight, mobius
+from .circle import TWO_PI, CircleWeight, _sorted_angles, mobius
 from .errors import DegenerateInputError, InvalidInputError, checked_n
 from .real_line import RealWeight
 
 __all__ = [
-    "FeketeResult",
-    "OptimizerConfig",
-    "log_weighted_vandermonde",
-    "numeric_diameter",
-    "discrete_energy",
-    "energy_gradient",
-    "scaled_residual",
-    "optimize",
-    "sine_product",
-    "sine_product_bound",
+    "FeketeResult", "OptimizerConfig", "log_weighted_vandermonde", "numeric_diameter",
+    "discrete_energy", "energy_gradient", "scaled_residual", "optimize",
+    "sine_product", "sine_product_bound",
 ]
 
 log = logging.getLogger(__name__)
@@ -71,7 +71,9 @@ RESIDUAL_TOL = 1e-10  # a result is converged when scaled_residual <= this
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart settings: number of starts, Newton steps per start, seed."""
+    """Optimizer settings: the largest number of starts run, the Newton steps
+    per start, and the seed of the fallback starts.  Start 0, the equispaced
+    angles, does not depend on the seed."""
 
     starts: int = 8
     max_iters: int = 200
@@ -128,18 +130,15 @@ def log_weighted_vandermonde(points, weight) -> float:
     Coincident points yield -inf (a degenerate configuration, not an error).
     """
     x = _as_points(points)
-    n = x.size
     if isinstance(weight, RealWeight):
         gaps = np.abs(_pair_differences(x))
-        if np.any(gaps == 0.0):
-            return -math.inf
-        return float(np.sum(np.log(gaps)) + (n - 1) * np.sum(weight.log_w(x)))
-    if isinstance(weight, CircleWeight):
-        chords = 2.0 * np.abs(np.sin(_pair_differences(x) / 2.0))
-        if np.any(chords == 0.0):
-            return -math.inf
-        return float(np.sum(np.log(chords)) + (n - 1) * np.sum(weight.log_w(x)))
-    raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
+    elif isinstance(weight, CircleWeight):
+        gaps = 2.0 * np.abs(np.sin(_pair_differences(x) / 2.0))
+    else:
+        raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
+    if np.any(gaps == 0.0):
+        return -math.inf
+    return float(np.sum(np.log(gaps)) + (x.size - 1) * np.sum(weight.log_w(x)))
 
 
 def numeric_diameter(points, weight) -> float:
@@ -203,22 +202,16 @@ def _gradient(points, weight, with_scale: bool = False):
 
 
 def energy_gradient(points, weight) -> np.ndarray:
-    """Stationarity residual of the configuration (see module docstring).
-
-    Vanishes exactly at weighted Fekete configurations; coincident points are
-    a hard error here because the residual is undefined.
-    """
+    """Stationarity residual g of the configuration (see module docstring):
+    zero exactly at weighted Fekete sets; coincident points are an error."""
     return _gradient(points, weight)
 
 
 def scaled_residual(points, weight) -> float:
-    """max_k |g_k| / (sum of the sizes of the terms of g_k), in the weight's
-    own coordinates: 0 at a Fekete set, at most 1, unchanged by scaling the
-    line.  A term pulling z_k toward or away from a charge q at c has size
-    2q/|z_k - c|, at least its absolute value; this stays meaningful where
-    symmetry zeroes every term, as for n = 2 circle points at 0 and pi.
-    Coincident points are a hard error.
-    """
+    """max_k |g_k| / (sum of the sizes of the terms of g_k) in the weight's own
+    coordinates (see module docstring); meaningful also where symmetry zeroes
+    every term, as for n = 2 circle points at 0 and pi.  Coincident points
+    are an error."""
     g, scale = _gradient(points, weight, with_scale=True)
     return float(np.max(np.abs(g) / scale))
 
@@ -295,7 +288,8 @@ def _angle_derivatives(t: np.ndarray, field):
 
 def _newton(t: np.ndarray, field, ordered, max_iters: int):
     """Damped Newton ascent from the ordered angles t (see module docstring);
-    returns the final angles, the Newton steps and the backtracks."""
+    returns the final angles, their objective (before a last full step, which
+    gains less than its rounding), the Newton steps and the backtracks."""
     f = _angle_objective(t, field)
     steps = backtracks = 0
     while steps < max_iters:
@@ -326,7 +320,7 @@ def _newton(t: np.ndarray, field, ordered, max_iters: int):
             break  # no ascent along p: stalled
         t, f = cand, f_cand
         steps += 1
-    return t, steps, backtracks
+    return t, f, steps, backtracks
 
 
 def _initial_angles(n: int, start: int, rng, ordered, spin: bool) -> np.ndarray:
@@ -346,18 +340,19 @@ def _initial_angles(n: int, start: int, rng, ordered, spin: bool) -> np.ndarray:
 def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
     """Rotate in preimage space so the first preimage angle is 0, then report
     sorted angles in [0, 2 pi)."""
-    pre = np.sort(np.mod(np.angle(mobius(b, np.exp(1j * t))), TWO_PI))
-    gauged = mobius(b, np.exp(1j * (pre - pre[0])))
-    return np.sort(np.mod(np.angle(gauged), TWO_PI))
+    pre, _ = _sorted_angles(mobius(b, np.exp(1j * t)))
+    return _sorted_angles(mobius(b, np.exp(1j * (pre - pre[0]))))[0]
 
 
 def optimize(weight, n: int, cfg: OptimizerConfig | None = None) -> FeketeResult:
     """Numerically maximize the weighted Vandermonde for n points.
 
-    Deterministic given cfg.seed.  Returns the best of cfg.starts runs; a
-    result whose scaled residual exceeds RESIDUAL_TOL is reported through
-    converged=False with the best iterate kept, never silently.  grad_norm is
-    max |g_k| in the command's coordinates.
+    Runs at most cfg.starts starts in order and returns the first whose
+    scaled residual in the command's coordinates is <= RESIDUAL_TOL; if none
+    is, the start with the smallest residual comes back with converged=False,
+    never silently.  Start 0 is the equispaced angles; cfg.seed draws only
+    the later starts, so the result is deterministic.  grad_norm is max |g_k|
+    in the command's coordinates.
     """
     n = checked_n(n)
     if cfg is None:
@@ -365,25 +360,22 @@ def optimize(weight, n: int, cfg: OptimizerConfig | None = None) -> FeketeResult
     field, ordered, to_points = _angle_problem(weight, n)
 
     rng = np.random.default_rng(cfg.seed)
-    runs = []
+    best = None
     for start in range(cfg.starts):
         t0 = _initial_angles(n, start, rng, ordered, isinstance(weight, CircleWeight))
-        t, steps, backtracks = _newton(t0, field, ordered, cfg.max_iters)
-        x = to_points(t)
-        f = log_weighted_vandermonde(x, weight)
+        t, f, steps, backtracks = _newton(t0, field, ordered, cfg.max_iters)
         log.debug("start %d: objective %.15g after %d+%d iterations",
                   start, f, steps, backtracks)
+        x = to_points(t)
         g, scale = _gradient(x, weight, with_scale=True)
-        runs.append((f, float(np.max(np.abs(g) / scale)), x, g, steps))
+        residual = float(np.max(np.abs(g) / scale))
+        if best is None or residual < best[0]:
+            best = (residual, x, g, steps)
+        if residual <= RESIDUAL_TOL:
+            break
 
-    # objectives within rounding of the largest are ties: starts that reach
-    # the same maximum differ there by rounding alone, so the smaller
-    # residual decides (then the lower start)
-    top = max(run[0] for run in runs)
-    f, residual, x, g, steps = min(
-        (run for run in runs if run[0] >= top - 1e-13 * (1.0 + abs(top))),
-        key=lambda run: run[1])
-    log_diameter = 2.0 * f / (n * (n - 1))
+    residual, x, g, steps = best
+    log_diameter = 2.0 * log_weighted_vandermonde(x, weight) / (n * (n - 1))
     return FeketeResult(
         points=tuple(float(v) for v in x),
         log_diameter=log_diameter,

@@ -143,15 +143,14 @@ def density(m: MeasureSpec, x: float) -> float:
         return abs(1.0 - b * b) / (TWO_PI * (1.0 - 2.0 * b * math.cos(x) + b * b))
     if not lo < x < hi:
         return 0.0
+    root = _edge_root(hi, x)
     if m.family == _REAL_SGT1:
-        s = m.s
-        val = 2.0 * s - 1.0 - (s - 1.0) ** 2 * x * x
-        return math.sqrt(max(val, 0.0)) / (math.pi * (1.0 + x * x))
-    root = math.sqrt(m.r * m.r - x * x)
+        # sqrt(2s-1 - (s-1)^2 x^2) = (s-1) sqrt(r^2 - x^2)
+        return (m.s - 1.0) * root / (math.pi * (1.0 + x * x))
     if m.family == _HARMONIC_INF:
         return 1.0 / (math.pi * root)
     if m.family == _HARMONIC_I:
-        return math.sqrt(m.r * m.r + 1.0) / (math.pi * (1.0 + x * x) * root)
+        return math.sqrt(hi * hi + 1.0) / (math.pi * (1.0 + x * x) * root)
     raise InvalidInputError(f"unknown measure family {m.family!r}")
 
 
@@ -177,21 +176,17 @@ def _sqrt_edge_integral(m: MeasureSpec, f, theta_hi: float, singular_theta=None)
     return _quad_checked(g, -math.pi / 2.0, theta_hi, points=pts)
 
 
-def _harmonic_cdf(r: float, x: float, slope: float) -> float:
-    """1/2 + atan(slope x / sqrt(r^2 - x^2)) / pi for |x| < r.
-
-    slope = 1 is the arcsine law (harmonic-inf), slope = sqrt(1 + r^2) the
-    hitting distribution from i (harmonic-i).  sqrt((r-x)(r+x)) avoids the
-    cancellation of r^2 - x^2 at the edges."""
-    return 0.5 + math.atan2(slope * x, math.sqrt((r - x) * (r + x))) / math.pi
+def _edge_root(r: float, x: float) -> float:
+    """sqrt(r^2 - x^2) as sqrt((r-x)(r+x)), which does not cancel at the edges."""
+    return math.sqrt((r - x) * (r + x))
 
 
 def cdf(m: MeasureSpec, x: float) -> float:
     """Cumulative mass of the family up to x, clamped to [0, 1].
 
-    Every family has an elementary CDF: 1/2 + arctan(x)/pi for arctan, the
-    arctangent forms of _harmonic_cdf for the harmonic families, the sweep
-    identity s H_i - (s-1) H_inf for real-s, and the half-angle form
+    Every family has an elementary CDF: 1/2 + arctan(x)/pi for arctan,
+    H = 1/2 + atan(k x / sqrt(r^2 - x^2))/pi with k = 1 (harmonic-inf) or
+    sqrt(1 + r^2) (harmonic-i), H_inf + s (H_i - H_inf) for real-s, and
     arctan(|(1+b)/(1-b)| tan(t/2))/pi (plus 1 past t = pi) for the circle.
     """
     x = float(x)
@@ -206,12 +201,15 @@ def cdf(m: MeasureSpec, x: float) -> float:
         val = math.atan(abs((1.0 + m.b) / (1.0 - m.b)) * math.tan(x / 2.0)) / math.pi
         if x > math.pi:
             val += 1.0
-    elif m.family == _HARMONIC_INF:
-        val = _harmonic_cdf(hi, x, 1.0)
     else:
-        val = _harmonic_cdf(hi, x, math.sqrt(1.0 + hi * hi))
+        k = math.sqrt(1.0 + hi * hi)
+        root = _edge_root(hi, x)
+        val = 0.5 + math.atan2((k if m.family == _HARMONIC_I else 1.0) * x, root) / math.pi
         if m.family == _REAL_SGT1:
-            val = m.s * val - (m.s - 1.0) * _harmonic_cdf(hi, x, 1.0)
+            # H_i - H_inf as one arctangent (k - 1 = r^2/(k+1)) in u = x/r and
+            # v = root/r: s H_i - (s-1) H_inf as written cancels O(s)
+            u, v = x / hi, root / hi
+            val += m.s * math.atan2(u * v * hi * hi / (k + 1.0), v * v + k * u * u) / math.pi
     return min(max(val, 0.0), 1.0)
 
 

@@ -173,7 +173,8 @@ def sgt1_diameter(a: float, s: float, n: int) -> float:
 def _recurrence_coefficients(sigma: float, n_max: int) -> np.ndarray:
     """c_k = (k-1)(2 sigma - k + 3) / ((2 sigma - 2k + 3)(2 sigma - 2k + 5))
     for k = 2..n_max, the coefficients of the monic three-term recurrence
-    G_k = x G_{k-1} - c_k G_{k-2}."""
+    G_k = x G_{k-1} - c_k G_{k-2}, as (k-1)/d1 ((2 sigma - k + 3)/d2): no two
+    O(sigma) factors are multiplied, so nothing overflows."""
     k = np.arange(2, n_max + 1, dtype=float)
     d1 = 2.0 * sigma - 2.0 * k + 3.0
     d2 = 2.0 * sigma - 2.0 * k + 5.0
@@ -183,7 +184,7 @@ def _recurrence_coefficients(sigma: float, n_max: int) -> np.ndarray:
             f"recurrence denominator vanishes at step n = {int(k[singular.argmax()])} "
             f"for sigma = {sigma}"
         )
-    return (k - 1.0) * (2.0 * sigma - k + 3.0) / (d1 * d2)
+    return (k - 1.0) / d1 * ((2.0 * sigma - k + 3.0) / d2)
 
 
 def sgt1_points(a: float, s: float, n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from fekete import (
     circle_diameter,
     circle_points,
     mobius,
+    optimize,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -71,6 +72,27 @@ class TestCirclePoints:
                 pre = np.sort(np.mod(np.angle(mobius(b, pts)), TWO_PI))
                 gaps = np.diff(np.concatenate([pre, [pre[0] + TWO_PI]]))
                 assert np.max(np.abs(gaps - TWO_PI / n)) <= 1e-9
+
+
+class TestAngleRange:
+    """Angles are reported sorted in [0, 2 pi): np.mod maps an argument just
+    below 0 to 2 pi itself, which must come out as 0."""
+
+    @staticmethod
+    def in_range(angles):
+        t = np.asarray(angles)
+        return bool(np.all(t >= 0.0) and np.all(t < TWO_PI) and np.all(np.diff(t) > 0.0))
+
+    def test_closed_form(self):
+        for b in (0.0, 0.3, -0.3, 0.5, -0.7, 0.9, -0.9, 2.0, -2.0, 10.0, -10.0):
+            for n in range(2, 13):
+                for alpha in np.linspace(0.0, TWO_PI, 7):
+                    assert self.in_range(circle_points(b, n, alpha).angles), (b, n, alpha)
+
+    def test_optimizer(self):
+        for b in (0.0, 0.5, -0.5, 0.9, -0.9, 2.0, -2.0, 10.0, -10.0):
+            for n in (2, 3, 4, 5, 8, 12):
+                assert self.in_range(optimize(CircleWeight(b), n).points), (b, n)
 
 
 class TestCircleDiameter:

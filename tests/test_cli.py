@@ -101,6 +101,14 @@ class TestRealCommand:
         payload = json.loads(out)
         assert line_residual(payload["points"], 1.0, 1e8) <= 1e-9
 
+    @pytest.mark.parametrize("s, n", [("1e200", 5), ("1e300", 50)])
+    def test_closed_huge_s_exits_zero(self, capsys, s, n):
+        # each recurrence denominator is about 2 s (n-1): their product
+        # overflows past s = 1e154 if formed
+        code, out, _ = run(capsys, "real", "--a", "1", "--s", s, "--n", str(n))
+        assert code == 0
+        assert line_residual(json.loads(out)["points"], 1.0, float(s)) <= 1e-9
+
     @pytest.mark.parametrize("method", ["closed", "optimize"])
     @pytest.mark.parametrize("s", ["1", "2"])
     @pytest.mark.parametrize("a", ["1e-200", "1e200"])
@@ -220,6 +228,15 @@ class TestMeasureCommand:
         assert float(rows[0][0]) == 0.0
         assert float(rows[0][1]) == pytest.approx(3.0 / (2 * math.pi))
         assert float(rows[-1][2]) == pytest.approx(1.0)
+
+    def test_real_s_at_huge_s(self, capsys):
+        # (s - 1)^2 overflows a Python float at s = 1e160
+        code, out, _ = run(capsys, "measure", "--family", "real-s", "--s", "1e160",
+                           "--grid", "-1:1:3")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["cdf"] for row in rows] == [0.0, 0.5, 1.0]
+        assert rows[1]["density"] == pytest.approx(math.sqrt(2e160) / math.pi, rel=1e-14)
 
     def test_unknown_family_exits_two(self, capsys):
         code, _, _ = run(capsys, "measure", "--family", "real-s", "--s", "0.5",

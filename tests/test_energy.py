@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from fekete import (
     InvalidInputError,
     OptimizerConfig,
     RealWeight,
+    canonical_gamma,
     circle_diameter,
     circle_points,
     discrete_energy,
@@ -17,6 +19,7 @@ from fekete import (
     mobius,
     optimize,
     s1_diameter,
+    s1_points,
     scaled_residual,
     sgt1_diameter,
     sgt1_points,
@@ -28,6 +31,13 @@ from fekete.poly import pseudo_jacobi, roots
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
+
+
+def optimize_logged(caplog, weight, n, cfg=None):
+    """The optimizer's result and its per-start DEBUG records."""
+    with caplog.at_level(logging.DEBUG, logger="fekete.energy"):
+        res = optimize(weight, n, cfg)
+    return res, [r for r in caplog.records if r.name == "fekete.energy"]
 
 
 class TestLogWeightedVandermonde:
@@ -185,12 +195,49 @@ class TestOptimizer:
         assert math.exp(res.log_diameter) == pytest.approx(circle_diameter(b, 2), rel=1e-9)
 
 
-    def test_circle_next_to_unit_charge_converges(self):
-        # several starts reach the maximum, with objectives equal to
-        # rounding; the one with the smaller residual is kept
-        res = optimize(CircleWeight(0.999), 120)
+    def test_circle_next_to_unit_charge_converges(self, caplog):
+        # start 0 stalls short of the tolerance here; a fallback start
+        # reaches it, and the starts after that one are not run
+        res, records = optimize_logged(caplog, CircleWeight(0.999), 120)
+        assert 2 <= len(records) < 8
         assert res.converged
         assert scaled_residual(res.points, CircleWeight(0.999)) <= RESIDUAL_TOL
+
+    def test_stops_at_first_certified_start(self, caplog):
+        res, records = optimize_logged(caplog, RealWeight(1.3, 2.0), 24)
+        assert len(records) == 1
+        assert res.converged
+
+    def test_runs_every_start_when_none_certifies(self, caplog):
+        res, records = optimize_logged(caplog, RealWeight(1.0, 2.0), 6,
+                                       OptimizerConfig(starts=3, max_iters=1))
+        assert len(records) == 3
+        assert not res.converged
+
+    @pytest.mark.parametrize("a, n", [(1.0, 2), (1.3, 7), (0.4, 12), (2.0, 31)])
+    def test_s1_returns_canonical_progression(self, a, n):
+        # start 0, the equispaced angles, is the canonical member of the
+        # arctangent family and already stationary
+        res = optimize(RealWeight(a, 1.0), n)
+        ref = s1_points(a, n, canonical_gamma(n))
+        assert np.max(np.abs(np.asarray(res.points) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_converges_over_line_and_circle_grid(self):
+        weights = [RealWeight(1.0, s) for s in (1.0, 1.05, 1.5, 2.0, 3.0, 5.0)]
+        weights += [CircleWeight(b) for b in (0.0, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99,
+                                              0.999, -0.999, 2.0, -2.0)]
+        for weight in weights:
+            for n in (2, 12, 48):
+                assert optimize(weight, n).converged, (weight, n)
+
+    def test_start_record_format(self, caplog):
+        # the benchmark tracer matches this prefix and reads the Newton
+        # steps and backtracks from args 2 and 3
+        _, records = optimize_logged(caplog, CircleWeight(0.999), 120)
+        for record in records:
+            assert record.msg.startswith("start %d: objective")
+            assert len(record.args) == 4
+            assert all(isinstance(record.args[i], int) for i in (0, 2, 3))
 
 
 class TestScaledResidual:

@@ -82,6 +82,25 @@ class TestCdf:
             expected = float(0.5 + mpmath.asin(mpmath.mpf(x) / r) / mpmath.pi)
         assert abs(cdf(MeasureSpec.harmonic_inf(r), x) - expected) <= 1e-15
 
+    @pytest.mark.parametrize("s", [1e6, 1e8, 1e12])
+    def test_real_s_at_large_s_against_high_precision(self, s):
+        # the sweep identity s H_i - (s-1) H_inf cancels O(s) as written
+        mpmath = pytest.importorskip("mpmath")
+        m = MeasureSpec.real_sgt1(s)
+        r = m.support[1]
+        for x in (-0.999 * r, -0.7 * r, -0.2 * r, 0.1 * r, 0.5 * r, 0.95 * r):
+            with mpmath.workdps(50):
+                t, y = mpmath.mpf(s), mpmath.mpf(x)
+                rr = (2 * t - 1) / (t - 1) ** 2
+                root = mpmath.sqrt(rr - y * y)
+                h_inf = mpmath.atan(y / root) / mpmath.pi
+                h_i = mpmath.atan(mpmath.sqrt(1 + rr) * y / root) / mpmath.pi
+                expected = float(0.5 + t * h_i - (t - 1) * h_inf)
+                expected_density = float(mpmath.sqrt(2 * t - 1 - (t - 1) ** 2 * y * y)
+                                         / (mpmath.pi * (1 + y * y)))
+            assert abs(cdf(m, x) - expected) <= 1e-15
+            assert density(m, x) == pytest.approx(expected_density, rel=1e-13)
+
     @pytest.mark.parametrize("b", [-0.5, 2.0, -3.0])
     def test_circle_poisson_matches_quadrature(self, b):
         m = MeasureSpec.circle_poisson(b)
