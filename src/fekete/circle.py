@@ -12,43 +12,60 @@ n^(1/(n-1)) / |1 - b^2|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, checked_n
 
-__all__ = ["CircleWeight", "CircleSolution", "mobius", "circle_points", "circle_diameter"]
+__all__ = [
+    "CircleWeight", "CircleSolution", "mobius", "circle_points", "circle_diameter",
+    "circle_log_diameter",
+]
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class CircleWeight:
-    """Weight w(z) = 1/|z - b| on the unit circle, b real with |b| != 1."""
+    """Weight w(z) = 1/|z - b| on the unit circle, b real with |b| != 1.
+
+    unit is the power of two u by which dist_sq scales |e^{it} - b|: 1 for
+    |b| < 2^128, else 2^(128-e) for 2^(e-1) <= |b| < 2^e, so that |bu| <
+    2^128 and the fourth power of |e^{it} - b| u stays in the double range.
+    Scaling by a power of two is exact, so a ratio of scaled terms has the
+    bits of the unscaled formula.
+    """
 
     b: float
+    unit: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = float(self.b)
         if abs(b) == 1.0:
             raise InvalidInputError("charge location b = +-1 sits on the circle; excluded")
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "unit", math.ldexp(1.0, min(0, 128 - math.frexp(b)[1])))
 
     def dist_sq(self, angles):
-        """|e^{it} - b|^2 = 1 - 2b cos t + b^2, vectorized over angles, as
-        (1-b)^2 + 4b sin^2(t/2) for b >= 0 and (1+b)^2 - 4b cos^2(t/2) for
-        b < 0: both terms are nonnegative, so nothing cancels next to the
-        charge."""
-        t = np.asarray(angles, dtype=float)
-        b = self.b
-        if b >= 0.0:
-            return (1.0 - b) ** 2 + 4.0 * b * np.sin(t / 2.0) ** 2
-        return (1.0 + b) ** 2 - 4.0 * b * np.cos(t / 2.0) ** 2
+        """|e^{it} - b|^2 u^2 with u = self.unit, vectorized over angles, as
+        (u-c)^2 + 4cu sin^2(t/2) for c = bu >= 0 and (u+c)^2 - 4cu cos^2(t/2)
+        for c < 0: both terms are nonnegative, so nothing cancels next to the
+        charge.  A float angle gives a float through math, which keeps the
+        density's per-point calls cheap."""
+        if isinstance(angles, float):
+            t, sin, cos = angles, math.sin, math.cos
+        else:
+            t, sin, cos = np.asarray(angles, dtype=float), np.sin, np.cos
+        u = self.unit
+        c = self.b * u
+        if c >= 0.0:
+            return (u - c) ** 2 + 4.0 * c * u * sin(t / 2.0) ** 2
+        return (u + c) ** 2 - 4.0 * c * u * cos(t / 2.0) ** 2
 
     def log_w(self, angles):
         """log w(e^{it}) = -(1/2) log |e^{it} - b|^2, vectorized over angles."""
-        return -0.5 * np.log(self.dist_sq(angles))
+        return -0.5 * np.log(self.dist_sq(angles)) + math.log(self.unit)
 
 
 @dataclass(frozen=True)
@@ -103,8 +120,25 @@ def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
     )
 
 
-def circle_diameter(b: float, n: int) -> float:
-    """Weighted n-th diameter on the circle: n^(1/(n-1)) / |1 - b^2|."""
+def _diameter_over_unit_sq(b: float, n: int):
+    """n^(1/(n-1)) / (|1 - b^2| u^2) and the unit u of CircleWeight(b): the
+    quotient stays in the double range for every |b| != 1."""
     weight = CircleWeight(b)
     n = checked_n(n)
-    return n ** (1.0 / (n - 1)) / abs(1.0 - weight.b * weight.b)
+    u = weight.unit
+    c = weight.b * u
+    return n ** (1.0 / (n - 1)) / abs(u * u - c * c), u
+
+
+def circle_diameter(b: float, n: int) -> float:
+    """Weighted n-th diameter on the circle: n^(1/(n-1)) / |1 - b^2|; 0 where
+    it falls below the double range."""
+    scaled, u = _diameter_over_unit_sq(b, n)
+    return scaled * u * u
+
+
+def circle_log_diameter(b: float, n: int) -> float:
+    """log of the weighted n-th diameter, finite for every |b| != 1: the
+    logarithm of the scaled quotient plus log u^2."""
+    scaled, u = _diameter_over_unit_sq(b, n)
+    return math.log(scaled) + 2.0 * math.log(u)

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circle import CircleWeight, circle_diameter, circle_points
+from .circle import CircleWeight, circle_diameter, circle_log_diameter, circle_points
 from .energy import RESIDUAL_TOL, OptimizerConfig, energy_gradient, optimize
 from .equilibrium import (
     MeasureSpec,
@@ -202,9 +202,9 @@ def _cmd_circle(args) -> int:
         sol = circle_points(weight.b, args.n, alpha)
         params["alpha"] = alpha
         angles = np.asarray(sol.angles)
-        diameter = circle_diameter(weight.b, args.n)
         grad_norm = float(np.max(np.abs(energy_gradient(angles, weight))))
-        payload = _result_payload(params, angles, math.log(diameter), grad_norm)
+        payload = _result_payload(params, angles, circle_log_diameter(weight.b, args.n),
+                                  grad_norm)
         payload["cartesian"] = [[z.real, z.imag] for z in sol.points]
         _emit_result(payload, args.format, args.out)
         return EXIT_OK

@@ -67,6 +67,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10  # a result is converged when scaled_residual <= this
+_BLOCK_ELEMENTS = 1 << 19  # entries per row block of the gradient's pair terms
 
 
 @dataclass(frozen=True)
@@ -160,50 +161,85 @@ def discrete_energy(points, weight: RealWeight) -> float:
     return -2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1))
 
 
+def _row_blocks(x: np.ndarray):
+    """The pair differences x_k - x_j in blocks of whole rows, at most
+    _BLOCK_ELEMENTS entries each (at least one row): yields the row slice,
+    the block and the index of its diagonal entries j = k."""
+    n = x.size
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        yield slice(lo, hi), x[lo:hi, None] - x[None, :], diag
+
+
+def _line_pair_sums(d, diag, with_scale: bool):
+    d[diag] = np.inf
+    if np.any(d == 0.0):
+        raise DegenerateInputError("coincident points: gradient undefined")
+    pair = 2.0 / d
+    return np.sum(pair, axis=1), np.sum(np.abs(pair), axis=1) if with_scale else None
+
+
+def _circle_pair_sums(d, diag, with_scale: bool):
+    half = d / 2.0
+    half[diag] = math.pi / 2.0  # cot(pi/2) = 0 placeholder
+    sin_half = np.sin(half)
+    if np.any(sin_half == 0.0):
+        raise DegenerateInputError("coincident angles: gradient undefined")
+    cot = np.cos(half) / sin_half
+    cot[diag] = 0.0
+    if not with_scale:
+        return np.sum(cot, axis=1), None
+    csc = 1.0 / np.abs(sin_half)
+    csc[diag] = 0.0
+    return np.sum(cot, axis=1), np.sum(csc, axis=1)
+
+
 def _gradient(points, weight, with_scale: bool = False):
     """The stationarity residual g and, if with_scale, the sum of the sizes of
     the terms of each g_k.  Each term is twice the derivative of
     q log|z_k - c| for one charge c: another point (q = 1), or the weight's
     charge, ai of strength s(n-1) on the line or b of strength n-1 on the
     circle.  Its size is the modulus of that derivative in the complex plane,
-    2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points."""
+    2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points.  The pair
+    terms are summed over row blocks, each row in one pass as over the full
+    matrix, so the bits are those of the n x n form."""
     x = _as_points(points)
     n = x.size
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, np.inf)
     if isinstance(weight, RealWeight):
-        if np.any(d == 0.0):
-            raise DegenerateInputError("coincident points: gradient undefined")
-        pair = 2.0 / d
         # 2s(n-1) x / (x^2 + a^2) with h = |x - ai|: x^2 + a^2 would
         # overflow or underflow at extreme x and a
         h = np.hypot(x, weight.a)
-        g = np.sum(pair, axis=1) - 2.0 * weight.s * (n - 1) * (x / h) / h
-        if not with_scale:
-            return g
-        return g, np.sum(np.abs(pair), axis=1) + 2.0 * weight.s * (n - 1) / h
-    if isinstance(weight, CircleWeight):
-        half = d / 2.0
-        np.fill_diagonal(half, math.pi / 2.0)  # cot(pi/2) = 0 placeholder
-        sin_half = np.sin(half)
-        if np.any(sin_half == 0.0):
-            raise DegenerateInputError("coincident angles: gradient undefined")
-        cot = np.cos(half) / sin_half
-        np.fill_diagonal(cot, 0.0)
+        field = 2.0 * weight.s * (n - 1) * (x / h) / h
+        field_size = 2.0 * weight.s * (n - 1) / h if with_scale else None
+        pair_sums = _line_pair_sums
+    elif isinstance(weight, CircleWeight):
+        # den = |e^{ix} - b|^2 u^2: each term below carries one factor u back
+        u = weight.unit
         den = weight.dist_sq(x)
-        field = 2.0 * (n - 1) * weight.b * np.sin(x) / den
-        g = np.sum(cot, axis=1) - field
-        if not with_scale:
-            return g
-        csc = 1.0 / np.abs(sin_half)
-        np.fill_diagonal(csc, 0.0)
-        return g, np.sum(csc, axis=1) + 2.0 * (n - 1) / np.sqrt(den)
-    raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
+        field = 2.0 * (n - 1) * (weight.b * u) * np.sin(x) / den * u
+        field_size = 2.0 * (n - 1) / np.sqrt(den) * u if with_scale else None
+        pair_sums = _circle_pair_sums
+    else:
+        raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
+    g = np.empty(n)
+    scale = np.empty(n) if with_scale else None
+    for rows, d, diag in _row_blocks(x):
+        g[rows], block_scale = pair_sums(d, diag, with_scale)
+        if with_scale:
+            scale[rows] = block_scale
+    g -= field
+    if not with_scale:
+        return g
+    return g, scale + field_size
 
 
 def energy_gradient(points, weight) -> np.ndarray:
     """Stationarity residual g of the configuration (see module docstring):
-    zero exactly at weighted Fekete sets; coincident points are an error."""
+    zero exactly at weighted Fekete sets; coincident points are an error.
+    The pair terms are formed one row block of at most 2^19 entries (4 MiB)
+    at a time, so memory grows linearly in n."""
     return _gradient(points, weight)
 
 
@@ -249,13 +285,15 @@ def _angle_problem(weight, n: int):
 
         return field, ordered, lambda t: weight.a * np.tan(t / 2.0)
     if isinstance(weight, CircleWeight):
-        b, m = weight.b, n - 1
+        # den = |e^{it} - b|^2 u^2 and c = bu: phi' and phi'' carry one factor u back
+        b, m, u = weight.b, n - 1, weight.unit
+        c, log_u = b * u, math.log(u)
 
         def field(t):
             cos, sin = np.cos(t), np.sin(t)
             den = weight.dist_sq(t)
-            return (-0.5 * m * np.log(den), -m * b * sin / den,
-                    -m * b * (cos * den - 2.0 * b * sin * sin) / den ** 2)
+            return (-0.5 * m * np.log(den) + m * log_u, -m * c * sin / den * u,
+                    -m * c * (cos * den - 2.0 * c * u * sin * sin) / den ** 2 * u)
 
         def ordered(t):
             return t[-1] - t[0] < TWO_PI and bool(np.all(np.diff(t) > 0.0))

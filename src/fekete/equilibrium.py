@@ -29,10 +29,9 @@ the harmonic families diverge in the open-interior limit there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .circle import TWO_PI, CircleWeight
 from .errors import InvalidInputError, NumericalError
@@ -66,7 +65,8 @@ _HARMONIC_I = "harmonic-i"
 class MeasureSpec:
     """A named measure family with its parameters and support interval.
 
-    Circle families use the angle t in [0, 2 pi] as the coordinate.  Build
+    Circle families use the angle t in [0, 2 pi] as the coordinate and keep
+    the CircleWeight of their charge, whose dist_sq the density uses.  Build
     instances through the classmethod constructors, which validate parameter
     domains and fill in the support.
     """
@@ -76,6 +76,7 @@ class MeasureSpec:
     s: float | None = None
     b: float | None = None
     r: float | None = None
+    weight: CircleWeight | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def real_sgt1(cls, s: float) -> "MeasureSpec":
@@ -89,8 +90,8 @@ class MeasureSpec:
 
     @classmethod
     def circle_poisson(cls, b: float) -> "MeasureSpec":
-        b = CircleWeight(b).b
-        return cls(family=_CIRCLE_POISSON, support=(0.0, TWO_PI), b=b)
+        weight = CircleWeight(b)
+        return cls(family=_CIRCLE_POISSON, support=(0.0, TWO_PI), b=weight.b, weight=weight)
 
     @classmethod
     def harmonic_inf(cls, r: float) -> "MeasureSpec":
@@ -139,8 +140,10 @@ def density(m: MeasureSpec, x: float) -> float:
     if m.family == _CIRCLE_POISSON:
         if not lo <= x <= hi:
             return 0.0
-        b = m.b
-        return abs(1.0 - b * b) / (TWO_PI * (1.0 - 2.0 * b * math.cos(x) + b * b))
+        # |1 - b^2| / |e^{ix} - b|^2, both scaled by u^2 (CircleWeight.unit)
+        u = m.weight.unit
+        c = m.b * u
+        return abs(u - c) * abs(u + c) / (TWO_PI * m.weight.dist_sq(x))
     if not lo < x < hi:
         return 0.0
     root = _edge_root(hi, x)
@@ -152,6 +155,15 @@ def density(m: MeasureSpec, x: float) -> float:
     if m.family == _HARMONIC_I:
         return math.sqrt(hi * hi + 1.0) / (math.pi * (1.0 + x * x) * root)
     raise InvalidInputError(f"unknown measure family {m.family!r}")
+
+
+def quad(f, lo, hi, **kwargs):
+    """scipy.integrate.quad, imported on the first call: only total_mass,
+    log_potential, frostman_check and verify integrate, and that import
+    would otherwise be most of every command's start-up time."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, lo, hi, **kwargs)
 
 
 def _quad_checked(f, lo, hi, points=None) -> float:

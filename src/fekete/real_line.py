@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InvalidInputError, SingularParameterError, checked_n
 
@@ -197,6 +196,8 @@ def sgt1_points(a: float, s: float, n: int) -> np.ndarray:
     sqrt(c_n) (Golub & Welsch 1969).  Unlike companion-matrix roots of the
     monomial expansion, this stays accurate at any n.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # the one scipy use here: load on demand
+
     a = _checked_a(a)
     s = _checked_sgt1(s, "sgt1_points")
     n = checked_n(n)

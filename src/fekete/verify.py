@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import circle as circ
 from . import energy as en
 from . import equilibrium as eq
 from . import real_line as rl
+from .equilibrium import quad
 from .errors import SingularParameterError
 from .poly import (
     OdeFamily,

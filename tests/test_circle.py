@@ -27,6 +27,20 @@ class TestCircleWeight:
         assert w.log_w(math.pi) == pytest.approx(-math.log(1.5))
 
 
+    @pytest.mark.parametrize("b", [1e200, -1e200])
+    def test_log_w_at_huge_charge(self, b):
+        # b^2 overflows: dist_sq is scaled by unit^2, a power of two
+        w = CircleWeight(b)
+        for t in (0.0, 1.0, math.pi):
+            # log|e^{it} - b| = log|b| + O(1/b)
+            assert w.log_w(t) == pytest.approx(-math.log(abs(b)), rel=1e-15)
+
+    def test_unit_is_one_for_moderate_charges(self):
+        for b in (0.0, 0.5, -2.5, 10.0, 2.0 ** 127):
+            assert CircleWeight(b).unit == 1.0
+        assert CircleWeight(2.0 ** 128).unit == 0.5
+
+
 class TestMobius:
     def test_values(self):
         assert mobius(0.5, 1.0) == pytest.approx(-1.0)

@@ -187,6 +187,30 @@ class TestCircleCommand:
         code, _, err = run(capsys, "circle", "--b", "1", "--n", "4")
         assert code == 2 and "excluded" in err
 
+    @pytest.mark.parametrize("b", ["1e200", "-1e200"])
+    def test_closed_huge_charge(self, capsys, b):
+        # (1 - b)^2 and 1 - b^2 leave the double range past |b| = 1.34e154
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run(capsys, "circle", "--b", b, "--n", "10")
+        assert code == 0
+        payload = json.loads(out)
+        with mpmath.workdps(40):
+            bb = mpmath.mpf(float(b))
+            ref = float(mpmath.log(10) / 9 - mpmath.log(abs(1 - bb * bb)))
+        assert abs(payload["log_diameter"] - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert payload["diameter"] == 0.0
+        assert circle_residual(payload["points"], 0.0) <= 1e-13  # w is nearly flat
+
+    @pytest.mark.parametrize("b", ["1e200", "-1e200"])
+    def test_optimize_huge_charge_exits_cleanly(self, capsys, b):
+        code, out, err = run(capsys, "circle", "--b", b, "--n", "10", "--method", "optimize")
+        if code == 2:
+            assert err.startswith("error: ")
+        else:
+            assert code == 0
+            payload = json.loads(out)
+            assert all(math.isfinite(payload[k]) for k in ("log_diameter", "grad_norm"))
+
     def test_cartesian_alongside_angles(self, capsys):
         code, out, _ = run(capsys, "circle", "--b", "0.5", "--n", "3")
         payload = json.loads(out)

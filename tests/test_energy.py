@@ -1,8 +1,13 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import fekete.energy
 
 from fekete import (
     CircleWeight,
@@ -26,7 +31,7 @@ from fekete import (
     sine_product,
     sine_product_bound,
 )
-from fekete.energy import RESIDUAL_TOL
+from fekete.energy import RESIDUAL_TOL, _gradient
 from fekete.poly import pseudo_jacobi, roots
 
 SQRT3 = math.sqrt(3.0)
@@ -103,6 +108,76 @@ class TestEnergyGradient:
             energy_gradient([1.0, 1.0], RealWeight(1.0, 2.0))
         with pytest.raises(DegenerateInputError):
             energy_gradient([1.0, 1.0], CircleWeight(0.5))
+
+
+def dense_gradient(points, weight):
+    """The n x n form of the stationarity residual and its scale, which
+    _gradient evaluates in row blocks."""
+    x = np.asarray(points, dtype=float)
+    n = x.size
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, np.inf)
+    if isinstance(weight, RealWeight):
+        pair = 2.0 / d
+        h = np.hypot(x, weight.a)
+        g = np.sum(pair, axis=1) - 2.0 * weight.s * (n - 1) * (x / h) / h
+        return g, np.sum(np.abs(pair), axis=1) + 2.0 * weight.s * (n - 1) / h
+    half = d / 2.0
+    np.fill_diagonal(half, math.pi / 2.0)
+    sin_half = np.sin(half)
+    cot = np.cos(half) / sin_half
+    np.fill_diagonal(cot, 0.0)
+    den = weight.dist_sq(x)
+    g = np.sum(cot, axis=1) - 2.0 * (n - 1) * weight.b * np.sin(x) / den
+    csc = 1.0 / np.abs(sin_half)
+    np.fill_diagonal(csc, 0.0)
+    return g, np.sum(csc, axis=1) + 2.0 * (n - 1) / np.sqrt(den)
+
+
+class TestBlockedGradient:
+    # (element budget, n): rows per block is budget // n
+    @pytest.mark.parametrize("budget, n", [
+        (100, 9),               # one block, n one below the boundary at 10
+        (100, 10),              # one block, exactly full
+        (100, 11),              # blocks of 9 and 2 rows
+        (136, 17),              # blocks of 8, 8 and 1 rows
+        (1 << 19, 725),         # the module's budget: blocks of 723 and 2 rows
+    ])
+    @pytest.mark.parametrize("weight", [RealWeight(1.3, 2.0), CircleWeight(0.5),
+                                        CircleWeight(-2.5)],
+                             ids=["line", "circle-in", "circle-out"])
+    def test_bits_match_dense_form(self, monkeypatch, budget, n, weight):
+        monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(n)
+        if isinstance(weight, RealWeight):
+            x = np.sort(rng.normal(0.0, 2.0, n))
+        else:
+            x = np.sort(rng.uniform(0.0, TWO_PI, n))
+        g_ref, scale_ref = dense_gradient(x, weight)
+        g, scale = _gradient(x, weight, with_scale=True)
+        assert np.array_equal(g, g_ref) and np.array_equal(scale, scale_ref)
+        assert np.array_equal(_gradient(x, weight), g_ref)
+        assert np.array_equal(energy_gradient(x, weight), g_ref)
+
+    @pytest.mark.parametrize("weight", [RealWeight(1.0, 2.0), CircleWeight(0.5)])
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_coincident_pair_in_last_block_rejected(self, monkeypatch, weight, with_scale):
+        monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", 100)  # rows 0-8, then 9-10
+        x = np.linspace(0.1, 3.0, 11)
+        x[10] = x[9]
+        with pytest.raises(DegenerateInputError):
+            _gradient(x, weight, with_scale)
+
+    def test_closed_circle_memory_linear_in_n(self):
+        # the n x n temporaries took 1181 MB at n = 6000
+        code = ("import contextlib, io, resource; from fekete.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['circle', '--b', '0.5', '--n', '6000']) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fekete.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) / 1024 < 150  # ru_maxrss is in KiB on Linux
 
 
 class TestSineProduct:

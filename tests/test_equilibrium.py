@@ -37,6 +37,16 @@ class TestDensity:
         for t in (0.0, 1.0, 4.0):
             assert density(uniform, t) == pytest.approx(1.0 / TWO_PI)
 
+    @pytest.mark.parametrize("b, t", [(0.9999, 0.0), (0.999999, 0.0), (-0.999999, math.pi)])
+    def test_circle_poisson_next_to_charge_against_high_precision(self, b, t):
+        # 1 - 2b cos t + b^2 as written was off by 5.0e-9 and 2.2e-5 here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            bb, tt = mpmath.mpf(b), mpmath.mpf(t)
+            den = 1 - 2 * bb * mpmath.cos(tt) + bb * bb
+            ref = float(abs(1 - bb * bb) / (2 * mpmath.pi * den))
+        assert abs(density(MeasureSpec.circle_poisson(b), t) - ref) <= 1e-14 * ref
+
     def test_outside_support_is_zero(self):
         m = MeasureSpec.real_sgt1(2.0)
         assert density(m, 5.0) == 0.0

@@ -163,6 +163,33 @@ class TestOracleSplit:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_cli_loads_scipy_only_where_it_is_used(self):
+        # scipy.integrate (which loads scipy.linalg) was most of every
+        # command's start-up; only verify integrates, and only real at s > 1
+        # calls the tridiagonal eigensolver
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "from fekete.cli import build_parser, main",
+            "def loaded():",
+            "    print([m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules])",
+            "build_parser()",
+            "loaded()",
+            "for argv in (['circle', '--b', '0.5', '--n', '8'],",
+            "             ['real', '--a', '1', '--s', '1', '--n', '8'],",
+            "             ['measure', '--family', 'arctan', '--grid', '-2:2:5'],",
+            "             ['converge', '--b', '0.5', '--n-list', '4,8'],",
+            "             ['real', '--a', '1', '--s', '2', '--n', '8'],",
+            "             ['verify', '--suite', 'equilibrium']):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0",
+            "    loaded()",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fekete.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines() == ["[]"] * 5 + ["['scipy.linalg']",
+                                                 "['scipy.linalg', 'scipy.integrate']"]
+
     def test_package_exports_exactly_the_production_names(self):
         from fekete import circle, energy, equilibrium, errors, real_line
 
