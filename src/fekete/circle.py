@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_n
+from .errors import InvalidInputError, checked_finite, checked_n
 
 __all__ = [
     "CircleWeight", "CircleSolution", "mobius", "circle_points", "circle_diameter",
@@ -41,7 +41,7 @@ class CircleWeight:
     unit: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = float(self.b)
+        b = checked_finite(self.b, "charge location b")
         if abs(b) == 1.0:
             raise InvalidInputError("charge location b = +-1 sits on the circle; excluded")
         object.__setattr__(self, "b", b)
@@ -109,7 +109,7 @@ def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
     """Fekete set {phi(e^{i(alpha + 2 pi k/n)}), k = 0..n-1}; any alpha is optimal."""
     weight = CircleWeight(b)
     n = checked_n(n)
-    alpha = float(alpha)
+    alpha = checked_finite(alpha, "rotation alpha")
     pre = np.exp(1j * (alpha + TWO_PI * np.arange(n) / n))
     pts = mobius(weight.b, pre)
     angles, order = _sorted_angles(pts)

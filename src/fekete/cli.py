@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .circle import CircleWeight, circle_diameter, circle_log_diameter, circle_points
-from .energy import RESIDUAL_TOL, OptimizerConfig, energy_gradient, optimize
+from .energy import RESIDUAL_TOL, energy_gradient, optimize
 from .equilibrium import (
     MeasureSpec,
     capacity_circle,
@@ -147,9 +147,8 @@ def _emit_result(payload: dict, fmt: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _optimize_and_emit(weight, params: dict, args) -> int:
-    cfg = OptimizerConfig(seed=args.seed)
-    log.info("optimizing %d points with up to %d starts", args.n, cfg.starts)
-    res = optimize(weight, args.n, cfg)
+    log.info("optimizing %d points", args.n)
+    res = optimize(weight, args.n)
     payload = _result_payload(
         params, res.points, res.log_diameter, res.grad_norm,
         extra={"iterations": res.iterations, "converged": res.converged},
@@ -220,6 +219,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliError(f"bad grid {spec!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"grid bounds must be finite, got {spec!r}")
     if count < 1 or hi < lo:
         raise CliError("grid needs hi >= lo and count >= 1")
     return np.linspace(lo, hi, count)
@@ -325,6 +326,12 @@ def _cmd_verify(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fekete",
@@ -332,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_help = "echoed in params; the optimizer is deterministic and draws nothing from it"
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "optimize"), default="closed")
     p.add_argument("--gamma", type=float, default=None,
                    help="free phase for s = 1 (default: symmetric choice)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the fallback starts")
+    p.add_argument("--seed", type=_seed, default=0, help=seed_help)
     common(p)
     p.set_defaults(handler=_cmd_real)
 
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "optimize"), default="closed")
     p.add_argument("--alpha", type=float, default=None,
                    help="free rotation of the preimage grid (default 0)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the fallback starts")
+    p.add_argument("--seed", type=_seed, default=0, help=seed_help)
     common(p)
     p.set_defaults(handler=_cmd_circle)
 

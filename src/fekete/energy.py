@@ -23,26 +23,33 @@ line onto theta in (-pi, pi), where the objective becomes, up to a constant,
     sum_{j<k} log|2 sin((theta_k - theta_j)/2)| + sum_k phi(theta_k)
 
 with phi = (n-1)(s-1) log(2 cos(theta/2)); on the circle phi = (n-1) log w in
-its own angles.  Each start runs damped Newton ascent, a modified Newton
+its own angles.  Each stage runs damped Newton ascent, a modified Newton
 method (Nocedal & Wright, Numerical Optimization, sec. 3.4): the step uses the
 eigendecomposition of the negated Hessian with |lambda| for each eigenvalue,
 dropping |lambda| <= 1e-10 max|lambda| (the s = 1 rotation, the free Moebius
 rotation), backtracks to the Armijo condition (constant 1e-4) and is kept
-only if the points stay ordered.  A start stops when its angle-space scaled
+only if the points stay ordered.  A stage stops when its angle-space scaled
 residual is <= 1e-13, or, after one last full step, when g.p falls to the
 rounding level of the objective f, 1e-15 (1 + |f| + max|theta| sum_k
 scale_k).
 
+The path starts at the equispaced angles, exact for the line at s = 1 and
+for the circle at b = 0 and b -> infinity; the line runs one stage.  From
+there Newton stalls next to the circle's charge (|b| = 0.999, n = 240), so
+the circle continues in the charge (Allgower & Georg, Introduction to
+Numerical Continuation Methods): stages at sign(b) (1 - 2^-k), or its
+reciprocal when |b| > 1, for k = 1, 2, ... while 1 - 2^-k < min(|b|, 1/|b|),
+then at b, each from the angles of the last.  Nothing is drawn at random.
+
 Every ordered stationary configuration is a global maximum, so the scaled
-residual alone picks the answer.  On the line, with -pi < theta_1 < ... <
+residual alone judges the answer.  On the line, with -pi < theta_1 < ... <
 theta_n < pi, each pair difference lies in (0, 2 pi), where log sin(d/2) is
 strictly concave, and log cos(theta/2) is concave on (-pi, pi): the objective
 is concave, strictly for s > 1 and flat only along the common rotation at
 s = 1.  On the circle the Moebius map carries the objective to the unweighted
-one of the preimages plus a constant, concave in the same way.  The starts
-therefore run in order, and the first whose `scaled_residual` in the
-command's coordinates is <= RESIDUAL_TOL = 1e-10 is the converged answer;
-comparing objectives between such starts would compare rounding only.
+one of the preimages plus a constant, concave in the same way.  The result
+is converged when its `scaled_residual` in the command's coordinates is
+<= RESIDUAL_TOL = 1e-10.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from .errors import DegenerateInputError, InvalidInputError, checked_n
 from .real_line import RealWeight
 
 __all__ = [
-    "FeketeResult", "OptimizerConfig", "log_weighted_vandermonde", "numeric_diameter",
+    "FeketeResult", "log_weighted_vandermonde", "numeric_diameter",
     "discrete_energy", "energy_gradient", "scaled_residual", "optimize",
     "sine_product", "sine_product_bound",
 ]
@@ -68,23 +75,6 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10  # a result is converged when scaled_residual <= this
 _BLOCK_ELEMENTS = 1 << 19  # entries per row block of the gradient's pair terms
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Optimizer settings: the largest number of starts run, the Newton steps
-    per start, and the seed of the fallback starts.  Start 0, the equispaced
-    angles, does not depend on the seed."""
-
-    starts: int = 8
-    max_iters: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.starts < 1:
-            raise InvalidInputError("starts must be >= 1")
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -361,20 +351,6 @@ def _newton(t: np.ndarray, field, ordered, max_iters: int):
     return t, f, steps, backtracks
 
 
-def _initial_angles(n: int, start: int, rng, ordered, spin: bool) -> np.ndarray:
-    """Equispaced angles in (-pi, pi); starts after the first get seeded
-    perturbations of 0.2/n and, on the circle (spin), a random rotation."""
-    t = (2.0 * np.arange(n) + 1.0 - n) * math.pi / n
-    if start == 0:
-        return t
-    if spin:
-        t = t + rng.uniform(0.0, TWO_PI)
-    while True:
-        cand = np.sort(t + rng.normal(0.0, 0.2 / n, n))
-        if ordered(cand):
-            return cand
-
-
 def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
     """Rotate in preimage space so the first preimage angle is 0, then report
     sorted angles in [0, 2 pi)."""
@@ -382,43 +358,52 @@ def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
     return _sorted_angles(mobius(b, np.exp(1j * (pre - pre[0]))))[0]
 
 
-def optimize(weight, n: int, cfg: OptimizerConfig | None = None) -> FeketeResult:
+def _continuation(b: float) -> list[float]:
+    """The charges of the circle's stages before the one at b (see module
+    docstring); none when min(|b|, 1/|b|) <= 1/2."""
+    rho = min(abs(b), 1.0 / abs(b)) if b else 0.0
+    charges = []
+    k = 1
+    while 1.0 - 2.0 ** -k < rho:
+        c = math.copysign(1.0 - 2.0 ** -k, b)
+        charges.append(c if abs(b) < 1.0 else 1.0 / c)
+        k += 1
+    return charges
+
+
+def optimize(weight, n: int, max_iters: int = 200) -> FeketeResult:
     """Numerically maximize the weighted Vandermonde for n points.
 
-    Runs at most cfg.starts starts in order and returns the first whose
-    scaled residual in the command's coordinates is <= RESIDUAL_TOL; if none
-    is, the start with the smallest residual comes back with converged=False,
-    never silently.  Start 0 is the equispaced angles; cfg.seed draws only
-    the later starts, so the result is deterministic.  grad_norm is max |g_k|
-    in the command's coordinates.
+    Runs the stages of the module docstring, each for at most max_iters
+    Newton steps; iterations is their sum.  A result whose scaled residual
+    in the command's coordinates exceeds RESIDUAL_TOL still comes back, with
+    converged=False.  grad_norm is max |g_k| in those coordinates.
     """
     n = checked_n(n)
-    if cfg is None:
-        cfg = OptimizerConfig()
-    field, ordered, to_points = _angle_problem(weight, n)
+    if max_iters < 1:
+        raise InvalidInputError("max_iters must be >= 1")
+    stages = [weight]
+    if isinstance(weight, CircleWeight):
+        stages = [CircleWeight(c) for c in _continuation(weight.b)] + stages
 
-    rng = np.random.default_rng(cfg.seed)
-    best = None
-    for start in range(cfg.starts):
-        t0 = _initial_angles(n, start, rng, ordered, isinstance(weight, CircleWeight))
-        t, f, steps, backtracks = _newton(t0, field, ordered, cfg.max_iters)
+    t = (2.0 * np.arange(n) + 1.0 - n) * math.pi / n
+    iterations = 0
+    for stage, stage_weight in enumerate(stages):
+        field, ordered, to_points = _angle_problem(stage_weight, n)
+        t, f, steps, backtracks = _newton(t, field, ordered, max_iters)
+        # the benchmark tracer parses this record, "start" wording and all
         log.debug("start %d: objective %.15g after %d+%d iterations",
-                  start, f, steps, backtracks)
-        x = to_points(t)
-        g, scale = _gradient(x, weight, with_scale=True)
-        residual = float(np.max(np.abs(g) / scale))
-        if best is None or residual < best[0]:
-            best = (residual, x, g, steps)
-        if residual <= RESIDUAL_TOL:
-            break
+                  stage, f, steps, backtracks)
+        iterations += steps
 
-    residual, x, g, steps = best
+    x = to_points(t)
+    g, scale = _gradient(x, weight, with_scale=True)
     log_diameter = 2.0 * log_weighted_vandermonde(x, weight) / (n * (n - 1))
     return FeketeResult(
         points=tuple(float(v) for v in x),
         log_diameter=log_diameter,
         energy=-log_diameter,
         grad_norm=float(np.max(np.abs(g))),
-        iterations=steps,
-        converged=residual <= RESIDUAL_TOL,
+        iterations=iterations,
+        converged=float(np.max(np.abs(g) / scale)) <= RESIDUAL_TOL,
     )

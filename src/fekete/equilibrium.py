@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import TWO_PI, CircleWeight
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, checked_finite
 from .real_line import _checked_sgt1, support_radius
 
 __all__ = [
@@ -95,15 +95,17 @@ class MeasureSpec:
 
     @classmethod
     def harmonic_inf(cls, r: float) -> "MeasureSpec":
+        r = checked_finite(r, "r")
         if not r > 0:
             raise InvalidInputError("harmonic-inf requires r > 0")
-        return cls(family=_HARMONIC_INF, support=(-float(r), float(r)), r=float(r))
+        return cls(family=_HARMONIC_INF, support=(-r, r), r=r)
 
     @classmethod
     def harmonic_i(cls, r: float) -> "MeasureSpec":
+        r = checked_finite(r, "r")
         if not r > 0:
             raise InvalidInputError("harmonic-i requires r > 0")
-        return cls(family=_HARMONIC_I, support=(-float(r), float(r)), r=float(r))
+        return cls(family=_HARMONIC_I, support=(-r, r), r=r)
 
     @property
     def is_circle(self) -> bool:
@@ -279,7 +281,7 @@ def capacity_real(s: float) -> float:
     as its series -3/4 + sum_{k>=3} 2 (1 - 2^(1-k)) s^(2-k) / (k(k-1)(k-2)),
     whose terms up to k = 31 reach the rounding level at s = 4.
     """
-    s = float(s)
+    s = checked_finite(s, "weight exponent s")
     if s < 1.0:
         raise InvalidInputError("capacity_real requires s >= 1")
     if s == 1.0:

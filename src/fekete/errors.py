@@ -1,4 +1,6 @@
-"""Exception types, and the check on point counts, shared across the package."""
+"""Exception types, and the checks on counts and parameters, shared across the package."""
+
+import math
 
 __all__ = [
     "FeketeError",
@@ -34,3 +36,11 @@ def checked_n(n, minimum: int = 2) -> int:
     if int(n) != n or n < minimum:
         raise InvalidInputError(f"n must be an integer >= {minimum}, got {n!r}")
     return int(n)
+
+
+def checked_finite(value, name: str) -> float:
+    """value as a float; InvalidInputError naming it unless it is finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be finite, got {x!r}")
+    return x

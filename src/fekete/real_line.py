@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularParameterError, checked_n
+from .errors import InvalidInputError, SingularParameterError, checked_finite, checked_n
 
 __all__ = [
     "RealWeight",
@@ -51,16 +51,16 @@ _SINGULAR_TOL = 1e-12
 
 
 def _checked_a(a: float) -> float:
-    """The weight depends on a only through |a|; zero is rejected."""
-    a = float(a)
+    """|a|, all the weight depends on; zero and non-finite a are rejected."""
+    a = checked_finite(a, "charge offset a")
     if a == 0.0:
         raise InvalidInputError("charge offset a must be nonzero")
     return abs(a)
 
 
 def _checked_sgt1(s: float, what: str) -> float:
-    """s as a float; InvalidInputError naming `what` unless s > 1."""
-    s = float(s)
+    """s as a float; InvalidInputError naming `what` unless 1 < s < inf."""
+    s = checked_finite(s, "weight exponent s")
     if s <= 1.0:
         raise InvalidInputError(f"{what} requires s > 1")
     return s
@@ -79,7 +79,7 @@ class RealWeight:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _checked_a(self.a))
-        s = float(self.s)
+        s = checked_finite(self.s, "weight exponent s")
         if s < 1.0:
             raise InvalidInputError("weight exponent s must satisfy s >= 1")
         object.__setattr__(self, "s", s)

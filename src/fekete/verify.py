@@ -342,11 +342,10 @@ def _suite_energy() -> list[CheckResult]:
     out.append(CheckResult("energy", "sine-product-bound", worst_excess, 0.0))
     out.append(CheckResult("energy", "sine-product-equality-at-progression", worst_eq, 1e-12))
 
-    cfg = en.OptimizerConfig(starts=2, seed=7)
     worst_pts = 0.0
     worst_diam = 0.0
     for n in (2, 3, 5):
-        res = en.optimize(rl.RealWeight(1.0, 2.0), n, cfg)
+        res = en.optimize(rl.RealWeight(1.0, 2.0), n)
         ref = np.sort(roots(pseudo_jacobi(1.0, 2.0, n)).real)
         worst_pts = max(worst_pts, float(np.max(np.abs(np.asarray(res.points) - ref))))
         worst_diam = max(worst_diam,
@@ -354,12 +353,12 @@ def _suite_energy() -> list[CheckResult]:
     out.append(CheckResult("energy", "optimizer-matches-unique-roots", worst_pts, 1e-6))
     out.append(CheckResult("energy", "optimizer-matches-diameter", worst_diam, 1e-8))
 
-    res = en.optimize(circ.CircleWeight(0.5), 4, cfg)
+    res = en.optimize(circ.CircleWeight(0.5), 4)
     out.append(CheckResult("energy", "optimizer-circle-diameter",
                            _rel(math.exp(res.log_diameter), circ.circle_diameter(0.5, 4)),
                            1e-6))
 
-    res = en.optimize(rl.RealWeight(1.0, 1.0), 3, cfg)
+    res = en.optimize(rl.RealWeight(1.0, 1.0), 3)
     out.append(CheckResult("energy", "optimizer-s1-energy",
                            abs(res.energy + math.log(rl.s1_diameter(1.0, 3))), 1e-8))
     return out

@@ -17,7 +17,6 @@ import pytest
 from fekete import (
     CircleWeight,
     MeasureSpec,
-    OptimizerConfig,
     RealWeight,
     capacity_circle,
     capacity_real,
@@ -38,8 +37,6 @@ from fekete.poly import pseudo_jacobi, roots
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
 
-_CFG = OptimizerConfig(starts=2, seed=2024)
-
 
 def _report(k, text):
     print(f"ACCEPTANCE {k}: PASS - {text}")
@@ -50,7 +47,7 @@ def test_criterion_01_optimizer_matches_closed_form_line_sgt1():
     worst_diam = 0.0
     for s in (1.5, 2.0):
         for n in range(2, 13):
-            res = optimize(RealWeight(1.0, s), n, _CFG)
+            res = optimize(RealWeight(1.0, s), n)
             ref = np.sort(roots(pseudo_jacobi(1.0, s, n)).real)
             worst_pts = max(worst_pts,
                             float(np.max(np.abs(np.asarray(res.points) - ref))))
@@ -68,7 +65,7 @@ def test_criterion_02_optimizer_matches_closed_form_line_s1():
     worst_energy = 0.0
     worst_gap = 0.0
     for n in range(2, 11):
-        res = optimize(RealWeight(1.0, 1.0), n, _CFG)
+        res = optimize(RealWeight(1.0, 1.0), n)
         target = -math.log(n ** (1.0 / (n - 1)) / 2.0)
         worst_energy = max(worst_energy, abs(res.energy - target))
         ys = np.arctan(np.asarray(res.points))
@@ -84,7 +81,7 @@ def test_criterion_03_optimizer_matches_closed_form_circle():
     worst_gap = 0.0
     for b in (0.0, 0.5, 2.0):
         for n in range(2, 13):
-            res = optimize(CircleWeight(b), n, _CFG)
+            res = optimize(CircleWeight(b), n)
             closed = n ** (1.0 / (n - 1)) / abs(1.0 - b * b)
             worst_diam = max(worst_diam,
                              abs(math.exp(res.log_diameter) - closed) / closed)
@@ -145,16 +142,17 @@ def test_criterion_11_cli_contract(capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
+    def run_json(*argv):
+        code, out, _ = run(*argv)
+        assert code == 0
+        return json.loads(out)
+
     # real command examples
-    code, out, _ = run("real", "--a", "1", "--s", "2", "--n", "2", "--method", "closed")
-    assert code == 0
-    payload = json.loads(out)
+    payload = run_json("real", "--a", "1", "--s", "2", "--n", "2", "--method", "closed")
     np.testing.assert_allclose(payload["points"], [-0.5773503, 0.5773503], atol=1e-6)
     assert payload["diameter"] == pytest.approx(0.6495191, abs=1e-6)
 
-    code, out, _ = run("real", "--a", "1", "--s", "1", "--n", "2", "--method", "closed")
-    assert code == 0
-    payload = json.loads(out)
+    payload = run_json("real", "--a", "1", "--s", "1", "--n", "2", "--method", "closed")
     np.testing.assert_allclose(payload["points"], [-1.0, 1.0], atol=1e-9)
     assert payload["diameter"] == pytest.approx(1.0, rel=1e-10)
 
@@ -162,15 +160,11 @@ def test_criterion_11_cli_contract(capsys):
     assert code == 2 and "s >= 1" in err
 
     # circle command examples
-    code, out, _ = run("circle", "--b", "0.5", "--n", "2")
-    assert code == 0
-    payload = json.loads(out)
+    payload = run_json("circle", "--b", "0.5", "--n", "2")
     assert sorted(payload["points"]) == pytest.approx([0.0, math.pi], abs=1e-12)
     assert payload["diameter"] == pytest.approx(2.6666667, abs=1e-6)
 
-    code, out, _ = run("circle", "--b", "0", "--n", "5")
-    assert code == 0
-    payload = json.loads(out)
+    payload = run_json("circle", "--b", "0", "--n", "5")
     gaps = np.diff(payload["points"] + [payload["points"][0] + TWO_PI])
     np.testing.assert_allclose(gaps, TWO_PI / 5, atol=1e-9)
     assert payload["diameter"] == pytest.approx(5.0 ** 0.25, rel=1e-10)

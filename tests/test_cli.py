@@ -16,6 +16,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_ok(capsys, *argv):
+    """stdout of a command that must exit 0."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return out
+
+
+def run_json(capsys, *argv):
+    return json.loads(run_ok(capsys, *argv))
+
+
 def line_residual(points, a, s):
     """Scale-aware stationarity residual max_k |g_k| / (sum of |terms of g_k|)
     of g_k = sum_{j != k} 2/(x_k - x_j) - 2 s (n-1) x_k / (x_k^2 + a^2)."""
@@ -30,15 +41,21 @@ def line_residual(points, a, s):
 
 def circle_residual(angles, b):
     """The same measure for g_k = sum_{j != k} cot((t_k - t_j)/2)
-    - 2 (n-1) b sin t_k / (1 - 2b cos t_k + b^2)."""
+    - 2 (n-1) b sin t_k / |e^{it_k} - b|^2, each term sized 2q/|e^{it_k} - c|
+    for its charge q at c (every term is rounding at n = 2 on 0 and pi), with
+    |e^{it} - b|^2 in a form that does not cancel next to the charge."""
     t = np.asarray(angles)
     half = (t[:, None] - t[None, :]) / 2.0
     np.fill_diagonal(half, math.pi / 2.0)
-    pair = np.cos(half) / np.sin(half)
-    np.fill_diagonal(pair, 0.0)
-    field = 2.0 * b * (t.size - 1) * np.sin(t) / (1.0 - 2.0 * b * np.cos(t) + b * b)
-    scale = np.sum(np.abs(pair), axis=1) + np.abs(field)
-    return float(np.max(np.abs(np.sum(pair, axis=1) - field) / scale))
+    csc = 1.0 / np.sin(half)
+    np.fill_diagonal(csc, 0.0)
+    if b >= 0.0:
+        dist_sq = (1.0 - b) ** 2 + 4.0 * b * np.sin(t / 2.0) ** 2
+    else:
+        dist_sq = (1.0 + b) ** 2 - 4.0 * b * np.cos(t / 2.0) ** 2
+    field = 2.0 * b * (t.size - 1) * np.sin(t) / dist_sq
+    scale = np.sum(np.abs(csc), axis=1) + 2.0 * (t.size - 1) / np.sqrt(dist_sq)
+    return float(np.max(np.abs(np.sum(np.cos(half) * csc, axis=1) - field) / scale))
 
 
 class TestOptimizeCommand:
@@ -46,28 +63,28 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("s, n", [(1.0, 48), (1.05, 24)])
     def test_line_converges(self, capsys, s, n):
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", str(s), "--n", str(n),
+        payload = run_json(capsys, "real", "--a", "1", "--s", str(s), "--n", str(n),
                            "--method", "optimize")
-        assert code == 0
-        payload = json.loads(out)
         assert payload["converged"] is True
         assert line_residual(payload["points"], 1.0, s) <= 1e-9
 
     def test_circle_near_unit_charge_converges(self, capsys):
-        code, out, _ = run(capsys, "circle", "--b", "0.99", "--n", "24",
+        payload = run_json(capsys, "circle", "--b", "0.99", "--n", "24",
                            "--method", "optimize")
-        assert code == 0
-        payload = json.loads(out)
         assert payload["converged"] is True
         assert circle_residual(payload["points"], 0.99) <= 1e-9
+
+    @pytest.mark.parametrize("b", ["0.999", "-0.999"])
+    def test_circle_next_to_unit_charge_at_large_n(self, capsys, b):
+        payload = run_json(capsys, "circle", "--b", b, "--n", "240", "--method", "optimize")
+        assert payload["converged"] is True
+        assert circle_residual(payload["points"], float(b)) <= 1e-9
 
 
 class TestRealCommand:
     def test_closed_s2(self, capsys):
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", "2", "--n", "2",
+        payload = run_json(capsys, "real", "--a", "1", "--s", "2", "--n", "2",
                            "--method", "closed")
-        assert code == 0
-        payload = json.loads(out)
         np.testing.assert_allclose(payload["points"], [-0.5773503, 0.5773503],
                                    atol=1e-6)
         assert payload["diameter"] == pytest.approx(0.6495191, abs=1e-6)
@@ -75,38 +92,31 @@ class TestRealCommand:
         assert payload["grad_norm"] <= 1e-9
 
     def test_closed_s1_canonical_gamma(self, capsys):
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", "1", "--n", "2",
+        payload = run_json(capsys, "real", "--a", "1", "--s", "1", "--n", "2",
                            "--method", "closed")
-        assert code == 0
-        payload = json.loads(out)
         np.testing.assert_allclose(payload["points"], [-1.0, 1.0], atol=1e-9)
         assert payload["diameter"] == pytest.approx(1.0, rel=1e-12)
 
     def test_closed_s1_large_n(self, capsys):
         n = 1500
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", "1", "--n", str(n))
-        assert code == 0
+        out = run_ok(capsys, "real", "--a", "1", "--s", "1", "--n", str(n))
         steps = np.diff(np.arctan(json.loads(out)["points"]))
         np.testing.assert_allclose(steps, math.pi / n, atol=1e-9)
 
     @pytest.mark.parametrize("s, n", [(2.0, 1000), (5.0, 50)])
     def test_closed_sgt1_stationary_at_large_n(self, capsys, s, n):
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", str(s), "--n", str(n))
-        assert code == 0
+        out = run_ok(capsys, "real", "--a", "1", "--s", str(s), "--n", str(n))
         assert line_residual(json.loads(out)["points"], 1.0, s) <= 1e-9
 
     def test_closed_large_s_exits_zero(self, capsys):
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", "1e8", "--n", "50")
-        assert code == 0
-        payload = json.loads(out)
+        payload = run_json(capsys, "real", "--a", "1", "--s", "1e8", "--n", "50")
         assert line_residual(payload["points"], 1.0, 1e8) <= 1e-9
 
     @pytest.mark.parametrize("s, n", [("1e200", 5), ("1e300", 50)])
     def test_closed_huge_s_exits_zero(self, capsys, s, n):
         # each recurrence denominator is about 2 s (n-1): their product
         # overflows past s = 1e154 if formed
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", s, "--n", str(n))
-        assert code == 0
+        out = run_ok(capsys, "real", "--a", "1", "--s", s, "--n", str(n))
         assert line_residual(json.loads(out)["points"], 1.0, float(s)) <= 1e-9
 
     @pytest.mark.parametrize("method", ["closed", "optimize"])
@@ -148,18 +158,15 @@ class TestRealCommand:
         assert code == 2
 
     def test_optimize_matches_closed(self, capsys):
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", "2", "--n", "3",
+        payload = run_json(capsys, "real", "--a", "1", "--s", "2", "--n", "3",
                            "--method", "optimize", "--seed", "1")
-        assert code == 0
-        payload = json.loads(out)
         assert payload["converged"] is True
         np.testing.assert_allclose(payload["points"],
                                    [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], atol=1e-6)
 
     def test_csv_format(self, capsys):
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", "2", "--n", "2",
-                           "--format", "csv")
-        assert code == 0
+        out = run_ok(capsys, "real", "--a", "1", "--s", "2", "--n", "2",
+                     "--format", "csv")
         lines = out.strip().splitlines()
         assert lines[0].startswith("command,")
         assert "point_0" in lines[0] and "point_1" in lines[0]
@@ -168,17 +175,14 @@ class TestRealCommand:
 
 class TestCircleCommand:
     def test_closed_half(self, capsys):
-        code, out, _ = run(capsys, "circle", "--b", "0.5", "--n", "2")
-        assert code == 0
-        payload = json.loads(out)
+        payload = run_json(capsys, "circle", "--b", "0.5", "--n", "2")
         np.testing.assert_allclose(sorted(payload["points"]), [0.0, math.pi],
                                    atol=1e-12)
         assert payload["diameter"] == pytest.approx(2.6666667, abs=1e-6)
+        assert circle_residual(payload["points"], 0.5) <= 1e-15  # every term is rounding
 
     def test_unweighted_five(self, capsys):
-        code, out, _ = run(capsys, "circle", "--b", "0", "--n", "5")
-        assert code == 0
-        payload = json.loads(out)
+        payload = run_json(capsys, "circle", "--b", "0", "--n", "5")
         assert payload["diameter"] == pytest.approx(5.0 ** 0.25, rel=1e-12)
         gaps = np.diff(payload["points"] + [payload["points"][0] + 2 * math.pi])
         np.testing.assert_allclose(gaps, 2 * math.pi / 5, atol=1e-9)
@@ -191,9 +195,7 @@ class TestCircleCommand:
     def test_closed_huge_charge(self, capsys, b):
         # (1 - b)^2 and 1 - b^2 leave the double range past |b| = 1.34e154
         mpmath = pytest.importorskip("mpmath")
-        code, out, _ = run(capsys, "circle", "--b", b, "--n", "10")
-        assert code == 0
-        payload = json.loads(out)
+        payload = run_json(capsys, "circle", "--b", b, "--n", "10")
         with mpmath.workdps(40):
             bb = mpmath.mpf(float(b))
             ref = float(mpmath.log(10) / 9 - mpmath.log(abs(1 - bb * bb)))
@@ -222,9 +224,8 @@ class TestCircleCommand:
 
 class TestMeasureCommand:
     def test_real_s_endpoint_rows(self, capsys):
-        code, out, _ = run(capsys, "measure", "--family", "real-s", "--s", "2",
-                           "--grid", "-2:2:5", "--format", "csv")
-        assert code == 0
+        out = run_ok(capsys, "measure", "--family", "real-s", "--s", "2",
+                     "--grid", "-2:2:5", "--format", "csv")
         lines = out.strip().splitlines()
         assert lines[0] == "x,density,cdf"
         rows = [line.split(",") for line in lines[1:]]
@@ -236,18 +237,16 @@ class TestMeasureCommand:
         assert all(-SQRT3 < x < SQRT3 for x in xs[1:-1])
 
     def test_arctan_density(self, capsys):
-        code, out, _ = run(capsys, "measure", "--family", "arctan",
-                           "--grid", "-1:1:3", "--format", "csv")
-        assert code == 0
+        out = run_ok(capsys, "measure", "--family", "arctan",
+                     "--grid", "-1:1:3", "--format", "csv")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [float(r[0]) for r in rows] == [-1.0, 0.0, 1.0]
         assert float(rows[1][1]) == pytest.approx(1.0 / math.pi)
         assert float(rows[1][2]) == pytest.approx(0.5)
 
     def test_circle_poisson_density(self, capsys):
-        code, out, _ = run(capsys, "measure", "--family", "circle-poisson",
-                           "--b", "0.5", "--grid", "0:6.2832:8", "--format", "csv")
-        assert code == 0
+        out = run_ok(capsys, "measure", "--family", "circle-poisson",
+                     "--b", "0.5", "--grid", "0:6.2832:8", "--format", "csv")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert float(rows[0][0]) == 0.0
         assert float(rows[0][1]) == pytest.approx(3.0 / (2 * math.pi))
@@ -255,9 +254,8 @@ class TestMeasureCommand:
 
     def test_real_s_at_huge_s(self, capsys):
         # (s - 1)^2 overflows a Python float at s = 1e160
-        code, out, _ = run(capsys, "measure", "--family", "real-s", "--s", "1e160",
-                           "--grid", "-1:1:3")
-        assert code == 0
+        out = run_ok(capsys, "measure", "--family", "real-s", "--s", "1e160",
+                     "--grid", "-1:1:3")
         rows = json.loads(out)["rows"]
         assert [row["cdf"] for row in rows] == [0.0, 0.5, 1.0]
         assert rows[1]["density"] == pytest.approx(math.sqrt(2e160) / math.pi, rel=1e-14)
@@ -272,19 +270,16 @@ class TestMeasureCommand:
         assert code == 2 and "--s" in err
 
     def test_json_rows(self, capsys):
-        code, out, _ = run(capsys, "measure", "--family", "harmonic-inf", "--r", "1",
+        payload = run_json(capsys, "measure", "--family", "harmonic-inf", "--r", "1",
                            "--grid", "-1:1:5")
-        assert code == 0
-        payload = json.loads(out)
         assert payload["family"] == "harmonic-inf"
         assert payload["rows"][0]["x"] == -1.0
 
 
 class TestConvergeCommand:
     def test_real_table(self, capsys):
-        code, out, _ = run(capsys, "converge", "--s", "2", "--n-list", "2,10,50",
-                           "--format", "csv")
-        assert code == 0
+        out = run_ok(capsys, "converge", "--s", "2", "--n-list", "2,10,50",
+                     "--format", "csv")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         deltas = [float(r[1]) for r in rows]
         caps = [float(r[2]) for r in rows]
@@ -295,24 +290,21 @@ class TestConvergeCommand:
         assert ks[2] < ks[1]
 
     def test_real_ks_decreases_to_large_n(self, capsys):
-        code, out, _ = run(capsys, "converge", "--s", "2", "--n-list", "10,100,1000",
-                           "--format", "csv")
-        assert code == 0
+        out = run_ok(capsys, "converge", "--s", "2", "--n-list", "10,100,1000",
+                     "--format", "csv")
         ks = [float(line.split(",")[4]) for line in out.strip().splitlines()[1:]]
         assert ks[0] > ks[1] > ks[2]
 
     def test_large_s_exits_zero(self, capsys):
-        code, out, _ = run(capsys, "converge", "--s", "1e8", "--n-list", "10,50",
-                           "--format", "csv")
-        assert code == 0
+        out = run_ok(capsys, "converge", "--s", "1e8", "--n-list", "10,50",
+                     "--format", "csv")
         rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
         assert all(r[1] > r[2] for r in rows)
         assert rows[0][2] == pytest.approx(3.340135934839185e-05, rel=1e-14)
 
     def test_circle_table(self, capsys):
-        code, out, _ = run(capsys, "converge", "--b", "0.5", "--n-list", "2,10,50",
-                           "--format", "csv")
-        assert code == 0
+        out = run_ok(capsys, "converge", "--b", "0.5", "--n-list", "2,10,50",
+                     "--format", "csv")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         deltas = [float(r[1]) for r in rows]
         assert deltas[0] == pytest.approx(8.0 / 3.0, rel=1e-12)
@@ -337,15 +329,13 @@ class TestConvergeCommand:
 
 class TestVerifyCommand:
     def test_poly_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "poly")
-        assert code == 0
+        out = run_ok(capsys, "verify", "--suite", "poly")
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert "checks passed" in lines[-1]
 
     def test_circle_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "circle")
-        assert code == 0
+        out = run_ok(capsys, "verify", "--suite", "circle")
 
 
 class TestOutputContract:
@@ -366,9 +356,8 @@ class TestOutputContract:
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "result.json"
-        code, out, _ = run(capsys, "real", "--a", "1", "--s", "2", "--n", "2",
-                           "--out", str(target))
-        assert code == 0
+        out = run_ok(capsys, "real", "--a", "1", "--s", "2", "--n", "2",
+                     "--out", str(target))
         assert out == ""
         payload = json.loads(target.read_text())
         assert payload["params"]["n"] == 2
@@ -379,6 +368,26 @@ class TestOutputContract:
         for _ in range(3):
             run(capsys, "circle", "--b", "0.5", "--n", "2")
         assert len(logger.handlers) == before
+
+    @pytest.mark.parametrize("argv", [
+        "circle --b inf --n 4", "circle --b nan --n 4 --method optimize",
+        "circle --b 0.5 --n 4 --alpha nan", "measure --family arctan --grid -inf:0:3",
+        "real --a 1 --s inf --n 4", "real --a nan --s 2 --n 4", "real --a inf --s 1 --n 4",
+        "measure --family real-s --s inf --grid 0:1:3",
+        "measure --family circle-poisson --b nan --grid 0:1:3",
+        "measure --family harmonic-i --r inf --grid 0:1:3", "converge --s nan --n-list 4,8",
+    ])
+    def test_non_finite_parameter_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main("real --a 1 --s 2 --n 5 --method optimize --seed -1".split())
+        assert exc.value.code == 2
+        assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,6 @@ from fekete import (
     CircleWeight,
     DegenerateInputError,
     InvalidInputError,
-    OptimizerConfig,
     RealWeight,
     canonical_gamma,
     circle_diameter,
@@ -23,7 +22,6 @@ from fekete import (
     log_weighted_vandermonde,
     mobius,
     optimize,
-    s1_diameter,
     s1_points,
     scaled_residual,
     sgt1_diameter,
@@ -38,10 +36,10 @@ SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
 
 
-def optimize_logged(caplog, weight, n, cfg=None):
-    """The optimizer's result and its per-start DEBUG records."""
+def optimize_logged(caplog, weight, n):
+    """The optimizer's result and its per-stage DEBUG records."""
     with caplog.at_level(logging.DEBUG, logger="fekete.energy"):
-        res = optimize(weight, n, cfg)
+        res = optimize(weight, n)
     return res, [r for r in caplog.records if r.name == "fekete.energy"]
 
 
@@ -197,45 +195,38 @@ class TestSineProduct:
 
 class TestOptimizer:
     def test_line_s2_pair(self):
-        res = optimize(RealWeight(1.0, 2.0), 2, OptimizerConfig(starts=2))
+        res = optimize(RealWeight(1.0, 2.0), 2)
         np.testing.assert_allclose(res.points, [-1 / SQRT3, 1 / SQRT3], atol=1e-6)
         assert res.log_diameter == pytest.approx(math.log(3 * SQRT3 / 8), abs=1e-8)
         assert res.converged
         assert res.energy == -res.log_diameter
 
     def test_circle_pair(self):
-        res = optimize(CircleWeight(0.5), 2, OptimizerConfig(starts=2))
+        res = optimize(CircleWeight(0.5), 2)
         assert math.exp(res.log_diameter) == pytest.approx(8.0 / 3.0, rel=1e-6)
         # gauge fixed: first preimage angle is 0, so the points are phi(1), phi(-1)
         np.testing.assert_allclose(res.points, [0.0, math.pi], atol=1e-6)
 
-    def test_line_s1_arctan_progression(self):
-        res = optimize(RealWeight(1.0, 1.0), 3, OptimizerConfig(starts=2))
-        assert res.energy == pytest.approx(-math.log(s1_diameter(1.0, 3)), abs=1e-8)
-        ys = np.arctan(np.asarray(res.points))
-        np.testing.assert_allclose(np.diff(ys), math.pi / 3, atol=1e-5)
-
-    def test_deterministic_given_seed(self):
-        cfg = OptimizerConfig(starts=3, seed=123)
-        r1 = optimize(RealWeight(1.0, 1.5), 4, cfg)
-        r2 = optimize(RealWeight(1.0, 1.5), 4, cfg)
-        assert r1 == r2
+    @pytest.mark.parametrize("weight", [RealWeight(1.0, 1.5), CircleWeight(-0.9)],
+                             ids=["line", "circle"])
+    def test_deterministic(self, weight):
+        assert optimize(weight, 5) == optimize(weight, 5)
 
     def test_circle_gauge_preimage_origin(self):
-        res = optimize(CircleWeight(2.0), 5, OptimizerConfig(starts=2))
+        res = optimize(CircleWeight(2.0), 5)
         pre = np.sort(np.mod(np.angle(mobius(2.0, np.exp(1j * np.asarray(res.points)))),
                              TWO_PI))
         # first preimage angle pinned to 0, up to wrap-around roundoff
         assert min(pre[0], TWO_PI - pre[-1]) <= 1e-9
 
     def test_non_convergence_flagged(self):
-        res = optimize(RealWeight(1.0, 2.0), 6, OptimizerConfig(starts=1, max_iters=1))
+        res = optimize(RealWeight(1.0, 2.0), 6, max_iters=1)
         assert not res.converged
         assert scaled_residual(res.points, RealWeight(1.0, 2.0)) > RESIDUAL_TOL
         assert len(res.points) == 6  # best iterate still reported
 
     def test_matches_unique_roots_midsize(self):
-        res = optimize(RealWeight(1.0, 1.5), 8, OptimizerConfig(starts=2))
+        res = optimize(RealWeight(1.0, 1.5), 8)
         ref = np.sort(roots(pseudo_jacobi(1.0, 1.5, 8)).real)
         np.testing.assert_allclose(res.points, ref, atol=1e-7)
         assert math.exp(res.log_diameter) == pytest.approx(
@@ -243,19 +234,17 @@ class TestOptimizer:
 
     def test_circle_diameter_matches(self):
         for b in (0.0, 2.0):
-            res = optimize(CircleWeight(b), 6, OptimizerConfig(starts=2))
+            res = optimize(CircleWeight(b), 6)
             assert math.exp(res.log_diameter) == pytest.approx(
                 circle_diameter(b, 6), rel=1e-8)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
-            OptimizerConfig(starts=0)
-        with pytest.raises(InvalidInputError):
-            OptimizerConfig(max_iters=0)
+            optimize(RealWeight(1.0, 2.0), 4, max_iters=0)
 
     def test_line_s2_large_n_matches_tridiagonal_points(self):
         n = 240
-        res = optimize(RealWeight(1.0, 2.0), n, OptimizerConfig(starts=1))
+        res = optimize(RealWeight(1.0, 2.0), n)
         ref = sgt1_points(1.0, 2.0, n)
         assert res.converged
         assert np.max(np.abs(np.asarray(res.points) - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -269,12 +258,12 @@ class TestOptimizer:
         assert res.converged
         assert math.exp(res.log_diameter) == pytest.approx(circle_diameter(b, 2), rel=1e-9)
 
-
     def test_circle_next_to_unit_charge_converges(self, caplog):
-        # start 0 stalls short of the tolerance here; a fallback start
-        # reaches it, and the starts after that one are not run
+        # from the equispaced angles alone Newton stalls short of the
+        # tolerance here; the stages at 1 - 2^-k, k = 1..9, then b reach it
         res, records = optimize_logged(caplog, CircleWeight(0.999), 120)
-        assert 2 <= len(records) < 8
+        assert len(records) == 10
+        assert res.iterations == sum(record.args[2] for record in records)
         assert res.converged
         assert scaled_residual(res.points, CircleWeight(0.999)) <= RESIDUAL_TOL
 
@@ -283,16 +272,18 @@ class TestOptimizer:
         assert len(records) == 1
         assert res.converged
 
-    def test_runs_every_start_when_none_certifies(self, caplog):
-        res, records = optimize_logged(caplog, RealWeight(1.0, 2.0), 6,
-                                       OptimizerConfig(starts=3, max_iters=1))
-        assert len(records) == 3
-        assert not res.converged
+    @pytest.mark.parametrize("b, stages", [(0.35, 1), (2.75, 1), (0.0, 1), (0.5, 1), (-0.9, 4),
+                                           (1.001, 10), (-1e6, 1)])
+    def test_stage_count(self, caplog, b, stages):
+        # a single stage from the equispaced angles while min(|b|, 1/|b|) <= 1/2
+        res, records = optimize_logged(caplog, CircleWeight(b), 12)
+        assert len(records) == stages
+        assert res.converged
 
     @pytest.mark.parametrize("a, n", [(1.0, 2), (1.3, 7), (0.4, 12), (2.0, 31)])
     def test_s1_returns_canonical_progression(self, a, n):
-        # start 0, the equispaced angles, is the canonical member of the
-        # arctangent family and already stationary
+        # the equispaced start is the canonical member of the arctangent
+        # family and already stationary
         res = optimize(RealWeight(a, 1.0), n)
         ref = s1_points(a, n, canonical_gamma(n))
         assert np.max(np.abs(np.asarray(res.points) - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -300,7 +291,7 @@ class TestOptimizer:
     def test_converges_over_line_and_circle_grid(self):
         weights = [RealWeight(1.0, s) for s in (1.0, 1.05, 1.5, 2.0, 3.0, 5.0)]
         weights += [CircleWeight(b) for b in (0.0, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99,
-                                              0.999, -0.999, 2.0, -2.0)]
+                                              0.999, -0.999, 0.9999, 1.001, 2.0, -2.0)]
         for weight in weights:
             for n in (2, 12, 48):
                 assert optimize(weight, n).converged, (weight, n)
