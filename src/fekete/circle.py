@@ -122,12 +122,13 @@ def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
 
 def _diameter_over_unit_sq(b: float, n: int):
     """n^(1/(n-1)) / (|1 - b^2| u^2) and the unit u of CircleWeight(b): the
-    quotient stays in the double range for every |b| != 1."""
+    quotient stays in the double range for every |b| != 1.  |u - c| |u + c|
+    with c = bu is exact next to the charge, where u^2 - c^2 cancels."""
     weight = CircleWeight(b)
     n = checked_n(n)
     u = weight.unit
     c = weight.b * u
-    return n ** (1.0 / (n - 1)) / abs(u * u - c * c), u
+    return n ** (1.0 / (n - 1)) / (abs(u - c) * abs(u + c)), u
 
 
 def circle_diameter(b: float, n: int) -> float:

@@ -9,11 +9,12 @@ converge  diameter-vs-capacity tables with a weak* convergence diagnostic
 verify    run the self-check batteries
 
 Data goes to stdout (or --out), messages to stderr.  Exit codes: 0 success,
-1 verification failure, 2 invalid input, 3 optimizer did not converge (the
-partial result is still emitted).  Floats are printed with 17 significant
-digits so that parsing the output recovers the exact binary values.  The
-environment variable FEKETE_LOG in {off, info, debug} controls diagnostic
-verbosity on stderr; nothing else is read from the environment.
+1 verification failure or points the command built that coincide in double
+precision, 2 invalid input, 3 optimizer did not converge (the partial result
+is still emitted).  Floats are printed with 17 significant digits so that
+parsing the output recovers the exact binary values.  The environment
+variable FEKETE_LOG in {off, info, debug} controls diagnostic verbosity on
+stderr; nothing else is read from the environment.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .equilibrium import (
     density,
     ks_distance,
 )
-from .errors import FeketeError, InvalidInputError
+from .errors import DegenerateInputError, FeketeError, InvalidInputError, NumericalError
 from .real_line import (
     RealWeight,
     canonical_gamma,
@@ -163,6 +164,17 @@ def _optimize_and_emit(weight, params: dict, args) -> int:
     return EXIT_OK
 
 
+def _grad_norm(points, weight) -> float:
+    """max |g_k| of closed-form points; coincident ones were lost to rounding
+    in their construction, not passed in."""
+    try:
+        g = energy_gradient(points, weight)
+    except DegenerateInputError:
+        raise NumericalError(f"the {len(points)} points built for {weight!r} coincide in "
+                             "double precision: gradient undefined") from None
+    return float(np.max(np.abs(g)))
+
+
 def _closed_line(weight: RealWeight, n: int, gamma: float | None = None):
     """Closed-form points, log diameter and phase on the line: the arctangent
     progression at s = 1 (phase gamma, canonical by default), the
@@ -183,8 +195,7 @@ def _cmd_real(args) -> int:
         pts, log_diameter, gamma = _closed_line(weight, args.n, args.gamma)
         if gamma is not None:
             params["gamma"] = gamma
-        grad_norm = float(np.max(np.abs(energy_gradient(pts, weight))))
-        payload = _result_payload(params, pts, log_diameter, grad_norm)
+        payload = _result_payload(params, pts, log_diameter, _grad_norm(pts, weight))
         _emit_result(payload, args.format, args.out)
         return EXIT_OK
 
@@ -201,9 +212,8 @@ def _cmd_circle(args) -> int:
         sol = circle_points(weight.b, args.n, alpha)
         params["alpha"] = alpha
         angles = np.asarray(sol.angles)
-        grad_norm = float(np.max(np.abs(energy_gradient(angles, weight))))
         payload = _result_payload(params, angles, circle_log_diameter(weight.b, args.n),
-                                  grad_norm)
+                                  _grad_norm(angles, weight))
         payload["cartesian"] = [[z.real, z.imag] for z in sol.points]
         _emit_result(payload, args.format, args.out)
         return EXIT_OK

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import TWO_PI, CircleWeight, _sorted_angles, mobius
-from .errors import DegenerateInputError, InvalidInputError, checked_n
+from .errors import DegenerateInputError, InvalidInputError, NumericalError, checked_n
 from .real_line import RealWeight
 
 __all__ = [
@@ -74,7 +74,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10  # a result is converged when scaled_residual <= this
-_BLOCK_ELEMENTS = 1 << 19  # entries per row block of the gradient's pair terms
+_BLOCK_ELEMENTS = 1 << 16  # entries per row block of the gradient (see energy_gradient)
 
 
 @dataclass(frozen=True)
@@ -154,34 +154,39 @@ def discrete_energy(points, weight: RealWeight) -> float:
 def _row_blocks(x: np.ndarray):
     """The pair differences x_k - x_j in blocks of whole rows, at most
     _BLOCK_ELEMENTS entries each (at least one row): yields the row slice,
-    the block and the index of its diagonal entries j = k."""
+    the block and the index of its diagonal entries j = k.  Every block is a
+    view of one buffer, which the next block overwrites."""
     n = x.size
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    rows = min(n, max(1, _BLOCK_ELEMENTS // n))
+    buf = np.empty((rows, n))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         diag = (np.arange(hi - lo), np.arange(lo, hi))
-        yield slice(lo, hi), x[lo:hi, None] - x[None, :], diag
+        yield slice(lo, hi), np.subtract(x[lo:hi, None], x[None, :], out=buf[:hi - lo]), diag
 
 
 def _line_pair_sums(d, diag, with_scale: bool):
     d[diag] = np.inf
     if np.any(d == 0.0):
         raise DegenerateInputError("coincident points: gradient undefined")
-    pair = 2.0 / d
-    return np.sum(pair, axis=1), np.sum(np.abs(pair), axis=1) if with_scale else None
+    pair = np.divide(2.0, d, out=d)
+    g = np.sum(pair, axis=1)
+    return g, np.sum(np.abs(pair, out=pair), axis=1) if with_scale else None
 
 
 def _circle_pair_sums(d, diag, with_scale: bool):
-    half = d / 2.0
-    half[diag] = math.pi / 2.0  # cot(pi/2) = 0 placeholder
-    sin_half = np.sin(half)
-    if np.any(sin_half == 0.0):
+    half = np.multiply(d, 0.5, out=d)
+    half[diag] = math.pi / 2.0  # cot(pi/2) ~ 0 and csc(pi/2) = 1 placeholders
+    sin_half = np.sin(half) if with_scale else None
+    # tan(h) = 0 exactly where sin(h) = 0 for |h| < pi
+    cot = np.tan(half, out=half)
+    if np.any(cot == 0.0):
         raise DegenerateInputError("coincident angles: gradient undefined")
-    cot = np.cos(half) / sin_half
+    np.divide(1.0, cot, out=cot)
     cot[diag] = 0.0
     if not with_scale:
         return np.sum(cot, axis=1), None
-    csc = 1.0 / np.abs(sin_half)
+    csc = np.divide(1.0, np.abs(sin_half, out=sin_half), out=sin_half)
     csc[diag] = 0.0
     return np.sum(cot, axis=1), np.sum(csc, axis=1)
 
@@ -192,9 +197,11 @@ def _gradient(points, weight, with_scale: bool = False):
     q log|z_k - c| for one charge c: another point (q = 1), or the weight's
     charge, ai of strength s(n-1) on the line or b of strength n-1 on the
     circle.  Its size is the modulus of that derivative in the complex plane,
-    2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points.  The pair
-    terms are summed over row blocks, each row in one pass as over the full
-    matrix, so the bits are those of the n x n form."""
+    2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points.  A circle
+    pair takes its cot as 1/tan of the half difference, one transcendental
+    per pair, and the sine for its csc only when the scale is asked for.  The
+    pair terms are summed over row blocks, each row in one pass as over the
+    full matrix, so the bits are those of the n x n form."""
     x = _as_points(points)
     n = x.size
     if isinstance(weight, RealWeight):
@@ -228,8 +235,10 @@ def _gradient(points, weight, with_scale: bool = False):
 def energy_gradient(points, weight) -> np.ndarray:
     """Stationarity residual g of the configuration (see module docstring):
     zero exactly at weighted Fekete sets; coincident points are an error.
-    The pair terms are formed one row block of at most 2^19 entries (4 MiB)
-    at a time, so memory grows linearly in n."""
+    The pair terms are formed one row block of at most 2^16 entries
+    (512 KiB) at a time in one buffer that every block reuses, so memory
+    grows linearly in n, a block stays in a core's L2 cache across its
+    passes, and no block is freshly mapped, zeroed and faulted in."""
     return _gradient(points, weight)
 
 
@@ -377,7 +386,8 @@ def optimize(weight, n: int, max_iters: int = 200) -> FeketeResult:
     Runs the stages of the module docstring, each for at most max_iters
     Newton steps; iterations is their sum.  A result whose scaled residual
     in the command's coordinates exceeds RESIDUAL_TOL still comes back, with
-    converged=False.  grad_norm is max |g_k| in those coordinates.
+    converged=False; NumericalError if its points coincide in double
+    precision.  grad_norm is max |g_k| in those coordinates.
     """
     n = checked_n(n)
     if max_iters < 1:
@@ -397,7 +407,11 @@ def optimize(weight, n: int, max_iters: int = 200) -> FeketeResult:
         iterations += steps
 
     x = to_points(t)
-    g, scale = _gradient(x, weight, with_scale=True)
+    try:
+        g, scale = _gradient(x, weight, with_scale=True)
+    except DegenerateInputError:
+        raise NumericalError(f"the {n} optimized points for {weight!r} coincide in "
+                             "double precision: gradient undefined") from None
     log_diameter = 2.0 * log_weighted_vandermonde(x, weight) / (n * (n - 1))
     return FeketeResult(
         points=tuple(float(v) for v in x),

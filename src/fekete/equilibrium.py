@@ -296,9 +296,10 @@ def capacity_real(s: float) -> float:
 
 
 def capacity_circle(b: float) -> float:
-    """Weighted capacity of the unit circle: 1 / |1 - b^2|."""
+    """Weighted capacity of the unit circle: 1 / |1 - b^2|, with the
+    denominator as |1 - b| |1 + b|, which does not cancel as |b| -> 1."""
     b = CircleWeight(b).b
-    return 1.0 / abs(1.0 - b * b)
+    return 1.0 / (abs(1.0 - b) * abs(1.0 + b))
 
 
 def modified_robin_constant(s: float) -> float:

@@ -48,14 +48,11 @@ __all__ = [
     "roots",
     "discriminant_resultant",
     "pochhammer",
-    "log_abs_pochhammer",
-    "S1Solution",
     "OdeFamily",
     "s1_polynomial",
     "ode_monic_solution",
     "pseudo_jacobi",
     "jacobi",
-    "log_abs_jacobi_discriminant",
     "jacobi_discriminant",
     "g_at_ai",
     "gj_scale",

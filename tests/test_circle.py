@@ -6,6 +6,7 @@ import pytest
 from fekete import (
     CircleWeight,
     InvalidInputError,
+    capacity_circle,
     circle_diameter,
     circle_points,
     mobius,
@@ -118,6 +119,20 @@ class TestCircleDiameter:
 
     def test_outside_charge(self):
         assert circle_diameter(2.0, 4) == pytest.approx(4.0 ** (1.0 / 3.0) / 3.0)
+
+    @pytest.mark.parametrize("b", [0.999999, -0.999999, 0.99999999, 1.000001])
+    def test_next_to_the_charge_against_high_precision(self, b):
+        # 1 - b*b cancels here: 1.1e-11 relative off at b = +-0.999999
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            bb = mpmath.mpf(b)
+            cap = 1 / abs(1 - bb * bb)
+            refs = {n: float(mpmath.mpf(n) ** (mpmath.mpf(1) / (n - 1)) * cap)
+                    for n in (2, 10, 1000)}
+            ref_cap = float(cap)
+        assert abs(capacity_circle(b) - ref_cap) <= 4 * math.ulp(ref_cap)
+        for n, ref in refs.items():
+            assert abs(circle_diameter(b, n) - ref) <= 4 * math.ulp(ref), n
 
     def test_two_point_oracle(self):
         # brute-force the two-point maximization over angle pairs

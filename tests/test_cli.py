@@ -191,6 +191,15 @@ class TestCircleCommand:
         code, _, err = run(capsys, "circle", "--b", "1", "--n", "4")
         assert code == 2 and "excluded" in err
 
+    @pytest.mark.parametrize("method", ["closed", "optimize"])
+    def test_points_coinciding_next_to_the_charge_exit_one(self, capsys, method):
+        # valid input whose points the program built coincide in double angles
+        code, out, err = run(capsys, "circle", "--b", "0.999999999999999", "--n", "12",
+                             "--method", method)
+        assert code == 1 and out == ""
+        assert "b=0.999999999999999" in err and "the 12 " in err
+        assert "coincide in double precision" in err
+
     @pytest.mark.parametrize("b", ["1e200", "-1e200"])
     def test_closed_huge_charge(self, capsys, b):
         # (1 - b)^2 and 1 - b^2 leave the double range past |b| = 1.34e154
