@@ -151,21 +151,25 @@ def discrete_energy(points, weight: RealWeight) -> float:
     return -2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1))
 
 
-def _row_blocks(x: np.ndarray):
+def _row_blocks(x: np.ndarray, spare: bool = False):
     """The pair differences x_k - x_j in blocks of whole rows, at most
     _BLOCK_ELEMENTS entries each (at least one row): yields the row slice,
-    the block and the index of its diagonal entries j = k.  Every block is a
-    view of one buffer, which the next block overwrites."""
+    the block, the index of its diagonal entries j = k and, if spare, a
+    second block-shaped array (else None).  Every block is a view of one
+    buffer, which the next block overwrites; the spare arrays likewise.  Both
+    come from one allocation: as two, the heap top was given back and
+    faulted in again on every call."""
     n = x.size
     rows = min(n, max(1, _BLOCK_ELEMENTS // n))
-    buf = np.empty((rows, n))
+    buf = np.empty((2 if spare else 1, rows, n))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         diag = (np.arange(hi - lo), np.arange(lo, hi))
-        yield slice(lo, hi), np.subtract(x[lo:hi, None], x[None, :], out=buf[:hi - lo]), diag
+        yield (slice(lo, hi), np.subtract(x[lo:hi, None], x[None, :], out=buf[0, :hi - lo]),
+               diag, buf[1, :hi - lo] if spare else None)
 
 
-def _line_pair_sums(d, diag, with_scale: bool):
+def _line_pair_sums(d, diag, with_scale: bool, _spare):
     d[diag] = np.inf
     if np.any(d == 0.0):
         raise DegenerateInputError("coincident points: gradient undefined")
@@ -174,10 +178,10 @@ def _line_pair_sums(d, diag, with_scale: bool):
     return g, np.sum(np.abs(pair, out=pair), axis=1) if with_scale else None
 
 
-def _circle_pair_sums(d, diag, with_scale: bool):
+def _circle_pair_sums(d, diag, with_scale: bool, sin_out):
     half = np.multiply(d, 0.5, out=d)
     half[diag] = math.pi / 2.0  # cot(pi/2) ~ 0 and csc(pi/2) = 1 placeholders
-    sin_half = np.sin(half) if with_scale else None
+    sin_half = np.sin(half, out=sin_out) if with_scale else None
     # tan(h) = 0 exactly where sin(h) = 0 for |h| < pi
     cot = np.tan(half, out=half)
     if np.any(cot == 0.0):
@@ -199,9 +203,10 @@ def _gradient(points, weight, with_scale: bool = False):
     circle.  Its size is the modulus of that derivative in the complex plane,
     2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points.  A circle
     pair takes its cot as 1/tan of the half difference, one transcendental
-    per pair, and the sine for its csc only when the scale is asked for.  The
-    pair terms are summed over row blocks, each row in one pass as over the
-    full matrix, so the bits are those of the n x n form."""
+    per pair, and the sine for its csc only when the scale is asked for, into
+    a second block buffer allocated once per call.  The pair terms are
+    summed over row blocks, each row in one pass as over the full matrix, so
+    the bits are those of the n x n form."""
     x = _as_points(points)
     n = x.size
     if isinstance(weight, RealWeight):
@@ -210,20 +215,21 @@ def _gradient(points, weight, with_scale: bool = False):
         h = np.hypot(x, weight.a)
         field = 2.0 * weight.s * (n - 1) * (x / h) / h
         field_size = 2.0 * weight.s * (n - 1) / h if with_scale else None
-        pair_sums = _line_pair_sums
+        pair_sums, spare = _line_pair_sums, False
     elif isinstance(weight, CircleWeight):
         # den = |e^{ix} - b|^2 u^2: each term below carries one factor u back
         u = weight.unit
         den = weight.dist_sq(x)
         field = 2.0 * (n - 1) * (weight.b * u) * np.sin(x) / den * u
         field_size = 2.0 * (n - 1) / np.sqrt(den) * u if with_scale else None
-        pair_sums = _circle_pair_sums
+        # the csc of the scale takes a sine per pair, into a spare block
+        pair_sums, spare = _circle_pair_sums, with_scale
     else:
         raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
     g = np.empty(n)
     scale = np.empty(n) if with_scale else None
-    for rows, d, diag in _row_blocks(x):
-        g[rows], block_scale = pair_sums(d, diag, with_scale)
+    for rows, d, diag, spare_block in _row_blocks(x, spare):
+        g[rows], block_scale = pair_sums(d, diag, with_scale, spare_block)
         if with_scale:
             scale[rows] = block_scale
     g -= field
@@ -251,14 +257,20 @@ def scaled_residual(points, weight) -> float:
     return float(np.max(np.abs(g) / scale))
 
 
-def sine_product(ys) -> float:
+def sine_product(ys):
     """prod_{j<k} sin^2(y_j - y_k) for arguments in (-pi/2, pi/2].
 
     Bounded above by 2^(-n(n-1)) n^n, with equality exactly at arithmetic
-    progressions with difference pi/n.
+    progressions with difference pi/n.  A float for one configuration of n
+    points; an (..., n) stack of configurations gives an array of shape
+    (...), each entry with the bits of that configuration alone.
     """
-    y = _as_points(ys)
-    return float(np.prod(np.sin(_pair_differences(y)) ** 2))
+    y = np.asarray(ys, dtype=float)
+    if y.ndim == 0 or y.shape[-1] < 2:
+        raise InvalidInputError("need at least two points")
+    diffs = (y[..., :, None] - y[..., None, :])[..., _upper_mask(y.shape[-1])]
+    prod = np.prod(np.sin(diffs) ** 2, axis=-1)
+    return float(prod) if y.ndim == 1 else prod
 
 
 def sine_product_bound(n: int) -> float:

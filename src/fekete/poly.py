@@ -7,12 +7,15 @@ immutable after construction; everything here is a pure function and safe for
 concurrent use.
 
 Root extraction uses companion-matrix eigenvalues refined by a few Newton
-steps.  The monomial basis is ill-conditioned, so it loses accuracy quickly
+steps; ``stacked_roots`` does this for many polynomials of one degree in one
+eigenvalue call and one Horner pass per step, and ``roots`` is its one-row
+case.  The monomial basis is ill-conditioned, so it loses accuracy quickly
 with the degree and serves only as a small-degree oracle: the Fekete points
 on the line come from Jacobi-matrix eigenvalues (``real_line.sgt1_points``)
 and arctangent progressions.  The discriminant is computed from the
-Sylvester resultant of p and p' in exact Gaussian-integer arithmetic, rounded
-once at the end.
+Sylvester resultant of p and p' in exact integer arithmetic, over Z when the
+coefficients are real and over the Gaussian integers otherwise, rounded once
+at the end.
 
 The second half holds the polynomial side of the line's closed forms, kept
 as oracles for ``fekete.verify`` and the tests, never called by the
@@ -46,6 +49,7 @@ from .real_line import (
 __all__ = [
     "Poly",
     "roots",
+    "stacked_roots",
     "discriminant_resultant",
     "pochhammer",
     "OdeFamily",
@@ -54,12 +58,13 @@ __all__ = [
     "pseudo_jacobi",
     "jacobi",
     "jacobi_discriminant",
-    "g_at_ai",
     "gj_scale",
     "sgt1_diameter_via_discriminant",
     "recurrence_family",
     "ode_residual",
 ]
+
+_NEWTON_STEPS = 3  # refinement steps after the companion eigenvalues
 
 
 class Poly:
@@ -143,27 +148,84 @@ class Poly:
         return f"Poly(degree={self.degree}, coeffs={np.array2string(self._coeffs, precision=6)})"
 
 
-def roots(p: Poly, newton_steps: int = 3) -> np.ndarray:
+def stacked_roots(polys) -> np.ndarray:
+    """All roots of polynomials of one degree n >= 1: one row per polynomial,
+    with multiplicity, sorted by real part then imaginary part.
+
+    Each row carries the bits that ``roots`` gives for its polynomial alone.
+    The companion matrices are built as ``np.roots`` builds them, real when
+    every imaginary part of the coefficients is zero, with the roots at zero
+    split off exactly; rows that share that shape go to one
+    ``np.linalg.eigvals`` call.  Newton refinement then runs on all rows at
+    once (see ``roots``).
+    """
+    polys = list(polys)
+    if not polys or any(p.degree != polys[0].degree for p in polys):
+        raise InvalidInputError("stacked root extraction requires polynomials of one degree")
+    if polys[0].degree < 1:
+        raise InvalidInputError("root extraction requires a nonzero polynomial of degree >= 1")
+    c = np.array([p.coeffs for p in polys])  # ascending, one row per polynomial
+    n = c.shape[1] - 1
+    zero_roots = np.argmax(c != 0.0, axis=1)
+    real = ~np.any(c.imag, axis=1)
+    r = np.zeros((len(polys), n), dtype=complex)
+    for z, is_real in set(zip(zero_roots.tolist(), real.tolist())):
+        rows = np.flatnonzero((zero_roots == z) & (real == is_real))
+        if z == n:
+            continue  # a monomial: every root is zero
+        top = c[rows, z:][:, ::-1]  # highest first, zero roots stripped
+        if is_real:
+            top = top.real
+        m = n - z
+        companion = np.zeros((rows.size, m, m), dtype=top.dtype)
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        companion[:, 0, :] = -top[:, 1:] / top[:, :1]
+        r[rows, :m] = np.linalg.eigvals(companion)
+    r = _newton_refined(c, r)
+    return np.take_along_axis(r, np.lexsort((r.imag, r.real), axis=-1), axis=-1)
+
+
+def _eval_with_derivative(c: np.ndarray, dc: np.ndarray, z: np.ndarray):
+    """p(z) and p'(z) row by row in one Horner pass, from the ascending
+    coefficient rows c of p and dc of p'; each value has the bits of
+    ``Poly.eval`` of its row's polynomial or derivative."""
+    n = dc.shape[1]
+    pv = np.broadcast_to(c[:, n, None], z.shape).copy()
+    dv = np.broadcast_to(dc[:, n - 1, None], z.shape).copy()
+    for j in range(n - 1, -1, -1):
+        np.multiply(pv, z, out=pv)
+        pv += c[:, j, None]
+        if j:
+            np.multiply(dv, z, out=dv)
+            dv += dc[:, j - 1, None]
+    return pv, dv
+
+
+def _newton_refined(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """_NEWTON_STEPS Newton steps on the roots r of the coefficient rows c,
+    each kept only where it does not increase the residual |p(r)|.  The
+    values at an accepted candidate are those of the next step."""
+    dc = c[:, 1:] * np.arange(1, c.shape[1])  # the coefficients of Poly.derivative
+    pv, dv = _eval_with_derivative(c, dc, r)
+    for _ in range(_NEWTON_STEPS):
+        step = np.divide(pv, dv, out=np.zeros_like(r), where=np.abs(dv) > 0)
+        candidate = r - step
+        p_cand, dp_cand = _eval_with_derivative(c, dc, candidate)
+        better = np.abs(p_cand) <= np.abs(pv)
+        r = np.where(better, candidate, r)
+        pv = np.where(better, p_cand, pv)
+        dv = np.where(better, dp_cand, dv)
+    return r
+
+
+def roots(p: Poly) -> np.ndarray:
     """All roots of p with multiplicity, sorted by real part then imaginary part.
 
-    Companion-matrix eigenvalues followed by Newton refinement; refinement
-    steps are kept only where they do not increase the residual |p(r)|.
+    Companion-matrix eigenvalues (real when p has real coefficients) followed
+    by three Newton steps; a step is kept only where it does not increase the
+    residual |p(r)|.  The one-row case of ``stacked_roots``.
     """
-    if p.is_zero() or p.degree < 1:
-        raise InvalidInputError("root extraction requires a nonzero polynomial of degree >= 1")
-    r = np.roots(p.coeffs[::-1])
-    dp = p.derivative()
-    for _ in range(newton_steps):
-        pv = p.eval(r)
-        dv = dp.eval(r)
-        safe = np.abs(dv) > 0
-        step = np.zeros_like(r)
-        step[safe] = pv[safe] / dv[safe]
-        candidate = r - step
-        better = np.abs(p.eval(candidate)) <= np.abs(pv)
-        r = np.where(better, candidate, r)
-    order = np.lexsort((r.imag, r.real))
-    return r[order]
+    return stacked_roots([p])[0]
 
 
 def _dyadic_row(p: Poly) -> tuple[list[int], list[int], int]:
@@ -233,6 +295,30 @@ def _det_bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[int, int]:
     return sign * re[-1][-1], sign * im[-1][-1]
 
 
+def _det_bareiss_int(a: list[list[int]]) -> int:
+    """Determinant of the integer matrix a, in place: the Bareiss elimination
+    of ``_det_bareiss`` over Z, where the division by the previous pivot is
+    an exact floor division."""
+    size = len(a)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row = a[k][k + 1:]
+        p = a[k][k]
+        for i in range(k + 1, size):
+            cur = a[i]
+            lead = cur[k]
+            cur[k + 1:] = [(x * p - lead * y) // prev for x, y in zip(cur[k + 1:], row)]
+        prev = p
+    return sign * a[-1][-1]
+
+
 def discriminant_resultant(p: Poly) -> complex:
     """Discriminant of p via the Sylvester resultant of p and p'.
 
@@ -241,9 +327,11 @@ def discriminant_resultant(p: Poly) -> complex:
     monic p.  Double coefficients are dyadic rationals, so each Sylvester row
     is scaled exactly to Gaussian integers over one power of two and the
     determinant is evaluated by Bareiss elimination in exact integer
-    arithmetic; the only rounding is the final correctly rounded conversion of
-    its real and imaginary parts to doubles (double-precision elimination
-    loses too many digits to the cancellation inherent in resultants).
+    arithmetic: over Z when every coefficient is real (one integer product
+    where a Gaussian one takes four), over Z[i] otherwise.  The only rounding
+    is the final correctly rounded conversion of its real and imaginary parts
+    to doubles (double-precision elimination loses too many digits to the
+    cancellation inherent in resultants).
     Intended as a small-degree oracle (degree <= 8 keeps the exact arithmetic
     cheap).  Raises NumericalError when the discriminant exceeds the double
     range.
@@ -252,7 +340,10 @@ def discriminant_resultant(p: Poly) -> complex:
     if p.is_zero() or n < 2:
         raise InvalidInputError("discriminant requires degree >= 2 and a nonzero leading coefficient")
     re, im, shift = _sylvester(p, p.derivative())
-    det_re, det_im = _det_bareiss(re, im)
+    if np.any(p.coeffs.imag):
+        det_re, det_im = _det_bareiss(re, im)
+    else:
+        det_re, det_im = _det_bareiss_int(re), 0
     try:
         # int / int is correctly rounded in CPython, whatever the operand sizes
         res = complex(det_re / (1 << shift), det_im / (1 << shift))
@@ -511,23 +602,16 @@ def jacobi_discriminant(alpha: float, beta: float, n: int) -> float:
 
 
 def _log_g_at_ai(a: float, s: float, n: int) -> float:
+    """log |G(ai)| for the s > 1 extremal polynomial G:
+
+        log (2a)^n |(-s(n-1))_n| / |(n - 2s(n-1) - 1)_n|.
+
+    Agrees with log |pseudo_jacobi(a, s, n)(ai)| and feeds the weight part
+    of the discriminant route to the diameter.
+    """
     l_num, _ = log_abs_pochhammer(-s * (n - 1), n)
     l_den, _ = log_abs_pochhammer(n - 2.0 * s * (n - 1) - 1.0, n)
     return n * math.log(2.0 * a) + l_num - l_den
-
-
-def g_at_ai(a: float, s: float, n: int) -> float:
-    """|G(ai)| for the s > 1 extremal polynomial G:
-
-        (2a)^n |(-s(n-1))_n| / |(n - 2s(n-1) - 1)_n|.
-
-    Agrees with |pseudo_jacobi(a, s, n)(ai)| and feeds the weight part of the
-    discriminant route to the diameter.
-    """
-    a = _checked_a(a)
-    s = _checked_sgt1(s, "g_at_ai")
-    n = checked_n(n)
-    return math.exp(_log_g_at_ai(a, s, n))
 
 
 def _log_diameter_discriminant(a: float, s: float, n: int) -> float:

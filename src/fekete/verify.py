@@ -11,7 +11,10 @@ and small optimizer-vs-closed-form spot checks.  The oracle side of each
 pair (companion roots, exact resultants, the line's polynomials and the
 discriminant route) comes from ``fekete.poly``; the production side from
 the other modules.  The heavier optimizer sweeps live in the acceptance test
-suite; here every suite is kept fast enough to run on each call.
+suite; here every suite is kept fast enough to run on each call: the
+companion roots of each degree's polynomials come from one
+``stacked_roots`` call and each draw of sine-product points from one
+``sine_product`` call on the whole stack.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .poly import (
     roots,
     s1_polynomial,
     sgt1_diameter_via_discriminant,
+    stacked_roots,
 )
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
@@ -175,10 +179,11 @@ def _suite_real() -> list[CheckResult]:
 
     worst = 0.0
     worst_routes = 0.0
-    for s in (1.5, 2.0):
-        radius = rl.support_radius(1.0, s)
-        for n in range(2, 31):
-            rts = roots(pseudo_jacobi(1.0, s, n))
+    s_values = (1.5, 2.0)
+    for n in range(2, 31):
+        stack = stacked_roots([pseudo_jacobi(1.0, s, n) for s in s_values])
+        for s, rts in zip(s_values, stack):
+            radius = rl.support_radius(1.0, s)
             xs = np.sort(rts.real)
             sym = float(np.max(np.abs(xs + xs[::-1])))
             imag = float(np.max(np.abs(rts.imag)))
@@ -193,11 +198,12 @@ def _suite_real() -> list[CheckResult]:
     rng = np.random.default_rng(104)
     worst = 0.0
     for n in range(2, 31):
-        for _ in range(10):
-            gamma = -math.pi / 2.0 + float(rng.uniform(0.1, 0.9)) * math.pi / n
-            sol = s1_polynomial(1.0, n, gamma)
-            rts = np.sort(roots(sol.poly).real)
-            worst = max(worst, float(np.max(np.abs(rts - np.asarray(sol.points)))))
+        gammas = [-math.pi / 2.0 + float(rng.uniform(0.1, 0.9)) * math.pi / n
+                  for _ in range(10)]
+        sols = [s1_polynomial(1.0, n, gamma) for gamma in gammas]
+        rts = np.sort(stacked_roots([sol.poly for sol in sols]).real, axis=1)
+        points = np.array([sol.points for sol in sols])
+        worst = max(worst, float(np.max(np.abs(rts - points))))
     out.append(CheckResult("real", "s1-roots-vs-points", worst, 1e-9))
 
     worst = 0.0
@@ -335,8 +341,7 @@ def _suite_energy() -> list[CheckResult]:
     for n in range(2, 7):
         bound = en.sine_product_bound(n)
         ys = rng.uniform(-math.pi / 2.0, math.pi / 2.0, (1000, n))
-        for row in ys:
-            worst_excess = max(worst_excess, en.sine_product(row) - bound)
+        worst_excess = max(worst_excess, float(np.max(en.sine_product(ys) - bound)))
         ap = np.arange(n) * math.pi / n
         worst_eq = max(worst_eq, _rel(en.sine_product(ap), bound))
     out.append(CheckResult("energy", "sine-product-bound", worst_excess, 0.0))

@@ -1,7 +1,8 @@
 """Bit-exactness of the integer kernels against a Fraction reference.
 
 `discriminant_resultant` and `jacobi` evaluate exact rational quantities and
-round once.  The reference below computes the same quantities with
+round once; the resultant eliminates over Z for real coefficients and over
+Z[i] otherwise.  The reference below computes the same quantities with
 `fractions.Fraction` (Bareiss elimination over Q[i], generalized binomials
 over Q) and rounds them the same way, so every result must agree to the bit.
 The reference is an oracle only; the package does not use it.
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from fekete import NumericalError
-from fekete.poly import Poly, discriminant_resultant, jacobi
+from fekete.poly import Poly, discriminant_resultant, jacobi, pseudo_jacobi
 
 
 def _ref_det(a):
@@ -140,6 +141,14 @@ class TestDiscriminantBits:
             got = discriminant_resultant(p)
             assert got == 0
             assert same_bits(got, ref_discriminant(p))
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.25])
+    def test_real_pseudo_jacobi(self, s):
+        # real coefficients take the elimination over Z
+        for n in range(2, 7):
+            p = pseudo_jacobi(2.0, s, n)
+            assert not np.any(p.coeffs.imag)
+            assert same_bits(discriminant_resultant(p), ref_discriminant(p))
 
 
 class TestJacobiBits:

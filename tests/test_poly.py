@@ -8,7 +8,16 @@ import pytest
 
 import fekete
 from fekete import InvalidInputError
-from fekete.poly import Poly, discriminant_resultant, log_abs_pochhammer, pochhammer, roots
+from fekete.poly import (
+    Poly,
+    discriminant_resultant,
+    log_abs_pochhammer,
+    pochhammer,
+    pseudo_jacobi,
+    roots,
+    s1_polynomial,
+    stacked_roots,
+)
 
 
 def monic_from_roots(rts):
@@ -101,6 +110,70 @@ class TestRoots:
             roots(Poly([3.0]))
         with pytest.raises(InvalidInputError):
             roots(Poly([0.0]))
+
+
+def reference_roots(p):
+    """The per-polynomial form of the root kernel: np.roots on the real or
+    complex coefficients, then three Newton steps, each evaluating p and p'
+    afresh by Poly.eval."""
+    c = p.coeffs[::-1]
+    r = np.roots(c if np.any(c.imag) else c.real).astype(complex)
+    dp = p.derivative()
+    for _ in range(3):
+        pv, dv = p.eval(r), dp.eval(r)
+        safe = np.abs(dv) > 0
+        step = np.zeros_like(r)
+        step[safe] = pv[safe] / dv[safe]
+        candidate = r - step
+        r = np.where(np.abs(p.eval(candidate)) <= np.abs(pv), candidate, r)
+    return r[np.lexsort((r.imag, r.real))]
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestStackedRoots:
+    def assert_rows_are_single_roots(self, polys):
+        stack = stacked_roots(polys)
+        assert stack.shape == (len(polys), polys[0].degree)
+        for p, row in zip(polys, stack):
+            assert same_bits(row, roots(p))
+            assert same_bits(row, reference_roots(p))
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_s1_family(self, n):
+        rng = np.random.default_rng(n)
+        gammas = -math.pi / 2.0 + rng.uniform(0.1, 0.9, 10) * math.pi / n
+        self.assert_rows_are_single_roots([s1_polynomial(1.0, n, g).poly for g in gammas])
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 15, 29])
+    def test_pseudo_jacobi_odd_degree_has_an_exact_zero_root(self, n):
+        polys = [pseudo_jacobi(1.0, s, n) for s in (1.5, 2.0, 3.25)]
+        assert all(p.coeffs[0] == 0 for p in polys)
+        self.assert_rows_are_single_roots(polys)
+        assert np.all(stacked_roots(polys)[:, n // 2] == 0)
+
+    def test_complex_coefficients(self):
+        rng = np.random.default_rng(7)
+        polys = [Poly(rng.normal(size=7) + 1j * rng.normal(size=7)) for _ in range(6)]
+        self.assert_rows_are_single_roots(polys)
+
+    def test_mixed_stack(self):
+        # real and complex rows, and rows with no, one or only zero roots
+        rng = np.random.default_rng(8)
+        polys = [Poly(rng.normal(size=5)), Poly(rng.normal(size=5) + 1j * rng.normal(size=5)),
+                 Poly([0.0, 0.0, 1.0, -2.0, 0.5]), Poly([0.0, 0.5j, 1.0, 0.0, 3.0]),
+                 Poly([0.0, 0.0, 0.0, 0.0, 2.0])]
+        self.assert_rows_are_single_roots(polys)
+
+    def test_rejects_mixed_degrees_and_constants(self):
+        with pytest.raises(InvalidInputError):
+            stacked_roots([Poly([1.0, 1.0]), Poly([1.0, 0.0, 1.0])])
+        with pytest.raises(InvalidInputError):
+            stacked_roots([])
+        with pytest.raises(InvalidInputError):
+            stacked_roots([Poly([2.0]), Poly([3.0])])
 
 
 class TestDiscriminant:
