@@ -20,8 +20,6 @@ stderr; nothing else is read from the environment.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import math
 import os
@@ -49,7 +47,6 @@ from .real_line import (
     sgt1_log_diameter,
     sgt1_points,
 )
-from .verify import SUITES, run_suites
 
 log = logging.getLogger("fekete")
 
@@ -58,6 +55,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 
+# fekete.verify.SUITES, spelled out so that building the parser does not
+# load the oracles
+VERIFY_SUITES = ("poly", "real", "circle", "energy", "equilibrium")
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INVALID_INPUT):
@@ -65,23 +66,49 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+class _Rows:
+    """Rows of cells under a header: a JSON list of objects keyed by the
+    header, or the body of a CSV table."""
+
+    def __init__(self, header, rows):
+        self.header, self.rows = header, rows
+
+
+def _render_rows(rows, cell, prefixes, end: str) -> str:
+    """Each row as prefixes[k] + cell k for every k, then end, formatted by
+    one % operation: floats as "%.17g", any other cell as cell(v).  No
+    prefix holds a "%"."""
+    template, args = [], []
+    for row in rows:
+        for prefix, v in zip(prefixes, row):
+            if isinstance(v, (float, np.floating)):
+                template += (prefix, "%.17g")
+                args.append(v)
+            else:
+                template += (prefix, "%s")
+                args.append(cell(v))
+        template.append(end)
+    return "".join(template) % tuple(args)
 
 
 def _to_json(value) -> str:
     """Minimal JSON serializer with fixed key order and 17-digit floats."""
+    if type(value) is float:
+        return format(value, ".17g")
     if isinstance(value, dict):
-        inner = ", ".join(f'"{k}": {_to_json(v)}' for k, v in value.items())
-        return "{" + inner + "}"
+        return "{" + ", ".join([f'"{k}": {_to_json(v)}' for k, v in value.items()]) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in value) + "]"
+        return "[" + ", ".join(map(_to_json, value)) + "]"
+    if isinstance(value, _Rows):
+        keys = [f'"{k}": ' for k in value.header]
+        prefixes = ["{" + keys[0]] + [", " + k for k in keys[1:]]
+        return "[" + _render_rows(value.rows, _to_json, prefixes, "}, ")[:-2] + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt(value)
+        return format(float(value), ".17g")
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if value is None:
@@ -90,13 +117,10 @@ def _to_json(value) -> str:
 
 
 def _to_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v
-                         for v in row])
-    return buf.getvalue()
+    """Comma-separated rows ending in CRLF, as csv.writer writes them: no
+    cell is None or holds a comma, a quote or a line break, so none is
+    quoted or blanked."""
+    return _render_rows([header, *rows], str, [""] + [","] * (len(header) - 1), "\r\n")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -260,20 +284,20 @@ def _cmd_measure(args) -> int:
     lo, hi = m.support
     if math.isfinite(lo):
         # clip to the support and pin the endpoints as first/last rows
-        xs = [lo] + [float(x) for x in grid if lo < x < hi] + [hi]
-    else:
-        xs = [float(x) for x in grid]
-    rows = [(x, density(m, x), cdf(m, x)) for x in xs]
+        grid = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
+    xs = grid.tolist()
+    table = _Rows(("x", "density", "cdf"),
+                  list(zip(xs, [density(m, x) for x in xs], cdf(m, grid).tolist())))
     if args.format == "json":
         payload = {
             "family": m.family,
             "params": {k: v for k, v in (("s", m.s), ("b", m.b), ("r", m.r))
                        if v is not None},
-            "rows": [{"x": x, "density": d, "cdf": c} for x, d, c in rows],
+            "rows": table,
         }
         _emit(_to_json(payload) + "\n", args.out)
     else:
-        _emit(_to_csv(("x", "density", "cdf"), rows), args.out)
+        _emit(_to_csv(table.header, table.rows), args.out)
     return EXIT_OK
 
 
@@ -311,7 +335,7 @@ def _cmd_converge(args) -> int:
             rows.append((n, delta, cap, delta - cap, ks_distance(sol.angles, m)))
     header = ("n", "delta_n", "capacity", "delta_minus_capacity", "ks_distance")
     if args.format == "json":
-        payload = {"rows": [dict(zip(header, row)) for row in rows]}
+        payload = {"rows": _Rows(header, rows)}
         _emit(_to_json(payload) + "\n", args.out)
     else:
         _emit(_to_csv(header, rows), args.out)
@@ -319,6 +343,9 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the oracles are loaded by this command only
+    from .verify import SUITES, run_suites
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names)
     lines = [r.line() for r in results]
@@ -397,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_converge)
 
     p = sub.add_parser("verify", help="run the self-check batteries")
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_verify)
 

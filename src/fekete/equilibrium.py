@@ -17,7 +17,10 @@ s * harmonic-i - (s-1) * harmonic-inf, which is how it arises from sweeping
 the attracting charge onto the support.
 
 CDFs are elementary closed forms (arctangents, and the sweep identity above
-for real-s).  Total masses and logarithmic potentials are computed with
+for real-s).  cdf takes a float or a whole grid; its atan, atan2 and tan go
+through the math module element by element, so a grid's values keep libm's
+bits.  Densities are evaluated one point at a time: quadrature integrands
+call them.  Total masses and logarithmic potentials are computed with
 adaptive Gauss-Kronrod quadrature; densities with inverse-square-root edges
 are integrated after the substitution x = r sin(theta), which removes the
 endpoint derivative blowup, and the integrable log singularity of the
@@ -195,36 +198,55 @@ def _edge_root(r: float, x: float) -> float:
     return math.sqrt((r - x) * (r + x))
 
 
-def cdf(m: MeasureSpec, x: float) -> float:
+def _libm(fn, *args) -> np.ndarray:
+    """A math-module function over arrays, element by element: numpy's atan,
+    atan2 and tan can differ from libm's in the last ulp, which would move
+    printed digits."""
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
+
+
+def cdf(m: MeasureSpec, x):
     """Cumulative mass of the family up to x, clamped to [0, 1].
 
-    Every family has an elementary CDF: 1/2 + arctan(x)/pi for arctan,
-    H = 1/2 + atan(k x / sqrt(r^2 - x^2))/pi with k = 1 (harmonic-inf) or
-    sqrt(1 + r^2) (harmonic-i), H_inf + s (H_i - H_inf) for real-s, and
-    arctan(|(1+b)/(1-b)| tan(t/2))/pi (plus 1 past t = pi) for the circle.
+    x is a float or an array; the result is a float or an array of x's
+    shape.  Every family has an elementary CDF: 1/2 + arctan(x)/pi for
+    arctan, H = 1/2 + atan(k x / sqrt(r^2 - x^2))/pi with k = 1
+    (harmonic-inf) or sqrt(1 + r^2) (harmonic-i), H_inf + s (H_i - H_inf)
+    for real-s, and arctan(|(1+b)/(1-b)| tan(t/2))/pi (plus 1 past t = pi)
+    for the circle.  The arithmetic, square roots and the clamp run in numpy,
+    which rounds them as Python floats do; atan, atan2 and tan go through the
+    math module, so an array value has the bits of the scalar one.  NaN is
+    rejected; -inf and +inf map to 0 and 1.
     """
-    x = float(x)
-    if m.family == _ARCTAN:
-        return 0.5 + math.atan(x) / math.pi
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if np.isnan(flat).any():
+        raise InvalidInputError("cdf is undefined at NaN")
     lo, hi = m.support
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    if m.family == _CIRCLE_POISSON:
-        val = math.atan(abs((1.0 + m.b) / (1.0 - m.b)) * math.tan(x / 2.0)) / math.pi
-        if x > math.pi:
-            val += 1.0
-    else:
-        k = math.sqrt(1.0 + hi * hi)
-        root = _edge_root(hi, x)
-        val = 0.5 + math.atan2((k if m.family == _HARMONIC_I else 1.0) * x, root) / math.pi
-        if m.family == _REAL_SGT1:
-            # H_i - H_inf as one arctangent (k - 1 = r^2/(k+1)) in u = x/r and
-            # v = root/r: s H_i - (s-1) H_inf as written cancels O(s)
-            u, v = x / hi, root / hi
-            val += m.s * math.atan2(u * v * hi * hi / (k + 1.0), v * v + k * u * u) / math.pi
-    return min(max(val, 0.0), 1.0)
+    out = np.where(flat <= lo, 0.0, 1.0)
+    inside = (flat > lo) & (flat < hi)
+    t = flat[inside]
+    # past r ~ 1e154 the products overflow as Python floats do: silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m.family == _ARCTAN:
+            val = 0.5 + _libm(math.atan, t) / math.pi
+        elif m.family == _CIRCLE_POISSON:
+            ratio = abs((1.0 + m.b) / (1.0 - m.b))
+            val = _libm(math.atan, ratio * _libm(math.tan, t / 2.0)) / math.pi
+            val[t > math.pi] += 1.0
+        else:
+            k = math.sqrt(1.0 + hi * hi)
+            root = np.sqrt((hi - t) * (hi + t))
+            kx = (k if m.family == _HARMONIC_I else 1.0) * t
+            val = 0.5 + _libm(math.atan2, kx, root) / math.pi
+            if m.family == _REAL_SGT1:
+                # H_i - H_inf as one arctangent (k - 1 = r^2/(k+1)) in u = x/r and
+                # v = root/r: s H_i - (s-1) H_inf as written cancels O(s)
+                u, v = t / hi, root / hi
+                val += m.s * _libm(math.atan2, u * v * hi * hi / (k + 1.0),
+                                   v * v + k * u * u) / math.pi
+    out[inside] = np.minimum(np.maximum(val, 0.0), 1.0)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def total_mass(m: MeasureSpec) -> float:
@@ -356,14 +378,15 @@ def ks_distance(points, m: MeasureSpec) -> float:
     points (angles in [0, 2 pi) for circle families) and the family CDF.
 
     Both one-sided limits of the empirical CDF are evaluated at every sample
-    point, so the sup over the whole line is attained.
+    point, so the sup over the whole line is attained.  The points must be
+    finite.
     """
     xs = np.sort(np.asarray(points, dtype=float).ravel())
     if xs.size == 0:
         raise InvalidInputError("need at least one point")
+    if not np.isfinite(xs).all():
+        raise InvalidInputError("points must be finite")
     n = xs.size
-    worst = 0.0
-    for i, x in enumerate(xs):
-        c = cdf(m, x)
-        worst = max(worst, abs((i + 1) / n - c), abs(i / n - c))
-    return worst
+    c = cdf(m, xs)
+    i = np.arange(n)
+    return float(max(np.abs((i + 1) / n - c).max(), np.abs(i / n - c).max()))

@@ -429,13 +429,13 @@ def _suite_equilibrium() -> list[CheckResult]:
               eq.MeasureSpec.harmonic_inf(1.0), eq.MeasureSpec.circle_poisson(0.5)):
         lo, hi = m.support
         xs = np.linspace(lo, hi, 41)
-        vals = [eq.cdf(m, x) for x in xs]
+        vals = eq.cdf(m, xs).tolist()
         worst_mono = max(worst_mono, max(0.0, -min(np.diff(vals))))
         worst_edge = max(worst_edge, abs(vals[0]), abs(vals[-1] - 1.0))
         worst_quad = max(worst_quad, max(abs(v - _cdf_by_quadrature(m, x))
                                          for x, v in zip(xs, vals)))
-    worst_edge = max(worst_edge, abs(eq.cdf(eq.MeasureSpec.arctan(), -1e12)),
-                     abs(eq.cdf(eq.MeasureSpec.arctan(), 1e12) - 1.0))
+    far = eq.cdf(eq.MeasureSpec.arctan(), np.array([-1e12, 1e12])).tolist()
+    worst_edge = max(worst_edge, abs(far[0]), abs(far[1] - 1.0))
     out.append(CheckResult("equilibrium", "cdf-nondecreasing", worst_mono, 1e-12))
     out.append(CheckResult("equilibrium", "cdf-endpoints", worst_edge, 1e-8))
     out.append(CheckResult("equilibrium", "cdf-vs-quadrature", worst_quad, 1e-10))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import logging
 import math
@@ -5,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from fekete.cli import main
+from fekete import MeasureSpec, cdf, density
+from fekete.cli import _to_csv, main
 
 SQRT3 = math.sqrt(3.0)
 
@@ -336,6 +339,67 @@ class TestConvergeCommand:
         assert code == 2
 
 
+def csv_writer_text(header, rows):
+    """The table as csv.writer writes it, floats given 17 digits first."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(v), ".17g") if isinstance(v, (float, np.floating))
+                         else v for v in row])
+    return buf.getvalue()
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+class TestWriters:
+    @pytest.mark.parametrize("argv", [
+        "measure --family real-s --s 2 --grid -2:2:41",
+        "measure --family circle-poisson --b -2 --grid -0.1:6.5:33",
+        "measure --family arctan --grid -1e12:1e12:9",
+        "converge --s 1 --n-list 10,20,30,1000",
+        "converge --b 0.5 --n-list 2,10,50",
+        "real --a 1 --s 2 --n 6",
+        "real --a 0.5 --s 1 --n 7 --gamma -1.2",
+        "circle --b -3 --n 5 --alpha 0.25",
+    ])
+    def test_csv_is_what_csv_writer_writes(self, capsys, argv):
+        out = run_ok(capsys, *argv.split(), "--format", "csv")
+        rows = csv_rows(out)
+        assert out == csv_writer_text(rows[0], rows[1:])
+
+    def test_csv_cells_of_every_type(self):
+        header = ("n", "name", "x", "y", "z")
+        rows = [(3, "real", 0.1, np.float64(-2.5e-300), np.int64(7)),
+                (10**20, "closed", math.inf, -0.0, True)]
+        assert _to_csv(header, rows) == csv_writer_text(header, rows)
+        assert _to_csv(header, []) == csv_writer_text(header, [])
+
+    @pytest.mark.parametrize("family, params, grid", [
+        ("real-s", ("--s", "2.5"), "-2:2:57"),
+        ("arctan", (), "-40:40:81"),
+        ("circle-poisson", ("--b", "0.5"), "-0.5:7:61"),
+        ("harmonic-inf", ("--r", "1.5"), "-2:2:45"),
+        ("harmonic-i", ("--r", "0.75"), "-1:1:65"),
+    ])
+    def test_measure_parses_back_to_the_density_and_cdf_floats(self, capsys, family,
+                                                              params, grid):
+        m = {"real-s": lambda: MeasureSpec.real_sgt1(2.5), "arctan": MeasureSpec.arctan,
+             "circle-poisson": lambda: MeasureSpec.circle_poisson(0.5),
+             "harmonic-inf": lambda: MeasureSpec.harmonic_inf(1.5),
+             "harmonic-i": lambda: MeasureSpec.harmonic_i(0.75)}[family]()
+        argv = ("measure", "--family", family, *params, "--grid", grid)
+        from_json = [(r["x"], r["density"], r["cdf"])
+                     for r in run_json(capsys, *argv)["rows"]]
+        from_csv = [tuple(map(float, r)) for r in csv_rows(run_ok(capsys, *argv, "--format",
+                                                                  "csv"))[1:]]
+        expected = [(x, density(m, x), cdf(m, x)) for x, _, _ in from_json]
+        assert len(expected) > 30
+        assert from_json == expected and from_csv == expected
+
+
 class TestVerifyCommand:
     def test_poly_suite_passes(self, capsys):
         out = run_ok(capsys, "verify", "--suite", "poly")
@@ -345,6 +409,16 @@ class TestVerifyCommand:
 
     def test_circle_suite_passes(self, capsys):
         out = run_ok(capsys, "verify", "--suite", "circle")
+
+    def test_suite_choices_are_the_suites(self, capsys):
+        from fekete.cli import VERIFY_SUITES
+        from fekete.verify import SUITES
+
+        assert VERIFY_SUITES == SUITES
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nope"])
+        assert exc.value.code == 2
+        assert "{poly,real,circle,energy,equilibrium,all}" in capsys.readouterr().err
 
 
 class TestOutputContract:

@@ -7,14 +7,18 @@ from scipy.integrate import quad
 from fekete import (
     InvalidInputError,
     MeasureSpec,
+    canonical_gamma,
     capacity_circle,
     capacity_real,
     cdf,
+    circle_points,
     density,
     frostman_check,
     ks_distance,
     log_potential,
     modified_robin_constant,
+    s1_points,
+    sgt1_points,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -131,6 +135,99 @@ class TestCdf:
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
 
 
+def scalar_cdf(m, x):
+    """The CDF formulas one float at a time through the math module: the
+    reference for the array route."""
+    lo, hi = m.support
+    if m.family == "arctan":
+        return 0.5 + math.atan(x) / math.pi
+    if x <= lo:
+        return 0.0
+    if x >= hi:
+        return 1.0
+    if m.family == "circle-poisson":
+        val = math.atan(abs((1.0 + m.b) / (1.0 - m.b)) * math.tan(x / 2.0)) / math.pi
+        if x > math.pi:
+            val += 1.0
+    else:
+        k = math.sqrt(1.0 + hi * hi)
+        root = math.sqrt((hi - x) * (hi + x))
+        val = 0.5 + math.atan2((k if m.family == "harmonic-i" else 1.0) * x, root) / math.pi
+        if m.family == "real-s":
+            u, v = x / hi, root / hi
+            val += m.s * math.atan2(u * v * hi * hi / (k + 1.0), v * v + k * u * u) / math.pi
+    return min(max(val, 0.0), 1.0)
+
+
+CDF_FAMILIES = [
+    MeasureSpec.real_sgt1(2.0), MeasureSpec.real_sgt1(1.0000001), MeasureSpec.real_sgt1(1e8),
+    MeasureSpec.arctan(),
+    MeasureSpec.circle_poisson(0.5), MeasureSpec.circle_poisson(-2.0),
+    MeasureSpec.circle_poisson(0.999999),
+    MeasureSpec.harmonic_inf(1.0), MeasureSpec.harmonic_inf(1.7461343035679293),
+    MeasureSpec.harmonic_i(SQRT3), MeasureSpec.harmonic_i(1e-3),
+]
+
+
+def spec_id(m):
+    params = [repr(v) for v in (m.s, m.b, m.r) if v is not None]
+    return f"{m.family}({','.join(params)})"
+
+
+def cdf_points(m, count):
+    """Points outside the support, exactly on and next to both edges, the
+    infinities, +-1e12 and an interior sweep of count points."""
+    lo, hi = m.support
+    pts = [-math.inf, math.inf, -1e12, 1e12, 0.0, -0.0, math.pi, -7.5, 7.5]
+    if math.isfinite(lo):
+        pts += [lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 0.0),
+                math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        return pts + np.linspace(lo, hi, count).tolist()
+    return pts + np.linspace(-50.0, 50.0, count).tolist()
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestCdfArrays:
+    @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
+    def test_array_has_the_bits_of_the_scalar_formulas(self, m):
+        # a sweep this dense meets inputs where numpy's atan, atan2 or tan
+        # round differently from libm's
+        pts = cdf_points(m, 40001)
+        assert bits(cdf(m, np.array(pts))) == bits([scalar_cdf(m, x) for x in pts])
+
+    @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
+    def test_scalar_calls_have_the_bits_of_the_array(self, m):
+        pts = cdf_points(m, 97)
+        assert bits([cdf(m, x) for x in pts]) == bits(cdf(m, np.array(pts)))
+
+    @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
+    def test_infinities_map_to_zero_and_one(self, m):
+        assert cdf(m, -math.inf) == 0.0 and cdf(m, math.inf) == 1.0
+        assert cdf(m, np.array([-math.inf, math.inf])).tolist() == [0.0, 1.0]
+
+    def test_shapes(self):
+        m = MeasureSpec.harmonic_i(SQRT3)
+        grid = np.linspace(-2.0, 2.0, 12)
+        assert type(cdf(m, 0.3)) is float
+        assert type(cdf(m, np.float64(0.3))) is float
+        assert type(cdf(m, np.array(0.3))) is float
+        assert cdf(m, grid.reshape(3, 4)).shape == (3, 4)
+        assert cdf(m, grid.tolist()).shape == (12,)
+        assert cdf(m, np.array([])).shape == (0,)
+        assert bits(cdf(m, grid.reshape(3, 4)).ravel()) == bits(cdf(m, grid))
+
+    @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
+    def test_nan_is_rejected(self, m):
+        # at the parent the scalar route returned nan
+        with pytest.raises(InvalidInputError):
+            cdf(m, math.nan)
+        with pytest.raises(InvalidInputError):
+            cdf(m, np.array([0.0, math.nan, 0.5]))
+
+
 class TestCapacity:
     def test_s_equals_one(self):
         assert capacity_real(1.0) == 0.5
@@ -210,6 +307,35 @@ class TestKsDistance:
 
     def test_single_point_at_median(self):
         assert ks_distance([0.0], MeasureSpec.arctan()) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("points, m", [
+        (sgt1_points(1.0, 2.0, 40), MeasureSpec.real_sgt1(2.0)),
+        (sgt1_points(1.0, 1.5, 7), MeasureSpec.real_sgt1(1.5)),
+        (s1_points(1.0, 60, canonical_gamma(60)), MeasureSpec.arctan()),
+        (circle_points(0.5, 33, 0.0).angles, MeasureSpec.circle_poisson(0.5)),
+        (circle_points(-2.0, 50, 0.3).angles, MeasureSpec.circle_poisson(-2.0)),
+        (np.linspace(-3.0, 3.0, 25), MeasureSpec.harmonic_i(SQRT3)),
+        (np.linspace(-1.0, 1.0, 9), MeasureSpec.harmonic_inf(1.0)),
+        ([5.0, -1.0, 0.25, 0.25], MeasureSpec.real_sgt1(2.0)),
+    ], ids=["real-s-fekete", "real-s-small-n", "arctan-fekete", "circle-inside",
+            "circle-outside", "harmonic-i-grid", "harmonic-inf-edges", "ties-and-outside"])
+    def test_matches_the_pointwise_loop(self, points, m):
+        xs = np.sort(np.asarray(points, dtype=float).ravel())
+        n = xs.size
+        worst = 0.0
+        for i, x in enumerate(xs):
+            c = scalar_cdf(m, float(x))
+            worst = max(worst, abs((i + 1) / n - c), abs(i / n - c))
+        got = ks_distance(points, m)
+        assert type(got) is float and bits([got]) == bits([worst])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_points(self, bad):
+        # at the parent a NaN point was dropped silently: 0.5 came back here
+        with pytest.raises(InvalidInputError):
+            ks_distance([0.0, bad, 0.5], MeasureSpec.real_sgt1(2.0))
+        with pytest.raises(InvalidInputError):
+            ks_distance([bad], MeasureSpec.arctan())
 
     def test_log_potential_rejects_circle(self):
         with pytest.raises(InvalidInputError):

@@ -239,12 +239,14 @@ class TestOracleSplit:
     def test_cli_loads_scipy_only_where_it_is_used(self):
         # scipy.integrate (which loads scipy.linalg) was most of every
         # command's start-up; only verify integrates, and only real at s > 1
-        # calls the tridiagonal eigensolver
+        # calls the tridiagonal eigensolver.  The oracles, fekete.poly and
+        # fekete.verify, are loaded by verify alone.
         code = "\n".join([
             "import contextlib, io, sys",
             "from fekete.cli import build_parser, main",
             "def loaded():",
-            "    print([m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules])",
+            "    print([m for m in ('scipy.linalg', 'scipy.integrate', 'fekete.poly',",
+            "                       'fekete.verify') if m in sys.modules])",
             "build_parser()",
             "loaded()",
             "for argv in (['circle', '--b', '0.5', '--n', '8'],",
@@ -260,8 +262,10 @@ class TestOracleSplit:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fekete.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.splitlines() == ["[]"] * 5 + ["['scipy.linalg']",
-                                                 "['scipy.linalg', 'scipy.integrate']"]
+        assert out.splitlines() == ["[]"] * 5 + [
+            "['scipy.linalg']",
+            "['scipy.linalg', 'scipy.integrate', 'fekete.poly', 'fekete.verify']",
+        ]
 
     def test_package_exports_exactly_the_production_names(self):
         from fekete import circle, energy, equilibrium, errors, real_line
