@@ -115,8 +115,8 @@ def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
     angles, order = _sorted_angles(pts)
     return CircleSolution(
         alpha=alpha,
-        points=tuple(complex(z) for z in pts[order]),
-        angles=tuple(float(t) for t in angles),
+        points=tuple(pts[order].tolist()),
+        angles=tuple(angles.tolist()),
     )
 
 

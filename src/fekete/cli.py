@@ -15,11 +15,16 @@ is still emitted).  Floats are printed with 17 significant digits so that
 parsing the output recovers the exact binary values.  The environment
 variable FEKETE_LOG in {off, info, debug} controls diagnostic verbosity on
 stderr; nothing else is read from the environment.
+
+main(argv) may be called any number of times in one process, and each call
+prints what a fresh process prints for the same argv: the parser is built
+once per process, on the first call, and FEKETE_LOG is read on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -78,6 +83,11 @@ def _render_rows(rows, cell, prefixes, end: str) -> str:
     """Each row as prefixes[k] + cell k for every k, then end, formatted by
     one % operation: floats as "%.17g", any other cell as cell(v).  No
     prefix holds a "%"."""
+    cells = [v for row in rows for v in row]
+    if set(map(type, cells)) <= {float} and all(len(row) == len(prefixes) for row in rows):
+        # Python floats only, in full rows: one template repeated per row
+        row_template = "".join([prefix + "%.17g" for prefix in prefixes]) + end
+        return row_template * len(rows) % tuple(cells)
     template, args = [], []
     for row in rows:
         for prefix, v in zip(prefixes, row):
@@ -92,13 +102,20 @@ def _render_rows(rows, cell, prefixes, end: str) -> str:
 
 
 def _to_json(value) -> str:
-    """Minimal JSON serializer with fixed key order and 17-digit floats."""
+    """Minimal JSON serializer with fixed key order and 17-digit floats.  A
+    list is formatted by one % operation, as one row or, when every item is
+    a list of one nonzero length (the cartesian pairs), as rows."""
     if type(value) is float:
         return format(value, ".17g")
     if isinstance(value, dict):
         return "{" + ", ".join([f'"{k}": {_to_json(v)}' for k, v in value.items()]) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_to_json, value)) + "]"
+        width = len(value[0]) if value and isinstance(value[0], (list, tuple)) else 0
+        if width and all(isinstance(v, (list, tuple)) and len(v) == width for v in value):
+            prefixes = ["["] + [", "] * (width - 1)
+            return "[" + _render_rows(value, _to_json, prefixes, "], ")[:-2] + "]"
+        prefixes = [""] + [", "] * (len(value) - 1)
+        return "[" + _render_rows([value], _to_json, prefixes, "") + "]"
     if isinstance(value, _Rows):
         keys = [f'"{k}": ' for k in value.header]
         prefixes = ["{" + keys[0]] + [", " + k for k in keys[1:]]
@@ -120,7 +137,9 @@ def _to_csv(header, rows) -> str:
     """Comma-separated rows ending in CRLF, as csv.writer writes them: no
     cell is None or holds a comma, a quote or a line break, so none is
     quoted or blanked."""
-    return _render_rows([header, *rows], str, [""] + [","] * (len(header) - 1), "\r\n")
+    prefixes = [""] + [","] * (len(header) - 1)
+    # the header apart, so that a body of floats takes the one-template path
+    return "".join(_render_rows(part, str, prefixes, "\r\n") for part in ([header], rows))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -142,7 +161,7 @@ def _result_payload(params: dict, points, log_diameter: float, grad_norm: float,
         raise CliError("the weighted diameter exp(L) exceeds the double range") from None
     payload = {
         "params": params,
-        "points": [float(p) for p in points],
+        "points": np.asarray(points, dtype=float).tolist(),
         "log_diameter": log_diameter,
         "diameter": diameter,
         "energy": -log_diameter,
@@ -431,16 +450,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: parsing leaves no
+    state on it, and help and usage are formatted from the terminal width
+    of the moment."""
+    return build_parser()
+
+
+_LOG_LEVELS = {"off": logging.NOTSET, "info": logging.INFO, "debug": logging.DEBUG}
+_log_handler = logging.StreamHandler()
+_log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _configure_logging() -> None:
+    """Set the "fekete" logger from FEKETE_LOG: at info or debug it writes to
+    the current sys.stderr through one handler; off (or an unknown value)
+    removes that handler and resets the level to NOTSET, as at import.
+    Records still propagate, and no other logger is touched."""
     level_name = os.environ.get("FEKETE_LOG", "off").lower()
-    if level_name == "off":
-        return
-    levels = {"info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
+    if level_name not in _LOG_LEVELS:
         print(f"ignoring unknown FEKETE_LOG value {level_name!r}", file=sys.stderr)
-        return
-    logging.basicConfig(stream=sys.stderr, level=levels[level_name],
-                        format="%(levelname)s %(name)s: %(message)s")
+        level_name = "off"
+    log.setLevel(_LOG_LEVELS[level_name])
+    if level_name == "off":
+        log.removeHandler(_log_handler)
+    else:
+        _log_handler.stream = sys.stderr
+        log.addHandler(_log_handler)
 
 
 _VALUE_OPTIONS = {"--a", "--s", "--b", "--r", "--n", "--gamma", "--alpha",
@@ -467,10 +504,9 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_dash_values(list(argv)))
+    args = _parser().parse_args(_join_dash_values(list(argv)))
     try:
         return args.handler(args)
     except CliError as exc:

@@ -19,12 +19,16 @@ the attracting charge onto the support.
 CDFs are elementary closed forms (arctangents, and the sweep identity above
 for real-s).  cdf takes a float or a whole grid; its atan, atan2 and tan go
 through the math module element by element, so a grid's values keep libm's
-bits.  Densities are evaluated one point at a time: quadrature integrands
-call them.  Total masses and logarithmic potentials are computed with
-adaptive Gauss-Kronrod quadrature; densities with inverse-square-root edges
-are integrated after the substitution x = r sin(theta), which removes the
-endpoint derivative blowup, and the integrable log singularity of the
-potential is handled by splitting the integration at the singular point.
+bits.  Densities are evaluated one point at a time, by one function per
+family with the family's constants bound once: quadrature integrands call
+it at every node.  The harmonic families take r >= 1e-300 and, for r
+outside [2^-480, 2^500), scale r and x by a power of two, so that r^2 and
+(r - x)(r + x) stay in the double range.  Total masses and logarithmic
+potentials are computed with adaptive Gauss-Kronrod quadrature; densities
+with inverse-square-root edges are integrated after the substitution
+x = r sin(theta), which removes the endpoint derivative blowup, and the
+integrable log singularity of the potential is handled by splitting the
+integration at the singular point.
 Densities evaluate to 0 outside their support (including at the boundary;
 the harmonic families diverge in the open-interior limit there).
 """
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -63,15 +68,40 @@ _CIRCLE_POISSON = "circle-poisson"
 _HARMONIC_INF = "harmonic-inf"
 _HARMONIC_I = "harmonic-i"
 
+# the smallest radius of the harmonic families: 1/(pi r) and the densities
+# next to the edges stay below the double range's top
+_R_MIN = 1e-300
+
+
+def _checked_radius(r: float, family: str) -> float:
+    r = checked_finite(r, "r")
+    if not r > 0:
+        raise InvalidInputError(f"{family} requires r > 0")
+    if r < _R_MIN:
+        raise InvalidInputError(f"{family} requires r >= {_R_MIN:g}: below it the "
+                                "density leaves the double range")
+    return r
+
+
+def _radius_unit(r: float) -> float:
+    """1 for 2^-480 <= r < 2^500, where every product the harmonic formulas
+    form (at most about r^2, at least about r^2 2^-53) is a normal double;
+    otherwise the power of two 2^-e for 2^(e-1) <= r < 2^e, which brings r
+    into [1/2, 1)."""
+    e = math.frexp(r)[1]
+    return 1.0 if -480 < e <= 500 else math.ldexp(1.0, -e)
+
 
 @dataclass(frozen=True)
 class MeasureSpec:
     """A named measure family with its parameters and support interval.
 
     Circle families use the angle t in [0, 2 pi] as the coordinate and keep
-    the CircleWeight of their charge, whose dist_sq the density uses.  Build
-    instances through the classmethod constructors, which validate parameter
-    domains and fill in the support.
+    the CircleWeight of their charge, whose dist_sq the density uses.  unit
+    is the power of two by which the harmonic formulas scale r and x (see
+    _radius_unit): 1 for moderate r, where they run unscaled, and for the
+    other families.  Build instances through the classmethod
+    constructors, which validate parameter domains and fill in the support.
     """
 
     family: str
@@ -80,6 +110,14 @@ class MeasureSpec:
     b: float | None = None
     r: float | None = None
     weight: CircleWeight | None = field(default=None, repr=False, compare=False)
+    unit: float = field(init=False, repr=False, compare=False)
+    # the density at one float, with the family's constants bound (_density_fn)
+    _density: Callable[[float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        harmonic = self.family in (_HARMONIC_INF, _HARMONIC_I)
+        object.__setattr__(self, "unit", _radius_unit(self.r) if harmonic else 1.0)
+        object.__setattr__(self, "_density", _density_fn(self))
 
     @classmethod
     def real_sgt1(cls, s: float) -> "MeasureSpec":
@@ -98,16 +136,12 @@ class MeasureSpec:
 
     @classmethod
     def harmonic_inf(cls, r: float) -> "MeasureSpec":
-        r = checked_finite(r, "r")
-        if not r > 0:
-            raise InvalidInputError("harmonic-inf requires r > 0")
+        r = _checked_radius(r, _HARMONIC_INF)
         return cls(family=_HARMONIC_INF, support=(-r, r), r=r)
 
     @classmethod
     def harmonic_i(cls, r: float) -> "MeasureSpec":
-        r = checked_finite(r, "r")
-        if not r > 0:
-            raise InvalidInputError("harmonic-i requires r > 0")
+        r = _checked_radius(r, _HARMONIC_I)
         return cls(family=_HARMONIC_I, support=(-r, r), r=r)
 
     @property
@@ -133,33 +167,66 @@ class EquilibriumReport:
     frostman_max_onsupport_deviation: float
 
 
+def _k_unit(m: MeasureSpec) -> float:
+    """sqrt(1 + r^2) times m.unit, the harmonic-i factor: where unit is not 1
+    the square root is r or 1 to double precision, and 1 + r^2 may overflow."""
+    r, u = m.support[1], m.unit
+    return (math.sqrt(1.0 + r * r) if u == 1.0 else max(r, 1.0)) * u
+
+
+def _density_fn(m: MeasureSpec) -> Callable[[float], float]:
+    """The family's density as a function of one float, with the family's
+    constants bound once, built with each MeasureSpec: the one scalar
+    formula behind density and the quadrature integrands."""
+    lo, hi = m.support
+    if m.family == _ARCTAN:
+        return lambda x: 1.0 / (math.pi * (1.0 + x * x))
+    if m.family == _CIRCLE_POISSON:
+        # |1 - b^2| / |e^{ix} - b|^2, both scaled by u^2 (CircleWeight.unit)
+        u = m.weight.unit
+        c = m.b * u
+        num = abs(u - c) * abs(u + c)
+        dist_sq = m.weight.dist_sq
+        return lambda x: num / (TWO_PI * dist_sq(x)) if lo <= x <= hi else 0.0
+    if m.family == _REAL_SGT1:
+        s1 = m.s - 1.0
+
+        def real_s(x):
+            # sqrt(2s-1 - (s-1)^2 x^2) = (s-1) sqrt(r^2 - x^2), the root taken
+            # as sqrt((r-x)(r+x)), which does not cancel at the edges
+            if not lo < x < hi:
+                return 0.0
+            return s1 * math.sqrt((hi - x) * (hi + x)) / (math.pi * (1.0 + x * x))
+        return real_s
+    # the harmonic families: sqrt(r^2 - x^2) = sqrt((r-x)(r+x)) / u from r and
+    # x scaled by u, so that neither r^2 nor the edge products leave the range
+    u = m.unit
+    ru = hi * u
+    if m.family == _HARMONIC_INF:
+        def harmonic_inf(x):
+            if not lo < x < hi:
+                return 0.0
+            return u / (math.pi * math.sqrt((ru - x * u) * (ru + x * u)))
+        return harmonic_inf
+    if m.family == _HARMONIC_I:
+        k = _k_unit(m)
+
+        def harmonic_i(x):
+            # 1 + x^2 overflows past |x| = 1.3e154, where the density is
+            # below 1e-300 and evaluates to 0
+            if not lo < x < hi:
+                return 0.0
+            return k / (math.pi * (1.0 + x * x) * math.sqrt((ru - x * u) * (ru + x * u)))
+        return harmonic_i
+    raise InvalidInputError(f"unknown measure family {m.family!r}")
+
+
 def density(m: MeasureSpec, x: float) -> float:
     """Pointwise density of the family at x (an angle for circle families).
 
     Returns 0 outside the support rather than raising.
     """
-    x = float(x)
-    lo, hi = m.support
-    if m.family == _ARCTAN:
-        return 1.0 / (math.pi * (1.0 + x * x))
-    if m.family == _CIRCLE_POISSON:
-        if not lo <= x <= hi:
-            return 0.0
-        # |1 - b^2| / |e^{ix} - b|^2, both scaled by u^2 (CircleWeight.unit)
-        u = m.weight.unit
-        c = m.b * u
-        return abs(u - c) * abs(u + c) / (TWO_PI * m.weight.dist_sq(x))
-    if not lo < x < hi:
-        return 0.0
-    root = _edge_root(hi, x)
-    if m.family == _REAL_SGT1:
-        # sqrt(2s-1 - (s-1)^2 x^2) = (s-1) sqrt(r^2 - x^2)
-        return (m.s - 1.0) * root / (math.pi * (1.0 + x * x))
-    if m.family == _HARMONIC_INF:
-        return 1.0 / (math.pi * root)
-    if m.family == _HARMONIC_I:
-        return math.sqrt(hi * hi + 1.0) / (math.pi * (1.0 + x * x) * root)
-    raise InvalidInputError(f"unknown measure family {m.family!r}")
+    return m._density(float(x))
 
 
 def quad(f, lo, hi, **kwargs):
@@ -183,19 +250,14 @@ def _quad_checked(f, lo, hi, points=None) -> float:
 def _sqrt_edge_integral(m: MeasureSpec, f, theta_hi: float, singular_theta=None) -> float:
     """Integrate f(x) d mu(x) from the left endpoint up to r sin(theta_hi)
     using the substitution x = r sin(theta)."""
-    r = m.support[1]
+    r, dens = m.support[1], m._density
 
     def g(theta):
         x = r * math.sin(theta)
-        return f(x) * density(m, x) * r * math.cos(theta)
+        return f(x) * dens(x) * r * math.cos(theta)
 
     pts = [singular_theta] if singular_theta is not None else None
     return _quad_checked(g, -math.pi / 2.0, theta_hi, points=pts)
-
-
-def _edge_root(r: float, x: float) -> float:
-    """sqrt(r^2 - x^2) as sqrt((r-x)(r+x)), which does not cancel at the edges."""
-    return math.sqrt((r - x) * (r + x))
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -226,25 +288,25 @@ def cdf(m: MeasureSpec, x):
     out = np.where(flat <= lo, 0.0, 1.0)
     inside = (flat > lo) & (flat < hi)
     t = flat[inside]
-    # past r ~ 1e154 the products overflow as Python floats do: silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        if m.family == _ARCTAN:
-            val = 0.5 + _libm(math.atan, t) / math.pi
-        elif m.family == _CIRCLE_POISSON:
-            ratio = abs((1.0 + m.b) / (1.0 - m.b))
-            val = _libm(math.atan, ratio * _libm(math.tan, t / 2.0)) / math.pi
-            val[t > math.pi] += 1.0
-        else:
+    if m.family == _ARCTAN:
+        val = 0.5 + _libm(math.atan, t) / math.pi
+    elif m.family == _CIRCLE_POISSON:
+        ratio = abs((1.0 + m.b) / (1.0 - m.b))
+        val = _libm(math.atan, ratio * _libm(math.tan, t / 2.0)) / math.pi
+        val[t > math.pi] += 1.0
+    else:
+        # both arguments of the arctangent times m.unit (see _density_fn)
+        unit, ru, tu = m.unit, hi * m.unit, t * m.unit
+        root = np.sqrt((ru - tu) * (ru + tu))
+        kx = (_k_unit(m) if m.family == _HARMONIC_I else unit) * t
+        val = 0.5 + _libm(math.atan2, kx, root) / math.pi
+        if m.family == _REAL_SGT1:
+            # H_i - H_inf as one arctangent (k - 1 = r^2/(k+1)) in u = x/r and
+            # v = root/r: s H_i - (s-1) H_inf as written cancels O(s)
             k = math.sqrt(1.0 + hi * hi)
-            root = np.sqrt((hi - t) * (hi + t))
-            kx = (k if m.family == _HARMONIC_I else 1.0) * t
-            val = 0.5 + _libm(math.atan2, kx, root) / math.pi
-            if m.family == _REAL_SGT1:
-                # H_i - H_inf as one arctangent (k - 1 = r^2/(k+1)) in u = x/r and
-                # v = root/r: s H_i - (s-1) H_inf as written cancels O(s)
-                u, v = t / hi, root / hi
-                val += m.s * _libm(math.atan2, u * v * hi * hi / (k + 1.0),
-                                   v * v + k * u * u) / math.pi
+            u, v = t / hi, root / hi
+            val += m.s * _libm(math.atan2, u * v * hi * hi / (k + 1.0),
+                               v * v + k * u * u) / math.pi
     out[inside] = np.minimum(np.maximum(val, 0.0), 1.0)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
@@ -253,13 +315,14 @@ def total_mass(m: MeasureSpec) -> float:
     """Total integral of the density; 1 for every family, up to quadrature."""
     if m.family == _ARCTAN:
         # substitute x = tan(theta): the transformed integrand is smooth
+        dens = m._density
         return _quad_checked(
-            lambda t: density(m, math.tan(t)) / math.cos(t) ** 2,
+            lambda t: dens(math.tan(t)) / math.cos(t) ** 2,
             -math.pi / 2.0,
             math.pi / 2.0,
         )
     if m.family == _CIRCLE_POISSON:
-        return _quad_checked(lambda t: density(m, t), 0.0, TWO_PI)
+        return _quad_checked(m._density, 0.0, TWO_PI)
     return _sqrt_edge_integral(m, lambda _: 1.0, math.pi / 2.0)
 
 
@@ -274,8 +337,9 @@ def log_potential(m: MeasureSpec, x: float) -> float:
         raise InvalidInputError("log_potential supports line families only")
     if m.family == _ARCTAN:
         sing = math.atan(x)
+        dens = m._density
         return _quad_checked(
-            lambda t: -math.log(abs(x - math.tan(t))) * density(m, math.tan(t))
+            lambda t: -math.log(abs(x - math.tan(t))) * dens(math.tan(t))
             / math.cos(t) ** 2,
             -math.pi / 2.0,
             math.pi / 2.0,

@@ -3,12 +3,17 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fekete
+import fekete.cli as cli
 from fekete import MeasureSpec, cdf, density
-from fekete.cli import _to_csv, main
+from fekete.cli import _to_csv, _to_json, build_parser, main
 
 SQRT3 = math.sqrt(3.0)
 
@@ -272,6 +277,40 @@ class TestMeasureCommand:
         assert [row["cdf"] for row in rows] == [0.0, 0.5, 1.0]
         assert rows[1]["density"] == pytest.approx(math.sqrt(2e160) / math.pi, rel=1e-14)
 
+    @pytest.mark.parametrize("family", ["harmonic-inf", "harmonic-i"])
+    @pytest.mark.parametrize("r", ["1e160", "1e200", "1e-300"])
+    def test_harmonic_families_at_extreme_radius(self, capsys, family, r):
+        # r^2 and (r - x)(r + x) leave the double range past r = 1.34e154 (the
+        # densities read nan or 0, the CDF a flat 0.5) and below 1e-154
+        mpmath = pytest.importorskip("mpmath")
+        rr = float(r)
+        grid = f"{-0.9 * rr!r}:{0.9 * rr!r}:7"
+        rows = run_json(capsys, "measure", "--family", family, "--r", r, "--grid", grid)["rows"]
+        xs = [row["x"] for row in rows]
+        assert xs[0] == -rr and xs[-1] == rr and len(xs) == 9
+        assert [(row["density"], row["cdf"]) for row in (rows[0], rows[-1])] == [(0, 0), (0, 1)]
+        for row in rows[1:-1]:
+            with mpmath.workdps(50):
+                big, x = mpmath.mpf(rr), mpmath.mpf(row["x"])
+                root = mpmath.sqrt(big * big - x * x)
+                k = mpmath.sqrt(1 + big * big) if family == "harmonic-i" else 1
+                ref_density = float(k / (mpmath.pi * (1 + x * x) ** (family == "harmonic-i")
+                                         * root))
+                ref_cdf = float(mpmath.mpf(0.5) + mpmath.atan(k * x / root) / mpmath.pi)
+            assert abs(row["cdf"] - ref_cdf) <= 4e-16
+            if ref_density > 1e-290:
+                assert row["density"] == pytest.approx(ref_density, rel=1e-15)
+            else:  # harmonic-i where 1 + x^2 overflows
+                assert 0.0 <= row["density"] <= 1e-290
+
+    @pytest.mark.parametrize("family", ["harmonic-inf", "harmonic-i"])
+    def test_harmonic_radius_below_bound_exits_two(self, capsys, family):
+        code, out, err = run(capsys, "measure", "--family", family, "--r", "1e-301",
+                             "--grid", "0:1e-301:3")
+        assert code == 2 and out == ""
+        assert err == f"error: {family} requires r >= 1e-300: below it the density " \
+                      "leaves the double range\n"
+
     def test_unknown_family_exits_two(self, capsys):
         code, _, _ = run(capsys, "measure", "--family", "real-s", "--s", "0.5",
                          "--grid", "0:1:2")
@@ -476,3 +515,128 @@ class TestOutputContract:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def elementwise_json(value):
+    """Lists as the earlier serializer wrote them, one call per element."""
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(elementwise_json, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f'"{k}": {elementwise_json(v)}' for k, v in value.items()) + "}"
+    return _to_json(value)
+
+
+class TestJsonLists:
+    @pytest.mark.parametrize("value", [
+        [-0.0, 5e-324, 1.7976931348623157e308, 0.1],
+        [0.1, -2.5, 1e-300, math.inf, -math.inf, 3.0],
+        [],
+        [0.5],
+        [1, 0.5, True, None, 'a"b\\c', np.float64(-0.0), np.int64(3), np.float32(0.1)],
+        [[0.1, -0.0], [5e-324, 1.7976931348623157e308], [2.0, 3.5]],
+        [[0.1, 0.2], [0.3]],
+        [[0.1], [0.2, 0.3]],
+        [[], []],
+        [[[0.1, 0.2]], [[0.3, 0.4]]],
+        [[1, 2.5], [True, None]],
+        [{"x": 0.1, "y": [0.2, -0.0]}, 0.3],
+        (0.25, [0.5, (0.75,)]),
+    ], ids=repr)
+    def test_one_operation_per_list_matches_the_elementwise_form(self, value):
+        assert _to_json(value) == elementwise_json(value)
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr of argv in a new interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "FEKETE_LOG"}
+    env.update(PYTHONPATH=os.path.dirname(os.path.dirname(fekete.__file__)), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "fekete.cli", *argv], env=env,
+                          capture_output=True)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def in_process(capsys, argv):
+    """The same triple from main in this process; argparse exits by raising."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneProcess:
+    """main may be called any number of times in one process."""
+
+    SEQUENCE = [
+        *(f"{argv} --format {fmt}".split() for fmt in ("json", "csv") for argv in (
+            "real --a 1 --s 2 --n 6",
+            "circle --b -0.5 --n 7",
+            "measure --family real-s --s 2 --grid -2:2:9",
+            "converge --b 0.5 --n-list 2,10",
+        )),
+        "verify --suite circle".split(),
+        "real --a 1 --s 2".split(),
+        "converge --s 2 --b 0.5 --n-list 4,8".split(),
+        ["--version"],
+        "real --a 1 --s 2 --n 6 --format json".split(),
+    ]
+
+    def test_each_call_prints_what_a_fresh_process_prints(self, capsys, monkeypatch):
+        monkeypatch.delenv("FEKETE_LOG", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")
+        got = [in_process(capsys, argv) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in got] == [0] * 9 + [2, 2, 0, 0]
+        assert got == [fresh_process(argv) for argv in self.SEQUENCE]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for argv in self.SEQUENCE[:3] + self.SEQUENCE[-4:]:
+                in_process(capsys, argv)
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    @pytest.mark.parametrize("command", [[], ["real"], ["circle"], ["measure"], ["converge"],
+                                         ["verify"]], ids=str)
+    def test_help_is_a_fresh_parsers_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process(capsys, self.SEQUENCE[0])
+        code, out, err = in_process(capsys, command + ["--help"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--help"])
+        assert (code, err) == (0, "") and out == capsys.readouterr().out
+        assert out.startswith("usage: fekete")
+
+    def test_log_level_is_read_on_every_call(self, capsys, monkeypatch):
+        root = logging.getLogger()
+        root_level, handlers = root.level, len(logging.getLogger("fekete").handlers)
+        argv = "real --a 1 --s 2 --n 6 --method optimize".split()
+        errs = []
+        for level in ("debug", "off", "info", "off"):
+            monkeypatch.setenv("FEKETE_LOG", level)
+            code, _, err = in_process(capsys, argv)
+            assert code == 0
+            errs.append(err)
+            assert len(logging.getLogger("fekete").handlers) <= handlers + 1
+        assert errs[0].splitlines() == [
+            "INFO fekete: optimizing 6 points",
+            "DEBUG fekete.energy: start 0: objective 17.7237436474028 after 5+0 iterations"]
+        assert errs[1:] == ["", "INFO fekete: optimizing 6 points\n", ""]
+        assert root.level == root_level
+        assert len(logging.getLogger("fekete").handlers) == handlers
+        assert logging.getLogger("fekete").level == logging.NOTSET
+
+    def test_unknown_log_level_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("FEKETE_LOG", "verbose")
+        code, out, err = in_process(capsys, "circle --b 0.5 --n 2".split())
+        assert code == 0 and json.loads(out)["params"]["n"] == 2
+        assert err == "ignoring unknown FEKETE_LOG value 'verbose'\n"

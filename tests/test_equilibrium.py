@@ -166,6 +166,9 @@ CDF_FAMILIES = [
     MeasureSpec.circle_poisson(0.999999),
     MeasureSpec.harmonic_inf(1.0), MeasureSpec.harmonic_inf(1.7461343035679293),
     MeasureSpec.harmonic_i(SQRT3), MeasureSpec.harmonic_i(1e-3),
+    # radii at and next to the ends of the unscaled range (_radius_unit)
+    MeasureSpec.harmonic_inf(1e150), MeasureSpec.harmonic_i(1e150),
+    MeasureSpec.harmonic_i(2.0 ** -480),
 ]
 
 
@@ -340,3 +343,108 @@ class TestKsDistance:
     def test_log_potential_rejects_circle(self):
         with pytest.raises(InvalidInputError):
             log_potential(MeasureSpec.circle_poisson(0.5), 0.0)
+
+
+def scalar_density(m, x):
+    """The density formulas as the earlier per-call dispatch wrote them: the
+    bit reference of the per-family closures."""
+    x = float(x)
+    lo, hi = m.support
+    if m.family == "arctan":
+        return 1.0 / (math.pi * (1.0 + x * x))
+    if m.family == "circle-poisson":
+        if not lo <= x <= hi:
+            return 0.0
+        u = m.weight.unit
+        c = m.b * u
+        return abs(u - c) * abs(u + c) / (TWO_PI * m.weight.dist_sq(x))
+    if not lo < x < hi:
+        return 0.0
+    root = math.sqrt((hi - x) * (hi + x))
+    if m.family == "real-s":
+        return (m.s - 1.0) * root / (math.pi * (1.0 + x * x))
+    if m.family == "harmonic-inf":
+        return 1.0 / (math.pi * root)
+    return math.sqrt(hi * hi + 1.0) / (math.pi * (1.0 + x * x) * root)
+
+
+def reference_log_potential(m, x):
+    """log_potential with the earlier integrands, density called per node."""
+    kw = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
+    if m.family == "arctan":
+        return quad(lambda t: -math.log(abs(x - math.tan(t))) * scalar_density(m, math.tan(t))
+                    / math.cos(t) ** 2, -math.pi / 2.0, math.pi / 2.0,
+                    points=[math.atan(x)], **kw)[0]
+    r = m.support[1]
+
+    def g(theta):
+        t = r * math.sin(theta)
+        return -math.log(abs(x - t)) * scalar_density(m, t) * r * math.cos(theta)
+
+    pts = [math.asin(x / r)] if abs(x) < r else None
+    return quad(g, -math.pi / 2.0, math.pi / 2.0, points=pts, **kw)[0]
+
+
+POTENTIAL_FAMILIES = [
+    MeasureSpec.real_sgt1(2.0), MeasureSpec.real_sgt1(1.37), MeasureSpec.arctan(),
+    MeasureSpec.harmonic_inf(1.0), MeasureSpec.harmonic_i(SQRT3), MeasureSpec.harmonic_i(1e-3),
+]
+
+
+class TestDensityClosures:
+    @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
+    def test_density_has_the_bits_of_the_dispatching_formulas(self, m):
+        pts = [x for x in cdf_points(m, 4001) if math.isfinite(x)]
+        assert bits([density(m, x) for x in pts]) == bits([scalar_density(m, x) for x in pts])
+
+    @pytest.mark.parametrize("m", POTENTIAL_FAMILIES, ids=spec_id)
+    def test_log_potential_has_the_bits_of_the_dispatching_integrand(self, m):
+        hi = m.support[1]
+        reach = 3.0 if math.isinf(hi) else 1.5 * hi
+        xs = np.linspace(-reach, reach, 101 if m.family == "real-s" else 14).tolist()
+        assert (bits([log_potential(m, x) for x in xs])
+                == bits([reference_log_potential(m, x) for x in xs]))
+
+
+def harmonic_reference(family, r, x):
+    """Density and CDF of a harmonic family in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        rr, xx = mpmath.mpf(r), mpmath.mpf(x)
+        root = mpmath.sqrt(rr * rr - xx * xx)
+        k = mpmath.sqrt(1 + rr * rr) if family == "harmonic-i" else 1
+        dens = k / (mpmath.pi * (1 + xx * xx) ** (family == "harmonic-i") * root)
+        return float(dens), float(mpmath.mpf(0.5) + mpmath.atan(k * xx / root) / mpmath.pi)
+
+
+class TestHarmonicRadius:
+    @pytest.mark.parametrize("make", [MeasureSpec.harmonic_inf, MeasureSpec.harmonic_i])
+    @pytest.mark.parametrize("r", [1e-200, 2.0 ** -481, 2.0 ** 500, 1.7976931348623157e308])
+    def test_density_and_cdf_against_high_precision(self, make, r):
+        # r^2 and the edge products leave the double range unless scaled; the
+        # measure command's tests take r = 1e-300, 1e160 and 1e200
+        m = make(r)
+        edge = math.nextafter(r, 0.0)
+        for x in (-edge, -0.999 * r, -0.5 * r, -1.5, 0.0, 0.25, 0.1 * r, 0.75 * r, edge):
+            if not abs(x) < r:
+                continue
+            dens, mass = harmonic_reference(m.family, r, x)
+            assert abs(cdf(m, x) - mass) <= 4e-16
+            if dens > 1e-290:  # harmonic-i past |x| = 1.3e154: evaluates to 0
+                assert density(m, x) == pytest.approx(dens, rel=1e-15)
+            else:
+                assert 0.0 <= density(m, x) <= 1e-290
+
+    @pytest.mark.parametrize("make", [MeasureSpec.harmonic_inf, MeasureSpec.harmonic_i])
+    def test_moderate_radius_runs_unscaled(self, make):
+        for r in (2.0 ** -480, 1.0, 1e150, math.nextafter(2.0 ** 500, 0.0)):
+            assert make(r).unit == 1.0
+        assert make(2.0 ** 500).unit == 2.0 ** -501
+
+    @pytest.mark.parametrize("make", [MeasureSpec.harmonic_inf, MeasureSpec.harmonic_i])
+    def test_radius_below_the_bound_is_rejected(self, make):
+        make(1e-300)
+        with pytest.raises(InvalidInputError, match="r >= 1e-300"):
+            make(9.9e-301)
+        with pytest.raises(InvalidInputError, match="r > 0"):
+            make(0.0)
