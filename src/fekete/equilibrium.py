@@ -239,7 +239,12 @@ def quad(f, lo, hi, **kwargs):
 
 
 def _quad_checked(f, lo, hi, points=None) -> float:
-    val, err = quad(f, lo, hi, points=points, **_QUAD_KW)
+    """quad's value; NumericalError when quad flags the integral (then its
+    value can be wrong by orders of magnitude) or its error estimate exceeds
+    _QUAD_FAIL."""
+    val, err, _, *flag = quad(f, lo, hi, points=points, full_output=1, **_QUAD_KW)
+    if flag:
+        raise NumericalError(f"quadrature gave up: {flag[0].splitlines()[0]}")
     if err > _QUAD_FAIL:
         raise NumericalError(
             f"quadrature reached absolute error {err:.2e} > {_QUAD_FAIL:.0e}"

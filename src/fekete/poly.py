@@ -1,10 +1,14 @@
-"""Polynomial oracles: dense complex polynomials and the line's polynomial routes.
+"""Polynomial oracles: real coefficient arrays and the line's polynomial routes.
 
-Coefficients are stored in ascending degree order and trailing zeros are
-trimmed on construction, so ``degree == len(coeffs) - 1`` and the leading
-coefficient is nonzero unless the polynomial is identically zero.  Values are
-immutable after construction; everything here is a pure function and safe for
-concurrent use.
+A polynomial is a 1-d float64 array of its coefficients in ascending degree
+order with trailing zeros trimmed, so its degree is ``len(c) - 1`` and its
+leading coefficient is nonzero unless it is identically zero; the numpy
+routines ``np.polynomial.polynomial.polyval``, ``polyder``, ``polyadd`` and
+the like work on it directly.  Every polynomial of the paper has real
+coefficients, and so does everything here: ``roots``, ``stacked_roots`` and
+``discriminant_resultant`` reject empty, multi-dimensional, non-finite and
+complex input with ``InvalidInputError``.  Everything is a pure function and
+safe for concurrent use.
 
 Root extraction uses companion-matrix eigenvalues refined by a few Newton
 steps; ``stacked_roots`` does this for many polynomials of one degree in one
@@ -13,9 +17,8 @@ case.  The monomial basis is ill-conditioned, so it loses accuracy quickly
 with the degree and serves only as a small-degree oracle: the Fekete points
 on the line come from Jacobi-matrix eigenvalues (``real_line.sgt1_points``)
 and arctangent progressions.  The discriminant is computed from the
-Sylvester resultant of p and p' in exact integer arithmetic, over Z when the
-coefficients are real and over the Gaussian integers otherwise, rounded once
-at the end.
+Sylvester resultant of p and p' in exact integer arithmetic over Z, rounded
+once at the end.
 
 The second half holds the polynomial side of the line's closed forms, kept
 as oracles for ``fekete.verify`` and the tests, never called by the
@@ -29,11 +32,12 @@ to the s > 1 weighted diameter.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
+from numpy.polynomial.polyutils import trimseq
 
 from .errors import InvalidInputError, NumericalError, SingularParameterError, checked_n
 from .real_line import (
@@ -47,7 +51,6 @@ from .real_line import (
 )
 
 __all__ = [
-    "Poly",
     "roots",
     "stacked_roots",
     "discriminant_resultant",
@@ -67,85 +70,18 @@ __all__ = [
 _NEWTON_STEPS = 3  # refinement steps after the companion eigenvalues
 
 
-class Poly:
-    """Immutable polynomial c[0] + c[1] x + ... + c[n] x^n."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs):
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidInputError("coefficients must form a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("coefficients must be finite")
-        last = arr.size - 1
-        while last > 0 and arr[last] == 0:
-            last -= 1
-        arr = arr[: last + 1]
-        arr.setflags(write=False)
-        self._coeffs = arr
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Read-only coefficient array, ascending degree."""
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return self._coeffs.size - 1
-
-    @property
-    def leading(self) -> complex:
-        return complex(self._coeffs[-1])
-
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self._coeffs[0] == 0
-
-    def eval(self, z):
-        """Evaluate at z (scalar or array) by Horner's nested scheme."""
-        z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self._coeffs[-1], dtype=complex)
-        for c in self._coeffs[-2::-1]:
-            out = out * z + c
-        return complex(out) if out.ndim == 0 else out
-
-    def __call__(self, z):
-        return self.eval(z)
-
-    def derivative(self) -> "Poly":
-        if self.degree == 0:
-            return Poly([0.0])
-        k = np.arange(1, self.degree + 1)
-        return Poly(self._coeffs[1:] * k)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self._coeffs, other._coeffs
-        if a.size < b.size:
-            a, b = b, a
-        out = a.copy()
-        out[: b.size] += b
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(-self._coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(np.convolve(self._coeffs, other._coeffs))
-        return Poly(self._coeffs * complex(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def shifted_up(self) -> "Poly":
-        """Multiply by x."""
-        return Poly(np.concatenate(([0.0], self._coeffs)))
-
-    def __repr__(self) -> str:
-        return f"Poly(degree={self.degree}, coeffs={np.array2string(self._coeffs, precision=6)})"
+def _checked_coeffs(c) -> np.ndarray:
+    """c as a float64 coefficient array with trailing zeros trimmed;
+    InvalidInputError unless c is a non-empty, 1-d, finite real sequence."""
+    arr = np.asarray(c)
+    if np.iscomplexobj(arr):
+        raise InvalidInputError("coefficients must be real")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidInputError("coefficients must form a non-empty 1-d sequence")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("coefficients must be finite")
+    return trimseq(arr)
 
 
 def stacked_roots(polys) -> np.ndarray:
@@ -153,34 +89,28 @@ def stacked_roots(polys) -> np.ndarray:
     with multiplicity, sorted by real part then imaginary part.
 
     Each row carries the bits that ``roots`` gives for its polynomial alone.
-    The companion matrices are built as ``np.roots`` builds them, real when
-    every imaginary part of the coefficients is zero, with the roots at zero
-    split off exactly; rows that share that shape go to one
-    ``np.linalg.eigvals`` call.  Newton refinement then runs on all rows at
-    once (see ``roots``).
+    The real companion matrices are built as ``np.roots`` builds them, with
+    the roots at zero split off exactly; rows with the same number of zero
+    roots go to one ``np.linalg.eigvals`` call.  Newton refinement then runs
+    on all rows at once (see ``roots``).
     """
-    polys = list(polys)
-    if not polys or any(p.degree != polys[0].degree for p in polys):
+    rows = [_checked_coeffs(p) for p in polys]
+    if not rows or any(p.size != rows[0].size for p in rows):
         raise InvalidInputError("stacked root extraction requires polynomials of one degree")
-    if polys[0].degree < 1:
+    if rows[0].size < 2:
         raise InvalidInputError("root extraction requires a nonzero polynomial of degree >= 1")
-    c = np.array([p.coeffs for p in polys])  # ascending, one row per polynomial
+    c = np.array(rows)  # ascending, one row per polynomial
     n = c.shape[1] - 1
     zero_roots = np.argmax(c != 0.0, axis=1)
-    real = ~np.any(c.imag, axis=1)
-    r = np.zeros((len(polys), n), dtype=complex)
-    for z, is_real in set(zip(zero_roots.tolist(), real.tolist())):
-        rows = np.flatnonzero((zero_roots == z) & (real == is_real))
-        if z == n:
-            continue  # a monomial: every root is zero
-        top = c[rows, z:][:, ::-1]  # highest first, zero roots stripped
-        if is_real:
-            top = top.real
+    r = np.zeros((len(rows), n), dtype=complex)
+    for z in set(zero_roots.tolist()) - {n}:  # a monomial's roots are all zero
+        group = np.flatnonzero(zero_roots == z)
+        top = c[group, z:][:, ::-1]  # highest first, zero roots stripped
         m = n - z
-        companion = np.zeros((rows.size, m, m), dtype=top.dtype)
+        companion = np.zeros((group.size, m, m))
         companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
         companion[:, 0, :] = -top[:, 1:] / top[:, :1]
-        r[rows, :m] = np.linalg.eigvals(companion)
+        r[group, :m] = np.linalg.eigvals(companion)
     r = _newton_refined(c, r)
     return np.take_along_axis(r, np.lexsort((r.imag, r.real), axis=-1), axis=-1)
 
@@ -188,10 +118,10 @@ def stacked_roots(polys) -> np.ndarray:
 def _eval_with_derivative(c: np.ndarray, dc: np.ndarray, z: np.ndarray):
     """p(z) and p'(z) row by row in one Horner pass, from the ascending
     coefficient rows c of p and dc of p'; each value has the bits of
-    ``Poly.eval`` of its row's polynomial or derivative."""
+    ``polyval`` of its row's polynomial or derivative."""
     n = dc.shape[1]
-    pv = np.broadcast_to(c[:, n, None], z.shape).copy()
-    dv = np.broadcast_to(dc[:, n - 1, None], z.shape).copy()
+    pv = np.broadcast_to(c[:, n, None], z.shape).astype(complex)
+    dv = np.broadcast_to(dc[:, n - 1, None], z.shape).astype(complex)
     for j in range(n - 1, -1, -1):
         np.multiply(pv, z, out=pv)
         pv += c[:, j, None]
@@ -205,7 +135,7 @@ def _newton_refined(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """_NEWTON_STEPS Newton steps on the roots r of the coefficient rows c,
     each kept only where it does not increase the residual |p(r)|.  The
     values at an accepted candidate are those of the next step."""
-    dc = c[:, 1:] * np.arange(1, c.shape[1])  # the coefficients of Poly.derivative
+    dc = c[:, 1:] * np.arange(1, c.shape[1])  # the coefficients of polyder
     pv, dv = _eval_with_derivative(c, dc, r)
     for _ in range(_NEWTON_STEPS):
         step = np.divide(pv, dv, out=np.zeros_like(r), where=np.abs(dv) > 0)
@@ -218,87 +148,49 @@ def _newton_refined(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     return r
 
 
-def roots(p: Poly) -> np.ndarray:
-    """All roots of p with multiplicity, sorted by real part then imaginary part.
+def roots(p) -> np.ndarray:
+    """All roots of the real polynomial p with multiplicity, sorted by real
+    part then imaginary part.
 
-    Companion-matrix eigenvalues (real when p has real coefficients) followed
-    by three Newton steps; a step is kept only where it does not increase the
-    residual |p(r)|.  The one-row case of ``stacked_roots``.
+    Real companion-matrix eigenvalues followed by three Newton steps; a step
+    is kept only where it does not increase the residual |p(r)|.  The one-row
+    case of ``stacked_roots``.
     """
     return stacked_roots([p])[0]
 
 
-def _dyadic_row(p: Poly) -> tuple[list[int], list[int], int]:
-    """Coefficients of p, leading first, as Gaussian integers over 2^shift.
+def _dyadic_row(c: np.ndarray) -> tuple[list[int], int]:
+    """Coefficients c, leading first, as integers over 2^shift.
 
     Every double is num / 2^e with e >= 0, so one shift per polynomial turns
-    all its coefficients into integer (re, im) pairs without changing a value.
+    all its coefficients into integers without changing a value.
     """
-    ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio())
-              for z in reversed(p.coeffs.tolist())]
-    shift = max(den.bit_length() - 1 for pair in ratios for _, den in pair)
-    re = [num << (shift + 1 - den.bit_length()) for (num, den), _ in ratios]
-    im = [num << (shift + 1 - den.bit_length()) for _, (num, den) in ratios]
-    return re, im, shift
+    ratios = [x.as_integer_ratio() for x in reversed(c.tolist())]
+    shift = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (shift + 1 - den.bit_length()) for num, den in ratios], shift
 
 
-def _sylvester(p: Poly, q: Poly) -> tuple[list[list[int]], list[list[int]], int]:
-    """Sylvester matrix of p and q as real and imaginary integer parts, and
-    the shift K with det(Sylvester matrix) = det(re + i im) / 2^K."""
-    m, n = p.degree, q.degree
+def _sylvester(p: np.ndarray, q: np.ndarray) -> tuple[list[list[int]], int]:
+    """Sylvester matrix of p and q as integers, and the shift K with
+    det(Sylvester matrix) = det(integer matrix) / 2^K."""
+    m, n = p.size - 1, q.size - 1
     size = m + n
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
+    a = [[0] * size for _ in range(size)]
     shift = 0
     for rows, offset, poly in ((n, 0, p), (m, n, q)):
-        c_re, c_im, c_shift = _dyadic_row(poly)
-        shift += rows * c_shift
+        row, row_shift = _dyadic_row(poly)
+        shift += rows * row_shift
         for i in range(rows):
-            re[offset + i][i : i + len(c_re)] = c_re
-            im[offset + i][i : i + len(c_im)] = c_im
-    return re, im, shift
+            a[offset + i][i : i + len(row)] = row
+    return a, shift
 
 
-def _det_bareiss(re: list[list[int]], im: list[list[int]]) -> tuple[int, int]:
-    """Determinant of the Gaussian-integer matrix re + i im, in place.
+def _det_bareiss(a: list[list[int]]) -> int:
+    """Determinant of the integer matrix a, in place.
 
     Fraction-free (Bareiss) elimination: every entry after step k is a k+1
-    minor, so the division by the previous pivot is exact in Z[i] and is done
-    as a multiplication by the pivot's conjugate and a floor division by its
-    squared norm.
+    minor, so the division by the previous pivot is an exact floor division.
     """
-    size = len(re)
-    sign = 1
-    prev_re, prev_im, prev_norm = 1, 0, 1
-    for k in range(size - 1):
-        if not (re[k][k] or im[k][k]):
-            pivot = next((i for i in range(k + 1, size) if re[i][k] or im[i][k]), None)
-            if pivot is None:
-                return 0, 0
-            re[k], re[pivot] = re[pivot], re[k]
-            im[k], im[pivot] = im[pivot], im[k]
-            sign = -sign
-        row_re, row_im = re[k], im[k]
-        p_re, p_im = row_re[k], row_im[k]
-        for i in range(k + 1, size):
-            cur_re, cur_im = re[i], im[i]
-            l_re, l_im = cur_re[k], cur_im[k]
-            for j in range(k + 1, size):
-                a_re, a_im = cur_re[j], cur_im[j]
-                b_re, b_im = row_re[j], row_im[j]
-                x_re = a_re * p_re - a_im * p_im - (l_re * b_re - l_im * b_im)
-                x_im = a_re * p_im + a_im * p_re - (l_re * b_im + l_im * b_re)
-                cur_re[j] = (x_re * prev_re + x_im * prev_im) // prev_norm
-                cur_im[j] = (x_im * prev_re - x_re * prev_im) // prev_norm
-        prev_re, prev_im = p_re, p_im
-        prev_norm = p_re * p_re + p_im * p_im
-    return sign * re[-1][-1], sign * im[-1][-1]
-
-
-def _det_bareiss_int(a: list[list[int]]) -> int:
-    """Determinant of the integer matrix a, in place: the Bareiss elimination
-    of ``_det_bareiss`` over Z, where the division by the previous pivot is
-    an exact floor division."""
     size = len(a)
     sign = 1
     prev = 1
@@ -319,39 +211,35 @@ def _det_bareiss_int(a: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def discriminant_resultant(p: Poly) -> complex:
-    """Discriminant of p via the Sylvester resultant of p and p'.
+def discriminant_resultant(p) -> float:
+    """Discriminant of the real polynomial p via the Sylvester resultant of
+    p and p'.
 
     Equals gamma^(2n-2) * prod_{j<k} (r_j - r_k)^2 over the roots r of p with
     leading coefficient gamma; in particular the squared root-gap product for
     monic p.  Double coefficients are dyadic rationals, so each Sylvester row
-    is scaled exactly to Gaussian integers over one power of two and the
-    determinant is evaluated by Bareiss elimination in exact integer
-    arithmetic: over Z when every coefficient is real (one integer product
-    where a Gaussian one takes four), over Z[i] otherwise.  The only rounding
-    is the final correctly rounded conversion of its real and imaginary parts
-    to doubles (double-precision elimination loses too many digits to the
-    cancellation inherent in resultants).
+    is scaled exactly to integers over one power of two and the determinant
+    is evaluated by Bareiss elimination in exact integer arithmetic.  The
+    only rounding is the final correctly rounded conversion to a double
+    (double-precision elimination loses too many digits to the cancellation
+    inherent in resultants).
     Intended as a small-degree oracle (degree <= 8 keeps the exact arithmetic
     cheap).  Raises NumericalError when the discriminant exceeds the double
     range.
     """
-    n = p.degree
-    if p.is_zero() or n < 2:
+    p = _checked_coeffs(p)
+    n = p.size - 1
+    if n < 2:
         raise InvalidInputError("discriminant requires degree >= 2 and a nonzero leading coefficient")
-    re, im, shift = _sylvester(p, p.derivative())
-    if np.any(p.coeffs.imag):
-        det_re, det_im = _det_bareiss(re, im)
-    else:
-        det_re, det_im = _det_bareiss_int(re), 0
+    a, shift = _sylvester(p, _checked_coeffs(P.polyder(p)))  # p' may overflow
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
     try:
         # int / int is correctly rounded in CPython, whatever the operand sizes
-        res = complex(det_re / (1 << shift), det_im / (1 << shift))
+        res = sign * _det_bareiss(a) / (1 << shift)
     except OverflowError:
-        res = complex(math.inf)
-    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    disc = complex(sign * res / p.leading)
-    if not cmath.isfinite(disc):
+        res = math.inf
+    disc = res / float(p[-1])
+    if not math.isfinite(disc):
         raise NumericalError(f"discriminant of a degree-{n} polynomial exceeds the double range")
     return disc
 
@@ -400,7 +288,7 @@ class S1Solution:
     gamma: float
     B: float
     points: tuple[float, ...]
-    poly: Poly
+    poly: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -469,10 +357,10 @@ def s1_polynomial(a: float, n: int, gamma: float | None = None) -> S1Solution:
             f"s1_polynomial(a={a!r}, n={n}): a coefficient exceeds the double range"
         )
     points = s1_points(a, n, gamma)
-    return S1Solution(gamma=gamma, B=b_const, points=tuple(points), poly=Poly(coeffs.real))
+    return S1Solution(gamma=gamma, B=b_const, points=tuple(points), poly=coeffs.real.copy())
 
 
-def ode_monic_solution(fam: OdeFamily) -> Poly:
+def ode_monic_solution(fam: OdeFamily) -> np.ndarray:
     """The unique monic polynomial solution of the family's differential equation.
 
     Coefficients follow the two-step downward recursion
@@ -497,10 +385,10 @@ def ode_monic_solution(fam: OdeFamily) -> Poly:
         ratio *= (2.0 * k - 1.0) / denom
         a_sq_pow *= a * a
         coeffs[n - 2 * k] = (-1) ** k * a_sq_pow * math.comb(n, 2 * k) * ratio
-    return Poly(coeffs)
+    return coeffs
 
 
-def pseudo_jacobi(a: float, s: float, n: int) -> Poly:
+def pseudo_jacobi(a: float, s: float, n: int) -> np.ndarray:
     """Monic degree-n pseudo-Jacobi polynomial whose roots are the unique
     weighted Fekete set for w(x) = |x - ai|^(-s), s > 1.
 
@@ -514,7 +402,7 @@ def pseudo_jacobi(a: float, s: float, n: int) -> Poly:
     return ode_monic_solution(OdeFamily(a=a, lam=2.0 * s * (n - 1), n=n))
 
 
-def jacobi(alpha: float, beta: float, n: int) -> Poly:
+def jacobi(alpha: float, beta: float, n: int) -> np.ndarray:
     """Jacobi polynomial P_n^(alpha, beta) for arbitrary real parameters.
 
     Built from the defining sum
@@ -552,7 +440,7 @@ def jacobi(alpha: float, beta: float, n: int) -> Poly:
                 coeffs[i + j] += cli * rj
     # int / int is correctly rounded in CPython, whatever the operand sizes
     den = (den_a * den_b) ** n * math.factorial(n) << n
-    return Poly([v / den for v in coeffs])
+    return trimseq(np.array([v / den for v in coeffs]))
 
 
 def log_abs_jacobi_discriminant(alpha: float, beta: float, n: int) -> tuple[float, int]:
@@ -641,7 +529,7 @@ def sgt1_diameter_via_discriminant(a: float, s: float, n: int) -> float:
     return math.exp(_log_diameter_discriminant(a, s, n))
 
 
-def recurrence_family(sigma: float, n_max: int) -> list[Poly]:
+def recurrence_family(sigma: float, n_max: int) -> list[np.ndarray]:
     """Monic family G_0 = 1, G_1 = x and, for 2 <= n <= n_max,
 
         G_n = x G_{n-1} - (n-1)(2 sigma - n + 3)
@@ -654,13 +542,13 @@ def recurrence_family(sigma: float, n_max: int) -> list[Poly]:
     sigma = float(sigma)
     n_max = checked_n(n_max)
     coefs = _recurrence_coefficients(sigma, n_max).tolist()
-    polys = [Poly([1.0]), Poly([0.0, 1.0])]
+    polys = [np.array([1.0]), np.array([0.0, 1.0])]
     for n in range(2, n_max + 1):
-        polys.append(polys[n - 1].shifted_up() - coefs[n - 2] * polys[n - 2])
+        polys.append(P.polysub(np.append(0.0, polys[n - 1]), coefs[n - 2] * polys[n - 2]))
     return polys
 
 
-def ode_residual(f: Poly, a: float, s: float, n: int) -> Poly:
+def ode_residual(f, a: float, s: float, n: int) -> np.ndarray:
     """Left-hand side (x^2 + a^2) f'' - 2s(n-1) x f' + n (2s(n-1) - n + 1) f.
 
     The zero polynomial exactly when f solves the stationarity equation of
@@ -669,14 +557,14 @@ def ode_residual(f: Poly, a: float, s: float, n: int) -> Poly:
     a = _checked_a(a)
     s = float(s)
     n = checked_n(n, minimum=1)
-    if f.degree != n:
-        raise InvalidInputError(f"expected degree {n}, got degree {f.degree}")
-    x = Poly([0.0, 1.0])
-    quad = Poly([a * a, 0.0, 1.0])
+    f = _checked_coeffs(f)
+    if f.size != n + 1:
+        raise InvalidInputError(f"expected degree {n}, got degree {f.size - 1}")
+    df = P.polyder(f)
     sig2 = 2.0 * s * (n - 1)
-    return quad * f.derivative().derivative() - sig2 * (x * f.derivative()) + (
-        n * (sig2 - n + 1.0)
-    ) * f
+    return P.polyadd(P.polysub(np.convolve([a * a, 0.0, 1.0], P.polyder(df)),
+                               sig2 * P.polymulx(df)),
+                     n * (sig2 - n + 1.0) * f)
 
 
 def gj_scale(a: float, s: float, n: int) -> complex:

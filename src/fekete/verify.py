@@ -10,11 +10,13 @@ sine-product bound, unit masses and shape constraints of the limit measures,
 and small optimizer-vs-closed-form spot checks.  The oracle side of each
 pair (companion roots, exact resultants, the line's polynomials and the
 discriminant route) comes from ``fekete.poly``; the production side from
-the other modules.  The heavier optimizer sweeps live in the acceptance test
-suite; here every suite is kept fast enough to run on each call: the
-companion roots of each degree's polynomials come from one
-``stacked_roots`` call and each draw of sine-product points from one
-``sine_product`` call on the whole stack.
+the other modules.  Every polynomial is a real coefficient array, so the
+``poly`` suite draws its roots in conjugate pairs, plus one real root at odd
+degree.  The heavier optimizer sweeps live in the acceptance test suite;
+here every suite is kept fast enough to run on each call: the companion
+roots of each degree's polynomials come from one ``stacked_roots`` call and
+each draw of sine-product points from one ``sine_product`` call on the whole
+stack.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import circle as circ
 from . import energy as en
@@ -32,7 +35,6 @@ from .equilibrium import quad
 from .errors import SingularParameterError
 from .poly import (
     OdeFamily,
-    Poly,
     discriminant_resultant,
     gj_scale,
     jacobi,
@@ -70,29 +72,19 @@ class CheckResult:
                 f"residual={self.residual:.3e} tol={self.tol:.1e}")
 
 
-def _monic_from_roots(rts) -> Poly:
-    c = np.array([1.0 + 0j])
-    for r in rts:
-        c = np.convolve(c, np.array([-r, 1.0 + 0j]))
-    return Poly(c)
-
-
 def _rel(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-
-def _coeff_gap(p: Poly, q: Poly) -> float:
-    m = max(p.degree, q.degree) + 1
-    a = np.zeros(m, dtype=complex)
-    b = np.zeros(m, dtype=complex)
-    a[: p.degree + 1] = p.coeffs
-    b[: q.degree + 1] = q.coeffs
-    return float(np.max(np.abs(a - b)))
 
 
 # ---------------------------------------------------------------------------
 # poly
 # ---------------------------------------------------------------------------
+
+def _real_roots(half: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """The roots of a real polynomial: the pairs z, conj(z) over half, then
+    the real roots."""
+    return np.concatenate((half, half.conj(), real))
+
 
 def _suite_poly() -> list[CheckResult]:
     out = []
@@ -101,22 +93,23 @@ def _suite_poly() -> list[CheckResult]:
     worst = 0.0
     for _ in range(30):
         deg = int(rng.integers(2, 11))
-        rad = np.sqrt(rng.uniform(0.0, 1.0, deg))
-        ang = rng.uniform(0.0, 2.0 * math.pi, deg)
-        rts = rad * np.exp(1j * ang)
-        p = _monic_from_roots(rts)
-        worst = max(worst, float(np.max(np.abs(p.eval(roots(p))))))
+        rad = np.sqrt(rng.uniform(0.0, 1.0, deg // 2))
+        ang = rng.uniform(0.0, math.pi, deg // 2)
+        rts = _real_roots(rad * np.exp(1j * ang), rng.uniform(-1.0, 1.0, deg % 2))
+        p = np.poly(rts)[::-1]
+        worst = max(worst, float(np.max(np.abs(P.polyval(roots(p), p)))))
     out.append(CheckResult("poly", "roots-eval-roundtrip", worst, 1e-9))
 
     worst = 0.0
     for _ in range(20):
         deg = int(rng.integers(2, 9))
         while True:
-            rts = rng.uniform(-1, 1, deg) + 1j * rng.uniform(-1, 1, deg)
+            half = rng.uniform(-1, 1, deg // 2) + 1j * rng.uniform(-1, 1, deg // 2)
+            rts = _real_roots(half, rng.uniform(-1, 1, deg % 2))
             gaps = np.abs(rts[:, None] - rts[None, :]) + np.eye(deg)
             if np.min(gaps) > 0.15:
                 break
-        p = _monic_from_roots(rts)
+        p = np.poly(rts)[::-1]
         prod = np.prod([(rts[j] - rts[k]) ** 2
                         for j in range(deg) for k in range(j + 1, deg)])
         worst = max(worst, abs(discriminant_resultant(p) - prod) / abs(prod))
@@ -148,9 +141,9 @@ def _suite_real() -> list[CheckResult]:
             al = -s * (n - 1) - 1.0
             p = jacobi(al, al, n)
             c = gj_scale(1.0, s, n)
-            composed = np.array([c * p.coeffs[k] * (-1j) ** k for k in range(n + 1)])
-            scale = float(np.max(np.abs(g.coeffs)))
-            worst_rel = max(worst_rel, float(np.max(np.abs(composed - g.coeffs))) / scale)
+            composed = np.array([c * p[k] * (-1j) ** k for k in range(n + 1)])
+            scale = float(np.max(np.abs(g)))
+            worst_rel = max(worst_rel, float(np.max(np.abs(composed - g))) / scale)
             worst_imag = max(worst_imag, float(np.max(np.abs(composed.imag))))
     out.append(CheckResult("real", "jacobi-connection-coeffs", worst_rel, 1e-10))
     out.append(CheckResult("real", "jacobi-connection-imag", worst_imag, 1e-12))
@@ -214,10 +207,10 @@ def _suite_real() -> list[CheckResult]:
                 if any(abs(al + be + n + k) < 1e-6 for k in range(1, n + 1)):
                     continue
                 p = jacobi(al, be, n)
-                if p.degree != n:
+                if p.size != n + 1:
                     continue
                 worst = max(worst, _rel(jacobi_discriminant(al, be, n),
-                                        discriminant_resultant(p).real))
+                                        discriminant_resultant(p)))
     out.append(CheckResult("real", "jacobi-discriminant-vs-resultant", worst, 1e-8))
 
     worst = 0.0
@@ -226,8 +219,8 @@ def _suite_real() -> list[CheckResult]:
             for n in range(2, 31):
                 f = pseudo_jacobi(a, s, n)
                 res = ode_residual(f, a, s, n)
-                scale = n * (2.0 * s * (n - 1) - n + 1.0) * float(np.max(np.abs(f.coeffs)))
-                worst = max(worst, float(np.max(np.abs(res.coeffs))) / scale)
+                scale = n * (2.0 * s * (n - 1) - n + 1.0) * float(np.max(np.abs(f)))
+                worst = max(worst, float(np.max(np.abs(res))) / scale)
     out.append(CheckResult("real", "ode-residual-zero", worst, 1e-10))
 
     worst = 0.0
@@ -238,8 +231,9 @@ def _suite_real() -> list[CheckResult]:
                 reference = ode_monic_solution(OdeFamily(a=1.0, lam=2.0 * sigma, n=n))
             except SingularParameterError:
                 continue  # uniqueness hypothesis fails for this member
-            scale = max(1.0, float(np.max(np.abs(reference.coeffs))))
-            worst = max(worst, _coeff_gap(family[n], reference) / scale)
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            gap = float(np.max(np.abs(P.polysub(family[n], reference))))
+            worst = max(worst, gap / scale)
     out.append(CheckResult("real", "recurrence-vs-ode-family", worst, 1e-12))
     return out
 

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from fekete import (
     InvalidInputError,
     MeasureSpec,
+    NumericalError,
     canonical_gamma,
     capacity_circle,
     capacity_real,
@@ -19,6 +20,7 @@ from fekete import (
     modified_robin_constant,
     s1_points,
     sgt1_points,
+    total_mass,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -300,6 +302,11 @@ class TestFrostman:
     def test_rejects_nonfinite_grid(self):
         with pytest.raises(InvalidInputError):
             frostman_check(2.0, [0.0, math.inf])
+
+    def test_quadrature_that_gives_up_raises(self):
+        # quad flags this integral and returns 5.0e-12 where the mass is 1
+        with pytest.raises(NumericalError, match="quadrature gave up"):
+            total_mass(MeasureSpec.harmonic_i(1e6))
 
 
 class TestKsDistance:
