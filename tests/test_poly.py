@@ -11,6 +11,8 @@ from numpy.polynomial import polynomial as P
 import fekete
 from fekete import InvalidInputError
 from fekete.poly import (
+    _checked_coeffs,
+    _eval_with_derivative,
     discriminant_resultant,
     log_abs_pochhammer,
     pochhammer,
@@ -44,6 +46,48 @@ class TestPoly:
         for entry in ENTRY_POINTS:
             with pytest.raises(InvalidInputError):
                 entry(bad)
+
+    def test_zero_polynomial(self):
+        assert _checked_coeffs([0.0, 0.0]).tolist() == [0.0]
+
+    def test_leading_nonzero_after_normalization(self):
+        assert _checked_coeffs([3.0, 0.0, 2.0, 0.0])[-1] == 2.0
+
+    def test_derivative(self):
+        _, dv = horner([5.0, 0.0, -1.0, 2.0], [0.0, 1.0, -2.0])
+        assert dv.tolist() == [0j, 4.0 + 0j, 28.0 + 0j]  # p' = -2x + 6x^2
+
+
+def horner(c, z):
+    """p(z) and p'(z) for the coefficients c by the Newton step's Horner kernel."""
+    c = np.array([c], dtype=float)
+    pv, dv = _eval_with_derivative(c, c[:, 1:] * np.arange(1, c.shape[1]),
+                                   np.array([z], dtype=complex).reshape(1, -1))
+    return pv[0], dv[0]
+
+
+class TestEval:
+    def test_square_minus_one_at_two(self):
+        assert horner([-1.0, 0.0, 1.0], 2.0)[0].tolist() == [3.0 + 0j]
+
+    def test_complex_argument(self):
+        # (i)^2 - 1/3 = -4/3
+        (val,), _ = horner([-1.0 / 3.0, 0.0, 1.0], 1j)
+        assert val == pytest.approx(-4.0 / 3.0)
+        assert val.imag == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_monomial_at_zero(self, n):
+        assert horner([0.0] * n + [1.0], 0.0)[0].tolist() == [0j]
+
+    def test_vectorized(self):
+        # the kernel's values carry the bits of polyval, rows and points at once
+        rng = np.random.default_rng(5)
+        c, z = rng.normal(size=(3, 6)), rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        pv, dv = _eval_with_derivative(c, c[:, 1:] * np.arange(1, 6), z)
+        for k in range(3):
+            assert pv[k].tolist() == P.polyval(z[k], c[k]).tolist()
+            assert dv[k].tolist() == P.polyval(z[k], P.polyder(c[k])).tolist()
 
 
 class TestRoots:
