@@ -16,9 +16,10 @@ eigenvalue call and one Horner pass per step, and ``roots`` is its one-row
 case.  The monomial basis is ill-conditioned, so it loses accuracy quickly
 with the degree and serves only as a small-degree oracle: the Fekete points
 on the line come from Jacobi-matrix eigenvalues (``real_line.sgt1_points``)
-and arctangent progressions.  The discriminant is computed from the
-Sylvester resultant of p and p' in exact integer arithmetic over Z, rounded
-once at the end.
+and arctangent progressions.  The discriminant is computed from the n x n
+Bezout matrix of p and p' in exact integer arithmetic over Z, and the
+Jacobi polynomials from their product form in exact integers, so that
+rounding happens only at the end.
 
 The second half holds the polynomial side of the line's closed forms, kept
 as oracles for ``fekete.verify`` and the tests, never called by the
@@ -116,19 +117,19 @@ def stacked_roots(polys) -> np.ndarray:
 
 
 def _eval_with_derivative(c: np.ndarray, dc: np.ndarray, z: np.ndarray):
-    """p(z) and p'(z) row by row in one Horner pass, from the ascending
-    coefficient rows c of p and dc of p'; each value has the bits of
-    ``polyval`` of its row's polynomial or derivative."""
+    """p(z) and p'(z) row by row, from the ascending coefficient rows c of p
+    and dc of p', in one Horner pass over the two stacked, with dc padded by
+    a leading 0; each value has the bits of ``polyval`` of its row's
+    polynomial or derivative."""
     n = dc.shape[1]
-    pv = np.broadcast_to(c[:, n, None], z.shape).astype(complex)
-    dv = np.broadcast_to(dc[:, n - 1, None], z.shape).astype(complex)
+    cc = np.zeros((2,) + c.shape)
+    cc[0] = c
+    cc[1, :, :n] = dc
+    v = np.broadcast_to(cc[:, :, n, None], (2,) + z.shape).astype(complex)
     for j in range(n - 1, -1, -1):
-        np.multiply(pv, z, out=pv)
-        pv += c[:, j, None]
-        if j:
-            np.multiply(dv, z, out=dv)
-            dv += dc[:, j - 1, None]
-    return pv, dv
+        np.multiply(v, z, out=v)
+        v += cc[:, :, j, None]
+    return v[0], v[1]
 
 
 def _newton_refined(c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -160,29 +161,32 @@ def roots(p) -> np.ndarray:
 
 
 def _dyadic_row(c: np.ndarray) -> tuple[list[int], int]:
-    """Coefficients c, leading first, as integers over 2^shift.
+    """Coefficients c as integers over 2^shift, in the same order.
 
     Every double is num / 2^e with e >= 0, so one shift per polynomial turns
     all its coefficients into integers without changing a value.
     """
-    ratios = [x.as_integer_ratio() for x in reversed(c.tolist())]
+    ratios = [x.as_integer_ratio() for x in c.tolist()]
     shift = max(den.bit_length() - 1 for _, den in ratios)
     return [num << (shift + 1 - den.bit_length()) for num, den in ratios], shift
 
 
-def _sylvester(p: np.ndarray, q: np.ndarray) -> tuple[list[list[int]], int]:
-    """Sylvester matrix of p and q as integers, and the shift K with
-    det(Sylvester matrix) = det(integer matrix) / 2^K."""
-    m, n = p.size - 1, q.size - 1
-    size = m + n
-    a = [[0] * size for _ in range(size)]
-    shift = 0
-    for rows, offset, poly in ((n, 0, p), (m, n, q)):
-        row, row_shift = _dyadic_row(poly)
-        shift += rows * row_shift
-        for i in range(rows):
-            a[offset + i][i : i + len(row)] = row
-    return a, shift
+def _bezoutian(f: list[int], g: list[int]) -> list[list[int]]:
+    """The n x n Bezout matrix of the ascending integer rows f and g, both of
+    length n + 1: the coefficients of (f(x) g(y) - f(y) g(x)) / (x - y).
+
+    Symmetric; row i follows from row i - 1 by
+    B[i][j] = B[i-1][j+1] + f[j+1] g[i] - f[i] g[j+1].
+    """
+    n = len(f) - 1
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = f[j + 1] * g[i] - f[i] * g[j + 1]
+            if i and j + 1 < n:
+                v += b[i - 1][j + 1]
+            b[i][j] = b[j][i] = v
+    return b
 
 
 def _det_bareiss(a: list[list[int]]) -> int:
@@ -212,17 +216,19 @@ def _det_bareiss(a: list[list[int]]) -> int:
 
 
 def discriminant_resultant(p) -> float:
-    """Discriminant of the real polynomial p via the Sylvester resultant of
-    p and p'.
+    """Discriminant of the real polynomial p via the Bezout matrix of p and p'.
 
     Equals gamma^(2n-2) * prod_{j<k} (r_j - r_k)^2 over the roots r of p with
     leading coefficient gamma; in particular the squared root-gap product for
-    monic p.  Double coefficients are dyadic rationals, so each Sylvester row
-    is scaled exactly to integers over one power of two and the determinant
-    is evaluated by Bareiss elimination in exact integer arithmetic.  The
-    only rounding is the final correctly rounded conversion to a double
-    (double-precision elimination loses too many digits to the cancellation
-    inherent in resultants).
+    monic p.  Double coefficients are dyadic rationals, so p and p' are each
+    scaled exactly to integers over one power of two, and the determinant of
+    their n x n Bezout matrix is evaluated by Bareiss elimination in exact
+    integer arithmetic.  It is det Bez = (-1)^(n(n-1)/2) gamma Res(p, p') in
+    terms of the (2n-1) x (2n-1) Sylvester resultant, so the signed resultant
+    (-1)^(n(n-1)/2) Res = det Bez / gamma is rounded once to a double (+0.0
+    when it vanishes) and then divided by gamma.  Double-precision
+    elimination would lose too many digits to the cancellation inherent in
+    resultants.
     Intended as a small-degree oracle (degree <= 8 keeps the exact arithmetic
     cheap).  Raises NumericalError when the discriminant exceeds the double
     range.
@@ -231,11 +237,13 @@ def discriminant_resultant(p) -> float:
     n = p.size - 1
     if n < 2:
         raise InvalidInputError("discriminant requires degree >= 2 and a nonzero leading coefficient")
-    a, shift = _sylvester(p, _checked_coeffs(P.polyder(p)))  # p' may overflow
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    f, f_shift = _dyadic_row(p)
+    g, g_shift = _dyadic_row(_checked_coeffs(p[1:] * np.arange(1, n + 1)))  # p' may overflow
+    det = _det_bareiss(_bezoutian(f, g + [0]))
+    num, den = float(p[-1]).as_integer_ratio()
     try:
         # int / int is correctly rounded in CPython, whatever the operand sizes
-        res = sign * _det_bareiss(a) / (1 << shift)
+        res = det * den / (num << n * (f_shift + g_shift)) if det else 0.0
     except OverflowError:
         res = math.inf
     disc = res / float(p[-1])
@@ -405,39 +413,39 @@ def pseudo_jacobi(a: float, s: float, n: int) -> np.ndarray:
 def jacobi(alpha: float, beta: float, n: int) -> np.ndarray:
     """Jacobi polynomial P_n^(alpha, beta) for arbitrary real parameters.
 
-    Built from the defining sum
+    Built from the product form (DLMF 18.5.8)
 
-        2^(-n) sum_k C(n+alpha, n-k) C(n+beta, k) (x-1)^k (x+1)^(n-k),
+        sum_m C(n, m) (alpha+m+1)_(n-m) (alpha+beta+n+1)_m / n! ((x-1)/2)^m,
 
     which stays valid outside the classical range alpha, beta > -1.  Double
-    arguments are dyadic rationals alpha = A/da and beta = B/db, so each term
-    c_k = C(n+alpha, n-k) C(n+beta, k) times da^n db^n n! is the integer
+    arguments are dyadic rationals alpha = A/da and beta = B/db, so each
+    coefficient c_m times da^n db^n n! 2^n is the integer
 
-        C(n, k) da^k db^(n-k) prod_{i<n-k} ((n-i) da + A) prod_{i<k} ((n-i) db + B).
+        C(n, m) (2 db)^(n-m) prod_{m<i<=n} (A + i da)
+                prod_{i<m} (A db + B da + (n+1+i) da db),
 
-    The alternating sum is accumulated in exact integer arithmetic and each
-    coefficient is divided once by da^n db^n n! 2^n with correct rounding, so
-    even coefficients that nearly cancel come out correctly rounded.  The
-    leading coefficient is (alpha+beta+n+1)_n / (n! 2^n) and may vanish (then
-    the returned degree drops below n); the value at 1 is C(n+alpha, n).
+    from one running product each way.  A Taylor shift by exact integer
+    additions takes sum_m c_m (x-1)^m to the monomial basis, and each
+    coefficient is divided once by da^n db^n n! 2^n with correct rounding,
+    so even coefficients that nearly cancel come out correctly rounded.  The
+    leading coefficient is (alpha+beta+n+1)_n / (n! 2^n) and may vanish
+    (then the returned degree drops below n); the value at 1 is
+    C(n+alpha, n).
     """
     n = checked_n(n, minimum=0)
     num_a, den_a = float(alpha).as_integer_ratio()
     num_b, den_b = float(beta).as_integer_ratio()
-    coeffs = [0] * (n + 1)
-    for k in range(n + 1):
-        c = (math.comb(n, k) * den_a ** k * den_b ** (n - k)
-             * math.prod((n - i) * den_a + num_a for i in range(n - k))
-             * math.prod((n - i) * den_b + num_b for i in range(k)))
-        if not c:
-            continue
-        # expand (x-1)^k (x+1)^(n-k) by direct convolution of binomial rows
-        left = [math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)]
-        right = [math.comb(n - k, j) for j in range(n - k + 1)]
-        for i, li in enumerate(left):
-            cli = c * li
-            for j, rj in enumerate(right):
-                coeffs[i + j] += cli * rj
+    upper = [1] * (n + 1)  # upper[m] = prod_{m<i<=n} (A + i da)
+    for m in range(n - 1, -1, -1):
+        upper[m] = upper[m + 1] * (num_a + (m + 1) * den_a)
+    coeffs = []
+    lower = 1  # prod_{i<m} (A db + B da + (n+1+i) da db)
+    for m in range(n + 1):
+        coeffs.append(math.comb(n, m) * (2 * den_b) ** (n - m) * upper[m] * lower)
+        lower *= num_a * den_b + num_b * den_a + (n + 1 + m) * den_a * den_b
+    for j in range(n):  # x -> x - 1, one degree at a time
+        for k in range(n - 1, j - 1, -1):
+            coeffs[k] -= coeffs[k + 1]
     # int / int is correctly rounded in CPython, whatever the operand sizes
     den = (den_a * den_b) ** n * math.factorial(n) << n
     return trimseq(np.array([v / den for v in coeffs]))
@@ -560,10 +568,12 @@ def ode_residual(f, a: float, s: float, n: int) -> np.ndarray:
     f = _checked_coeffs(f)
     if f.size != n + 1:
         raise InvalidInputError(f"expected degree {n}, got degree {f.size - 1}")
-    df = P.polyder(f)
+    k = np.arange(1, n + 1)
+    df = k * f[1:]  # k f_k and (k-1) (k f_k), rounded as polyder rounds them
+    ddf = k[:-1] * df[1:] if n > 1 else df * 0
+    xdf = np.concatenate((df[:1] * 0, df))  # polymulx(df)
     sig2 = 2.0 * s * (n - 1)
-    return P.polyadd(P.polysub(np.convolve([a * a, 0.0, 1.0], P.polyder(df)),
-                               sig2 * P.polymulx(df)),
+    return P.polyadd(P.polysub(np.convolve([a * a, 0.0, 1.0], ddf), sig2 * xdf),
                      n * (sig2 - n + 1.0) * f)
 
 

@@ -59,11 +59,24 @@ def _checked_a(a: float) -> float:
 
 
 def _checked_sgt1(s: float, what: str) -> float:
-    """s as a float; InvalidInputError naming `what` unless 1 < s < inf."""
+    """s as a float; InvalidInputError naming `what` unless s > 1 and 2s - 1
+    is finite."""
     s = checked_finite(s, "weight exponent s")
     if s <= 1.0:
         raise InvalidInputError(f"{what} requires s > 1")
+    if not math.isfinite(2.0 * s - 1.0):
+        raise InvalidInputError(f"{what} requires 2s - 1 within the double range, got s = {s!r}")
     return s
+
+
+def _checked_sigma(s: float, n: int) -> float:
+    """The charge product sigma = s(n-1); InvalidInputError where 2 sigma
+    leaves the double range."""
+    sig = s * (n - 1)
+    if not math.isfinite(2.0 * sig):
+        raise InvalidInputError(
+            f"2s(n-1) exceeds the double range for s = {s!r}, n = {n}")
+    return sig
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,7 @@ def sgt1_log_diameter(a: float, s: float, n: int) -> float:
     a = _checked_a(a)
     s = _checked_sgt1(s, "sgt1_diameter")
     n = checked_n(n)
-    sig = s * (n - 1)
+    sig = _checked_sigma(s, n)
     i = np.arange(n, dtype=float)
     pairs = n * (n - 1)
     return (
@@ -173,7 +186,8 @@ def _recurrence_coefficients(sigma: float, n_max: int) -> np.ndarray:
     """c_k = (k-1)(2 sigma - k + 3) / ((2 sigma - 2k + 3)(2 sigma - 2k + 5))
     for k = 2..n_max, the coefficients of the monic three-term recurrence
     G_k = x G_{k-1} - c_k G_{k-2}, as (k-1)/d1 ((2 sigma - k + 3)/d2): no two
-    O(sigma) factors are multiplied, so nothing overflows."""
+    O(sigma) factors are multiplied, so nothing overflows while 2 sigma is
+    finite (the callers in this module check it)."""
     k = np.arange(2, n_max + 1, dtype=float)
     d1 = 2.0 * sigma - 2.0 * k + 3.0
     d2 = 2.0 * sigma - 2.0 * k + 5.0
@@ -201,7 +215,7 @@ def sgt1_points(a: float, s: float, n: int) -> np.ndarray:
     a = _checked_a(a)
     s = _checked_sgt1(s, "sgt1_points")
     n = checked_n(n)
-    off = np.sqrt(_recurrence_coefficients(s * (n - 1), n))
+    off = np.sqrt(_recurrence_coefficients(_checked_sigma(s, n), n))
     return a * eigvalsh_tridiagonal(np.zeros(n), off)
 
 

@@ -14,9 +14,12 @@ the other modules.  Every polynomial is a real coefficient array, so the
 ``poly`` suite draws its roots in conjugate pairs, plus one real root at odd
 degree.  The heavier optimizer sweeps live in the acceptance test suite;
 here every suite is kept fast enough to run on each call: the companion
-roots of each degree's polynomials come from one ``stacked_roots`` call and
-each draw of sine-product points from one ``sine_product`` call on the whole
-stack.
+roots of each degree's polynomials come from one ``stacked_roots`` call (the
+``real`` suite stacks its pseudo-Jacobi and s = 1 polynomials together, the
+``poly`` suite groups its random draws by degree), the exact discriminants
+and Jacobi polynomials come from the Bezout-matrix and product-form kernels
+of ``fekete.poly``, and each draw of sine-product points from one
+``sine_product`` call on the whole stack.
 """
 
 from __future__ import annotations
@@ -90,14 +93,17 @@ def _suite_poly() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(101)
 
-    worst = 0.0
+    by_degree = {}
     for _ in range(30):
         deg = int(rng.integers(2, 11))
         rad = np.sqrt(rng.uniform(0.0, 1.0, deg // 2))
         ang = rng.uniform(0.0, math.pi, deg // 2)
         rts = _real_roots(rad * np.exp(1j * ang), rng.uniform(-1.0, 1.0, deg % 2))
-        p = np.poly(rts)[::-1]
-        worst = max(worst, float(np.max(np.abs(P.polyval(roots(p), p)))))
+        by_degree.setdefault(deg, []).append(np.poly(rts)[::-1])
+    worst = 0.0
+    for polys in by_degree.values():
+        for p, rts in zip(polys, stacked_roots(polys)):
+            worst = max(worst, float(np.max(np.abs(P.polyval(rts, p)))))
     out.append(CheckResult("poly", "roots-eval-roundtrip", worst, 1e-9))
 
     worst = 0.0
@@ -170,11 +176,18 @@ def _suite_real() -> list[CheckResult]:
                 worst = max(worst, abs(direct - via_disc) / direct)
     out.append(CheckResult("real", "diameter-route-agreement", worst, 1e-10))
 
+    rng = np.random.default_rng(104)
     worst = 0.0
     worst_routes = 0.0
+    worst_s1 = 0.0
     s_values = (1.5, 2.0)
     for n in range(2, 31):
-        stack = stacked_roots([pseudo_jacobi(1.0, s, n) for s in s_values])
+        gammas = [-math.pi / 2.0 + float(rng.uniform(0.1, 0.9)) * math.pi / n
+                  for _ in range(10)]
+        sols = [s1_polynomial(1.0, n, gamma) for gamma in gammas]
+        # one companion stack per degree: the pseudo-Jacobi rows, then the s = 1 rows
+        stack = stacked_roots([pseudo_jacobi(1.0, s, n) for s in s_values]
+                              + [sol.poly for sol in sols])
         for s, rts in zip(s_values, stack):
             radius = rl.support_radius(1.0, s)
             xs = np.sort(rts.real)
@@ -185,19 +198,12 @@ def _suite_real() -> list[CheckResult]:
             worst = max(worst, sym, imag, inside, simple)
             gap = float(np.max(np.abs(rl.sgt1_points(1.0, s, n) - xs)))
             worst_routes = max(worst_routes, gap / float(np.max(np.abs(xs))))
+        rts = np.sort(stack[len(s_values):].real, axis=1)
+        points = np.array([sol.points for sol in sols])
+        worst_s1 = max(worst_s1, float(np.max(np.abs(rts - points))))
     out.append(CheckResult("real", "pseudo-jacobi-roots-real-symmetric-inside", worst, 1e-9))
     out.append(CheckResult("real", "tridiagonal-vs-companion-roots", worst_routes, 1e-10))
-
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for n in range(2, 31):
-        gammas = [-math.pi / 2.0 + float(rng.uniform(0.1, 0.9)) * math.pi / n
-                  for _ in range(10)]
-        sols = [s1_polynomial(1.0, n, gamma) for gamma in gammas]
-        rts = np.sort(stacked_roots([sol.poly for sol in sols]).real, axis=1)
-        points = np.array([sol.points for sol in sols])
-        worst = max(worst, float(np.max(np.abs(rts - points))))
-    out.append(CheckResult("real", "s1-roots-vs-points", worst, 1e-9))
+    out.append(CheckResult("real", "s1-roots-vs-points", worst_s1, 1e-9))
 
     worst = 0.0
     for n in range(2, 9):

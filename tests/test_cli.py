@@ -505,6 +505,18 @@ class TestOutputContract:
         assert err.startswith("error: ") and "must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        "real --a 1 --s 5e307 --n 5", "real --a 1 --s 1e307 --n 50",
+        "converge --s 1e308 --n-list 5", "measure --family real-s --s 1e308 --grid 0:1:2",
+    ])
+    def test_huge_s_exits_two(self, capsys, argv):
+        # 2s(n-1) or 2s - 1 leaves the double range: the recurrence and the
+        # support radius would turn into inf and nan; nothing reaches stdout
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "double range" in err
+        assert "Traceback" not in err
+
     def test_negative_seed_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main("real --a 1 --s 2 --n 5 --method optimize --seed -1".split())

@@ -1,11 +1,12 @@
 """Bit-exactness of the integer kernels against a Fraction reference.
 
 `discriminant_resultant` and `jacobi` evaluate exact rational quantities and
-round once; the resultant eliminates over Z.  The reference below computes
-the same quantities with `fractions.Fraction` (Bareiss elimination over Q,
-generalized binomials over Q) and rounds them the same way, so every result
-must agree to the bit.  The reference is an oracle only; the package does
-not use it.
+round them once; the discriminant eliminates the Bezout matrix over Z and
+`jacobi` sums the product form.  The reference below computes the same
+quantities by other formulations with `fractions.Fraction` (Bareiss
+elimination of the Sylvester matrix over Q, the defining sum of generalized
+binomials over Q) and rounds them the same way, so every result must agree
+to the bit.  The reference is an oracle only; the package does not use it.
 """
 
 import math
@@ -116,12 +117,17 @@ class TestDiscriminantBits:
         assert same_bits(discriminant_resultant(coeffs), ref_discriminant(coeffs))
 
     def test_repeated_root_is_exactly_zero(self):
-        # (x - 0.5)^2 (x + 0.25) and (x + 1.5)^3 have exact dyadic coefficients
+        # (x - 0.5)^2 (x + 0.25) and (x + 1.5)^3 have exact dyadic coefficients;
+        # a zero discriminant carries the sign of 1 / gamma
         for rts in ([0.5, 0.5, -0.25], [-1.5, -1.5, -1.5], [0.75, 0.75, 2.0, -3.0]):
-            p = np.poly(rts)[::-1]
-            got = discriminant_resultant(p)
-            assert got == 0
-            assert same_bits(got, ref_discriminant(p))
+            for lead in (1.0, -1.0):
+                p = lead * np.poly(rts)[::-1]
+                got = discriminant_resultant(p)
+                assert got == 0 and math.copysign(1.0, got) == lead
+                assert same_bits(got, ref_discriminant(p))
+        for p in ([-1.0, 2.0, -1.0], [0.0, 0.0, 0.0, -1.0]):
+            assert same_bits(discriminant_resultant(p), -0.0)
+            assert same_bits(discriminant_resultant(p), ref_discriminant(p))
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.25])
     def test_real_pseudo_jacobi(self, s):

@@ -157,6 +157,16 @@ class TestStackedRoots:
         self.assert_rows_are_single_roots(polys)
         assert np.all(stacked_roots(polys)[:, n // 2] == 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 29, 30])
+    def test_pseudo_jacobi_and_s1_rows_in_one_stack(self, n):
+        # the stacks of the verify battery: at odd n the pseudo-Jacobi rows
+        # have a zero root and the s = 1 rows do not
+        rng = np.random.default_rng(n)
+        gammas = -math.pi / 2.0 + rng.uniform(0.1, 0.9, 10) * math.pi / n
+        self.assert_rows_are_single_roots(
+            [pseudo_jacobi(1.0, s, n) for s in (1.5, 2.0)]
+            + [s1_polynomial(1.0, n, g).poly for g in gammas])
+
     def test_complex_coefficients(self):
         rng = np.random.default_rng(7)
         polys = [rng.normal(size=7) + 1j * rng.normal(size=7) for _ in range(6)]

@@ -6,7 +6,8 @@ test names every failed check with its residual and tolerance.
 
 import pytest
 
-from fekete.verify import SUITES, run_suites
+import fekete.verify as verify
+from fekete.verify import SUITES, run_suite, run_suites
 
 # Every (suite, check) name the battery carries; a check may be added, never
 # dropped silently.
@@ -75,3 +76,29 @@ def test_check_inventory(results):
     missing = {(suite, name) for suite, names in INVENTORY.items() for name in names}
     missing -= {(r.suite, r.name) for r in results}
     assert not missing, f"checks dropped from the battery: {sorted(missing)}"
+
+
+def count_root_stacks(monkeypatch, suite):
+    """(degree, rows) of every stacked_roots call the suite makes."""
+    calls = []
+    stacked_roots = verify.stacked_roots
+
+    def counted(polys):
+        calls.append((len(polys[0]) - 1, len(polys)))
+        return stacked_roots(polys)
+
+    monkeypatch.setattr(verify, "stacked_roots", counted)
+    run_suite(suite)
+    return calls
+
+
+def test_real_suite_stacks_roots_once_per_degree(monkeypatch):
+    # 2 pseudo-Jacobi rows and 10 s = 1 rows at each n = 2..30
+    assert count_root_stacks(monkeypatch, "real") == [(n, 12) for n in range(2, 31)]
+
+
+def test_poly_suite_stacks_roots_once_per_drawn_degree(monkeypatch):
+    calls = count_root_stacks(monkeypatch, "poly")
+    degrees = [deg for deg, _ in calls]
+    assert len(degrees) == len(set(degrees))
+    assert sum(rows for _, rows in calls) == 30
