@@ -21,14 +21,19 @@ for real-s).  cdf takes a float or a whole grid; its atan, atan2 and tan go
 through the math module element by element, so a grid's values keep libm's
 bits.  Densities are evaluated one point at a time, by one function per
 family with the family's constants bound once: quadrature integrands call
-it at every node.  The harmonic families take r >= 1e-300 and, for r
-outside [2^-480, 2^500), scale r and x by a power of two, so that r^2 and
-(r - x)(r + x) stay in the double range.  Total masses and logarithmic
-potentials are computed with adaptive Gauss-Kronrod quadrature; densities
+it at every node, and the moments of the Frostman checks at every sample.
+The harmonic families take r >= 1e-300 and, for r outside [2^-480, 2^500),
+scale r and x by a power of two, so that r^2 and (r - x)(r + x) stay in the
+double range.  Total masses and the pointwise
+log_potential are computed with adaptive Gauss-Kronrod quadrature; densities
 with inverse-square-root edges are integrated after the substitution
 x = r sin(theta), which removes the endpoint derivative blowup, and the
 integrable log singularity of the potential is handled by splitting the
-integration at the singular point.
+integration at the singular point.  The Frostman checks take the potential
+over a whole grid from one set of moments instead: the Chebyshev moments of
+the line density in the angle of x = r cos(phi) (real-s and the harmonic
+families), the Fourier moments of the circle density, each by one FFT of
+equispaced samples, summed as the series of log|x - t| in those bases.
 Densities evaluate to 0 outside their support (including at the boundary;
 the harmonic families diverge in the open-interior limit there).
 """
@@ -56,11 +61,19 @@ __all__ = [
     "capacity_circle",
     "modified_robin_constant",
     "frostman_check",
+    "frostman_check_circle",
     "ks_distance",
 ]
 
 _QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
 _QUAD_FAIL = 1e-7
+
+_EPS = 2.0 ** -52
+# sample counts of the Chebyshev and Fourier moments, doubled from the first
+# to the last; terms per block of a moment series
+_MOMENTS_MIN = 64
+_MOMENTS_MAX = 2 ** 20
+_SERIES_BLOCK = 2 ** 16
 
 _REAL_SGT1 = "real-s"
 _ARCTAN = "arctan"
@@ -153,7 +166,9 @@ class MeasureSpec:
 class EquilibriumReport:
     """Robin constants and Frostman-condition residuals over a grid.
 
-    robin_constant is -log(capacity) by construction; frostman_max_violation
+    robin_constant is -log(capacity) (on the circle summed as
+    log|1 - b| + log|1 + b|, finite where the capacity underflows);
+    frostman_max_violation
     is the largest amount by which U + Q drops below the modified Robin
     constant anywhere on the grid (should be ~0), and
     frostman_max_onsupport_deviation the largest |U + Q - F| over grid points
@@ -177,7 +192,7 @@ def _k_unit(m: MeasureSpec) -> float:
 def _density_fn(m: MeasureSpec) -> Callable[[float], float]:
     """The family's density as a function of one float, with the family's
     constants bound once, built with each MeasureSpec: the one scalar
-    formula behind density and the quadrature integrands."""
+    formula behind density, the quadrature integrands and the moments."""
     lo, hi = m.support
     if m.family == _ARCTAN:
         return lambda x: 1.0 / (math.pi * (1.0 + x * x))
@@ -231,7 +246,7 @@ def density(m: MeasureSpec, x: float) -> float:
 
 def quad(f, lo, hi, **kwargs):
     """scipy.integrate.quad, imported on the first call: only total_mass,
-    log_potential, frostman_check and verify integrate, and that import
+    log_potential and verify integrate, and that import
     would otherwise be most of every command's start-up time."""
     from scipy.integrate import quad as scipy_quad
 
@@ -370,7 +385,8 @@ def capacity_real(s: float) -> float:
 
     whose two terms still cancel O(s) down to O(1); for s >= 4 R is summed
     as its series -3/4 + sum_{k>=3} 2 (1 - 2^(1-k)) s^(2-k) / (k(k-1)(k-2)),
-    whose terms up to k = 31 reach the rounding level at s = 4.
+    whose terms up to k = 31 reach the rounding level at s = 4.  Where 2s
+    overflows (s >= 2^1023) the capacity is e^R / (sqrt(2) sqrt(s)).
     """
     s = checked_finite(s, "weight exponent s")
     if s < 1.0:
@@ -383,7 +399,10 @@ def capacity_real(s: float) -> float:
     else:
         rest = -0.75 + math.fsum(2.0 * (1.0 - 2.0 ** (1 - k)) * s ** (2 - k)
                                  / (k * (k - 1) * (k - 2)) for k in range(3, 32))
-    return math.exp(-0.5 * math.log(2.0 * s) + rest)
+    if s < 2.0 ** 1023:
+        return math.exp(-0.5 * math.log(2.0 * s) + rest)
+    # 2s overflows: 1 / sqrt(2s) from two square roots
+    return math.exp(rest) / (math.sqrt(2.0) * math.sqrt(s))
 
 
 def capacity_circle(b: float) -> float:
@@ -407,39 +426,196 @@ def modified_robin_constant(s: float) -> float:
     return s * green_i_inf + (s - 1.0) * math.log(r / 2.0)
 
 
+def _moments(sample, transform) -> np.ndarray:
+    """The leading half of transform(sample(n)) at the first n = 64, 128, ...
+    whose trailing half is below the rounding floor 64 eps pi max|sample|.
+
+    sample(n) gives n samples of an analytic periodic function and transform
+    its Chebyshev or Fourier moments, which decay geometrically; the number
+    of samples needed grows as the function's poles approach the real axis.
+    NumericalError past 2^20 samples.
+    """
+    n = _MOMENTS_MIN
+    while n <= _MOMENTS_MAX:
+        vals = sample(n)
+        coef = transform(vals)
+        half = coef.size // 2
+        floor = 64.0 * _EPS * math.pi * float(np.max(np.abs(vals)))
+        if float(np.max(np.abs(coef[half:]))) <= floor:
+            return coef[:half]
+        n *= 2
+    raise NumericalError(f"the moments do not converge within {_MOMENTS_MAX} samples")
+
+
+def _chebyshev_moments(m: MeasureSpec) -> np.ndarray:
+    """c_k = int_0^pi w(phi) cos(k phi) dphi for a family on [-r, r], where
+    w(phi) = rho(r cos phi) r sin phi is its density in the angle phi of
+    x = r cos phi: analytic, even and 2 pi-periodic for real-s and the
+    harmonic families.  The midpoint rule at phi_j = pi (j + 1/2) / N, a
+    DCT-II, taken through rfft of the samples and their mirror image."""
+    r, dens = m.support[1], m._density
+
+    def sample(n):
+        phi = (np.arange(n) + 0.5) * (math.pi / n)
+        rho = np.fromiter(map(dens, (r * np.cos(phi)).tolist()), float, n)
+        return rho * (r * np.sin(phi))
+
+    def dct2(w):
+        n = w.size
+        y = np.fft.rfft(np.concatenate((w, w[::-1])))[:n]
+        shift = np.arange(n) * (0.5 * math.pi / n)
+        return (0.5 * math.pi / n) * (np.cos(shift) * y.real + np.sin(shift) * y.imag)
+
+    return _moments(sample, dct2)
+
+
+def _fourier_moments(m: MeasureSpec) -> np.ndarray:
+    """int_0^{2 pi} rho(t) e^{-ikt} dt for the circle family, by the
+    trapezoid rule at t_j = 2 pi j / N: rfft of the samples."""
+    dens = m._density
+
+    def sample(n):
+        return np.fromiter(map(dens, (np.arange(n) * (TWO_PI / n)).tolist()), float, n)
+
+    return _moments(sample, lambda rho: np.fft.rfft(rho) * (TWO_PI / rho.size))
+
+
+def _series(coef: np.ndarray, angle: np.ndarray, basis) -> np.ndarray:
+    """sum over k >= 1 of coef[k] basis(k angle) at each angle, in blocks of
+    columns holding about _SERIES_BLOCK terms, so that memory stays
+    O(coef.size + block).  Elementwise products and a sum, not a BLAS
+    product, so the bits do not depend on the BLAS thread count."""
+    out = np.zeros(angle.size)
+    if angle.size == 0:
+        return out
+    cols = max(1, _SERIES_BLOCK // angle.size)
+    for k0 in range(1, coef.size, cols):
+        block = coef[k0:k0 + cols]
+        k = np.arange(k0, k0 + block.size)
+        out += (basis(np.multiply.outer(angle, k)) * block).sum(axis=1)
+    return out
+
+
+def _potential_series(m: MeasureSpec, xs: np.ndarray) -> np.ndarray:
+    """U(x) = -int log|x - t| d mu(t) at every point of the finite array xs,
+    for the families on [-r, r] (real-s and the harmonic families), from
+    the Chebyshev moments c_k of _chebyshev_moments.
+
+    With log|cos phi - cos phi0| = -log 2 - 2 sum_k cos(k phi) cos(k phi0)/k
+    (Mason & Handscomb, Chebyshev Polynomials, 2003, section 5) and
+    F0 = log(r/2),
+
+        U(r cos phi0)       = -F0 c_0 + 2 sum_k c_k cos(k phi0) / k,
+        U(+-r cosh eta)     = -(F0 + eta) c_0 + 2 sum_k (+-1)^k e^{-k eta} c_k / k.
+
+    Inside, phi0 = 2 atan2(sqrt(r - x), sqrt(r + x)), where r - x and r + x
+    are exact next to the edges.  Outside, with q = r / |x|,
+    F0 + eta = log|x| + log((1 + sqrt(1 - q^2)) / 2) and
+    e^{-eta} = q / (1 + sqrt(1 - q^2)), neither of which overflows.
+    An empty xs takes no moments.
+    """
+    if xs.size == 0:
+        return np.zeros(0)
+    r = m.support[1]
+    c = _chebyshev_moments(m)
+    k = np.arange(c.size)
+    coef = np.zeros(c.size)
+    coef[1:] = 2.0 * c[1:] / k[1:]
+    u = np.empty(xs.size)
+    ax = np.abs(xs)
+    inside = ax <= r
+    x = xs[inside]
+    phi0 = 2.0 * np.arctan2(np.sqrt(r - x), np.sqrt(r + x))
+    u[inside] = -math.log(r / 2.0) * c[0] + _series(coef, phi0, np.cos)
+    for out, sign_coef in ((xs > r, coef), (xs < -r, np.where(k % 2, -coef, coef))):
+        x = ax[out]
+        q = r / x
+        root = np.sqrt((1.0 - q) * (1.0 + q))
+        with np.errstate(divide="ignore"):
+            # q underflows to 0 for |x| / r past the double range: e^{-eta} = 0
+            log_z = np.log(q / (1.0 + root))
+        u[out] = (-(np.log(x) + np.log(0.5 + 0.5 * root)) * c[0]
+                  + _series(sign_coef, log_z, np.exp))
+    return u
+
+
+def _circle_potential_series(m: MeasureSpec, ts: np.ndarray) -> np.ndarray:
+    """U(t) = -int log|e^{it} - e^{iu}| d mu(u) at every angle of the finite
+    array ts, for the circle family, from its Fourier moments
+    alpha_k - i beta_k (_fourier_moments) and log|e^{it} - e^{iu}| =
+    -sum_k cos(k(t - u)) / k:
+
+        U(t) = sum_k (alpha_k cos kt + beta_k sin kt) / k.
+
+    An empty ts takes no moments.
+    """
+    if ts.size == 0:
+        return np.zeros(0)
+    a = _fourier_moments(m)
+    coef = np.zeros(a.size, dtype=complex)
+    coef[1:] = a[1:] / np.arange(1, a.size)
+    return _series(coef.real, ts, np.cos) - _series(coef.imag, ts, np.sin)
+
+
+def _checked_grid(grid) -> np.ndarray:
+    xs = np.asarray(grid, dtype=float).ravel()
+    if not np.isfinite(xs).all():
+        raise InvalidInputError("grid points must be finite")
+    return xs
+
+
+def _frostman_report(cap: float, robin: float, f_const: float, diff: np.ndarray,
+                     on_support: np.ndarray) -> EquilibriumReport:
+    return EquilibriumReport(
+        capacity=cap,
+        robin_constant=robin,
+        modified_robin=f_const,
+        frostman_max_violation=float(np.max(-diff, initial=-math.inf)),
+        frostman_max_onsupport_deviation=float(np.max(np.abs(diff[on_support]),
+                                                      initial=0.0)),
+    )
+
+
 def frostman_check(s: float, grid) -> EquilibriumReport:
     """Verify the variational characterization of the s > 1 line measure.
 
     Over the given grid, U + Q >= F must hold everywhere with equality on the
     support, where U is the log potential of the measure, Q(x) = s log|x - i|
     the external field and F the modified Robin constant.  Reports the worst
-    violation and the worst on-support deviation.
+    violation and the worst on-support deviation (-inf and 0 on an empty
+    grid).  U comes at every grid point from one set of Chebyshev moments
+    (see _potential_series); NumericalError when they do not converge, which
+    happens as s -> 1+, where the support radius grows like 1/(s - 1).
     """
     m = MeasureSpec.real_sgt1(s)
+    xs = _checked_grid(grid)
     f_const = modified_robin_constant(s)
+    with np.errstate(over="ignore"):
+        q = 0.5 * s * np.log1p(xs * xs)
+    diff = _potential_series(m, xs) + q - f_const
     cap = capacity_real(s)
-    radius = m.support[1]
-    worst_violation = -math.inf
-    worst_on_support = 0.0
-    for x in np.asarray(grid, dtype=float).ravel():
-        if not math.isfinite(x):
-            raise InvalidInputError("grid points must be finite")
-        try:
-            u = log_potential(m, x)
-        except NumericalError as exc:
-            raise NumericalError(f"potential quadrature failed at x = {x}: {exc}") from exc
-        q = 0.5 * s * math.log(1.0 + x * x)
-        diff = u + q - f_const
-        worst_violation = max(worst_violation, -diff)
-        if abs(x) < radius:
-            worst_on_support = max(worst_on_support, abs(diff))
-    return EquilibriumReport(
-        capacity=cap,
-        robin_constant=-math.log(cap),
-        modified_robin=f_const,
-        frostman_max_violation=worst_violation,
-        frostman_max_onsupport_deviation=worst_on_support,
-    )
+    return _frostman_report(cap, -math.log(cap), f_const, diff, np.abs(xs) < m.support[1])
+
+
+def frostman_check_circle(b: float, angles) -> EquilibriumReport:
+    """The Frostman conditions of the circle-poisson measure over a grid of
+    angles, all on its support, the whole circle.
+
+    The log potential U of the measure (from its Fourier moments, see
+    _circle_potential_series) plus the external field Q(t) = log|e^{it} - b|
+    must equal F = 0 for |b| < 1 and log|b| for |b| > 1 at every angle.
+    Reports the worst violation and the worst deviation (-inf and 0 on an
+    empty grid); NumericalError when the moments do not converge, which
+    happens as |b| -> 1.
+    """
+    m = MeasureSpec.circle_poisson(b)
+    ts = _checked_grid(angles)
+    f_const = 0.0 if abs(m.b) < 1.0 else math.log(abs(m.b))
+    diff = _circle_potential_series(m, ts) - m.weight.log_w(ts) - f_const
+    # -log of the capacity 1 / (|1 - b| |1 + b|), which underflows past |b| = 2^512
+    robin = math.log(abs(1.0 - m.b)) + math.log(abs(1.0 + m.b))
+    return _frostman_report(capacity_circle(m.b), robin, f_const, diff,
+                            np.ones(ts.size, bool))
 
 
 def ks_distance(points, m: MeasureSpec) -> float:

@@ -548,6 +548,9 @@ def recurrence_family(sigma: float, n_max: int) -> list[np.ndarray]:
     the pseudo-Jacobi polynomial when sigma = s(n-1), s > 1).
     """
     sigma = float(sigma)
+    if not math.isfinite(2.0 * sigma):
+        raise InvalidInputError(f"recurrence_family requires 2 sigma within the double "
+                                f"range, got sigma = {sigma!r}")
     n_max = checked_n(n_max)
     coefs = _recurrence_coefficients(sigma, n_max).tolist()
     polys = [np.array([1.0]), np.array([0.0, 1.0])]

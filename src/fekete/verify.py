@@ -9,11 +9,12 @@ gauge freedoms, gradient consistency against finite differences, the
 sine-product bound, unit masses and shape constraints of the limit measures,
 and small optimizer-vs-closed-form spot checks.  The oracle side of each
 pair (companion roots, exact resultants, the line's polynomials and the
-discriminant route) comes from ``fekete.poly``; the production side from
-the other modules.  Every polynomial is a real coefficient array, so the
-``poly`` suite draws its roots in conjugate pairs, plus one real root at odd
-degree.  The heavier optimizer sweeps live in the acceptance test suite;
-here every suite is kept fast enough to run on each call: the companion
+discriminant route) comes from ``fekete.poly``, and the pointwise quadrature
+of ``log_potential`` checks the moment series of the Frostman checks; the
+production side comes from the other modules.  Every polynomial is a real
+coefficient array, so the ``poly`` suite draws its roots in conjugate pairs,
+plus one real root at odd degree.  The heavier optimizer sweeps live in the
+acceptance test suite; here every suite is kept fast enough to run on each call: the companion
 roots of each degree's polynomials come from one ``stacked_roots`` call (the
 ``real`` suite stacks its pseudo-Jacobi and s = 1 polynomials together, the
 ``poly`` suite groups its random draws by degree), the exact discriminants
@@ -460,6 +461,19 @@ def _suite_equilibrium() -> list[CheckResult]:
                            max(report.frostman_max_violation, 0.0), 1e-6))
     out.append(CheckResult("equilibrium", "frostman-equality-on-support",
                            report.frostman_max_onsupport_deviation, 1e-6))
+
+    worst = 0.0
+    for m in (eq.MeasureSpec.real_sgt1(2.0), eq.MeasureSpec.harmonic_i(math.sqrt(3.0))):
+        xs = m.support[1] * np.array([-2.0, -1.1, -0.8, -0.3, 0.0, 0.45, 0.9, 1.25, 3.0])
+        series = eq._potential_series(m, xs).tolist()
+        worst = max(worst, max(abs(u - eq.log_potential(m, x))
+                               for x, u in zip(xs.tolist(), series)))
+    out.append(CheckResult("equilibrium", "potential-series-vs-quadrature", worst, 1e-10))
+
+    angles = np.linspace(0.0, circ.TWO_PI, 41)
+    worst = max(eq.frostman_check_circle(b, angles).frostman_max_onsupport_deviation
+                for b in (0.0, 0.5, -0.5, 3.0))
+    out.append(CheckResult("equilibrium", "circle-frostman", worst, 1e-6))
     return out
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from fekete import (
     circle_points,
     density,
     frostman_check,
+    frostman_check_circle,
     ks_distance,
     log_potential,
     modified_robin_constant,
@@ -22,6 +27,7 @@ from fekete import (
     sgt1_points,
     total_mass,
 )
+from fekete.equilibrium import _potential_series
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -258,6 +264,19 @@ class TestCapacity:
                                    + (2 * t - 1) ** 2 / 2 * mpmath.log(2 * t - 1)))
         assert capacity_real(s) == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("s", [2.0 ** 1023, 1e308, 1.7976931348623157e308])
+    def test_past_the_overflow_of_2s_against_high_precision(self, s):
+        # the two O(s) terms cancel down to O(1): 308 digits go
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(340):
+            ss = mpmath.mpf(s)
+            log_cap = (-(ss - 1) ** 2 * mpmath.log1p(-1 / ss)
+                       + (2 * ss - 1) ** 2 / 2 * mpmath.log1p(-1 / (2 * ss))
+                       - mpmath.log(2 * ss) / 2)
+            ref = float(mpmath.exp(log_cap))
+        # relative only: approx's default absolute 1e-12 would pass any value here
+        assert abs(capacity_real(s) - ref) <= 1e-14 * ref
+
     def test_circle(self):
         assert capacity_circle(0.0) == pytest.approx(1.0)
         assert capacity_circle(0.5) == pytest.approx(4.0 / 3.0)
@@ -303,10 +322,131 @@ class TestFrostman:
         with pytest.raises(InvalidInputError):
             frostman_check(2.0, [0.0, math.inf])
 
+    def test_empty_grid(self):
+        report = frostman_check(2.0, np.array([]))
+        assert report.frostman_max_violation == -math.inf
+        assert report.frostman_max_onsupport_deviation == 0.0
+
     def test_quadrature_that_gives_up_raises(self):
         # quad flags this integral and returns 5.0e-12 where the mass is 1
         with pytest.raises(NumericalError, match="quadrature gave up"):
             total_mass(MeasureSpec.harmonic_i(1e6))
+
+
+def potential_reference(m, x):
+    """U(x) = -int_0^pi log|x - r cos phi| w(phi) d phi in 30-digit
+    arithmetic, from the family's density in the angle phi of r cos phi,
+    split where the logarithm is singular."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        r, xx = mpmath.mpf(m.support[1]), mpmath.mpf(x)
+        if m.family == "real-s":
+            w = lambda p: ((mpmath.mpf(m.s) - 1) * (r * mpmath.sin(p)) ** 2
+                           / (mpmath.pi * (1 + (r * mpmath.cos(p)) ** 2)))
+        elif m.family == "harmonic-inf":
+            w = lambda p: 1 / mpmath.pi
+        else:
+            w = lambda p: mpmath.sqrt(1 + r * r) / (mpmath.pi * (1 + (r * mpmath.cos(p)) ** 2))
+        if abs(xx) > r:
+            ends = [0, mpmath.pi]
+            dist = lambda p: abs(xx - r * mpmath.cos(p))
+        else:
+            # r cos p - r cos p0 as a product, which does not cancel next to p0
+            p0 = mpmath.acos(xx / r)
+            ends = [0, p0, mpmath.pi] if 0 < p0 < mpmath.pi else [0, mpmath.pi]
+            dist = lambda p: abs(2 * r * mpmath.sin((p + p0) / 2) * mpmath.sin((p - p0) / 2))
+        return float(-mpmath.quad(lambda p: mpmath.log(dist(p)) * w(p), ends))
+
+
+SERIES_FAMILIES = [MeasureSpec.real_sgt1(s) for s in (1.5, 2.0, 5.0, 1e6)] + [
+    MeasureSpec.harmonic_i(SQRT3), MeasureSpec.harmonic_inf(1.0)]
+
+
+class TestPotentialSeries:
+    @pytest.mark.parametrize("m", SERIES_FAMILIES, ids=spec_id)
+    def test_against_high_precision(self, m):
+        r = m.support[1]
+        xs = r * np.array([-3.0, -1.0, -0.7, 0.0, 0.2, 0.999, 1.0, 1.001, 1.4])
+        got = _potential_series(m, xs)
+        ref = np.array([potential_reference(m, x) for x in xs.tolist()])
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_far_outside_and_tiny_support(self):
+        # r / |x| underflows: U(x) = -log|x| to rounding
+        m = MeasureSpec.real_sgt1(1e300)
+        xs = np.array([-1e300, 1e-100, 1e300])
+        got = _potential_series(m, xs)
+        assert got[0] == pytest.approx(-math.log(1e300), rel=1e-15)
+        assert got[2] == pytest.approx(-math.log(1e300), rel=1e-15)
+        assert got[1] == pytest.approx(potential_reference(m, 1e-100), rel=1e-13)
+
+
+def run_fresh(code):
+    """stdout of a fresh interpreter running code with fekete importable."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], check=True,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    return proc.stdout
+
+
+class TestFrostmanNearOne:
+    @pytest.mark.parametrize("s", [1.001, 1.0001])
+    def test_passes_where_quadrature_gave_up(self, s):
+        report = frostman_check(s, np.linspace(-3.0, 3.0, 41))
+        assert report.frostman_max_violation <= 1e-6
+        assert report.frostman_max_onsupport_deviation <= 1e-6
+
+    def test_unconverged_moments_raise_in_bounded_time_and_memory(self):
+        out = run_fresh("""
+            import resource, time
+            import numpy as np
+            from fekete import NumericalError, frostman_check
+            grid = np.linspace(-3.0, 3.0, 41)
+            base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            t0 = time.perf_counter()
+            try:
+                frostman_check(1.0 + 1e-8, grid)
+            except NumericalError:
+                print("raised", time.perf_counter() - t0,
+                      (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)
+        """).split()
+        assert out[0] == "raised"
+        assert float(out[1]) < 6.0
+        assert float(out[2]) < 150.0  # MB over the interpreter with numpy loaded
+
+    def test_does_not_load_the_quadrature(self):
+        out = run_fresh("""
+            import sys
+            from fekete import frostman_check, frostman_check_circle
+            frostman_check(2.0, [-3.0, 0.0, 0.5, 3.0])
+            frostman_check_circle(0.5, [0.0, 1.0])
+            print("scipy.integrate" in sys.modules)
+        """)
+        assert out.strip() == "False"
+
+
+class TestFrostmanCircle:
+    @pytest.mark.parametrize("b", [0.0, 0.5, -0.5, 3.0, 0.999, -0.999, 1.001, -1.001])
+    def test_constant_on_the_circle(self, b):
+        report = frostman_check_circle(b, np.linspace(-1.0, TWO_PI + 1.0, 61))
+        assert report.frostman_max_onsupport_deviation <= 1e-6
+        assert report.frostman_max_violation <= 1e-6
+        assert report.modified_robin == (0.0 if abs(b) < 1 else math.log(abs(b)))
+        assert report.capacity == capacity_circle(b)
+        assert report.robin_constant == pytest.approx(-math.log(capacity_circle(b)), rel=1e-14)
+
+    def test_robin_constant_stays_finite_where_the_capacity_underflows(self):
+        report = frostman_check_circle(1e200, [0.0, 2.0])
+        assert report.capacity == 0.0
+        assert report.robin_constant == pytest.approx(2.0 * math.log(1e200), rel=1e-15)
+        assert report.frostman_max_onsupport_deviation <= 1e-6
+
+    def test_grid_validation_and_empty_grid(self):
+        with pytest.raises(InvalidInputError):
+            frostman_check_circle(0.5, [0.0, math.nan])
+        report = frostman_check_circle(0.5, [])
+        assert report.frostman_max_violation == -math.inf
+        assert report.frostman_max_onsupport_deviation == 0.0
 
 
 class TestKsDistance:

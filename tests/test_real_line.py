@@ -331,6 +331,17 @@ class TestRecurrence:
         with pytest.raises(SingularParameterError, match="n = 4"):
             recurrence_family(2.5, 6)
 
+    @pytest.mark.parametrize("sigma", [1e308, -1e308, math.inf, math.nan])
+    def test_sigma_past_the_double_range_rejected(self, sigma):
+        # 2 sigma overflows (or sigma is not a number): rejected before the
+        # coefficients, which would be inf / inf under a RuntimeWarning
+        with pytest.raises(InvalidInputError, match="2 sigma"):
+            recurrence_family(sigma, 4)
+
+    def test_largest_sigma_still_runs(self):
+        fam = recurrence_family(8e307, 4)
+        assert all(np.isfinite(p).all() for p in fam)
+
 
 class TestOdeResidual:
     def test_zero_for_extremal_polynomial(self):

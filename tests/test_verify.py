@@ -4,6 +4,10 @@ All five suites run once per session; each suite is one test, and a failing
 test names every failed check with its residual and tolerance.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import fekete.verify as verify
@@ -57,6 +61,8 @@ INVENTORY = {
         "modified-robin-consistency",
         "frostman-no-violation",
         "frostman-equality-on-support",
+        "potential-series-vs-quadrature",
+        "circle-frostman",
     },
 }
 
@@ -102,3 +108,15 @@ def test_poly_suite_stacks_roots_once_per_drawn_degree(monkeypatch):
     degrees = [deg for deg, _ in calls]
     assert len(degrees) == len(set(degrees))
     assert sum(rows for _, rows in calls) == 30
+
+
+def test_equilibrium_suite_bytes_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "FEKETE_LOG"}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "fekete.cli", "verify", "--suite", "equilibrium"],
+            env=env, capture_output=True, check=True).stdout)
+    assert outs[0] == outs[1]
