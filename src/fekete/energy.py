@@ -24,14 +24,22 @@ line onto theta in (-pi, pi), where the objective becomes, up to a constant,
 
 with phi = (n-1)(s-1) log(2 cos(theta/2)); on the circle phi = (n-1) log w in
 its own angles.  Each stage runs damped Newton ascent, a modified Newton
-method (Nocedal & Wright, Numerical Optimization, sec. 3.4): the step uses the
-eigendecomposition of the negated Hessian with |lambda| for each eigenvalue,
-dropping |lambda| <= 1e-10 max|lambda| (the s = 1 rotation, the free Moebius
-rotation), backtracks to the Armijo condition (constant 1e-4) and is kept
-only if the points stay ordered.  A stage stops when its angle-space scaled
-residual is <= 1e-13, or, after one last full step, when g.p falls to the
-rounding level of the objective f, 1e-15 (1 + |f| + max|theta| sum_k
-scale_k).
+method (Nocedal & Wright, Numerical Optimization, sec. 3.4).  Where the
+negated Hessian has a Cholesky factor whose smallest pivot squared exceeds
+1e-10 of its largest diagonal entry (the pivot guard), the step is the
+plain Newton step.  Otherwise it comes from the eigendecomposition with
+|lambda| for each eigenvalue, dropping |lambda| <= 1e-10 max|lambda| (the
+s = 1 rotation, the free Moebius rotation).  The guard is needed on the
+circle, whose objective is unchanged along the Moebius-conjugated rotation
+(the gauge orbit): next to every stationary point the matrix is nearly
+singular along it, and a plain Newton step there stalls.  On the line the
+matrix is bounded below by (n-1)(s-1)/4 and every step takes the Cholesky
+path; on the circle the eigen path serves the steps where it is indefinite
+or nearly singular.  The step backtracks to the Armijo condition (constant
+1e-4) and is kept only if the points stay ordered.  A stage stops when its
+angle-space scaled residual is <= 1e-13, or, after one last full step, when
+g.p falls to the rounding level of the objective f, 1e-15 (1 + |f| +
+max|theta| sum_k scale_k).
 
 The path starts at the equispaced angles, exact for the line at s = 1 and
 for the circle at b = 0 and b -> infinity; the line runs one stage.  From
@@ -47,9 +55,11 @@ theta_n < pi, each pair difference lies in (0, 2 pi), where log sin(d/2) is
 strictly concave, and log cos(theta/2) is concave on (-pi, pi): the objective
 is concave, strictly for s > 1 and flat only along the common rotation at
 s = 1.  On the circle the Moebius map carries the objective to the unweighted
-one of the preimages plus a constant, concave in the same way.  The result
-is converged when its `scaled_residual` in the command's coordinates is
-<= RESIDUAL_TOL = 1e-10.
+one of the preimage angles plus a constant, concave in the same way in those
+angles.  The optimizer works in the raw angles, where it is not: the
+negated Hessian is indefinite on some steps next to the charge, and nearly
+singular along the gauge orbit.  The result is converged when its
+`scaled_residual` in the command's coordinates is <= RESIDUAL_TOL = 1e-10.
 """
 
 from __future__ import annotations
@@ -335,6 +345,37 @@ def _angle_derivatives(t: np.ndarray, field):
     return g, np.sum(np.abs(inv_chord), axis=1) + np.abs(d1), neg_h
 
 
+def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The modified Newton step for the negated Hessian neg_h and gradient g.
+
+    Fast path: when the Cholesky factor L of neg_h exists and its smallest
+    pivot passes min(diag L)^2 > 1e-10 max(diag neg_h), the plain step
+    neg_h^-1 g.  Otherwise the eigen-step: |lambda| for each eigenvalue of
+    neg_h, dropping |lambda| <= 1e-10 max|lambda|.
+
+    The guard keeps nearly singular matrices, which Cholesky would accept,
+    on the eigen path.  Each pivot squared is a Schur complement, at least
+    lambda_min, so every matrix whose eigenvalues all lie above the cut
+    passes it, and there the two steps agree up to rounding.  Conversely the
+    last pivot is L_nn^2 = 1/(neg_h^-1)_nn <= lambda_i / (v_i)_n^2 for every
+    eigenpair: a small eigenvalue fails the guard unless its eigenvector
+    nearly vanishes in the last angle.  The circle's gauge orbit (see module
+    docstring) moves every angle, so its near-null direction is caught.
+    """
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(neg_h))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.min(pivots) ** 2 > 1e-10 * np.max(np.diagonal(neg_h)):
+            return np.linalg.solve(neg_h, g)
+    lam, vec = np.linalg.eigh(neg_h)
+    lam = np.abs(lam)
+    keep = lam > 1e-10 * np.max(lam)
+    vec = vec[:, keep]
+    return vec @ ((vec.T @ g) / lam[keep])
+
+
 def _newton(t: np.ndarray, field, ordered, max_iters: int):
     """Damped Newton ascent from the ordered angles t (see module docstring);
     returns the final angles, their objective (before a last full step, which
@@ -345,11 +386,7 @@ def _newton(t: np.ndarray, field, ordered, max_iters: int):
         g, scale, neg_h = _angle_derivatives(t, field)
         if np.max(np.abs(g) / scale) <= 1e-13:
             break
-        lam, vec = np.linalg.eigh(neg_h)
-        lam = np.abs(lam)
-        keep = lam > 1e-10 * np.max(lam)
-        vec = vec[:, keep]
-        p = vec @ ((vec.T @ g) / lam[keep])
+        p = _newton_step(neg_h, g)
         slope = float(g @ p)
         if slope <= 1e-15 * (1.0 + abs(f) + np.max(np.abs(t)) * np.sum(scale)):
             if ordered(t + p):

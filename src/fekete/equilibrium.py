@@ -385,8 +385,11 @@ def capacity_real(s: float) -> float:
 
     whose two terms still cancel O(s) down to O(1); for s >= 4 R is summed
     as its series -3/4 + sum_{k>=3} 2 (1 - 2^(1-k)) s^(2-k) / (k(k-1)(k-2)),
-    whose terms up to k = 31 reach the rounding level at s = 4.  Where 2s
-    overflows (s >= 2^1023) the capacity is e^R / (sqrt(2) sqrt(s)).
+    whose terms up to k = 31 reach the rounding level at s = 4.  There the
+    capacity is e^R / sqrt(2s), which keeps the exponential's argument O(1):
+    the exponential of the large -(1/2) log(2s) + R would magnify its
+    rounding by up to 355.  Where 2s overflows (s >= 2^1023) the square
+    root is taken as sqrt(2) sqrt(s).
     """
     s = checked_finite(s, "weight exponent s")
     if s < 1.0:
@@ -396,12 +399,12 @@ def capacity_real(s: float) -> float:
     if s < 4.0:
         rest = (-(s - 1.0) ** 2 * math.log1p(-1.0 / s)
                 + ((2.0 * s - 1.0) ** 2 / 2.0) * math.log1p(-0.5 / s))
-    else:
-        rest = -0.75 + math.fsum(2.0 * (1.0 - 2.0 ** (1 - k)) * s ** (2 - k)
-                                 / (k * (k - 1) * (k - 2)) for k in range(3, 32))
-    if s < 2.0 ** 1023:
         return math.exp(-0.5 * math.log(2.0 * s) + rest)
-    # 2s overflows: 1 / sqrt(2s) from two square roots
+    rest = -0.75 + math.fsum(2.0 * (1.0 - 2.0 ** (1 - k)) * s ** (2 - k)
+                             / (k * (k - 1) * (k - 2)) for k in range(3, 32))
+    if s < 2.0 ** 1023:
+        return math.exp(rest) / math.sqrt(2.0 * s)
+    # 2s overflows: its square root from two
     return math.exp(rest) / (math.sqrt(2.0) * math.sqrt(s))
 
 

@@ -356,13 +356,137 @@ class TestOptimizer:
                 assert optimize(weight, n).converged, (weight, n)
 
     def test_start_record_format(self, caplog):
-        # the benchmark tracer matches this prefix and reads the Newton
-        # steps and backtracks from args 2 and 3
-        _, records = optimize_logged(caplog, CircleWeight(0.999), 120)
-        for record in records:
-            assert record.msg.startswith("start %d: objective")
-            assert len(record.args) == 4
-            assert all(isinstance(record.args[i], int) for i in (0, 2, 3))
+        # the benchmark tracer matches the "start %d: objective" prefix and
+        # unpacks exactly four args, reading the Newton steps and backtracks
+        # from the last two
+        for weight, stages in ((RealWeight(1.3, 2.0), 1), (CircleWeight(0.999), 10)):
+            caplog.clear()
+            res, records = optimize_logged(caplog, weight, 120)
+            assert len(records) == stages
+            for stage, record in enumerate(records):
+                assert record.levelno == logging.DEBUG
+                assert record.msg == "start %d: objective %.15g after %d+%d iterations"
+                index, objective, steps, backtracks = record.args
+                assert index == stage
+                assert isinstance(objective, float) and math.isfinite(objective)
+                assert all(type(v) is int and v >= 0 for v in (steps, backtracks))
+                assert record.getMessage().startswith(f"start {stage}: objective ")
+            assert res.iterations == sum(record.args[2] for record in records)
+
+
+def eigen_step(neg_h, g):
+    """The modified Newton step from the eigendecomposition: |lambda| for each
+    eigenvalue, dropping |lambda| <= 1e-10 max|lambda|."""
+    lam, vec = np.linalg.eigh(neg_h)
+    lam = np.abs(lam)
+    keep = lam > 1e-10 * np.max(lam)
+    vec = vec[:, keep]
+    return vec @ ((vec.T @ g) / lam[keep])
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts the calls of np.linalg.eigh made through the module."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+class TestNewtonStep:
+    def test_positive_definite_takes_the_cholesky_path(self, eigh_calls):
+        rng = np.random.default_rng(19)
+        m = rng.normal(size=(24, 24))
+        neg_h = m @ m.T + np.eye(24)
+        g = rng.normal(size=24)
+        p = fekete.energy._newton_step(neg_h, g)
+        assert eigh_calls == []
+        ref = eigen_step(neg_h, g)
+        assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_indefinite_takes_the_eigen_step(self, eigh_calls):
+        rng = np.random.default_rng(23)
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+        neg_h = (q * np.linspace(-3.0, 5.0, 12)) @ q.T
+        neg_h = (neg_h + neg_h.T) / 2.0
+        g = rng.normal(size=12)
+        p = fekete.energy._newton_step(neg_h, g)
+        assert eigh_calls == [(12, 12)]
+        assert np.array_equal(p, eigen_step(neg_h, g))
+
+    def test_nearly_singular_drops_the_null_direction(self, eigh_calls):
+        # the path-graph Laplacian has the constant vector as its null
+        # direction; shifted by 1e-14 of its norm it is positive definite,
+        # and Cholesky accepts it, but the guard sends it to the eigen path
+        n = 12
+        lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        lap[0, 0] = lap[-1, -1] = 1.0
+        neg_h = lap + 1e-14 * np.linalg.norm(lap, 2) * np.eye(n)
+        np.linalg.cholesky(neg_h)
+        g = np.random.default_rng(29).normal(size=n)
+        p = fekete.energy._newton_step(neg_h, g)
+        assert eigh_calls == [(n, n)]
+        assert np.array_equal(p, eigen_step(neg_h, g))
+        assert abs(np.sum(p)) <= 1e-12 * np.linalg.norm(p) * math.sqrt(n)
+
+
+# iterations and log_diameter of the eigen-step optimizer that the Cholesky
+# step replaced, measured with one and with two BLAS threads (the same
+# iterations; log_diameter within 6e-16 relative)
+EIGEN_STEP_PATH = [
+    (RealWeight(1.54, 2.03), 12, 7, -2.382934641934026),
+    (RealWeight(1.54, 2.03), 48, 10, -2.53975847630069),
+    (RealWeight(1.54, 2.03), 240, 13, -2.602256193196538),
+    (RealWeight(1.3, 1.001), 12, 3, -0.7314035861973649),
+    (RealWeight(1.3, 1.001), 48, 3, -0.875023334178274),
+    (RealWeight(1.3, 1.001), 240, 4, -0.9344794451347305),
+    (CircleWeight(0.351), 12, 8, 0.3573781078261671),
+    (CircleWeight(0.351), 48, 8, 0.21384348225547214),
+    (CircleWeight(0.351), 240, 8, 0.15440904691229476),
+    (CircleWeight(2.79), 12, 6, -1.6886810344208163),
+    (CircleWeight(2.79), 48, 9, -1.8322156599915116),
+    (CircleWeight(2.79), 240, 9, -1.8916500953346889),
+    (CircleWeight(0.9), 12, 27, 1.886631811347834),
+    (CircleWeight(0.9), 48, 27, 1.7430971857771378),
+    (CircleWeight(0.9), 240, 27, 1.6836627504339605),
+    (CircleWeight(0.999), 12, 71, 6.441008827990019),
+    (CircleWeight(0.999), 48, 70, 6.297474202419385),
+    (CircleWeight(0.999), 240, 70, 6.238039767076181),
+    (CircleWeight(-0.999), 12, 70, 6.441008827990053),
+    (CircleWeight(-0.999), 48, 70, 6.29747420241936),
+    (CircleWeight(-0.999), 240, 70, 6.238039767076182),
+]
+
+
+class TestNewtonPath:
+    @pytest.mark.parametrize("weight, n, iterations, log_diameter", EIGEN_STEP_PATH)
+    def test_same_path_as_the_eigen_step(self, weight, n, iterations, log_diameter):
+        res = optimize(weight, n)
+        assert res.converged
+        assert res.iterations == iterations
+        assert abs(res.log_diameter - log_diameter) <= 1e-14 * abs(log_diameter)
+
+    @pytest.mark.parametrize("n", [48, 240])
+    def test_gauge_orbit_kept_off_the_cholesky_path(self, n):
+        # without the pivot guard Cholesky accepts the nearly singular
+        # matrices next to the stationary point, and this stalls unconverged
+        assert optimize(CircleWeight(2.79), n).converged
+
+    @pytest.mark.parametrize("n", [12, 48, 240])
+    @pytest.mark.parametrize("a", [0.5, 1.3])
+    @pytest.mark.parametrize("s", [1.001, 2.0, 5.0])
+    def test_line_never_takes_the_eigen_path(self, monkeypatch, s, a, n):
+        # (n - 1)(s - 1)/4 bounds the line's negated Hessian from below
+        def eigh(_):
+            raise AssertionError("eigen fallback taken on the line")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert optimize(RealWeight(a, s), n).converged
 
 
 class TestScaledResidual:

@@ -277,6 +277,20 @@ class TestCapacity:
         # relative only: approx's default absolute 1e-12 would pass any value here
         assert abs(capacity_real(s) - ref) <= 1e-14 * ref
 
+    @pytest.mark.parametrize("s", [4.0, 10.0, 1e3, 1e50, 1e200, 1e300, 8e307])
+    def test_series_branch_to_rounding(self, s):
+        # the exponential of -(1/2) log(2s) + R, near -355 at the top of the
+        # range, was 1.8e-14 off at s = 1e300
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(700):  # the O(s^2) logs cancel down to O(log s)
+            t = mpmath.mpf(s)
+            log_cap = ((2 * t - 2 * t * t - 1) * mpmath.log(2) - t * t * mpmath.log(t)
+                       - (t - 1) ** 2 * mpmath.log(t - 1)
+                       + (2 * t - 1) ** 2 / 2 * mpmath.log(2 * t - 1))
+            ref = mpmath.exp(log_cap)
+            err = float(abs(mpmath.mpf(capacity_real(s)) - ref) / ref)
+        assert err <= 4.5e-16
+
     def test_circle(self):
         assert capacity_circle(0.0) == pytest.approx(1.0)
         assert capacity_circle(0.5) == pytest.approx(4.0 / 3.0)

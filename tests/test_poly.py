@@ -258,7 +258,7 @@ class TestOracleSplit:
     def test_cli_loads_scipy_only_where_it_is_used(self):
         # scipy.integrate (which loads scipy.linalg) was most of every
         # command's start-up; only verify integrates, and only real at s > 1
-        # calls the tridiagonal eigensolver.  The oracles, fekete.poly and
+        # calls the tridiagonal eigensolver.  The optimizer is numpy-only.  The oracles, fekete.poly and
         # fekete.verify, are loaded by verify alone.
         code = "\n".join([
             "import contextlib, io, sys",
@@ -272,6 +272,8 @@ class TestOracleSplit:
             "             ['real', '--a', '1', '--s', '1', '--n', '8'],",
             "             ['measure', '--family', 'arctan', '--grid', '-2:2:5'],",
             "             ['converge', '--b', '0.5', '--n-list', '4,8'],",
+            "             ['real', '--a', '1.3', '--s', '2', '--n', '12', '--method', 'optimize'],",
+            "             ['circle', '--b', '0.9', '--n', '12', '--method', 'optimize'],",
             "             ['real', '--a', '1', '--s', '2', '--n', '8'],",
             "             ['verify', '--suite', 'equilibrium']):",
             "    with contextlib.redirect_stdout(io.StringIO()):",
@@ -281,7 +283,7 @@ class TestOracleSplit:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fekete.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.splitlines() == ["[]"] * 5 + [
+        assert out.splitlines() == ["[]"] * 7 + [
             "['scipy.linalg']",
             "['scipy.linalg', 'scipy.integrate', 'fekete.poly', 'fekete.verify']",
         ]
