@@ -276,6 +276,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise CliError(f"grid bounds must be finite, got {spec!r}")
     if count < 1 or hi < lo:
         raise CliError("grid needs hi >= lo and count >= 1")
+    if not math.isfinite(hi - lo):
+        raise CliError(f"grid span hi - lo exceeds the double range, got {spec!r}")
     return np.linspace(lo, hi, count)
 
 

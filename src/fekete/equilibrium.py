@@ -24,16 +24,17 @@ family with the family's constants bound once: quadrature integrands call
 it at every node, and the moments of the Frostman checks at every sample.
 The harmonic families take r >= 1e-300 and, for r outside [2^-480, 2^500),
 scale r and x by a power of two, so that r^2 and (r - x)(r + x) stay in the
-double range.  Total masses and the pointwise
-log_potential are computed with adaptive Gauss-Kronrod quadrature; densities
-with inverse-square-root edges are integrated after the substitution
-x = r sin(theta), which removes the endpoint derivative blowup, and the
-integrable log singularity of the potential is handled by splitting the
-integration at the singular point.  The Frostman checks take the potential
-over a whole grid from one set of moments instead: the Chebyshev moments of
-the line density in the angle of x = r cos(phi) (real-s and the harmonic
-families), the Fourier moments of the circle density, each by one FFT of
-equispaced samples, summed as the series of log|x - t| in those bases.
+double range.  Total masses, the pointwise log_potential and the
+quadrature oracles of verify are integrals of one helper, _integral, with
+adaptive Gauss-Kronrod quadrature that raises NumericalError when scipy
+flags the integral: in x = tan(theta) for arctan, in x = r sin(theta) on
+[-r, r], which removes the endpoint derivative blowup of the square-root
+edges, and split at the integrable log singularity of the potential.  The
+Frostman checks take the potential over a whole grid from one set of
+moments instead: the Chebyshev moments of the line density in the angle of
+x = r cos(phi) (real-s and the harmonic families), the Fourier moments of
+the circle density, each by one FFT of equispaced samples, summed as the
+series of log|x - t| in those bases.
 Densities evaluate to 0 outside their support (including at the boundary;
 the harmonic families diverge in the open-interior limit there).
 """
@@ -65,7 +66,6 @@ __all__ = [
     "ks_distance",
 ]
 
-_QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
 _QUAD_FAIL = 1e-7
 
 _EPS = 2.0 ** -52
@@ -245,19 +245,20 @@ def density(m: MeasureSpec, x: float) -> float:
 
 
 def quad(f, lo, hi, **kwargs):
-    """scipy.integrate.quad, imported on the first call: only total_mass,
-    log_potential and verify integrate, and that import
-    would otherwise be most of every command's start-up time."""
+    """scipy.integrate.quad, imported on the first call: it is called only
+    from _quad_checked, under _integral, and that import would otherwise be
+    most of every command's start-up time."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(f, lo, hi, **kwargs)
 
 
-def _quad_checked(f, lo, hi, points=None) -> float:
-    """quad's value; NumericalError when quad flags the integral (then its
-    value can be wrong by orders of magnitude) or its error estimate exceeds
-    _QUAD_FAIL."""
-    val, err, _, *flag = quad(f, lo, hi, points=points, full_output=1, **_QUAD_KW)
+def _quad_checked(f, lo, hi, points, tol) -> float:
+    """quad's value to absolute and relative tolerance tol; NumericalError
+    when quad flags the integral (then its value can be wrong by orders of
+    magnitude) or its error estimate exceeds _QUAD_FAIL."""
+    val, err, _, *flag = quad(f, lo, hi, points=points, full_output=1,
+                              epsabs=tol, epsrel=tol, limit=200)
     if flag:
         raise NumericalError(f"quadrature gave up: {flag[0].splitlines()[0]}")
     if err > _QUAD_FAIL:
@@ -267,17 +268,36 @@ def _quad_checked(f, lo, hi, points=None) -> float:
     return val
 
 
-def _sqrt_edge_integral(m: MeasureSpec, f, theta_hi: float, singular_theta=None) -> float:
-    """Integrate f(x) d mu(x) from the left endpoint up to r sin(theta_hi)
-    using the substitution x = r sin(theta)."""
-    r, dens = m.support[1], m._density
+def _integral(m: MeasureSpec, f=None, upto=None, singular=None, tol=1e-11) -> float:
+    """int f(t) d mu(t) from the left end of the support up to upto (all of
+    it when None; f = 1 when None), split at singular when that lies inside
+    the support.  Line families are integrated in an angle: x = tan(theta)
+    for arctan, which maps the line onto a finite interval, and
+    x = r sin(theta) on [-r, r], which removes the square-root edges; the
+    circle family in its own angle."""
+    lo, hi = m.support
+    dens = m._density
+    f = f or (lambda _: 1.0)
+    if m.family == _ARCTAN:
+        angle = math.atan
 
-    def g(theta):
-        x = r * math.sin(theta)
-        return f(x) * dens(x) * r * math.cos(theta)
+        def g(theta):
+            x = math.tan(theta)
+            return f(x) * dens(x) / math.cos(theta) ** 2
+    elif m.is_circle:
+        angle = float
 
-    pts = [singular_theta] if singular_theta is not None else None
-    return _quad_checked(g, -math.pi / 2.0, theta_hi, points=pts)
+        def g(t):
+            return f(t) * dens(t)
+    else:
+        def angle(x):
+            return math.asin(min(max(x / hi, -1.0), 1.0))
+
+        def g(theta):
+            x = hi * math.sin(theta)
+            return f(x) * dens(x) * hi * math.cos(theta)
+    pts = [angle(singular)] if singular is not None and lo < singular < hi else None
+    return _quad_checked(g, angle(lo), angle(hi if upto is None else upto), pts, tol)
 
 
 def _libm(fn, *args) -> np.ndarray:
@@ -333,17 +353,7 @@ def cdf(m: MeasureSpec, x):
 
 def total_mass(m: MeasureSpec) -> float:
     """Total integral of the density; 1 for every family, up to quadrature."""
-    if m.family == _ARCTAN:
-        # substitute x = tan(theta): the transformed integrand is smooth
-        dens = m._density
-        return _quad_checked(
-            lambda t: dens(math.tan(t)) / math.cos(t) ** 2,
-            -math.pi / 2.0,
-            math.pi / 2.0,
-        )
-    if m.family == _CIRCLE_POISSON:
-        return _quad_checked(m._density, 0.0, TWO_PI)
-    return _sqrt_edge_integral(m, lambda _: 1.0, math.pi / 2.0)
+    return _integral(m)
 
 
 def log_potential(m: MeasureSpec, x: float) -> float:
@@ -355,21 +365,7 @@ def log_potential(m: MeasureSpec, x: float) -> float:
     x = float(x)
     if m.is_circle:
         raise InvalidInputError("log_potential supports line families only")
-    if m.family == _ARCTAN:
-        sing = math.atan(x)
-        dens = m._density
-        return _quad_checked(
-            lambda t: -math.log(abs(x - math.tan(t))) * dens(math.tan(t))
-            / math.cos(t) ** 2,
-            -math.pi / 2.0,
-            math.pi / 2.0,
-            points=[sing],
-        )
-    r = m.support[1]
-    singular_theta = math.asin(x / r) if abs(x) < r else None
-    return _sqrt_edge_integral(
-        m, lambda t: -math.log(abs(x - t)), math.pi / 2.0, singular_theta
-    )
+    return _integral(m, lambda t: -math.log(abs(x - t)), singular=x)
 
 
 def capacity_real(s: float) -> float:

@@ -48,13 +48,20 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
+# the range of |a|: past it 2a, a^2 and the diameters' powers of a leave the
+# double range, and the closed forms return inf or nan
+_A_MIN, _A_MAX = 1e-300, 1e300
 
 
 def _checked_a(a: float) -> float:
-    """|a|, all the weight depends on; zero and non-finite a are rejected."""
+    """|a|, all the weight depends on; zero, non-finite a and |a| outside
+    [_A_MIN, _A_MAX] are rejected."""
     a = checked_finite(a, "charge offset a")
     if a == 0.0:
         raise InvalidInputError("charge offset a must be nonzero")
+    if not _A_MIN <= abs(a) <= _A_MAX:
+        raise InvalidInputError(f"charge offset a requires {_A_MIN:g} <= |a| <= {_A_MAX:g}, "
+                                f"got a = {a!r}")
     return abs(a)
 
 

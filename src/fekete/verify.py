@@ -9,9 +9,11 @@ gauge freedoms, gradient consistency against finite differences, the
 sine-product bound, unit masses and shape constraints of the limit measures,
 and small optimizer-vs-closed-form spot checks.  The oracle side of each
 pair (companion roots, exact resultants, the line's polynomials and the
-discriminant route) comes from ``fekete.poly``, and the pointwise quadrature
-of ``log_potential`` checks the moment series of the Frostman checks; the
-production side comes from the other modules.  Every polynomial is a real
+discriminant route) comes from ``fekete.poly``; the quadrature oracles (the
+CDFs, the field integral of the modified Robin constant, and the pointwise
+``log_potential`` against the moment series of the Frostman checks) are
+integrals of ``equilibrium._integral``, which raises when scipy flags one.
+The production side comes from the other modules.  Every polynomial is a real
 coefficient array, so the ``poly`` suite draws its roots in conjugate pairs,
 plus one real root at odd degree.  The heavier optimizer sweeps live in the
 acceptance test suite; here every suite is kept fast enough to run on each call: the companion
@@ -35,7 +37,6 @@ from . import circle as circ
 from . import energy as en
 from . import equilibrium as eq
 from . import real_line as rl
-from .equilibrium import quad
 from .errors import SingularParameterError
 from .poly import (
     OdeFamily,
@@ -374,17 +375,6 @@ def _suite_energy() -> list[CheckResult]:
 # equilibrium
 # ---------------------------------------------------------------------------
 
-def _cdf_by_quadrature(m: eq.MeasureSpec, x: float) -> float:
-    """The density integrated up to x by adaptive quadrature: from angle 0 on
-    the circle, through x = r sin(theta) on the square-root-edge families."""
-    lo, hi = m.support
-    if m.is_circle:
-        return quad(lambda t: eq.density(m, t), lo, x, epsabs=1e-11, epsrel=1e-11)[0]
-    return quad(lambda th: eq.density(m, hi * math.sin(th)) * hi * math.cos(th),
-                -math.pi / 2.0, math.asin(min(max(x / hi, -1.0), 1.0)),
-                epsabs=1e-11, epsrel=1e-11)[0]
-
-
 def _suite_equilibrium() -> list[CheckResult]:
     out = []
     families = (
@@ -433,7 +423,7 @@ def _suite_equilibrium() -> list[CheckResult]:
         vals = eq.cdf(m, xs).tolist()
         worst_mono = max(worst_mono, max(0.0, -min(np.diff(vals))))
         worst_edge = max(worst_edge, abs(vals[0]), abs(vals[-1] - 1.0))
-        worst_quad = max(worst_quad, max(abs(v - _cdf_by_quadrature(m, x))
+        worst_quad = max(worst_quad, max(abs(v - eq._integral(m, upto=x))
                                          for x, v in zip(xs, vals)))
     far = eq.cdf(eq.MeasureSpec.arctan(), np.array([-1e12, 1e12])).tolist()
     worst_edge = max(worst_edge, abs(far[0]), abs(far[1] - 1.0))
@@ -443,13 +433,8 @@ def _suite_equilibrium() -> list[CheckResult]:
 
     worst = 0.0
     for sv in (2.0, 5.0):
-        m = eq.MeasureSpec.real_sgt1(sv)
-        r_sup = m.support[1]
-        field_integral = quad(
-            lambda th: 0.5 * math.log(1.0 + (r_sup * math.sin(th)) ** 2)
-            * eq.density(m, r_sup * math.sin(th)) * r_sup * math.cos(th),
-            -math.pi / 2.0, math.pi / 2.0, epsabs=1e-12, epsrel=1e-12,
-        )[0]
+        field_integral = eq._integral(eq.MeasureSpec.real_sgt1(sv),
+                                      lambda x: 0.5 * math.log(1.0 + x ** 2), tol=1e-12)
         lhs = eq.modified_robin_constant(sv)
         rhs = -math.log(eq.capacity_real(sv)) - sv * field_integral
         worst = max(worst, abs(lhs - rhs))

@@ -129,16 +129,23 @@ class TestRealCommand:
 
     @pytest.mark.parametrize("method", ["closed", "optimize"])
     @pytest.mark.parametrize("s", ["1", "2"])
-    @pytest.mark.parametrize("a", ["1e-200", "1e200"])
+    @pytest.mark.parametrize("a", ["1e-200", "1e200", "1e-300", "-1e-300", "1e300",
+                                   "1e-310", "-1e-310", "5e-324", "8e307", "1.7e308"])
     def test_extreme_a_exits_cleanly(self, capsys, a, s, method):
         # x^2 + a^2 over- or underflows there, and at s = 2 the diameter
         # leaves the double range: exit 0 with finite values or 2 with a
-        # message, and no warning (the suite makes warnings errors)
+        # message, and no warning (the suite makes warnings errors).  Past
+        # the bounds on |a|, 2a, a^2 and the diameters overflow or underflow:
+        # exit 2 with one line naming the bounds
         code, out, err = run(capsys, "real", "--a", a, "--s", s, "--n", "20",
                              "--method", method)
         assert "Traceback" not in err
-        if code == 2:
-            assert a == "1e-200" and s == "2"
+        if not 1e-300 <= abs(float(a)) <= 1e300:
+            assert code == 2 and out == ""
+            assert err == (f"error: charge offset a requires 1e-300 <= |a| <= 1e+300, "
+                           f"got a = {float(a)!r}\n")
+        elif code == 2:
+            assert abs(float(a)) < 1.0 and s == "2"
             assert "exceeds the double range" in err
         else:
             assert code == 0
@@ -252,6 +259,20 @@ class TestMeasureCommand:
         assert float(rows[0][1]) == 0.0 and float(rows[-1][1]) == 0.0
         assert float(rows[0][2]) == 0.0 and float(rows[-1][2]) == pytest.approx(1.0)
         assert all(-SQRT3 < x < SQRT3 for x in xs[1:-1])
+
+    @pytest.mark.parametrize("family", [["real-s", "--s", "2"], ["arctan"]])
+    def test_grid_span_past_the_double_range_exits_two(self, capsys, family):
+        # hi - lo overflows: linspace's inner points came back NaN, which
+        # real-s clipped away (exit 0) and arctan's cdf rejected as NaN
+        code, out, err = run(capsys, "measure", "--family", *family,
+                             "--grid", "-1e308:1e308:5")
+        assert code == 2 and out == ""
+        assert err == ("error: grid span hi - lo exceeds the double range, "
+                       "got '-1e308:1e308:5'\n")
+        rows = run_json(capsys, "measure", "--family", *family,
+                        "--grid", "-1e308:-1e307:3")["rows"]
+        assert all(math.isfinite(row[k]) for row in rows for k in ("x", "density", "cdf"))
+        assert len(rows) == (2 if family[0] == "real-s" else 3)
 
     def test_arctan_density(self, capsys):
         out = run_ok(capsys, "measure", "--family", "arctan",

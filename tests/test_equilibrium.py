@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -27,7 +28,7 @@ from fekete import (
     sgt1_points,
     total_mass,
 )
-from fekete.equilibrium import _potential_series
+from fekete.equilibrium import _integral, _potential_series
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -544,6 +545,112 @@ def reference_log_potential(m, x):
 
     pts = [math.asin(x / r)] if abs(x) < r else None
     return quad(g, -math.pi / 2.0, math.pi / 2.0, points=pts, **kw)[0]
+
+
+def reference_total_mass(m):
+    """total_mass with the earlier integrands, density called per node."""
+    kw = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
+    if m.family == "arctan":
+        return quad(lambda t: scalar_density(m, math.tan(t)) / math.cos(t) ** 2,
+                    -math.pi / 2.0, math.pi / 2.0, **kw)[0]
+    if m.family == "circle-poisson":
+        return quad(lambda t: scalar_density(m, t), 0.0, TWO_PI, **kw)[0]
+    r = m.support[1]
+
+    def g(theta):
+        t = r * math.sin(theta)
+        return 1.0 * scalar_density(m, t) * r * math.cos(theta)
+
+    return quad(g, -math.pi / 2.0, math.pi / 2.0, **kw)[0]
+
+
+def reference_cdf_by_quadrature(m, x):
+    """verify's earlier CDF oracle: the density integrated up to x, from
+    angle 0 on the circle, through x = r sin(theta) on [-r, r]."""
+    lo, hi = m.support
+    if m.is_circle:
+        return quad(lambda t: density(m, t), lo, x, epsabs=1e-11, epsrel=1e-11)[0]
+    return quad(lambda th: density(m, hi * math.sin(th)) * hi * math.cos(th),
+                -math.pi / 2.0, math.asin(min(max(x / hi, -1.0), 1.0)),
+                epsabs=1e-11, epsrel=1e-11)[0]
+
+
+def reference_field_integral(s):
+    """verify's earlier integral of the field log(1 + x^2) / 2 against the
+    real-s measure."""
+    m = MeasureSpec.real_sgt1(s)
+    r = m.support[1]
+    return quad(lambda th: 0.5 * math.log(1.0 + (r * math.sin(th)) ** 2)
+                * density(m, r * math.sin(th)) * r * math.cos(th),
+                -math.pi / 2.0, math.pi / 2.0, epsabs=1e-12, epsrel=1e-12)[0]
+
+
+# the families of verify's unit-mass check and of its cdf-vs-quadrature check
+UNIT_MASS_FAMILIES = (
+    [MeasureSpec.real_sgt1(s) for s in (1.5, 2.0, 5.0)] + [MeasureSpec.arctan()]
+    + [MeasureSpec.circle_poisson(b) for b in (0.0, 0.5, 2.0, -0.5)]
+    + [MeasureSpec.harmonic_inf(r) for r in (1.0, SQRT3)]
+    + [MeasureSpec.harmonic_i(r) for r in (1.0, SQRT3)]
+)
+CDF_ORACLE_FAMILIES = [MeasureSpec.real_sgt1(2.0), MeasureSpec.harmonic_i(SQRT3),
+                       MeasureSpec.harmonic_inf(1.0), MeasureSpec.circle_poisson(0.5)]
+
+
+class TestOneQuadratureRoute:
+    """Every integral goes through _integral, which has the bits of the
+    integrands it replaced and raises when scipy flags the integral."""
+
+    @pytest.mark.parametrize("m", UNIT_MASS_FAMILIES, ids=spec_id)
+    def test_total_mass_has_the_bits_of_the_earlier_integrands(self, m):
+        assert bits([total_mass(m)]) == bits([reference_total_mass(m)])
+
+    @pytest.mark.parametrize("m", CDF_ORACLE_FAMILIES, ids=spec_id)
+    def test_cdf_oracle_has_the_bits_of_the_earlier_oracle(self, m):
+        xs = np.linspace(m.support[0], m.support[1], 41)
+        assert (bits([_integral(m, upto=x) for x in xs])
+                == bits([reference_cdf_by_quadrature(m, x) for x in xs]))
+
+    @pytest.mark.parametrize("s", [2.0, 5.0])
+    def test_field_integral_has_the_bits_of_the_earlier_integral(self, s):
+        got = _integral(MeasureSpec.real_sgt1(s), lambda x: 0.5 * math.log(1.0 + x ** 2),
+                        tol=1e-12)
+        assert bits([got]) == bits([reference_field_integral(s)])
+
+    def test_cdf_oracle_that_gives_up_raises(self):
+        # the earlier oracle returned -9.1e-16 here, where 1/2 is right
+        with pytest.raises(NumericalError, match="quadrature gave up"):
+            _integral(MeasureSpec.harmonic_i(1e6), upto=0.0)
+
+    def test_quad_has_one_caller(self):
+        # scipy.integrate is imported only inside equilibrium.quad, quad is
+        # called only from _quad_checked, and _quad_checked only from _integral
+        src = os.path.dirname(os.path.abspath(density.__code__.co_filename))
+        imports, calls = set(), {"quad": set(), "_quad_checked": set()}
+        for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            # each node under its top-level function (or method)
+            scopes = [item for stmt in tree.body
+                      for item in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])]
+            for scope in scopes:
+                where = f"{name}:{getattr(scope, 'name', '<module>')}"
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [f"{node.module}.{alias.name}" for alias in node.names]
+                    else:
+                        modules = []
+                    if any(mod.startswith("scipy.integrate") for mod in modules):
+                        imports.add(where)
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                        if called in calls:
+                            calls[called].add(where)
+        assert imports == {"equilibrium.py:quad"}
+        assert calls == {"quad": {"equilibrium.py:_quad_checked"},
+                         "_quad_checked": {"equilibrium.py:_integral"}}
 
 
 POTENTIAL_FAMILIES = [

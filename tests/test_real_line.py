@@ -50,6 +50,16 @@ class TestRealWeight:
     def test_negative_a_folded(self):
         assert RealWeight(a=-2.0, s=2.0).a == 2.0
 
+    def test_a_outside_the_double_range_bounds_is_rejected(self):
+        for a in (1e-300, -1e-300, 1e300, -1e300):
+            assert RealWeight(a=a, s=2.0).a == abs(a)
+        for a in (math.nextafter(1e-300, 0.0), -5e-324, math.nextafter(1e300, math.inf),
+                  -1.7e308):
+            with pytest.raises(InvalidInputError, match=r"1e-300 <= \|a\| <= 1e\+300"):
+                RealWeight(a=a, s=2.0)
+            with pytest.raises(InvalidInputError, match=r"1e-300 <= \|a\| <= 1e\+300"):
+                s1_points(a, 4, canonical_gamma(4))
+
     def test_log_w(self):
         w = RealWeight(a=1.0, s=2.0)
         assert w.log_w(1.0) == pytest.approx(-math.log(2.0))
