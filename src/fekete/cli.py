@@ -151,10 +151,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _result_payload(params: dict, points, log_diameter: float, grad_norm: float,
+def _result_payload(params: dict, points, log_diameter: float, grad_norm,
                     extra: dict | None = None) -> dict:
-    """The result fields; a diameter below the double range prints as 0, one
-    above it is an error."""
+    """The result fields.  L = log_diameter must be finite and exp(L) at
+    most the double range's top (an exp(L) below it prints as 0); only then
+    is grad_norm() called, since the gradient of such points overflows."""
+    if not math.isfinite(log_diameter):
+        raise CliError(f"the log diameter is {log_diameter}: an intermediate value "
+                       "left the double range")
     try:
         diameter = math.exp(log_diameter)
     except OverflowError:
@@ -165,7 +169,7 @@ def _result_payload(params: dict, points, log_diameter: float, grad_norm: float,
         "log_diameter": log_diameter,
         "diameter": diameter,
         "energy": -log_diameter,
-        "grad_norm": grad_norm,
+        "grad_norm": grad_norm(),
     }
     if extra:
         payload.update(extra)
@@ -194,7 +198,7 @@ def _optimize_and_emit(weight, params: dict, args) -> int:
     log.info("optimizing %d points", args.n)
     res = optimize(weight, args.n)
     payload = _result_payload(
-        params, res.points, res.log_diameter, res.grad_norm,
+        params, res.points, res.log_diameter, lambda: res.grad_norm,
         extra={"iterations": res.iterations, "converged": res.converged},
     )
     if isinstance(weight, CircleWeight):
@@ -238,7 +242,7 @@ def _cmd_real(args) -> int:
         pts, log_diameter, gamma = _closed_line(weight, args.n, args.gamma)
         if gamma is not None:
             params["gamma"] = gamma
-        payload = _result_payload(params, pts, log_diameter, _grad_norm(pts, weight))
+        payload = _result_payload(params, pts, log_diameter, lambda: _grad_norm(pts, weight))
         _emit_result(payload, args.format, args.out)
         return EXIT_OK
 
@@ -256,7 +260,7 @@ def _cmd_circle(args) -> int:
         params["alpha"] = alpha
         angles = np.asarray(sol.angles)
         payload = _result_payload(params, angles, circle_log_diameter(weight.b, args.n),
-                                  _grad_norm(angles, weight))
+                                  lambda: _grad_norm(angles, weight))
         payload["cartesian"] = [[z.real, z.imag] for z in sol.points]
         _emit_result(payload, args.format, args.out)
         return EXIT_OK

@@ -19,22 +19,22 @@ the attracting charge onto the support.
 CDFs are elementary closed forms (arctangents, and the sweep identity above
 for real-s).  cdf takes a float or a whole grid; its atan, atan2 and tan go
 through the math module element by element, so a grid's values keep libm's
-bits.  Densities are evaluated one point at a time, by one function per
-family with the family's constants bound once: quadrature integrands call
-it at every node, and the moments of the Frostman checks at every sample.
-The harmonic families take r >= 1e-300 and, for r outside [2^-480, 2^500),
-scale r and x by a power of two, so that r^2 and (r - x)(r + x) stay in the
-double range.  Total masses, the pointwise log_potential and the
-quadrature oracles of verify are integrals of one helper, _integral, with
-adaptive Gauss-Kronrod quadrature that raises NumericalError when scipy
-flags the integral: in x = tan(theta) for arctan, in x = r sin(theta) on
-[-r, r], which removes the endpoint derivative blowup of the square-root
-edges, and split at the integrable log singularity of the potential.  The
-Frostman checks take the potential over a whole grid from one set of
-moments instead: the Chebyshev moments of the line density in the angle of
-x = r cos(phi) (real-s and the harmonic families), the Fourier moments of
-the circle density, each by one FFT of equispaced samples, summed as the
-series of log|x - t| in those bases.
+bits.  Log potentials are closed forms too, over a float or a whole grid:
+-log|x - i| for arctan, and otherwise the sums of the log kernel's
+Chebyshev series (real-s and the harmonic families, in the angle of
+x = r cos(phi)) or Fourier series (the circle) against the family's
+moments, which are geometric, so each series sums to a logarithm.  The
+Frostman checks take U from log_potential over their whole grid.
+Densities are evaluated one point at a time, by one function per family
+with the family's constants bound once, which quadrature integrands call at
+every node.  The harmonic families take r >= 1e-300 and, for r outside
+[2^-480, 2^500), scale r and x by a power of two, so that r^2 and
+(r - x)(r + x) stay in the double range.  Total masses and the quadrature
+oracles of verify are integrals of one helper, _integral, with adaptive
+Gauss-Kronrod quadrature that raises NumericalError when scipy flags the
+integral: in x = tan(theta) for arctan, in x = r sin(theta) on [-r, r],
+which removes the endpoint derivative blowup of the square-root edges, and
+split at an integrable singularity of the integrand.
 Densities evaluate to 0 outside their support (including at the boundary;
 the harmonic families diverge in the open-interior limit there).
 """
@@ -67,13 +67,6 @@ __all__ = [
 ]
 
 _QUAD_FAIL = 1e-7
-
-_EPS = 2.0 ** -52
-# sample counts of the Chebyshev and Fourier moments, doubled from the first
-# to the last; terms per block of a moment series
-_MOMENTS_MIN = 64
-_MOMENTS_MAX = 2 ** 20
-_SERIES_BLOCK = 2 ** 16
 
 _REAL_SGT1 = "real-s"
 _ARCTAN = "arctan"
@@ -192,7 +185,7 @@ def _k_unit(m: MeasureSpec) -> float:
 def _density_fn(m: MeasureSpec) -> Callable[[float], float]:
     """The family's density as a function of one float, with the family's
     constants bound once, built with each MeasureSpec: the one scalar
-    formula behind density, the quadrature integrands and the moments."""
+    formula behind density and the quadrature integrands."""
     lo, hi = m.support
     if m.family == _ARCTAN:
         return lambda x: 1.0 / (math.pi * (1.0 + x * x))
@@ -356,16 +349,92 @@ def total_mass(m: MeasureSpec) -> float:
     return _integral(m)
 
 
-def log_potential(m: MeasureSpec, x: float) -> float:
-    """Logarithmic potential U(x) = -int log|x - t| d mu(t) for line families.
+def _interval_potential(m: MeasureSpec, xs: np.ndarray) -> np.ndarray:
+    """U at the points xs for real-s and the harmonic families.
 
-    The log singularity is integrable; the quadrature interval is split at
-    the singular point when x lies inside the support.
+    In the angle phi of x = r cos phi the density's Chebyshev moments are
+    c_0 = 1, c_2m = w (-p)^m for m >= 1 and 0 at odd orders (Poisson-kernel
+    integrals): w = 1, p = 0 for harmonic-inf; w = 1, p = (k-1)/(k+1) =
+    (r/(k+1))^2 with k = sqrt(1 + r^2), r and k scaled as in _k_unit, for
+    harmonic-i; w = s, p = 1/(2s-1) for real-s, the sweep of cdf.  Summed
+    against log|cos phi - cos phi0| = -log 2 - 2 sum_k cos(k phi) cos(k phi0)/k
+    (Mason & Handscomb, Chebyshev Polynomials, 2003, section 5), they give
+
+        U = -log(r/2) - (w/2) log((1-p)^2 + 4 p (x/r)^2)       inside,
+        U = -log(r/2) - eta - w log1p(p e^{-2 eta})             at +-r cosh(eta).
+
+    Inside, with 1 - p exact, the log is log1p(p (4t^2 - 2 + p)) for
+    p < 1/2, and otherwise the log of a hypot, in range where (1 - p)^2
+    underflows.  Outside, with q = r/|x|, log(r/2) + eta = log|x| +
+    log((1 + sqrt(1 - q^2))/2) and e^{-eta} = q/(1 + sqrt(1 - q^2)) do not overflow.
     """
-    x = float(x)
-    if m.is_circle:
-        raise InvalidInputError("log_potential supports line families only")
-    return _integral(m, lambda t: -math.log(abs(x - t)), singular=x)
+    r = m.support[1]
+    if m.family == _HARMONIC_INF:
+        w, p, one_minus_p = 1.0, 0.0, 1.0
+    elif m.family == _HARMONIC_I:
+        k1 = _k_unit(m) + m.unit
+        w, p, one_minus_p = 1.0, (r * m.unit / k1) ** 2, 2.0 * m.unit / k1
+    else:
+        den = 2.0 * m.s - 1.0
+        w, p, one_minus_p = m.s, 1.0 / den, 2.0 * (m.s - 1.0) / den
+    u = np.empty(xs.size)
+    ax = np.abs(xs)
+    inside = ax <= r
+    t = xs[inside] / r
+    if p < 0.5:
+        half_log = 0.5 * np.log1p(p * (4.0 * t * t - 2.0 + p))
+    else:
+        half_log = np.log(np.hypot(one_minus_p, 2.0 * math.sqrt(p) * t))
+    u[inside] = -math.log(r / 2.0) - w * half_log
+    x = ax[~inside]
+    q = r / x
+    root = np.sqrt((1.0 - q) * (1.0 + q))
+    z = q / (1.0 + root)  # 0 where r/|x| underflows
+    u[~inside] = -(np.log(x) + np.log(0.5 + 0.5 * root)) - w * np.log1p(p * z * z)
+    return u
+
+
+def _circle_potential(m: MeasureSpec, ts: np.ndarray) -> np.ndarray:
+    """U(t) = -int log|e^{it} - e^{iu}| d mu(u) for the circle family.  Its
+    Fourier moments are beta^|k| / (2 pi), with beta = b for |b| < 1 and 1/b
+    past it; against log|e^{it} - e^{iu}| = -sum_k cos(k(t - u))/k they sum to
+
+        U(t) = sum_k beta^k cos(kt)/k = -(1/2) log|1 - beta e^{it}|^2.
+
+    With c = |beta|, |1 - beta e^{it}|^2 = (1 - c)^2 + 4c sin^2(t/2), cos for
+    beta < 0, the split of CircleWeight.dist_sq: both terms are nonnegative,
+    and 1 - c is taken as (|b| - 1)/|b| past |b| = 1, so nothing cancels
+    next to the charge."""
+    ab = abs(m.b)
+    c, gap = (ab, 1.0 - ab) if ab < 1.0 else (1.0 / ab, (ab - 1.0) / ab)
+    half = np.sin(ts / 2.0) if m.b >= 0.0 else np.cos(ts / 2.0)
+    return -0.5 * np.log(gap * gap + 4.0 * c * half * half)
+
+
+def log_potential(m: MeasureSpec, x):
+    """Logarithmic potential U(x) = -int log|x - t| d mu(t) of the family (on
+    the circle the angle x, with |e^{ix} - e^{it}| for |x - t|), in closed
+    form: -log|x - i| for arctan, the sums of the log kernel's series against
+    the family's moments otherwise (_interval_potential, _circle_potential).
+
+    x is a float or an array of finite values; the result is a float or an
+    array of x's shape.
+    """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if not np.isfinite(flat).all():
+        raise InvalidInputError("log_potential requires finite x")
+    if m.family == _ARCTAN:
+        # -(1/2) log1p(x^2), as -log|x| - (1/2) log1p(x^-2) past |x| = 1,
+        # where x^2 may overflow
+        big = np.maximum(np.abs(flat), 1.0)
+        small = np.minimum(np.abs(flat), 1.0 / big)
+        u = -np.log(big) - 0.5 * np.log1p(small * small)
+    elif m.is_circle:
+        u = _circle_potential(m, flat)
+    else:
+        u = _interval_potential(m, flat)
+    return float(u[0]) if xs.ndim == 0 else u.reshape(xs.shape)
 
 
 def capacity_real(s: float) -> float:
@@ -425,144 +494,6 @@ def modified_robin_constant(s: float) -> float:
     return s * green_i_inf + (s - 1.0) * math.log(r / 2.0)
 
 
-def _moments(sample, transform) -> np.ndarray:
-    """The leading half of transform(sample(n)) at the first n = 64, 128, ...
-    whose trailing half is below the rounding floor 64 eps pi max|sample|.
-
-    sample(n) gives n samples of an analytic periodic function and transform
-    its Chebyshev or Fourier moments, which decay geometrically; the number
-    of samples needed grows as the function's poles approach the real axis.
-    NumericalError past 2^20 samples.
-    """
-    n = _MOMENTS_MIN
-    while n <= _MOMENTS_MAX:
-        vals = sample(n)
-        coef = transform(vals)
-        half = coef.size // 2
-        floor = 64.0 * _EPS * math.pi * float(np.max(np.abs(vals)))
-        if float(np.max(np.abs(coef[half:]))) <= floor:
-            return coef[:half]
-        n *= 2
-    raise NumericalError(f"the moments do not converge within {_MOMENTS_MAX} samples")
-
-
-def _chebyshev_moments(m: MeasureSpec) -> np.ndarray:
-    """c_k = int_0^pi w(phi) cos(k phi) dphi for a family on [-r, r], where
-    w(phi) = rho(r cos phi) r sin phi is its density in the angle phi of
-    x = r cos phi: analytic, even and 2 pi-periodic for real-s and the
-    harmonic families.  The midpoint rule at phi_j = pi (j + 1/2) / N, a
-    DCT-II, taken through rfft of the samples and their mirror image."""
-    r, dens = m.support[1], m._density
-
-    def sample(n):
-        phi = (np.arange(n) + 0.5) * (math.pi / n)
-        rho = np.fromiter(map(dens, (r * np.cos(phi)).tolist()), float, n)
-        return rho * (r * np.sin(phi))
-
-    def dct2(w):
-        n = w.size
-        y = np.fft.rfft(np.concatenate((w, w[::-1])))[:n]
-        shift = np.arange(n) * (0.5 * math.pi / n)
-        return (0.5 * math.pi / n) * (np.cos(shift) * y.real + np.sin(shift) * y.imag)
-
-    return _moments(sample, dct2)
-
-
-def _fourier_moments(m: MeasureSpec) -> np.ndarray:
-    """int_0^{2 pi} rho(t) e^{-ikt} dt for the circle family, by the
-    trapezoid rule at t_j = 2 pi j / N: rfft of the samples."""
-    dens = m._density
-
-    def sample(n):
-        return np.fromiter(map(dens, (np.arange(n) * (TWO_PI / n)).tolist()), float, n)
-
-    return _moments(sample, lambda rho: np.fft.rfft(rho) * (TWO_PI / rho.size))
-
-
-def _series(coef: np.ndarray, angle: np.ndarray, basis) -> np.ndarray:
-    """sum over k >= 1 of coef[k] basis(k angle) at each angle, in blocks of
-    columns holding about _SERIES_BLOCK terms, so that memory stays
-    O(coef.size + block).  Elementwise products and a sum, not a BLAS
-    product, so the bits do not depend on the BLAS thread count."""
-    out = np.zeros(angle.size)
-    if angle.size == 0:
-        return out
-    cols = max(1, _SERIES_BLOCK // angle.size)
-    for k0 in range(1, coef.size, cols):
-        block = coef[k0:k0 + cols]
-        k = np.arange(k0, k0 + block.size)
-        out += (basis(np.multiply.outer(angle, k)) * block).sum(axis=1)
-    return out
-
-
-def _potential_series(m: MeasureSpec, xs: np.ndarray) -> np.ndarray:
-    """U(x) = -int log|x - t| d mu(t) at every point of the finite array xs,
-    for the families on [-r, r] (real-s and the harmonic families), from
-    the Chebyshev moments c_k of _chebyshev_moments.
-
-    With log|cos phi - cos phi0| = -log 2 - 2 sum_k cos(k phi) cos(k phi0)/k
-    (Mason & Handscomb, Chebyshev Polynomials, 2003, section 5) and
-    F0 = log(r/2),
-
-        U(r cos phi0)       = -F0 c_0 + 2 sum_k c_k cos(k phi0) / k,
-        U(+-r cosh eta)     = -(F0 + eta) c_0 + 2 sum_k (+-1)^k e^{-k eta} c_k / k.
-
-    Inside, phi0 = 2 atan2(sqrt(r - x), sqrt(r + x)), where r - x and r + x
-    are exact next to the edges.  Outside, with q = r / |x|,
-    F0 + eta = log|x| + log((1 + sqrt(1 - q^2)) / 2) and
-    e^{-eta} = q / (1 + sqrt(1 - q^2)), neither of which overflows.
-    An empty xs takes no moments.
-    """
-    if xs.size == 0:
-        return np.zeros(0)
-    r = m.support[1]
-    c = _chebyshev_moments(m)
-    k = np.arange(c.size)
-    coef = np.zeros(c.size)
-    coef[1:] = 2.0 * c[1:] / k[1:]
-    u = np.empty(xs.size)
-    ax = np.abs(xs)
-    inside = ax <= r
-    x = xs[inside]
-    phi0 = 2.0 * np.arctan2(np.sqrt(r - x), np.sqrt(r + x))
-    u[inside] = -math.log(r / 2.0) * c[0] + _series(coef, phi0, np.cos)
-    for out, sign_coef in ((xs > r, coef), (xs < -r, np.where(k % 2, -coef, coef))):
-        x = ax[out]
-        q = r / x
-        root = np.sqrt((1.0 - q) * (1.0 + q))
-        with np.errstate(divide="ignore"):
-            # q underflows to 0 for |x| / r past the double range: e^{-eta} = 0
-            log_z = np.log(q / (1.0 + root))
-        u[out] = (-(np.log(x) + np.log(0.5 + 0.5 * root)) * c[0]
-                  + _series(sign_coef, log_z, np.exp))
-    return u
-
-
-def _circle_potential_series(m: MeasureSpec, ts: np.ndarray) -> np.ndarray:
-    """U(t) = -int log|e^{it} - e^{iu}| d mu(u) at every angle of the finite
-    array ts, for the circle family, from its Fourier moments
-    alpha_k - i beta_k (_fourier_moments) and log|e^{it} - e^{iu}| =
-    -sum_k cos(k(t - u)) / k:
-
-        U(t) = sum_k (alpha_k cos kt + beta_k sin kt) / k.
-
-    An empty ts takes no moments.
-    """
-    if ts.size == 0:
-        return np.zeros(0)
-    a = _fourier_moments(m)
-    coef = np.zeros(a.size, dtype=complex)
-    coef[1:] = a[1:] / np.arange(1, a.size)
-    return _series(coef.real, ts, np.cos) - _series(coef.imag, ts, np.sin)
-
-
-def _checked_grid(grid) -> np.ndarray:
-    xs = np.asarray(grid, dtype=float).ravel()
-    if not np.isfinite(xs).all():
-        raise InvalidInputError("grid points must be finite")
-    return xs
-
-
 def _frostman_report(cap: float, robin: float, f_const: float, diff: np.ndarray,
                      on_support: np.ndarray) -> EquilibriumReport:
     return EquilibriumReport(
@@ -582,16 +513,13 @@ def frostman_check(s: float, grid) -> EquilibriumReport:
     support, where U is the log potential of the measure, Q(x) = s log|x - i|
     the external field and F the modified Robin constant.  Reports the worst
     violation and the worst on-support deviation (-inf and 0 on an empty
-    grid).  U comes at every grid point from one set of Chebyshev moments
-    (see _potential_series); NumericalError when they do not converge, which
-    happens as s -> 1+, where the support radius grows like 1/(s - 1).
+    grid).  U is log_potential over the whole grid, which must be finite.
     """
     m = MeasureSpec.real_sgt1(s)
-    xs = _checked_grid(grid)
+    xs = np.asarray(grid, dtype=float).ravel()
     f_const = modified_robin_constant(s)
-    with np.errstate(over="ignore"):
-        q = 0.5 * s * np.log1p(xs * xs)
-    diff = _potential_series(m, xs) + q - f_const
+    with np.errstate(over="ignore"):  # Q = inf where x^2 overflows
+        diff = log_potential(m, xs) + 0.5 * s * np.log1p(xs * xs) - f_const
     cap = capacity_real(s)
     return _frostman_report(cap, -math.log(cap), f_const, diff, np.abs(xs) < m.support[1])
 
@@ -600,17 +528,16 @@ def frostman_check_circle(b: float, angles) -> EquilibriumReport:
     """The Frostman conditions of the circle-poisson measure over a grid of
     angles, all on its support, the whole circle.
 
-    The log potential U of the measure (from its Fourier moments, see
-    _circle_potential_series) plus the external field Q(t) = log|e^{it} - b|
-    must equal F = 0 for |b| < 1 and log|b| for |b| > 1 at every angle.
-    Reports the worst violation and the worst deviation (-inf and 0 on an
-    empty grid); NumericalError when the moments do not converge, which
-    happens as |b| -> 1.
+    The log potential U of the measure (log_potential, which takes finite
+    angles) plus the external field Q(t) = log|e^{it} - b| = -log w must
+    equal F = 0 for |b| < 1 and log|b| for |b| > 1 at every angle.  Reports
+    the worst violation and the worst deviation (-inf and 0 on an empty
+    grid).
     """
     m = MeasureSpec.circle_poisson(b)
-    ts = _checked_grid(angles)
+    ts = np.asarray(angles, dtype=float).ravel()
     f_const = 0.0 if abs(m.b) < 1.0 else math.log(abs(m.b))
-    diff = _circle_potential_series(m, ts) - m.weight.log_w(ts) - f_const
+    diff = log_potential(m, ts) - m.weight.log_w(ts) - f_const
     # -log of the capacity 1 / (|1 - b| |1 + b|), which underflows past |b| = 2^512
     robin = math.log(abs(1.0 - m.b)) + math.log(abs(1.0 + m.b))
     return _frostman_report(capacity_circle(m.b), robin, f_const, diff,

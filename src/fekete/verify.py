@@ -10,9 +10,10 @@ sine-product bound, unit masses and shape constraints of the limit measures,
 and small optimizer-vs-closed-form spot checks.  The oracle side of each
 pair (companion roots, exact resultants, the line's polynomials and the
 discriminant route) comes from ``fekete.poly``; the quadrature oracles (the
-CDFs, the field integral of the modified Robin constant, and the pointwise
-``log_potential`` against the moment series of the Frostman checks) are
-integrals of ``equilibrium._integral``, which raises when scipy flags one.
+CDFs, the field integral of the modified Robin constant, and
+``potential_by_quadrature`` against the closed-form ``log_potential`` behind
+the Frostman checks) are integrals of ``equilibrium._integral``, which
+raises when scipy flags one.
 The production side comes from the other modules.  Every polynomial is a real
 coefficient array, so the ``poly`` suite draws its roots in conjugate pairs,
 plus one real root at odd degree.  The heavier optimizer sweeps live in the
@@ -375,6 +376,16 @@ def _suite_energy() -> list[CheckResult]:
 # equilibrium
 # ---------------------------------------------------------------------------
 
+def potential_by_quadrature(m: eq.MeasureSpec, x: float) -> float:
+    """The oracle of ``equilibrium.log_potential``: -int log|x - t| d mu(t),
+    with 2|sin((x - t)/2)| for |x - t| on the circle, by quadrature split at
+    the integrable log singularity."""
+    if m.is_circle:
+        return eq._integral(m, lambda t: -math.log(2.0 * abs(math.sin((x - t) / 2.0))),
+                            singular=x)
+    return eq._integral(m, lambda t: -math.log(abs(x - t)), singular=x)
+
+
 def _suite_equilibrium() -> list[CheckResult]:
     out = []
     families = (
@@ -440,24 +451,27 @@ def _suite_equilibrium() -> list[CheckResult]:
         worst = max(worst, abs(lhs - rhs))
     out.append(CheckResult("equilibrium", "modified-robin-consistency", worst, 1e-6))
 
-    grid = np.linspace(-3.0, 3.0, 41)
-    report = eq.frostman_check(2.0, grid)
+    # on each support and out to three times its radius, which grows like
+    # 1/(s - 1) as s -> 1+
+    reports = [eq.frostman_check(sv, rl.support_radius(1.0, sv) * np.linspace(-3.0, 3.0, 41))
+               for sv in (1.0 + 1e-8, 1.0 + 1e-6, 1.0001, 2.0, 1e6)]
     out.append(CheckResult("equilibrium", "frostman-no-violation",
-                           max(report.frostman_max_violation, 0.0), 1e-6))
+                           max(max(rep.frostman_max_violation for rep in reports), 0.0), 1e-6))
     out.append(CheckResult("equilibrium", "frostman-equality-on-support",
-                           report.frostman_max_onsupport_deviation, 1e-6))
+                           max(rep.frostman_max_onsupport_deviation for rep in reports), 1e-6))
 
-    worst = 0.0
-    for m in (eq.MeasureSpec.real_sgt1(2.0), eq.MeasureSpec.harmonic_i(math.sqrt(3.0))):
-        xs = m.support[1] * np.array([-2.0, -1.1, -0.8, -0.3, 0.0, 0.45, 0.9, 1.25, 3.0])
-        series = eq._potential_series(m, xs).tolist()
-        worst = max(worst, max(abs(u - eq.log_potential(m, x))
-                               for x, u in zip(xs.tolist(), series)))
-    out.append(CheckResult("equilibrium", "potential-series-vs-quadrature", worst, 1e-10))
+    cases = [(m, x) for m in (eq.MeasureSpec.real_sgt1(2.0),
+                              eq.MeasureSpec.harmonic_i(math.sqrt(3.0)))
+             for x in (m.support[1] * np.array([-2.0, -1.1, -0.8, -0.3, 0.0, 0.45, 0.9,
+                                                1.25, 3.0])).tolist()]
+    cases += [(eq.MeasureSpec.circle_poisson(b), t)
+              for b, t in ((0.5, 2.0), (-0.5, 4.0), (3.0, math.pi))]
+    worst = max(abs(eq.log_potential(m, x) - potential_by_quadrature(m, x)) for m, x in cases)
+    out.append(CheckResult("equilibrium", "log-potential-vs-quadrature", worst, 1e-10))
 
     angles = np.linspace(0.0, circ.TWO_PI, 41)
     worst = max(eq.frostman_check_circle(b, angles).frostman_max_onsupport_deviation
-                for b in (0.0, 0.5, -0.5, 3.0))
+                for b in (0.0, 0.5, -0.5, 0.999999, -0.999999, 1.000001, -1.000001, 3.0))
     out.append(CheckResult("equilibrium", "circle-frostman", worst, 1e-6))
     return out
 

@@ -153,6 +153,20 @@ class TestRealCommand:
             assert all(math.isfinite(payload[k])
                        for k in ("log_diameter", "diameter", "energy", "grad_norm"))
 
+    @pytest.mark.parametrize("a, s, n, message", [
+        # -s log a alone is about -9.3e307: L came out -inf, and the command
+        # exited 0 with "diameter": 0, "energy": inf
+        ("8.596802369938572e125", "3.200244051981194e305", "5",
+         "the log diameter is -inf: an intermediate value left the double range"),
+        # L is finite but exp(L) overflows: the gradient of these points
+        # wrote three numpy warnings before the exit
+        ("-2.45e-183", "1.36e268", "2",
+         "the weighted diameter exp(L) exceeds the double range"),
+    ], ids=["log-diameter-minus-inf", "diameter-overflow"])
+    def test_log_diameter_out_of_range_exits_two_without_warnings(self, a, s, n, message):
+        code, out, err = fresh_process(["real", "--a", a, "--s", s, "--n", n])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_invalid_s_exits_two(self, capsys):
         code, out, err = run(capsys, "real", "--a", "1", "--s", "0.5", "--n", "4")
         assert code == 2

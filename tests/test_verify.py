@@ -61,7 +61,7 @@ INVENTORY = {
         "modified-robin-consistency",
         "frostman-no-violation",
         "frostman-equality-on-support",
-        "potential-series-vs-quadrature",
+        "log-potential-vs-quadrature",
         "circle-frostman",
     },
 }
