@@ -81,24 +81,15 @@ class _Rows:
 
 def _render_rows(rows, cell, prefixes, end: str) -> str:
     """Each row as prefixes[k] + cell k for every k, then end, formatted by
-    one % operation: floats as "%.17g", any other cell as cell(v).  No
-    prefix holds a "%"."""
-    cells = [v for row in rows for v in row]
-    if set(map(type, cells)) <= {float} and all(len(row) == len(prefixes) for row in rows):
-        # Python floats only, in full rows: one template repeated per row
-        row_template = "".join([prefix + "%.17g" for prefix in prefixes]) + end
-        return row_template * len(rows) % tuple(cells)
-    template, args = [], []
-    for row in rows:
-        for prefix, v in zip(prefixes, row):
-            if isinstance(v, (float, np.floating)):
-                template += (prefix, "%.17g")
-                args.append(v)
-            else:
-                template += (prefix, "%s")
-                args.append(cell(v))
-        template.append(end)
-    return "".join(template) % tuple(args)
+    one % operation on one row template built from the first row's column
+    types: a float column as "%.17g", any other column as cell(v).  Every
+    row has the first row's length and column types, and no prefix holds a
+    "%"."""
+    floats = [isinstance(v, (float, np.floating)) for v in (rows[0] if rows else ())]
+    row_template = "".join([prefix + ("%.17g" if f else "%s")
+                            for prefix, f in zip(prefixes, floats)]) + end
+    cells = [v if f else cell(v) for row in rows for v, f in zip(row, floats)]
+    return row_template * len(rows) % tuple(cells)
 
 
 def _to_json(value) -> str:
@@ -138,7 +129,7 @@ def _to_csv(header, rows) -> str:
     cell is None or holds a comma, a quote or a line break, so none is
     quoted or blanked."""
     prefixes = [""] + [","] * (len(header) - 1)
-    # the header apart, so that a body of floats takes the one-template path
+    # the header apart: its column types are not the body's
     return "".join(_render_rows(part, str, prefixes, "\r\n") for part in ([header], rows))
 
 
@@ -310,9 +301,8 @@ def _cmd_measure(args) -> int:
     if math.isfinite(lo):
         # clip to the support and pin the endpoints as first/last rows
         grid = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
-    xs = grid.tolist()
-    table = _Rows(("x", "density", "cdf"),
-                  list(zip(xs, [density(m, x) for x in xs], cdf(m, grid).tolist())))
+    table = _Rows(("x", "density", "cdf"), list(zip(
+        grid.tolist(), density(m, grid).tolist(), cdf(m, grid).tolist())))
     if args.format == "json":
         payload = {
             "family": m.family,

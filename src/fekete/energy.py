@@ -84,6 +84,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10  # a result is converged when scaled_residual <= this
+_MAX_NEWTON_STEPS = 200  # the Newton steps of each optimizer stage, at most
 _BLOCK_ELEMENTS = 1 << 16  # entries per row block of the gradient (see energy_gradient)
 
 
@@ -294,7 +295,9 @@ def _angle_problem(weight, n: int):
     phi', phi'' per angle), the order test and the map to the command's
     coordinates."""
     if isinstance(weight, RealWeight):
-        c = (n - 1) * (weight.s - 1.0)
+        # a numpy scalar, so that a c past the double range raises under
+        # optimize's errstate before the first Newton step
+        c = (n - 1) * np.float64(weight.s - 1.0)
 
         def field(t):
             cos_half = np.cos(t / 2.0)
@@ -376,13 +379,13 @@ def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return vec @ ((vec.T @ g) / lam[keep])
 
 
-def _newton(t: np.ndarray, field, ordered, max_iters: int):
+def _newton(t: np.ndarray, field, ordered):
     """Damped Newton ascent from the ordered angles t (see module docstring);
     returns the final angles, their objective (before a last full step, which
     gains less than its rounding), the Newton steps and the backtracks."""
     f = _angle_objective(t, field)
     steps = backtracks = 0
-    while steps < max_iters:
+    while steps < _MAX_NEWTON_STEPS:
         g, scale, neg_h = _angle_derivatives(t, field)
         if np.max(np.abs(g) / scale) <= 1e-13:
             break
@@ -429,44 +432,53 @@ def _continuation(b: float) -> list[float]:
     return charges
 
 
-def optimize(weight, n: int, max_iters: int = 200) -> FeketeResult:
+def optimize(weight, n: int) -> FeketeResult:
     """Numerically maximize the weighted Vandermonde for n points.
 
-    Runs the stages of the module docstring, each for at most max_iters
-    Newton steps; iterations is their sum.  A result whose scaled residual
-    in the command's coordinates exceeds RESIDUAL_TOL still comes back, with
-    converged=False; NumericalError if its points coincide in double
-    precision.  grad_norm is max |g_k| in those coordinates.
+    Runs the stages of the module docstring, each for at most
+    _MAX_NEWTON_STEPS = 200 Newton steps; iterations is their sum.  A result whose
+    scaled residual in the command's coordinates exceeds RESIDUAL_TOL still
+    comes back, with converged=False; NumericalError if its points coincide
+    in double precision.  grad_norm is max |g_k| in those coordinates.
+
+    A numpy overflow raises here: where the objective of the weight leaves
+    the double range at this n (the largest s, or an extreme a with a large
+    s), InvalidInputError comes instead of a warning.  Only overflow is
+    mapped so; an invalid value or a division by zero warns as before.
     """
     n = checked_n(n)
-    if max_iters < 1:
-        raise InvalidInputError("max_iters must be >= 1")
     stages = [weight]
     if isinstance(weight, CircleWeight):
         stages = [CircleWeight(c) for c in _continuation(weight.b)] + stages
 
     t = (2.0 * np.arange(n) + 1.0 - n) * math.pi / n
     iterations = 0
-    for stage, stage_weight in enumerate(stages):
-        field, ordered, to_points = _angle_problem(stage_weight, n)
-        t, f, steps, backtracks = _newton(t, field, ordered, max_iters)
-        # the benchmark tracer parses this record, "start" wording and all
-        log.debug("start %d: objective %.15g after %d+%d iterations",
-                  stage, f, steps, backtracks)
-        iterations += steps
-
-    x = to_points(t)
     try:
-        g, scale = _gradient(x, weight, with_scale=True)
-    except DegenerateInputError:
-        raise NumericalError(f"the {n} optimized points for {weight!r} coincide in "
-                             "double precision: gradient undefined") from None
-    log_diameter = 2.0 * log_weighted_vandermonde(x, weight) / (n * (n - 1))
+        with np.errstate(over="raise"):
+            for stage, stage_weight in enumerate(stages):
+                field, ordered, to_points = _angle_problem(stage_weight, n)
+                t, f, steps, backtracks = _newton(t, field, ordered)
+                # the benchmark tracer parses this record, "start" wording and all
+                log.debug("start %d: objective %.15g after %d+%d iterations",
+                          stage, f, steps, backtracks)
+                iterations += steps
+
+            x = to_points(t)
+            try:
+                g, scale = _gradient(x, weight, with_scale=True)
+            except DegenerateInputError:
+                raise NumericalError(f"the {n} optimized points for {weight!r} coincide in "
+                                     "double precision: gradient undefined") from None
+            log_diameter = 2.0 * log_weighted_vandermonde(x, weight) / (n * (n - 1))
+            converged = float(np.max(np.abs(g) / scale)) <= RESIDUAL_TOL
+    except FloatingPointError:
+        raise InvalidInputError(f"the objective of {weight!r} at n = {n} leaves the "
+                                "double range") from None
     return FeketeResult(
         points=tuple(float(v) for v in x),
         log_diameter=log_diameter,
         energy=-log_diameter,
         grad_norm=float(np.max(np.abs(g))),
         iterations=iterations,
-        converged=float(np.max(np.abs(g) / scale)) <= RESIDUAL_TOL,
+        converged=converged,
     )

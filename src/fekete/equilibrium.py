@@ -25,18 +25,19 @@ Chebyshev series (real-s and the harmonic families, in the angle of
 x = r cos(phi)) or Fourier series (the circle) against the family's
 moments, which are geometric, so each series sums to a logarithm.  The
 Frostman checks take U from log_potential over their whole grid.
-Densities are evaluated one point at a time, by one function per family
-with the family's constants bound once, which quadrature integrands call at
-every node.  The harmonic families take r >= 1e-300 and, for r outside
-[2^-480, 2^500), scale r and x by a power of two, so that r^2 and
-(r - x)(r + x) stay in the double range.  Total masses and the quadrature
-oracles of verify are integrals of one helper, _integral, with adaptive
-Gauss-Kronrod quadrature that raises NumericalError when scipy flags the
-integral: in x = tan(theta) for arctan, in x = r sin(theta) on [-r, r],
-which removes the endpoint derivative blowup of the square-root edges, and
-split at an integrable singularity of the integrand.
-Densities evaluate to 0 outside their support (including at the boundary;
-the harmonic families diverge in the open-interior limit there).
+Each family's density is one scalar function with the family's constants
+bound once; density maps it over a float or a whole grid, and the
+quadrature integrands of fekete.verify call it at every node.  The
+harmonic families take r >= 1e-300 and, for r outside [2^-480, 2^500),
+scale r and x by a power of two, so that r^2 and (r - x)(r + x) stay in
+the double range.  Densities evaluate to 0 outside their support
+(including at the boundary; the harmonic families diverge in the
+open-interior limit there).
+
+Nothing here integrates.  The quadrature oracles (total masses, CDFs and
+potentials by quadrature) live in fekete.verify; quad, the lazily imported
+scipy.integrate.quad they call, stays here as the name that the benchmark
+tracer wraps.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "EquilibriumReport",
     "density",
     "cdf",
-    "total_mass",
     "log_potential",
     "capacity_real",
     "capacity_circle",
@@ -65,8 +65,6 @@ __all__ = [
     "frostman_check_circle",
     "ks_distance",
 ]
-
-_QUAD_FAIL = 1e-7
 
 _REAL_SGT1 = "real-s"
 _ARCTAN = "arctan"
@@ -229,75 +227,34 @@ def _density_fn(m: MeasureSpec) -> Callable[[float], float]:
     raise InvalidInputError(f"unknown measure family {m.family!r}")
 
 
-def density(m: MeasureSpec, x: float) -> float:
-    """Pointwise density of the family at x (an angle for circle families).
+def _libm(fn, *args) -> np.ndarray:
+    """A scalar function over arrays, element by element: the densities, and
+    the math module's atan, atan2 and tan, where numpy's can differ from
+    libm's in the last ulp, which would move printed digits."""
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
 
-    Returns 0 outside the support rather than raising.
+
+def density(m: MeasureSpec, x):
+    """Density of the family at x (an angle for circle families), 0 outside
+    the support rather than raising.
+
+    x is a float or an array; the result is a float or an array of x's
+    shape.  The family's scalar formula runs on every element, so an array
+    value has the bits of the scalar one.
     """
-    return m._density(float(x))
+    xs = np.asarray(x, dtype=float)
+    out = _libm(m._density, xs.ravel())
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def quad(f, lo, hi, **kwargs):
-    """scipy.integrate.quad, imported on the first call: it is called only
-    from _quad_checked, under _integral, and that import would otherwise be
-    most of every command's start-up time."""
+    """scipy.integrate.quad, imported on the first call, so that no command
+    but verify loads scipy.integrate.  Only verify's quadrature oracles call
+    it, through this module attribute (eq.quad): bench/tracing.py wraps
+    equilibrium.quad by name to time every integral."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(f, lo, hi, **kwargs)
-
-
-def _quad_checked(f, lo, hi, points, tol) -> float:
-    """quad's value to absolute and relative tolerance tol; NumericalError
-    when quad flags the integral (then its value can be wrong by orders of
-    magnitude) or its error estimate exceeds _QUAD_FAIL."""
-    val, err, _, *flag = quad(f, lo, hi, points=points, full_output=1,
-                              epsabs=tol, epsrel=tol, limit=200)
-    if flag:
-        raise NumericalError(f"quadrature gave up: {flag[0].splitlines()[0]}")
-    if err > _QUAD_FAIL:
-        raise NumericalError(
-            f"quadrature reached absolute error {err:.2e} > {_QUAD_FAIL:.0e}"
-        )
-    return val
-
-
-def _integral(m: MeasureSpec, f=None, upto=None, singular=None, tol=1e-11) -> float:
-    """int f(t) d mu(t) from the left end of the support up to upto (all of
-    it when None; f = 1 when None), split at singular when that lies inside
-    the support.  Line families are integrated in an angle: x = tan(theta)
-    for arctan, which maps the line onto a finite interval, and
-    x = r sin(theta) on [-r, r], which removes the square-root edges; the
-    circle family in its own angle."""
-    lo, hi = m.support
-    dens = m._density
-    f = f or (lambda _: 1.0)
-    if m.family == _ARCTAN:
-        angle = math.atan
-
-        def g(theta):
-            x = math.tan(theta)
-            return f(x) * dens(x) / math.cos(theta) ** 2
-    elif m.is_circle:
-        angle = float
-
-        def g(t):
-            return f(t) * dens(t)
-    else:
-        def angle(x):
-            return math.asin(min(max(x / hi, -1.0), 1.0))
-
-        def g(theta):
-            x = hi * math.sin(theta)
-            return f(x) * dens(x) * hi * math.cos(theta)
-    pts = [angle(singular)] if singular is not None and lo < singular < hi else None
-    return _quad_checked(g, angle(lo), angle(hi if upto is None else upto), pts, tol)
-
-
-def _libm(fn, *args) -> np.ndarray:
-    """A math-module function over arrays, element by element: numpy's atan,
-    atan2 and tan can differ from libm's in the last ulp, which would move
-    printed digits."""
-    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
 
 
 def cdf(m: MeasureSpec, x):
@@ -342,11 +299,6 @@ def cdf(m: MeasureSpec, x):
                                v * v + k * u * u) / math.pi
     out[inside] = np.minimum(np.maximum(val, 0.0), 1.0)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
-
-
-def total_mass(m: MeasureSpec) -> float:
-    """Total integral of the density; 1 for every family, up to quadrature."""
-    return _integral(m)
 
 
 def _interval_potential(m: MeasureSpec, xs: np.ndarray) -> np.ndarray:

@@ -48,7 +48,6 @@ from .real_line import (
     _checked_sgt1,
     _recurrence_coefficients,
     canonical_gamma,
-    s1_points,
 )
 
 __all__ = [
@@ -285,21 +284,6 @@ def log_abs_pochhammer(t: float, n: int) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class S1Solution:
-    """An s = 1 Fekete configuration: phase, linear coefficient, points, polynomial.
-
-    B is the negated sum of the points, -a sum_k tan(gamma + k pi/n), which
-    also equals a n cot(n pi/2 + n gamma); the monic degree-n polynomial has
-    the points as its roots.
-    """
-
-    gamma: float
-    B: float
-    points: tuple[float, ...]
-    poly: np.ndarray
-
-
-@dataclass(frozen=True)
 class OdeFamily:
     """Parameters (a, lambda, n) of the second-order equation
 
@@ -326,13 +310,15 @@ class OdeFamily:
         object.__setattr__(self, "lam", lam)
 
 
-def s1_polynomial(a: float, n: int, gamma: float | None = None) -> S1Solution:
-    """Monic degree-n polynomial with the s = 1 Fekete set as its roots.
+def s1_polynomial(a: float, n: int, gamma: float | None = None) -> np.ndarray:
+    """The coefficients of the monic degree-n polynomial whose roots are the
+    s = 1 Fekete set of phase gamma (``real_line.s1_points``).
 
     F(x) = [(an - Bi)(x + ai)^n + (an + Bi)(x - ai)^n] / (2an) with
     B = a n cot(n pi/2 + n gamma).  The two summands are complex conjugates on
-    the real axis, so F has real coefficients.  gamma defaults to the
-    canonical symmetric phase.  Raises NumericalError when a coefficient
+    the real axis, so F has real coefficients; its x^(n-1) coefficient is B,
+    the negated sum of the points.  gamma defaults to the canonical
+    symmetric phase, where B = 0.  Raises NumericalError when a coefficient
     cannot be represented in double precision (e.g. n = 1500, or a = 1.3 at
     n = 1000); s1_points has no such limit.
     """
@@ -364,8 +350,7 @@ def s1_polynomial(a: float, n: int, gamma: float | None = None) -> S1Solution:
         raise NumericalError(
             f"s1_polynomial(a={a!r}, n={n}): a coefficient exceeds the double range"
         )
-    points = s1_points(a, n, gamma)
-    return S1Solution(gamma=gamma, B=b_const, points=tuple(points), poly=coeffs.real.copy())
+    return coeffs.real.copy()
 
 
 def ode_monic_solution(fam: OdeFamily) -> np.ndarray:

@@ -9,11 +9,12 @@ gauge freedoms, gradient consistency against finite differences, the
 sine-product bound, unit masses and shape constraints of the limit measures,
 and small optimizer-vs-closed-form spot checks.  The oracle side of each
 pair (companion roots, exact resultants, the line's polynomials and the
-discriminant route) comes from ``fekete.poly``; the quadrature oracles (the
-CDFs, the field integral of the modified Robin constant, and
+discriminant route) comes from ``fekete.poly``.  The quadrature oracles,
+which no production module has, live here: the unit masses, the CDFs, the
+field integral of the modified Robin constant, and
 ``potential_by_quadrature`` against the closed-form ``log_potential`` behind
-the Frostman checks) are integrals of ``equilibrium._integral``, which
-raises when scipy flags one.
+the Frostman checks are integrals of ``_integral``, which calls
+``equilibrium.quad`` and raises when scipy flags an integral.
 The production side comes from the other modules.  Every polynomial is a real
 coefficient array, so the ``poly`` suite draws its roots in conjugate pairs,
 plus one real root at odd degree.  The heavier optimizer sweeps live in the
@@ -38,7 +39,7 @@ from . import circle as circ
 from . import energy as en
 from . import equilibrium as eq
 from . import real_line as rl
-from .errors import SingularParameterError
+from .errors import NumericalError, SingularParameterError
 from .poly import (
     OdeFamily,
     discriminant_resultant,
@@ -187,10 +188,9 @@ def _suite_real() -> list[CheckResult]:
     for n in range(2, 31):
         gammas = [-math.pi / 2.0 + float(rng.uniform(0.1, 0.9)) * math.pi / n
                   for _ in range(10)]
-        sols = [s1_polynomial(1.0, n, gamma) for gamma in gammas]
         # one companion stack per degree: the pseudo-Jacobi rows, then the s = 1 rows
         stack = stacked_roots([pseudo_jacobi(1.0, s, n) for s in s_values]
-                              + [sol.poly for sol in sols])
+                              + [s1_polynomial(1.0, n, gamma) for gamma in gammas])
         for s, rts in zip(s_values, stack):
             radius = rl.support_radius(1.0, s)
             xs = np.sort(rts.real)
@@ -202,7 +202,7 @@ def _suite_real() -> list[CheckResult]:
             gap = float(np.max(np.abs(rl.sgt1_points(1.0, s, n) - xs)))
             worst_routes = max(worst_routes, gap / float(np.max(np.abs(xs))))
         rts = np.sort(stack[len(s_values):].real, axis=1)
-        points = np.array([sol.points for sol in sols])
+        points = np.array([rl.s1_points(1.0, n, gamma) for gamma in gammas])
         worst_s1 = max(worst_s1, float(np.max(np.abs(rts - points))))
     out.append(CheckResult("real", "pseudo-jacobi-roots-real-symmetric-inside", worst, 1e-9))
     out.append(CheckResult("real", "tridiagonal-vs-companion-roots", worst_routes, 1e-10))
@@ -376,14 +376,66 @@ def _suite_energy() -> list[CheckResult]:
 # equilibrium
 # ---------------------------------------------------------------------------
 
+_QUAD_FAIL = 1e-7
+
+
+def _quad_checked(f, lo, hi, points, tol) -> float:
+    """quad's value to absolute and relative tolerance tol; NumericalError
+    when quad flags the integral (then its value can be wrong by orders of
+    magnitude) or its error estimate exceeds _QUAD_FAIL.  It calls eq.quad,
+    the module attribute, which the benchmark tracer wraps."""
+    val, err, _, *flag = eq.quad(f, lo, hi, points=points, full_output=1,
+                                 epsabs=tol, epsrel=tol, limit=200)
+    if flag:
+        raise NumericalError(f"quadrature gave up: {flag[0].splitlines()[0]}")
+    if err > _QUAD_FAIL:
+        raise NumericalError(
+            f"quadrature reached absolute error {err:.2e} > {_QUAD_FAIL:.0e}"
+        )
+    return val
+
+
+def _integral(m: eq.MeasureSpec, f=None, upto=None, singular=None, tol=1e-11) -> float:
+    """int f(t) d mu(t) from the left end of the support up to upto (all of
+    it when None; f = 1 when None), split at singular when that lies inside
+    the support.  Line families are integrated in an angle: x = tan(theta)
+    for arctan, which maps the line onto a finite interval, and
+    x = r sin(theta) on [-r, r], which removes the square-root edges; the
+    circle family in its own angle.  Every quadrature oracle is a call of
+    this helper."""
+    lo, hi = m.support
+    dens = m._density
+    f = f or (lambda _: 1.0)
+    if m.family == "arctan":
+        angle = math.atan
+
+        def g(theta):
+            x = math.tan(theta)
+            return f(x) * dens(x) / math.cos(theta) ** 2
+    elif m.is_circle:
+        angle = float
+
+        def g(t):
+            return f(t) * dens(t)
+    else:
+        def angle(x):
+            return math.asin(min(max(x / hi, -1.0), 1.0))
+
+        def g(theta):
+            x = hi * math.sin(theta)
+            return f(x) * dens(x) * hi * math.cos(theta)
+    pts = [angle(singular)] if singular is not None and lo < singular < hi else None
+    return _quad_checked(g, angle(lo), angle(hi if upto is None else upto), pts, tol)
+
+
 def potential_by_quadrature(m: eq.MeasureSpec, x: float) -> float:
     """The oracle of ``equilibrium.log_potential``: -int log|x - t| d mu(t),
     with 2|sin((x - t)/2)| for |x - t| on the circle, by quadrature split at
     the integrable log singularity."""
     if m.is_circle:
-        return eq._integral(m, lambda t: -math.log(2.0 * abs(math.sin((x - t) / 2.0))),
-                            singular=x)
-    return eq._integral(m, lambda t: -math.log(abs(x - t)), singular=x)
+        return _integral(m, lambda t: -math.log(2.0 * abs(math.sin((x - t) / 2.0))),
+                         singular=x)
+    return _integral(m, lambda t: -math.log(abs(x - t)), singular=x)
 
 
 def _suite_equilibrium() -> list[CheckResult]:
@@ -395,7 +447,7 @@ def _suite_equilibrium() -> list[CheckResult]:
         + [eq.MeasureSpec.harmonic_inf(r) for r in (1.0, math.sqrt(3.0))]
         + [eq.MeasureSpec.harmonic_i(r) for r in (1.0, math.sqrt(3.0))]
     )
-    worst = max(abs(eq.total_mass(m) - 1.0) for m in families)
+    worst = max(abs(_integral(m) - 1.0) for m in families)
     out.append(CheckResult("equilibrium", "unit-mass", worst, 1e-8))
 
     s = 2.0
@@ -404,8 +456,8 @@ def _suite_equilibrium() -> list[CheckResult]:
     m_i = eq.MeasureSpec.harmonic_i(r)
     m_inf = eq.MeasureSpec.harmonic_inf(r)
     grid = np.linspace(-r, r, 102)[1:-1]
-    worst = max(abs(s * eq.density(m_i, x) - (s - 1.0) * eq.density(m_inf, x)
-                    - eq.density(m_target, x)) for x in grid)
+    worst = float(np.max(np.abs(s * eq.density(m_i, grid) - (s - 1.0) * eq.density(m_inf, grid)
+                                - eq.density(m_target, grid))))
     out.append(CheckResult("equilibrium", "harmonic-combination-identity", worst, 1e-10))
 
     worst = 0.0
@@ -434,7 +486,7 @@ def _suite_equilibrium() -> list[CheckResult]:
         vals = eq.cdf(m, xs).tolist()
         worst_mono = max(worst_mono, max(0.0, -min(np.diff(vals))))
         worst_edge = max(worst_edge, abs(vals[0]), abs(vals[-1] - 1.0))
-        worst_quad = max(worst_quad, max(abs(v - eq._integral(m, upto=x))
+        worst_quad = max(worst_quad, max(abs(v - _integral(m, upto=x))
                                          for x, v in zip(xs, vals)))
     far = eq.cdf(eq.MeasureSpec.arctan(), np.array([-1e12, 1e12])).tolist()
     worst_edge = max(worst_edge, abs(far[0]), abs(far[1] - 1.0))
@@ -444,8 +496,8 @@ def _suite_equilibrium() -> list[CheckResult]:
 
     worst = 0.0
     for sv in (2.0, 5.0):
-        field_integral = eq._integral(eq.MeasureSpec.real_sgt1(sv),
-                                      lambda x: 0.5 * math.log(1.0 + x ** 2), tol=1e-12)
+        field_integral = _integral(eq.MeasureSpec.real_sgt1(sv),
+                                   lambda x: 0.5 * math.log(1.0 + x ** 2), tol=1e-12)
         lhs = eq.modified_robin_constant(sv)
         rhs = -math.log(eq.capacity_real(sv)) - sv * field_integral
         worst = max(worst, abs(lhs - rhs))

@@ -167,6 +167,14 @@ class TestRealCommand:
         code, out, err = fresh_process(["real", "--a", a, "--s", s, "--n", n])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_objective_out_of_range_exits_two_without_warnings(self):
+        # the optimizer's line search, RealWeight.log_w and its convergence
+        # ratio wrote three numpy RuntimeWarnings before the exit on L = -inf
+        code, out, err = fresh_process(["real", "--a", "-2.158e60", "--s", "1.7e308",
+                                        "--n", "2", "--method", "optimize"])
+        assert (code, out, err) == (2, "", "error: the objective of RealWeight(a=2.158e+60, "
+                                           "s=1.7e+308) at n = 2 leaves the double range\n")
+
     def test_invalid_s_exits_two(self, capsys):
         code, out, err = run(capsys, "real", "--a", "1", "--s", "0.5", "--n", "4")
         assert code == 2
@@ -288,6 +296,27 @@ class TestMeasureCommand:
         assert all(math.isfinite(row[k]) for row in rows for k in ("x", "density", "cdf"))
         assert len(rows) == (2 if family[0] == "real-s" else 3)
 
+    @pytest.mark.parametrize("grid, message", [
+        ("1:2", "grid must look like lo:hi:count, got '1:2'"),
+        ("a:b:3", "bad grid 'a:b:3': could not convert string to float: 'a'"),
+        ("2:1:5", "grid needs hi >= lo and count >= 1"),
+        ("0:1:0", "grid needs hi >= lo and count >= 1"),
+    ])
+    def test_malformed_grid_exits_two(self, capsys, grid, message):
+        code, out, err = run(capsys, "measure", "--family", "arctan", "--grid", grid)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_one_density_and_one_cdf_call_per_grid(self, capsys, monkeypatch):
+        calls = []
+        for name in ("density", "cdf"):
+            def counted(m, x, fn=getattr(cli, name), name=name):
+                calls.append(name)
+                return fn(m, x)
+            monkeypatch.setattr(cli, name, counted)
+        rows = run_json(capsys, "measure", "--family", "real-s", "--s", "2",
+                        "--grid", "-2:2:3001")["rows"]
+        assert len(rows) > 2000 and sorted(calls) == ["cdf", "density"]
+
     def test_arctan_density(self, capsys):
         out = run_ok(capsys, "measure", "--family", "arctan",
                      "--grid", "-1:1:3", "--format", "csv")
@@ -407,6 +436,14 @@ class TestConvergeCommand:
         code, _, err = run(capsys, "converge", *target, "--n-list", "2,3")
         assert code == 2 and message in err
 
+    @pytest.mark.parametrize("n_list, message", [
+        ("5,x", "bad n-list '5,x': invalid literal for int() with base 10: 'x'"),
+        ("1,4", "n-list entries must be integers >= 2"),
+    ])
+    def test_malformed_n_list_exits_two(self, capsys, n_list, message):
+        code, out, err = run(capsys, "converge", "--s", "2", "--n-list", n_list)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_requires_exactly_one_target(self, capsys):
         code, _, _ = run(capsys, "converge", "--s", "2", "--b", "0.5",
                          "--n-list", "2,3")
@@ -483,6 +520,19 @@ class TestVerifyCommand:
 
     def test_circle_suite_passes(self, capsys):
         out = run_ok(capsys, "verify", "--suite", "circle")
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        from fekete import verify
+
+        monkeypatch.setitem(verify._SUITE_FUNCS, "circle", lambda: [
+            verify.CheckResult("circle", "holds", 0.0, 1.0),
+            verify.CheckResult("circle", "broken", 2.0, 1.0),
+        ])
+        code, out, err = run(capsys, "verify", "--suite", "circle")
+        assert (code, err) == (1, "verification failed: broken\n")
+        assert out.splitlines() == ["PASS circle/holds residual=0.000e+00 tol=1.0e+00",
+                                    "FAIL circle/broken residual=2.000e+00 tol=1.0e+00",
+                                    "1/2 checks passed"]
 
     def test_suite_choices_are_the_suites(self, capsys):
         from fekete.cli import VERIFY_SUITES
@@ -585,7 +635,6 @@ class TestJsonLists:
         [[0.1], [0.2, 0.3]],
         [[], []],
         [[[0.1, 0.2]], [[0.3, 0.4]]],
-        [[1, 2.5], [True, None]],
         [{"x": 0.1, "y": [0.2, -0.0]}, 0.3],
         (0.25, [0.5, (0.75,)]),
     ], ids=repr)

@@ -278,8 +278,9 @@ class TestOptimizer:
         # first preimage angle pinned to 0, up to wrap-around roundoff
         assert min(pre[0], TWO_PI - pre[-1]) <= 1e-9
 
-    def test_non_convergence_flagged(self):
-        res = optimize(RealWeight(1.0, 2.0), 6, max_iters=1)
+    def test_non_convergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(fekete.energy, "_MAX_NEWTON_STEPS", 1)
+        res = optimize(RealWeight(1.0, 2.0), 6)
         assert not res.converged
         assert scaled_residual(res.points, RealWeight(1.0, 2.0)) > RESIDUAL_TOL
         assert len(res.points) == 6  # best iterate still reported
@@ -299,7 +300,22 @@ class TestOptimizer:
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
-            optimize(RealWeight(1.0, 2.0), 4, max_iters=0)
+            optimize(RealWeight(1.0, 2.0), 1)
+        with pytest.raises(InvalidInputError, match="unsupported weight type"):
+            optimize(object(), 4)
+
+    @pytest.mark.parametrize("a, s, n", [
+        (-2.158e60, 1.7e308, 2),  # wrote three RuntimeWarnings, then exited on L = -inf
+        (1.0, 5e307, 3),          # wrote three and returned grad_norm inf
+        (1.0, 1e306, 20),
+        (1e100, 1e306, 3),
+        (1e-100, 1e300, 2),
+        (1.0, 1.7e308, 3),        # c = (n-1)(s-1) is past the double range
+    ])
+    def test_objective_out_of_double_range_is_invalid_input(self, a, s, n):
+        # the suite turns warnings into errors: nothing may warn first
+        with pytest.raises(InvalidInputError, match=f"at n = {n} leaves the double range"):
+            optimize(RealWeight(a, s), n)
 
     def test_line_s2_large_n_matches_tridiagonal_points(self):
         n = 240

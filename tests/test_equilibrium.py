@@ -26,10 +26,8 @@ from fekete import (
     modified_robin_constant,
     s1_points,
     sgt1_points,
-    total_mass,
 )
-from fekete.equilibrium import _integral
-from fekete.verify import potential_by_quadrature
+from fekete.verify import _integral, potential_by_quadrature
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -346,7 +344,7 @@ class TestFrostman:
     def test_quadrature_that_gives_up_raises(self):
         # quad flags this integral and returns 5.0e-12 where the mass is 1
         with pytest.raises(NumericalError, match="quadrature gave up"):
-            total_mass(MeasureSpec.harmonic_i(1e6))
+            _integral(MeasureSpec.harmonic_i(1e6))
 
 
 def potential_reference(m, x):
@@ -592,7 +590,8 @@ def reference_log_potential(m, x):
 
 
 def reference_total_mass(m):
-    """total_mass with the earlier integrands, density called per node."""
+    """The unit-mass integral with the earlier integrands, density called
+    per node."""
     kw = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
     if m.family == "arctan":
         return quad(lambda t: scalar_density(m, math.tan(t)) / math.cos(t) ** 2,
@@ -646,7 +645,7 @@ class TestOneQuadratureRoute:
 
     @pytest.mark.parametrize("m", UNIT_MASS_FAMILIES, ids=spec_id)
     def test_total_mass_has_the_bits_of_the_earlier_integrands(self, m):
-        assert bits([total_mass(m)]) == bits([reference_total_mass(m)])
+        assert bits([_integral(m)]) == bits([reference_total_mass(m)])
 
     @pytest.mark.parametrize("m", CDF_ORACLE_FAMILIES, ids=spec_id)
     def test_cdf_oracle_has_the_bits_of_the_earlier_oracle(self, m):
@@ -666,10 +665,15 @@ class TestOneQuadratureRoute:
             _integral(MeasureSpec.harmonic_i(1e6), upto=0.0)
 
     def test_quad_has_one_caller(self):
-        # scipy.integrate is imported only inside equilibrium.quad, quad is
-        # called only from _quad_checked, _quad_checked only from _integral,
-        # and _integral only from total_mass and verify's oracles: every
-        # other value comes from a closed form
+        # scipy.integrate is imported only inside equilibrium.quad, which is
+        # called only from verify._quad_checked, as eq.quad (the module
+        # attribute the benchmark tracer wraps), _quad_checked only from
+        # _integral, and _integral only from verify's oracles: every
+        # production value comes from a closed form
+        import fekete.equilibrium as eq
+
+        assert not [name for name in ("_QUAD_FAIL", "_quad_checked", "_integral", "total_mass")
+                    if hasattr(eq, name)]
         src = os.path.dirname(os.path.abspath(density.__code__.co_filename))
         imports, calls = set(), {"quad": set(), "_quad_checked": set(), "_integral": set()}
         for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
@@ -695,13 +699,12 @@ class TestOneQuadratureRoute:
                         func = node.func
                         called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
                         if called in calls:
-                            calls[called].add(where)
+                            calls[called].add((where, ast.unparse(func)))
         assert imports == {"equilibrium.py:quad"}
-        assert calls == {"quad": {"equilibrium.py:_quad_checked"},
-                         "_quad_checked": {"equilibrium.py:_integral"},
-                         "_integral": {"equilibrium.py:total_mass",
-                                       "verify.py:potential_by_quadrature",
-                                       "verify.py:_suite_equilibrium"}}
+        assert calls == {"quad": {("verify.py:_quad_checked", "eq.quad")},
+                         "_quad_checked": {("verify.py:_integral", "_quad_checked")},
+                         "_integral": {("verify.py:potential_by_quadrature", "_integral"),
+                                       ("verify.py:_suite_equilibrium", "_integral")}}
 
 
 POTENTIAL_FAMILIES = [
@@ -715,6 +718,22 @@ class TestDensityClosures:
     def test_density_has_the_bits_of_the_dispatching_formulas(self, m):
         pts = [x for x in cdf_points(m, 4001) if math.isfinite(x)]
         assert bits([density(m, x) for x in pts]) == bits([scalar_density(m, x) for x in pts])
+
+    @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
+    def test_array_has_the_bits_of_the_scalar_calls(self, m):
+        pts = cdf_points(m, 4001)
+        assert bits(density(m, np.array(pts))) == bits([density(m, x) for x in pts])
+
+    def test_shapes(self):
+        m = MeasureSpec.real_sgt1(2.0)
+        grid = np.linspace(-2.0, 2.0, 12)
+        assert type(density(m, 0.3)) is float
+        assert type(density(m, np.float64(0.3))) is float
+        assert type(density(m, np.array(0.3))) is float
+        assert density(m, grid.reshape(3, 4)).shape == (3, 4)
+        assert density(m, grid.tolist()).shape == (12,)
+        assert density(m, np.array([])).shape == (0,)
+        assert bits(density(m, grid.reshape(3, 4)).ravel()) == bits(density(m, grid))
 
     @pytest.mark.parametrize("m", POTENTIAL_FAMILIES, ids=spec_id)
     def test_potential_oracle_has_the_bits_of_the_dispatching_integrand(self, m):

@@ -87,27 +87,28 @@ class TestS1:
             s1_points(1.0, 2, gamma)
 
     def test_polynomial_n2(self):
-        sol = s1_polynomial(1.0, 2, -math.pi / 4)
-        assert sol.B == pytest.approx(0.0, abs=1e-12)
-        assert_allclose(sol.poly, [-1.0, 0.0, 1.0], atol=1e-12)
+        c = s1_polynomial(1.0, 2, -math.pi / 4)
+        assert c[1] == pytest.approx(0.0, abs=1e-12)  # B, the x^(n-1) coefficient
+        assert_allclose(c, [-1.0, 0.0, 1.0], atol=1e-12)
 
     def test_polynomial_n3(self):
-        sol = s1_polynomial(1.0, 3, -math.pi / 3)
-        assert sol.B == pytest.approx(0.0, abs=1e-12)
-        assert_allclose(sol.poly, [0.0, -3.0, 0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(sol.points, [-SQRT3, 0.0, SQRT3], atol=1e-12)
+        c = s1_polynomial(1.0, 3, -math.pi / 3)
+        assert c[2] == pytest.approx(0.0, abs=1e-12)
+        assert_allclose(c, [0.0, -3.0, 0.0, 1.0], atol=1e-12)
+        assert_allclose(s1_points(1.0, 3, -math.pi / 3), [-SQRT3, 0.0, SQRT3], atol=1e-12)
 
     def test_b_is_negated_point_sum(self):
         rng = np.random.default_rng(5)
         for n in (2, 5, 9):
             gamma = -math.pi / 2 + float(rng.uniform(0.1, 0.9)) * math.pi / n
-            sol = s1_polynomial(1.0, n, gamma)
-            assert sol.B == pytest.approx(-sum(sol.points), rel=1e-9, abs=1e-9)
+            c = s1_polynomial(1.0, n, gamma)
+            assert c[n - 1] == pytest.approx(-sum(s1_points(1.0, n, gamma)),
+                                             rel=1e-9, abs=1e-9)
 
     def test_default_gamma_is_canonical(self):
-        sol = s1_polynomial(1.0, 4)
-        assert sol.gamma == pytest.approx(canonical_gamma(4))
-        assert sol.B == pytest.approx(0.0, abs=1e-12)
+        c = s1_polynomial(1.0, 4)
+        assert np.array_equal(c, s1_polynomial(1.0, 4, canonical_gamma(4)))
+        assert c[3] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("a, n", [(1.0, 1500), (0.5, 1500), (1.3, 1000)])
     def test_polynomial_beyond_double_range_raises(self, a, n):
@@ -115,9 +116,9 @@ class TestS1:
             s1_polynomial(a, n)
 
     def test_polynomial_large_n_finite(self):
-        sol = s1_polynomial(1.0, 1000)
-        assert sol.poly.size == 1001
-        assert np.all(np.isfinite(sol.poly))
+        c = s1_polynomial(1.0, 1000)
+        assert c.size == 1001
+        assert np.all(np.isfinite(c))
 
     def test_diameter(self):
         assert s1_diameter(1.0, 2) == pytest.approx(1.0)
