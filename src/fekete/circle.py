@@ -47,21 +47,27 @@ class CircleWeight:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "unit", math.ldexp(1.0, min(0, 128 - math.frexp(b)[1])))
 
-    def dist_sq(self, angles):
+    def dist_sq(self, angles, lib=None):
         """|e^{it} - b|^2 u^2 with u = self.unit, vectorized over angles, as
-        (u-c)^2 + 4cu sin^2(t/2) for c = bu >= 0 and (u+c)^2 - 4cu cos^2(t/2)
-        for c < 0: both terms are nonnegative, so nothing cancels next to the
-        charge.  A float angle gives a float through math, which keeps the
-        density's per-point calls cheap."""
-        if isinstance(angles, float):
-            t, sin, cos = angles, math.sin, math.cos
-        else:
-            t, sin, cos = np.asarray(angles, dtype=float), np.sin, np.cos
+        (u-c)^2 + 4cu h^2 with h = sin(t/2) for c = bu >= 0 and (u+c)^2 -
+        4cu h^2 with h = cos(t/2) for c < 0: both terms are nonnegative, so
+        nothing cancels next to the charge.  sin and cos are lib's: by
+        default math's for a float and numpy's for an array (the density
+        passes its own).  h^2 is h * h in both, rounded once (a float's
+        h ** 2 would go through pow, which is not correctly rounded), so the
+        two agree bit for bit where their sines do."""
+        if lib is None:
+            if isinstance(angles, float):
+                lib = math
+            else:
+                angles, lib = np.asarray(angles, dtype=float), np
         u = self.unit
         c = self.b * u
         if c >= 0.0:
-            return (u - c) ** 2 + 4.0 * c * u * sin(t / 2.0) ** 2
-        return (u + c) ** 2 - 4.0 * c * u * cos(t / 2.0) ** 2
+            h = lib.sin(angles / 2.0)
+            return (u - c) ** 2 + 4.0 * c * u * (h * h)
+        h = lib.cos(angles / 2.0)
+        return (u + c) ** 2 - 4.0 * c * u * (h * h)
 
     def log_w(self, angles):
         """log w(e^{it}) = -(1/2) log |e^{it} - b|^2, vectorized over angles."""

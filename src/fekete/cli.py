@@ -72,24 +72,34 @@ class CliError(Exception):
 
 
 class _Rows:
-    """Rows of cells under a header: a JSON list of objects keyed by the
-    header, or the body of a CSV table."""
+    """A table under a header, held as columns: one list per header name,
+    each as long as the first.  It is written as a JSON list of objects
+    keyed by the header (_to_json) or as a CSV table (_to_csv)."""
 
-    def __init__(self, header, rows):
-        self.header, self.rows = header, rows
+    def __init__(self, header, columns):
+        self.header, self.columns = header, columns
 
 
-def _render_rows(rows, cell, prefixes, end: str) -> str:
-    """Each row as prefixes[k] + cell k for every k, then end, formatted by
-    one % operation on one row template built from the first row's column
-    types: a float column as "%.17g", any other column as cell(v).  Every
-    row has the first row's length and column types, and no prefix holds a
-    "%"."""
-    floats = [isinstance(v, (float, np.floating)) for v in (rows[0] if rows else ())]
-    row_template = "".join([prefix + ("%.17g" if f else "%s")
-                            for prefix, f in zip(prefixes, floats)]) + end
-    cells = [v if f else cell(v) for row in rows for v, f in zip(row, floats)]
-    return row_template * len(rows) % tuple(cells)
+def _render_rows(columns, cell, prefixes, end: str) -> str:
+    """The rows of equal-length columns: each row as prefixes[k] + cell k
+    for every k, then end.  The columns are interleaved by one slice
+    assignment each and formatted by one % operation on one row template:
+    a column whose first cell is a float as "%.17g", any other column as
+    cell(v).  Every cell of a column has its first cell's type, and no
+    prefix holds a "%".  A row-major caller passes zip(*rows), or zip(row)
+    for one row."""
+    width, count = len(columns), len(columns[0]) if columns else 0
+    cells = [None] * (width * count)
+    formats = []
+    for k, column in enumerate(columns):
+        if count and isinstance(column[0], (float, np.floating)):
+            formats.append("%.17g")
+            cells[k::width] = column
+        else:
+            formats.append("%s")
+            cells[k::width] = [cell(v) for v in column]
+    row_template = "".join(map(str.__add__, prefixes, formats)) + end
+    return row_template * count % tuple(cells)
 
 
 def _to_json(value) -> str:
@@ -104,13 +114,13 @@ def _to_json(value) -> str:
         width = len(value[0]) if value and isinstance(value[0], (list, tuple)) else 0
         if width and all(isinstance(v, (list, tuple)) and len(v) == width for v in value):
             prefixes = ["["] + [", "] * (width - 1)
-            return "[" + _render_rows(value, _to_json, prefixes, "], ")[:-2] + "]"
+            return "[" + _render_rows(list(zip(*value)), _to_json, prefixes, "], ")[:-2] + "]"
         prefixes = [""] + [", "] * (len(value) - 1)
-        return "[" + _render_rows([value], _to_json, prefixes, "") + "]"
+        return "[" + _render_rows(list(zip(value)), _to_json, prefixes, "") + "]"
     if isinstance(value, _Rows):
         keys = [f'"{k}": ' for k in value.header]
         prefixes = ["{" + keys[0]] + [", " + k for k in keys[1:]]
-        return "[" + _render_rows(value.rows, _to_json, prefixes, "}, ")[:-2] + "]"
+        return "[" + _render_rows(value.columns, _to_json, prefixes, "}, ")[:-2] + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -124,13 +134,12 @@ def _to_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _to_csv(header, rows) -> str:
-    """Comma-separated rows ending in CRLF, as csv.writer writes them: no
-    cell is None or holds a comma, a quote or a line break, so none is
-    quoted or blanked."""
+def _to_csv(header, columns) -> str:
+    """The header and the rows of the columns, comma-separated and ending in
+    CRLF, as csv.writer writes them: no cell is None or holds a comma, a
+    quote or a line break, so none is quoted or blanked."""
     prefixes = [""] + [","] * (len(header) - 1)
-    # the header apart: its column types are not the body's
-    return "".join(_render_rows(part, str, prefixes, "\r\n") for part in ([header], rows))
+    return ",".join(header) + "\r\n" + _render_rows(columns, str, prefixes, "\r\n")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -178,7 +187,7 @@ def _emit_result(payload: dict, fmt: str, out_path: str | None) -> None:
         payload["log_diameter"], payload["diameter"], payload["energy"],
         payload["grad_norm"],
     ] + payload["points"]
-    _emit(_to_csv(header, [row]), out_path)
+    _emit(_to_csv(header, list(zip(row))), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +282,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise CliError("grid needs hi >= lo and count >= 1")
     if not math.isfinite(hi - lo):
         raise CliError(f"grid span hi - lo exceeds the double range, got {spec!r}")
-    return np.linspace(lo, hi, count)
+    # with hi - lo at the top of the range, linspace's last step may round
+    # past it; linspace then sets that point to hi
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, count)
 
 
 _FAMILY_PARAMETER = {
@@ -301,8 +313,8 @@ def _cmd_measure(args) -> int:
     if math.isfinite(lo):
         # clip to the support and pin the endpoints as first/last rows
         grid = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
-    table = _Rows(("x", "density", "cdf"), list(zip(
-        grid.tolist(), density(m, grid).tolist(), cdf(m, grid).tolist())))
+    table = _Rows(("x", "density", "cdf"),
+                  (grid.tolist(), density(m, grid).tolist(), cdf(m, grid).tolist()))
     if args.format == "json":
         payload = {
             "family": m.family,
@@ -312,7 +324,7 @@ def _cmd_measure(args) -> int:
         }
         _emit(_to_json(payload) + "\n", args.out)
     else:
-        _emit(_to_csv(table.header, table.rows), args.out)
+        _emit(_to_csv(table.header, table.columns), args.out)
     return EXIT_OK
 
 
@@ -348,12 +360,12 @@ def _cmd_converge(args) -> int:
             delta = circle_diameter(args.b, n)
             sol = circle_points(args.b, n, 0.0)
             rows.append((n, delta, cap, delta - cap, ks_distance(sol.angles, m)))
-    header = ("n", "delta_n", "capacity", "delta_minus_capacity", "ks_distance")
+    table = _Rows(("n", "delta_n", "capacity", "delta_minus_capacity", "ks_distance"),
+                  list(zip(*rows)))
     if args.format == "json":
-        payload = {"rows": _Rows(header, rows)}
-        _emit(_to_json(payload) + "\n", args.out)
+        _emit(_to_json({"rows": table}) + "\n", args.out)
     else:
-        _emit(_to_csv(header, rows), args.out)
+        _emit(_to_csv(table.header, table.columns), args.out)
     return EXIT_OK
 
 

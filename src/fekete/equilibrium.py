@@ -25,9 +25,11 @@ Chebyshev series (real-s and the harmonic families, in the angle of
 x = r cos(phi)) or Fourier series (the circle) against the family's
 moments, which are geometric, so each series sums to a logarithm.  The
 Frostman checks take U from log_potential over their whole grid.
-Each family's density is one scalar function with the family's constants
-bound once; density maps it over a float or a whole grid, and the
-quadrature integrands of fekete.verify call it at every node.  The
+Each family's density is one formula, with the family's constants bound
+once, written for a float and an array alike: the quadrature integrands of
+fekete.verify call it on a float at every node, and density runs it once
+over a grid's points on the support, with numpy's arithmetic and sqrt,
+which round as Python's do, and the math module's sin and cos.  The
 harmonic families take r >= 1e-300 and, for r outside [2^-480, 2^500),
 scale r and x by a power of two, so that r^2 and (r - x)(r + x) stay in
 the double range.  Densities evaluate to 0 outside their support
@@ -44,6 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -115,13 +119,16 @@ class MeasureSpec:
     r: float | None = None
     weight: CircleWeight | None = field(default=None, repr=False, compare=False)
     unit: float = field(init=False, repr=False, compare=False)
-    # the density at one float, with the family's constants bound (_density_fn)
+    # the density formula over floats and arrays (_density_fn), and the
+    # density at one float (_on_support_fn)
+    _formula: Callable = field(init=False, repr=False, compare=False)
     _density: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         harmonic = self.family in (_HARMONIC_INF, _HARMONIC_I)
         object.__setattr__(self, "unit", _radius_unit(self.r) if harmonic else 1.0)
-        object.__setattr__(self, "_density", _density_fn(self))
+        object.__setattr__(self, "_formula", _density_fn(self))
+        object.__setattr__(self, "_density", _on_support_fn(self))
 
     @classmethod
     def real_sgt1(cls, s: float) -> "MeasureSpec":
@@ -180,58 +187,65 @@ def _k_unit(m: MeasureSpec) -> float:
     return (math.sqrt(1.0 + r * r) if u == 1.0 else max(r, 1.0)) * u
 
 
-def _density_fn(m: MeasureSpec) -> Callable[[float], float]:
-    """The family's density as a function of one float, with the family's
-    constants bound once, built with each MeasureSpec: the one scalar
-    formula behind density and the quadrature integrands."""
+def _libm(fn, *args) -> np.ndarray:
+    """A scalar function of the math module over arrays, element by element:
+    numpy's sin, cos, atan, atan2 and tan can differ from libm's in the last
+    ulp, which would move printed digits."""
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
+
+
+# what the density formulas call on an array: numpy's sqrt, which rounds as
+# math.sqrt does, and the math module's sin and cos element by element
+_ARRAYS = SimpleNamespace(sqrt=np.sqrt, sin=partial(_libm, math.sin),
+                          cos=partial(_libm, math.cos))
+
+
+def _density_fn(m: MeasureSpec) -> Callable:
+    """The family's density formula f(x, lib=math) on its support, with the
+    family's constants bound once, built with each MeasureSpec: x is a float
+    with lib = math, or an array with lib = _ARRAYS, whose operations round
+    as math's do, so the two give the same bits.  The one formula behind
+    density and the quadrature integrands."""
     lo, hi = m.support
     if m.family == _ARCTAN:
-        return lambda x: 1.0 / (math.pi * (1.0 + x * x))
+        return lambda x, lib=math: 1.0 / (math.pi * (1.0 + x * x))
     if m.family == _CIRCLE_POISSON:
         # |1 - b^2| / |e^{ix} - b|^2, both scaled by u^2 (CircleWeight.unit)
         u = m.weight.unit
         c = m.b * u
         num = abs(u - c) * abs(u + c)
         dist_sq = m.weight.dist_sq
-        return lambda x: num / (TWO_PI * dist_sq(x)) if lo <= x <= hi else 0.0
+        return lambda x, lib=math: num / (TWO_PI * dist_sq(x, lib))
     if m.family == _REAL_SGT1:
         s1 = m.s - 1.0
-
-        def real_s(x):
-            # sqrt(2s-1 - (s-1)^2 x^2) = (s-1) sqrt(r^2 - x^2), the root taken
-            # as sqrt((r-x)(r+x)), which does not cancel at the edges
-            if not lo < x < hi:
-                return 0.0
-            return s1 * math.sqrt((hi - x) * (hi + x)) / (math.pi * (1.0 + x * x))
-        return real_s
+        # sqrt(2s-1 - (s-1)^2 x^2) = (s-1) sqrt(r^2 - x^2), the root taken as
+        # sqrt((r-x)(r+x)), which does not cancel at the edges
+        return lambda x, lib=math: (s1 * lib.sqrt((hi - x) * (hi + x))
+                                    / (math.pi * (1.0 + x * x)))
     # the harmonic families: sqrt(r^2 - x^2) = sqrt((r-x)(r+x)) / u from r and
     # x scaled by u, so that neither r^2 nor the edge products leave the range
     u = m.unit
     ru = hi * u
     if m.family == _HARMONIC_INF:
-        def harmonic_inf(x):
-            if not lo < x < hi:
-                return 0.0
-            return u / (math.pi * math.sqrt((ru - x * u) * (ru + x * u)))
-        return harmonic_inf
+        return lambda x, lib=math: u / (math.pi * lib.sqrt((ru - x * u) * (ru + x * u)))
     if m.family == _HARMONIC_I:
         k = _k_unit(m)
-
-        def harmonic_i(x):
-            # 1 + x^2 overflows past |x| = 1.3e154, where the density is
-            # below 1e-300 and evaluates to 0
-            if not lo < x < hi:
-                return 0.0
-            return k / (math.pi * (1.0 + x * x) * math.sqrt((ru - x * u) * (ru + x * u)))
-        return harmonic_i
+        # 1 + x^2 overflows past |x| = 1.3e154, where the density is below
+        # 1e-300 and evaluates to 0
+        return lambda x, lib=math: (k / (math.pi * (1.0 + x * x)
+                                         * lib.sqrt((ru - x * u) * (ru + x * u))))
     raise InvalidInputError(f"unknown measure family {m.family!r}")
 
 
-def _libm(fn, *args) -> np.ndarray:
-    """A scalar function over arrays, element by element: the densities, and
-    the math module's atan, atan2 and tan, where numpy's can differ from
-    libm's in the last ulp, which would move printed digits."""
-    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
+def _on_support_fn(m: MeasureSpec) -> Callable[[float], float]:
+    """The density at one float: the formula on the support, where the
+    circle's is closed and every other family's open, and 0 off it (at NaN
+    too)."""
+    lo, hi = m.support
+    formula = m._formula
+    if m.is_circle:
+        return lambda x: formula(x) if lo <= x <= hi else 0.0
+    return lambda x: formula(x) if lo < x < hi else 0.0
 
 
 def density(m: MeasureSpec, x):
@@ -239,12 +253,21 @@ def density(m: MeasureSpec, x):
     the support rather than raising.
 
     x is a float or an array; the result is a float or an array of x's
-    shape.  The family's scalar formula runs on every element, so an array
-    value has the bits of the scalar one.
+    shape.  An array runs the family's formula once, over its points on the
+    support, with numpy's arithmetic and sqrt and the math module's sin and
+    cos, so an array value has the bits of the scalar one.
     """
     xs = np.asarray(x, dtype=float)
-    out = _libm(m._density, xs.ravel())
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    if xs.ndim == 0:
+        return m._density(float(xs))
+    flat = xs.ravel()
+    lo, hi = m.support
+    inside = (flat >= lo) & (flat <= hi) if m.is_circle else (flat > lo) & (flat < hi)
+    out = np.zeros(flat.size)
+    # x^2 overflows past |x| = 1.3e154, as it does silently in a float
+    with np.errstate(over="ignore"):
+        out[inside] = m._formula(flat[inside], _ARRAYS)
+    return out.reshape(xs.shape)
 
 
 def quad(f, lo, hi, **kwargs):

@@ -4,8 +4,10 @@ import json
 import logging
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +452,92 @@ class TestConvergeCommand:
         assert code == 2
 
 
+SWEEP_SEED = 20261019
+# ends and neighbours of the double range, and the points where a family's
+# parameter domain or CircleWeight's scaling changes
+SWEEP_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-320, 1e-300, 1e300, 1.0, -1.0,
+               math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 2.0 ** 128, -2.0 ** 128,
+               1.7976931348623157e308, -1.7976931348623157e308)
+FAMILY_OPTION = {"real-s": "--s", "arctan": None, "circle-poisson": "--b",
+                 "harmonic-inf": "--r", "harmonic-i": "--r"}
+
+
+def sweep_value(rng):
+    """Log-uniform over [1e-320, 1e308] with either sign, or one time in five
+    an edge value."""
+    if rng.random() < 0.2:
+        return rng.choice(SWEEP_EDGES)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
+
+
+def sweep_argv(rng, command):
+    fmt = ["--format", rng.choice(("json", "csv"))]
+    if command == "converge":
+        ns = sorted(rng.sample(range(2, 80), rng.randint(1, 4)))
+        return ["converge", rng.choice(("--s", "--b")), repr(sweep_value(rng)),
+                "--n-list", ",".join(map(str, ns))] + fmt
+    family = rng.choice(sorted(FAMILY_OPTION))
+    lo, hi = sweep_value(rng), sweep_value(rng)
+    if rng.random() < 0.8:
+        lo, hi = sorted((lo, hi))
+    argv = ["measure", "--family", family, "--grid", f"{lo!r}:{hi!r}:{rng.randint(1, 40)}"]
+    if FAMILY_OPTION[family]:
+        argv += [FAMILY_OPTION[family], repr(sweep_value(rng))]
+    return argv + fmt
+
+
+def sweep_row_count(argv):
+    """The rows a measure or converge command that exits 0 prints."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "converge":
+        return len(opts["--n-list"].split(","))
+    family = opts["--family"]
+    lo, hi, count = opts["--grid"].split(":")
+    if family == "arctan":
+        return int(count)
+    make = {"real-s": MeasureSpec.real_sgt1, "circle-poisson": MeasureSpec.circle_poisson,
+            "harmonic-inf": MeasureSpec.harmonic_inf, "harmonic-i": MeasureSpec.harmonic_i}
+    first, last = make[family](float(opts[FAMILY_OPTION[family]])).support
+    with np.errstate(over="ignore"):
+        grid = np.linspace(float(lo), float(hi), int(count))
+    # the grid clipped to the support, its ends pinned as the first and last rows
+    return 2 + int(np.count_nonzero((grid > first) & (grid < last)))
+
+
+def sweep_cells(text, fmt):
+    """The cells of a measure or converge table, row by row."""
+    if fmt == "json":
+        return [list(row.values()) for row in json.loads(text)["rows"]]
+    header, *rows = csv_rows(text)
+    assert all(len(row) == len(header) for row in rows)
+    return [[float(cell) for cell in row] for row in rows]
+
+
+class TestContractSweep:
+    def test_measure_and_converge_keep_the_exit_code_contract(self, capsys):
+        # 600 invocations drawn from one seed, a third of them converge: each
+        # exits 0 or 2 with no warning and no traceback, and on 0 prints a
+        # table of the right length with finite cells
+        rng = random.Random(SWEEP_SEED)
+        failures, codes = [], []
+        for i in range(600):
+            argv = sweep_argv(rng, "converge" if i % 3 == 0 else "measure")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, *argv)
+            codes.append(code)
+            if code not in (0, 2) or caught or "Traceback" in err:
+                failures.append((argv, code, [str(w.message) for w in caught], err))
+            elif code == 0:
+                rows = sweep_cells(out, argv[-1])
+                if (len(rows) != sweep_row_count(argv)
+                        or not all(math.isfinite(v) for row in rows for v in row)):
+                    failures.append((argv, code, out[:200]))
+        assert failures == []
+        # the draw reaches both outcomes of both commands
+        assert codes.count(0) > 200 and codes.count(2) > 200
+
+
 def csv_writer_text(header, rows):
     """The table as csv.writer writes it, floats given 17 digits first."""
     buf = io.StringIO()
@@ -485,7 +573,7 @@ class TestWriters:
         header = ("n", "name", "x", "y", "z")
         rows = [(3, "real", 0.1, np.float64(-2.5e-300), np.int64(7)),
                 (10**20, "closed", math.inf, -0.0, True)]
-        assert _to_csv(header, rows) == csv_writer_text(header, rows)
+        assert _to_csv(header, list(zip(*rows))) == csv_writer_text(header, rows)
         assert _to_csv(header, []) == csv_writer_text(header, [])
 
     @pytest.mark.parametrize("family, params, grid", [

@@ -724,6 +724,25 @@ class TestDensityClosures:
         pts = cdf_points(m, 4001)
         assert bits(density(m, np.array(pts))) == bits([density(m, x) for x in pts])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [
+        # x^2 overflows past |x| = 1.3e154 (numpy warns where a float does not)
+        MeasureSpec.arctan(), MeasureSpec.harmonic_i(1e300),
+        # r and x scaled by a power of two, or the root next to 1e-150
+        MeasureSpec.harmonic_inf(1e-300), MeasureSpec.harmonic_i(1e-300),
+        MeasureSpec.real_sgt1(1e300),
+        # the charge past 2^128, where CircleWeight scales it
+        MeasureSpec.circle_poisson(2.0 ** 129), MeasureSpec.circle_poisson(-1e200),
+        MeasureSpec.circle_poisson(-1.7976931348623157e308),
+    ], ids=spec_id)
+    def test_array_at_the_ends_of_the_double_range(self, m):
+        big = np.logspace(-300.0, 300.0, 601)
+        extra = [1.3e154, 1.4e154, -1.7976931348623157e308, 1.7976931348623157e308]
+        pts = cdf_points(m, 4001) + extra + big.tolist() + (-big).tolist()
+        values = density(m, np.array(pts))
+        assert bits(values) == bits([density(m, x) for x in pts])
+        assert np.count_nonzero(values) > 500
+
     def test_shapes(self):
         m = MeasureSpec.real_sgt1(2.0)
         grid = np.linspace(-2.0, 2.0, 12)
