@@ -13,9 +13,11 @@ over point configurations on the line (coordinates) or on the unit circle
 i.e. the gradient of the unnormalized objective
 sum_{j<k} log (x_j - x_k)^2 - s(n-1) sum_k log(x_k^2 + a^2); the circle
 variant differentiates the analogous objective with respect to the angles.
-`scaled_residual` divides each |g_k| by the sum of the sizes 2q/|z_k - c| of
-its terms, one per charge q at c (the other points and the weight's charge):
-0 at a Fekete set, at most 1, and unchanged by scaling the problem.
+`scaled_residual` divides each |g_k| by the sum of the sizes of its terms,
+one per charge q at c (the other points and the weight's charge): 2q/|z_k - c|
+for a pair and for the circle's charge, and its own modulus
+2s(n-1)|x_k|/(x_k^2 + a^2) for the line weight's term.  It reads 0 at a
+Fekete set, at most 1, and is unchanged by scaling the problem.
 
 The optimizer works in angles for both weights: x = a tan(theta/2) maps the
 line onto theta in (-pi, pi), where the objective becomes, up to a constant,
@@ -212,7 +214,11 @@ def _gradient(points, weight, with_scale: bool = False):
     q log|z_k - c| for one charge c: another point (q = 1), or the weight's
     charge, ai of strength s(n-1) on the line or b of strength n-1 on the
     circle.  Its size is the modulus of that derivative in the complex plane,
-    2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points.  A circle
+    2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points.  The line
+    weight's term is the real part of such a derivative, smaller than its
+    modulus 2s(n-1)/|x_k - ai| by |x_k|/|x_k - ai|, and takes its own
+    modulus as its size: the larger one would hide the error of points at
+    |x_k| << a, where a large s puts them.  A circle
     pair takes its cot as 1/tan of the half difference, one transcendental
     per pair, and the sine for its csc only when the scale is asked for, into
     a second block buffer allocated once per call.  The pair terms are
@@ -225,7 +231,7 @@ def _gradient(points, weight, with_scale: bool = False):
         # overflow or underflow at extreme x and a
         h = np.hypot(x, weight.a)
         field = 2.0 * weight.s * (n - 1) * (x / h) / h
-        field_size = 2.0 * weight.s * (n - 1) / h if with_scale else None
+        field_size = np.abs(field) if with_scale else None
         pair_sums, spare = _line_pair_sums, False
     elif isinstance(weight, CircleWeight):
         # den = |e^{ix} - b|^2 u^2: each term below carries one factor u back
@@ -261,7 +267,8 @@ def energy_gradient(points, weight) -> np.ndarray:
 
 def scaled_residual(points, weight) -> float:
     """max_k |g_k| / (sum of the sizes of the terms of g_k) in the weight's own
-    coordinates (see module docstring); meaningful also where symmetry zeroes
+    coordinates, each term sized as in the module docstring (the line
+    weight's term by its own modulus); meaningful also where symmetry zeroes
     every term, as for n = 2 circle points at 0 and pi.  Coincident points
     are an error."""
     g, scale = _gradient(points, weight, with_scale=True)
@@ -305,7 +312,7 @@ def _angle_problem(weight, n: int):
                     -0.25 * c / cos_half ** 2)
 
         def ordered(t):
-            return -math.pi < t[0] and t[-1] < math.pi and bool(np.all(np.diff(t) > 0.0))
+            return -math.pi < t[0] and t[-1] < math.pi and bool((t[1:] > t[:-1]).all())
 
         return field, ordered, lambda t: weight.a * np.tan(t / 2.0)
     if isinstance(weight, CircleWeight):
@@ -320,32 +327,42 @@ def _angle_problem(weight, n: int):
                     -m * c * (cos * den - 2.0 * c * u * sin * sin) / den ** 2 * u)
 
         def ordered(t):
-            return t[-1] - t[0] < TWO_PI and bool(np.all(np.diff(t) > 0.0))
+            return t[-1] - t[0] < TWO_PI and bool((t[1:] > t[:-1]).all())
 
         return field, ordered, lambda t: _gauge_circle(b, t)
     raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
 
 
-def _angle_objective(t: np.ndarray, field) -> float:
-    chords = 2.0 * np.abs(np.sin(_pair_differences(t) / 2.0))
-    return float(np.sum(np.log(chords)) + np.sum(field(t)[0]))
-
-
-def _angle_derivatives(t: np.ndarray, field):
-    """Gradient, the summed sizes of its terms and the negated Hessian.  The
-    chord part contributes (1/2) cot(d/2), of size 1/chord = (1/2) csc(d/2),
-    to the gradient and the Laplacian with weights (1/4) csc^2(d/2) to the
-    negated Hessian."""
-    half = (t[:, None] - t[None, :]) / 2.0
-    np.fill_diagonal(half, math.pi / 2.0)  # cot = 0, csc^2 = 1 placeholders
+def _angle_evaluation(t: np.ndarray, field):
+    """The objective at the angles t, and what _angle_derivatives needs at t:
+    the half differences (t_k - t_j)/2, their sines, phi' and phi''.  The
+    half differences are t_k/2 - t_j/2, which halving leaves exact; the chord
+    logs are summed over the pairs j < k in row-major order."""
+    t_half = t / 2.0
+    half = t_half[:, None] - t_half[None, :]
     sin_half = np.sin(half)
-    inv_chord = 0.5 / sin_half  # 1/chord, up to sign
+    chords = 2.0 * np.abs(sin_half[_upper_mask(t.size)])
+    phi, d1, d2 = field(t)
+    return float(np.log(chords).sum() + phi.sum()), (half, sin_half, d1, d2)
+
+
+def _angle_derivatives(half, sin_half, d1, d2):
+    """Gradient, the summed sizes of its terms and the negated Hessian from an
+    evaluation's arrays, which it overwrites.  The chord part contributes
+    (1/2) cot(d/2), of size 1/chord = (1/2) csc(d/2), to the gradient and the
+    Laplacian with weights (1/4) csc^2(d/2) to the negated Hessian."""
+    np.fill_diagonal(half, math.pi / 2.0)  # cot = 0, csc^2 = 1 placeholders
+    np.fill_diagonal(sin_half, 1.0)  # sin(pi/2)
+    inv_chord = np.divide(0.5, sin_half, out=sin_half)  # 1/chord, up to sign
     np.fill_diagonal(inv_chord, 0.0)
-    neg_h = -inv_chord * inv_chord
-    _, d1, d2 = field(t)
-    np.fill_diagonal(neg_h, -np.sum(neg_h, axis=1) - d2)
-    g = np.sum(inv_chord * np.cos(half), axis=1) + d1
-    return g, np.sum(np.abs(inv_chord), axis=1) + np.abs(d1), neg_h
+    g = np.multiply(inv_chord, np.cos(half, out=half), out=half).sum(axis=1) + d1
+    size = np.abs(inv_chord, out=inv_chord)
+    scale = size.sum(axis=1) + np.abs(d1)
+    neg_h = np.square(size, out=size)
+    laplace_diag = neg_h.sum(axis=1) - d2
+    np.negative(neg_h, out=neg_h)
+    np.fill_diagonal(neg_h, laplace_diag)
+    return g, scale, neg_h
 
 
 def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -366,11 +383,11 @@ def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
     docstring) moves every angle, so its near-null direction is caught.
     """
     try:
-        pivots = np.diagonal(np.linalg.cholesky(neg_h))
+        pivots = np.linalg.cholesky(neg_h).diagonal()
     except np.linalg.LinAlgError:
         pass
     else:
-        if np.min(pivots) ** 2 > 1e-10 * np.max(np.diagonal(neg_h)):
+        if pivots.min() ** 2 > 1e-10 * neg_h.diagonal().max():
             return np.linalg.solve(neg_h, g)
     lam, vec = np.linalg.eigh(neg_h)
     lam = np.abs(lam)
@@ -382,16 +399,18 @@ def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _newton(t: np.ndarray, field, ordered):
     """Damped Newton ascent from the ordered angles t (see module docstring);
     returns the final angles, their objective (before a last full step, which
-    gains less than its rounding), the Newton steps and the backtracks."""
-    f = _angle_objective(t, field)
+    gains less than its rounding), the Newton steps and the backtracks.  Each
+    iterate is evaluated once: the line search's evaluation of the accepted
+    candidate, its sines and its field, feeds the next step's derivatives."""
+    f, at_t = _angle_evaluation(t, field)
     steps = backtracks = 0
     while steps < _MAX_NEWTON_STEPS:
-        g, scale, neg_h = _angle_derivatives(t, field)
-        if np.max(np.abs(g) / scale) <= 1e-13:
+        g, scale, neg_h = _angle_derivatives(*at_t)
+        if (np.abs(g) / scale).max() <= 1e-13:
             break
         p = _newton_step(neg_h, g)
         slope = float(g @ p)
-        if slope <= 1e-15 * (1.0 + abs(f) + np.max(np.abs(t)) * np.sum(scale)):
+        if slope <= 1e-15 * (1.0 + abs(f) + np.abs(t).max() * scale.sum()):
             if ordered(t + p):
                 t = t + p
                 steps += 1
@@ -400,14 +419,14 @@ def _newton(t: np.ndarray, field, ordered):
         for _ in range(60):
             cand = t + step * p
             if ordered(cand):
-                f_cand = _angle_objective(cand, field)
+                f_cand, at_cand = _angle_evaluation(cand, field)
                 if f_cand > f + 1e-4 * step * slope:
                     break
             step *= 0.5
             backtracks += 1
         else:
             break  # no ascent along p: stalled
-        t, f = cand, f_cand
+        t, f, at_t = cand, f_cand, at_cand
         steps += 1
     return t, f, steps, backtracks
 

@@ -84,6 +84,17 @@ class TestOptimizeCommand:
         assert payload["converged"] is True
         assert circle_residual(payload["points"], 0.99) <= 1e-9
 
+    def test_line_far_inside_the_charge_is_not_converged(self, capsys):
+        # the weight's term was sized 2s(n-1)/|x - ai|, 1.2e6 times the term
+        # at the outer points, so this read converged (scaled residual
+        # 4.7e-12) with its outer points 2.7e-6 relative off the closed form
+        code, out, err = run(capsys, "real", "--a", "1", "--s", "1e12", "--n", "3",
+                             "--method", "optimize")
+        assert code == 3 and "did not reach" in err
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert line_residual(payload["points"], 1.0, 1e12) > 1e-10
+
     @pytest.mark.parametrize("b", ["0.999", "-0.999"])
     def test_circle_next_to_unit_charge_at_large_n(self, capsys, b):
         payload = run_json(capsys, "circle", "--b", b, "--n", "240", "--method", "optimize")
@@ -486,6 +497,42 @@ def sweep_argv(rng, command):
     return argv + fmt
 
 
+def sweep_points_argv(rng):
+    """A real or circle command over sweep_value's domain; three in ten run
+    the optimizer, at n <= 6."""
+    if rng.random() < 0.3:
+        method, n = "optimize", rng.randint(2, 6)
+    else:
+        method, n = "closed", rng.randint(2, 40)
+    if rng.random() < 0.5:
+        argv = ["real", "--a", repr(sweep_value(rng)), "--s", repr(sweep_value(rng))]
+    else:
+        argv = ["circle", "--b", repr(sweep_value(rng))]
+    return argv + ["--n", str(n), "--method", method,
+                   "--format", rng.choice(("json", "csv"))]
+
+
+def sweep_numbers(text, fmt):
+    """Every number a real or circle command prints."""
+    if fmt == "csv":
+        numbers = []
+        for cell in csv_rows(text)[1]:
+            try:
+                numbers.append(float(cell))
+            except ValueError:  # the command and method names
+                pass
+        return numbers
+
+    def walk(value):
+        if isinstance(value, dict):
+            return [v for item in value.values() for v in walk(item)]
+        if isinstance(value, list):
+            return [v for item in value for v in walk(item)]
+        return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+    return walk(json.loads(text))
+
+
 def sweep_row_count(argv):
     """The rows a measure or converge command that exits 0 prints."""
     opts = dict(zip(argv[1::2], argv[2::2]))
@@ -536,6 +583,28 @@ class TestContractSweep:
         assert failures == []
         # the draw reaches both outcomes of both commands
         assert codes.count(0) > 200 and codes.count(2) > 200
+
+    def test_real_and_circle_keep_the_exit_code_contract(self, capsys):
+        # 1000 invocations drawn from one seed: each exits 0, 2 or 3 (an
+        # unconverged optimizer result), or 1 with nothing on stdout where
+        # the points coincide in double precision (b one ulp from 1), with
+        # no warning and no traceback, and on 0 or 3 prints only finite
+        # numbers
+        rng = random.Random(SWEEP_SEED)
+        failures, codes = [], []
+        for _ in range(1000):
+            argv = sweep_points_argv(rng)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, *argv)
+            codes.append(code)
+            coincide = code == 1 and out == "" and "coincide in double precision" in err
+            if not (code in (0, 2, 3) or coincide) or caught or "Traceback" in err:
+                failures.append((argv, code, [str(w.message) for w in caught], err))
+            elif code in (0, 3) and not all(map(math.isfinite, sweep_numbers(out, argv[-1]))):
+                failures.append((argv, code, out[:200]))
+        assert failures == []
+        assert codes.count(0) > 400 and codes.count(2) > 200 and codes.count(3) > 0
 
 
 def csv_writer_text(header, rows):

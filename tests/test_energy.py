@@ -120,7 +120,7 @@ def dense_gradient(points, weight, cot=lambda half: 1.0 / np.tan(half)):
         pair = 2.0 / d
         h = np.hypot(x, weight.a)
         g = np.sum(pair, axis=1) - 2.0 * weight.s * (n - 1) * (x / h) / h
-        return g, np.sum(np.abs(pair), axis=1) + 2.0 * weight.s * (n - 1) / h
+        return g, np.sum(np.abs(pair), axis=1) + np.abs(2.0 * weight.s * (n - 1) * (x / h) / h)
     half = d / 2.0
     np.fill_diagonal(half, math.pi / 2.0)
     pair = cot(half)
@@ -503,6 +503,89 @@ class TestNewtonPath:
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert optimize(RealWeight(a, s), n).converged
+
+
+def two_evaluation_objective(t, field):
+    chords = 2.0 * np.abs(np.sin(fekete.energy._pair_differences(t) / 2.0))
+    return float(np.sum(np.log(chords)) + np.sum(field(t)[0]))
+
+
+def two_evaluation_derivatives(t, field):
+    half = (t[:, None] - t[None, :]) / 2.0
+    np.fill_diagonal(half, math.pi / 2.0)
+    inv_chord = 0.5 / np.sin(half)
+    np.fill_diagonal(inv_chord, 0.0)
+    neg_h = -inv_chord * inv_chord
+    _, d1, d2 = field(t)
+    np.fill_diagonal(neg_h, -np.sum(neg_h, axis=1) - d2)
+    g = np.sum(inv_chord * np.cos(half), axis=1) + d1
+    return g, np.sum(np.abs(inv_chord), axis=1) + np.abs(d1), neg_h
+
+
+def two_evaluation_newton(t, field, ordered):
+    """The Newton loop that evaluates each accepted iterate twice: once for
+    the objective in the line search, once more for the derivatives of the
+    next step."""
+    f = two_evaluation_objective(t, field)
+    steps = backtracks = 0
+    while steps < fekete.energy._MAX_NEWTON_STEPS:
+        g, scale, neg_h = two_evaluation_derivatives(t, field)
+        if np.max(np.abs(g) / scale) <= 1e-13:
+            break
+        p = fekete.energy._newton_step(neg_h, g)
+        slope = float(g @ p)
+        if slope <= 1e-15 * (1.0 + abs(f) + np.max(np.abs(t)) * np.sum(scale)):
+            if ordered(t + p):
+                t = t + p
+                steps += 1
+            break
+        step = 1.0
+        for _ in range(60):
+            cand = t + step * p
+            if ordered(cand):
+                f_cand = two_evaluation_objective(cand, field)
+                if f_cand > f + 1e-4 * step * slope:
+                    break
+            step *= 0.5
+            backtracks += 1
+        else:
+            break
+        t, f = cand, f_cand
+        steps += 1
+    return t, f, steps, backtracks
+
+
+def newton_stages(monkeypatch, newton, weight, n):
+    """(angles, objective, steps, backtracks) of each stage of optimize(weight,
+    n) with newton as its Newton loop."""
+    stages = []
+
+    def recorded(t, field, ordered):
+        stages.append(newton(t, field, ordered))
+        return stages[-1]
+
+    monkeypatch.setattr(fekete.energy, "_newton", recorded)
+    optimize(weight, n)
+    return stages
+
+
+class TestOneEvaluationPerIterate:
+    # the optimize workload's shapes, then the continuation and eigen path
+    # next to the circle's charge, and the line's slowest s
+    @pytest.mark.parametrize("weight, n", [
+        (RealWeight(1.54, 2.03), 12), (RealWeight(1.54, 2.03), 24),
+        (RealWeight(1.54, 2.03), 48), (RealWeight(1.54, 1.0), 4), (RealWeight(1.54, 1.0), 6),
+        (CircleWeight(0.351), 12), (CircleWeight(0.351), 24), (CircleWeight(0.351), 48),
+        (CircleWeight(2.79), 12), (CircleWeight(2.79), 24), (CircleWeight(2.79), 48),
+        (CircleWeight(-0.9), 12), (CircleWeight(0.999), 12), (RealWeight(1.3, 1.001), 48),
+    ])
+    def test_same_bits_as_two_evaluations(self, monkeypatch, weight, n):
+        one = newton_stages(monkeypatch, fekete.energy._newton, weight, n)
+        two = newton_stages(monkeypatch, two_evaluation_newton, weight, n)
+        assert len(one) == len(two) >= 1
+        for (t, f, steps, backtracks), (t_ref, f_ref, steps_ref, backtracks_ref) in zip(one, two):
+            assert np.array_equal(t, t_ref)
+            assert f == f_ref and steps == steps_ref and backtracks == backtracks_ref
 
 
 class TestScaledResidual:
