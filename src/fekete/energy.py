@@ -25,23 +25,30 @@ line onto theta in (-pi, pi), where the objective becomes, up to a constant,
     sum_{j<k} log|2 sin((theta_k - theta_j)/2)| + sum_k phi(theta_k)
 
 with phi = (n-1)(s-1) log(2 cos(theta/2)); on the circle phi = (n-1) log w in
-its own angles.  Each stage runs damped Newton ascent, a modified Newton
-method (Nocedal & Wright, Numerical Optimization, sec. 3.4).  Where the
-negated Hessian has a Cholesky factor whose smallest pivot squared exceeds
-1e-10 of its largest diagonal entry (the pivot guard), the step is the
-plain Newton step.  Otherwise it comes from the eigendecomposition with
-|lambda| for each eigenvalue, dropping |lambda| <= 1e-10 max|lambda| (the
-s = 1 rotation, the free Moebius rotation).  The guard is needed on the
-circle, whose objective is unchanged along the Moebius-conjugated rotation
-(the gauge orbit): next to every stationary point the matrix is nearly
-singular along it, and a plain Newton step there stalls.  On the line the
-matrix is bounded below by (n-1)(s-1)/4 and every step takes the Cholesky
-path; on the circle the eigen path serves the steps where it is indefinite
-or nearly singular.  The step backtracks to the Armijo condition (constant
-1e-4) and is kept only if the points stay ordered.  A stage stops when its
-angle-space scaled residual is <= 1e-13, or, after one last full step, when
-g.p falls to the rounding level of the objective f, 1e-15 (1 + |f| +
-max|theta| sum_k scale_k).
+its own angles.  Both weights are even under theta -> -theta (real b), and
+the optimizer keeps the angles reflection-symmetric: it moves the m = n // 2
+positive angles u of theta = (-u reversed, [0 at odd n], u), and each stage
+of it maximizes the objective of those n angles as a function of u.  By the
+principle of symmetric criticality (Palais 1979) a stationary point in u is
+stationary in all n angles, which the final residual checks.  Each stage
+runs damped Newton ascent, a modified Newton method (Nocedal & Wright,
+Numerical Optimization, sec. 3.4), on the m x m folded negated Hessian M =
+(Q^T N Q)/2, N that of the n angles and Q the map u -> theta.  Where M has a
+Cholesky factor whose smallest pivot squared exceeds 1e-10 of its largest
+diagonal entry (the pivot guard), the step is the plain Newton step.
+Otherwise it comes from the eigendecomposition with |lambda| for each
+eigenvalue, dropping |lambda| <= 1e-10 max|lambda|.  In all n angles the
+circle's objective is unchanged along the Moebius-conjugated rotation (the
+gauge orbit), and on the line at s = 1 along the common rotation; both
+tangents are odd under the reflection, so the fold removes them.  On the
+line M is bounded below by (n-1)(s-1)/4 and positive definite even at
+s = 1, so every step takes the Cholesky path; on the circle the eigen path
+serves the steps where M is indefinite, next to the charge.  The step
+backtracks to the Armijo condition (constant 1e-4) and is kept only if
+0 < u_1 < ... < u_m < pi.  A stage stops when its scaled residual in the
+angles u is <= 1e-13, or, after one last full step, when the slope 2 g.p
+falls to the rounding level of the objective f, 1e-15 (1 + |f| + max|theta|
+sum_k scale_k), the sum over all n angles.
 
 The path starts at the equispaced angles, exact for the line at s = 1 and
 for the circle at b = 0 and b -> infinity; the line runs one stage.  From
@@ -59,9 +66,9 @@ is concave, strictly for s > 1 and flat only along the common rotation at
 s = 1.  On the circle the Moebius map carries the objective to the unweighted
 one of the preimage angles plus a constant, concave in the same way in those
 angles.  The optimizer works in the raw angles, where it is not: the
-negated Hessian is indefinite on some steps next to the charge, and nearly
-singular along the gauge orbit.  The result is converged when its
-`scaled_residual` in the command's coordinates is <= RESIDUAL_TOL = 1e-10.
+folded negated Hessian is indefinite on some steps next to the charge.  The
+result is converged when its `scaled_residual` in the command's coordinates
+is <= RESIDUAL_TOL = 1e-10.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, CircleWeight, _sorted_angles, mobius
+from .circle import CircleWeight, _sorted_angles, mobius
 from .errors import DegenerateInputError, InvalidInputError, NumericalError, checked_n
 from .real_line import RealWeight
 
@@ -299,8 +306,7 @@ def sine_product_bound(n: int) -> float:
 
 def _angle_problem(weight, n: int):
     """The per-weight parts of the angle-space objective: the field (phi,
-    phi', phi'' per angle), the order test and the map to the command's
-    coordinates."""
+    phi', phi'' per angle) and the map to the command's coordinates."""
     if isinstance(weight, RealWeight):
         # a numpy scalar, so that a c past the double range raises under
         # optimize's errstate before the first Newton step
@@ -311,10 +317,7 @@ def _angle_problem(weight, n: int):
             return (c * np.log(2.0 * cos_half), -0.5 * c * np.tan(t / 2.0),
                     -0.25 * c / cos_half ** 2)
 
-        def ordered(t):
-            return -math.pi < t[0] and t[-1] < math.pi and bool((t[1:] > t[:-1]).all())
-
-        return field, ordered, lambda t: weight.a * np.tan(t / 2.0)
+        return field, lambda t: weight.a * np.tan(t / 2.0)
     if isinstance(weight, CircleWeight):
         # den = |e^{it} - b|^2 u^2 and c = bu: phi' and phi'' carry one factor u back
         b, m, u = weight.b, n - 1, weight.unit
@@ -326,43 +329,70 @@ def _angle_problem(weight, n: int):
             return (-0.5 * m * np.log(den) + m * log_u, -m * c * sin / den * u,
                     -m * c * (cos * den - 2.0 * c * u * sin * sin) / den ** 2 * u)
 
-        def ordered(t):
-            return t[-1] - t[0] < TWO_PI and bool((t[1:] > t[:-1]).all())
-
-        return field, ordered, lambda t: _gauge_circle(b, t)
+        return field, lambda t: _gauge_circle(b, t)
     raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
 
 
-def _angle_evaluation(t: np.ndarray, field):
-    """The objective at the angles t, and what _angle_derivatives needs at t:
-    the half differences (t_k - t_j)/2, their sines, phi' and phi''.  The
-    half differences are t_k/2 - t_j/2, which halving leaves exact; the chord
-    logs are summed over the pairs j < k in row-major order."""
-    t_half = t / 2.0
-    half = t_half[:, None] - t_half[None, :]
+def _unfolded(u: np.ndarray, n: int) -> np.ndarray:
+    """The n reflection-symmetric angles (-u reversed, [0 at odd n], u) of the
+    m = n // 2 positive angles u."""
+    return np.concatenate((-u[::-1], np.zeros(n % 2), u))
+
+
+def _self_pairs(block: np.ndarray) -> np.ndarray:
+    """The entries (k, n - m + k) of an m x n block, the pairs of each row's
+    angle u_k with itself, as a writable view."""
+    m, n = block.shape
+    return block.reshape(-1)[n - m::n + 1]
+
+
+def _ordered(u: np.ndarray) -> bool:
+    """0 < u_1 < ... < u_m < pi: the unfolded angles are ordered in (-pi, pi)."""
+    return 0.0 < u[0] and u[-1] < math.pi and bool((u[1:] > u[:-1]).all())
+
+
+def _angle_evaluation(u: np.ndarray, n: int, field, phi_mid: float):
+    """The objective at the unfolded angles t of u, and what
+    _angle_derivatives needs there: the half differences (u_k - t_j)/2 of the
+    m rows against all n columns, their sines, phi' and phi'' at u.  The half
+    differences are u_k/2 - t_j/2, which halving leaves exact.  Each pair of
+    positive angles sits twice in the block and stands for itself and its
+    mirror pair of negative angles; each pair of a positive and a negative
+    angle sits once; the middle angle 0 at odd n pairs with u_k and -u_k at
+    the same chord, so its column counts twice.  The self pairs get the sine
+    1/2, a chord of 1 and a log of 0.  phi_mid is phi(0) at odd n, else 0."""
+    m = u.size
+    u_half = u / 2.0
+    half = u_half[:, None] - _unfolded(u_half, n)[None, :]
     sin_half = np.sin(half)
-    chords = 2.0 * np.abs(sin_half[_upper_mask(t.size)])
-    phi, d1, d2 = field(t)
-    return float(np.log(chords).sum() + phi.sum()), (half, sin_half, d1, d2)
+    _self_pairs(sin_half)[...] = 0.5
+    logs = np.log(np.abs(sin_half) * 2.0)
+    phi, d1, d2 = field(u)
+    chords = logs.sum() + logs[:, m].sum() if n % 2 else logs.sum()
+    return float(chords + 2.0 * phi.sum() + phi_mid), (half, sin_half, d1, d2)
 
 
 def _angle_derivatives(half, sin_half, d1, d2):
-    """Gradient, the summed sizes of its terms and the negated Hessian from an
-    evaluation's arrays, which it overwrites.  The chord part contributes
-    (1/2) cot(d/2), of size 1/chord = (1/2) csc(d/2), to the gradient and the
-    Laplacian with weights (1/4) csc^2(d/2) to the negated Hessian."""
-    np.fill_diagonal(half, math.pi / 2.0)  # cot = 0, csc^2 = 1 placeholders
-    np.fill_diagonal(sin_half, 1.0)  # sin(pi/2)
+    """From an evaluation's arrays, which it overwrites: the gradient g of the
+    m rows, the summed sizes of its terms per row, their sum over all n rows
+    of the unfolded angles, and the folded negated Hessian M.  The chord part
+    contributes (1/2) cot(d/2), of size 1/chord = (1/2) csc(d/2), to the
+    gradient, and weights w = (1/4) csc^2(d/2) to the negated Hessian N of
+    the n angles.  The rows -u_k mirror the rows u_k, and the middle row's
+    sizes are twice its column's in the block.  M = (Q^T N Q)/2 for the map
+    Q: u -> t: M_kl = w(k, -l) - w(k, +l) and M_kk = sum_j w(k, j) + w(k, -k)
+    - phi''(u_k)."""
+    m, n = half.shape
     inv_chord = np.divide(0.5, sin_half, out=sin_half)  # 1/chord, up to sign
-    np.fill_diagonal(inv_chord, 0.0)
+    _self_pairs(inv_chord)[...] = 0.0
     g = np.multiply(inv_chord, np.cos(half, out=half), out=half).sum(axis=1) + d1
     size = np.abs(inv_chord, out=inv_chord)
     scale = size.sum(axis=1) + np.abs(d1)
-    neg_h = np.square(size, out=size)
-    laplace_diag = neg_h.sum(axis=1) - d2
-    np.negative(neg_h, out=neg_h)
-    np.fill_diagonal(neg_h, laplace_diag)
-    return g, scale, neg_h
+    scale_sum = 2.0 * (scale.sum() + size[:, m].sum() if n % 2 else scale.sum())
+    w = np.square(size, out=size)
+    neg_h = w[:, m - 1::-1] - w[:, n - m:]
+    neg_h.reshape(-1)[::m + 1] += w.sum(axis=1) - d2
+    return g, scale, scale_sum, neg_h
 
 
 def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -377,10 +407,11 @@ def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
     on the eigen path.  Each pivot squared is a Schur complement, at least
     lambda_min, so every matrix whose eigenvalues all lie above the cut
     passes it, and there the two steps agree up to rounding.  Conversely the
-    last pivot is L_nn^2 = 1/(neg_h^-1)_nn <= lambda_i / (v_i)_n^2 for every
+    last pivot is L_mm^2 = 1/(neg_h^-1)_mm <= lambda_i / (v_i)_m^2 for every
     eigenpair: a small eigenvalue fails the guard unless its eigenvector
-    nearly vanishes in the last angle.  The circle's gauge orbit (see module
-    docstring) moves every angle, so its near-null direction is caught.
+    nearly vanishes in the last angle.  The optimizer's folded matrices (see
+    module docstring) keep no such direction: the line's is positive
+    definite, and the circle's takes the eigen path where it is indefinite.
     """
     try:
         pivots = np.linalg.cholesky(neg_h).diagonal()
@@ -396,39 +427,43 @@ def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return vec @ ((vec.T @ g) / lam[keep])
 
 
-def _newton(t: np.ndarray, field, ordered):
-    """Damped Newton ascent from the ordered angles t (see module docstring);
-    returns the final angles, their objective (before a last full step, which
-    gains less than its rounding), the Newton steps and the backtracks.  Each
-    iterate is evaluated once: the line search's evaluation of the accepted
-    candidate, its sines and its field, feeds the next step's derivatives."""
-    f, at_t = _angle_evaluation(t, field)
+def _newton(u: np.ndarray, n: int, field):
+    """Damped Newton ascent from the ordered positive angles u of n
+    reflection-symmetric angles (see module docstring); returns the final u,
+    the objective of the n angles (before a last full step, which gains less
+    than its rounding), the Newton steps and the backtracks.  The objective
+    of u is that of its unfolded angles, whose gradient in u is 2 g, so the
+    step solves M p = g and the slope along it is 2 g.p.  Each iterate is
+    evaluated once: the line search's evaluation of the accepted candidate,
+    its sines and its field, feeds the next step's derivatives."""
+    phi_mid = float(field(np.zeros(1))[0][0]) if n % 2 else 0.0
+    f, at_u = _angle_evaluation(u, n, field, phi_mid)
     steps = backtracks = 0
     while steps < _MAX_NEWTON_STEPS:
-        g, scale, neg_h = _angle_derivatives(*at_t)
+        g, scale, scale_sum, neg_h = _angle_derivatives(*at_u)
         if (np.abs(g) / scale).max() <= 1e-13:
             break
         p = _newton_step(neg_h, g)
-        slope = float(g @ p)
-        if slope <= 1e-15 * (1.0 + abs(f) + np.abs(t).max() * scale.sum()):
-            if ordered(t + p):
-                t = t + p
+        slope = 2.0 * float(g @ p)
+        if slope <= 1e-15 * (1.0 + abs(f) + u[-1] * scale_sum):
+            if _ordered(u + p):
+                u = u + p
                 steps += 1
             break
         step = 1.0
         for _ in range(60):
-            cand = t + step * p
-            if ordered(cand):
-                f_cand, at_cand = _angle_evaluation(cand, field)
+            cand = u + step * p
+            if _ordered(cand):
+                f_cand, at_cand = _angle_evaluation(cand, n, field, phi_mid)
                 if f_cand > f + 1e-4 * step * slope:
                     break
             step *= 0.5
             backtracks += 1
         else:
             break  # no ascent along p: stalled
-        t, f, at_t = cand, f_cand, at_cand
+        u, f, at_u = cand, f_cand, at_cand
         steps += 1
-    return t, f, steps, backtracks
+    return u, f, steps, backtracks
 
 
 def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
@@ -470,19 +505,20 @@ def optimize(weight, n: int) -> FeketeResult:
     if isinstance(weight, CircleWeight):
         stages = [CircleWeight(c) for c in _continuation(weight.b)] + stages
 
-    t = (2.0 * np.arange(n) + 1.0 - n) * math.pi / n
+    # the positive half of the equispaced angles (2k + 1 - n) pi / n
+    u = (2.0 * np.arange(n // 2) + 1.0 + n % 2) * math.pi / n
     iterations = 0
     try:
         with np.errstate(over="raise"):
             for stage, stage_weight in enumerate(stages):
-                field, ordered, to_points = _angle_problem(stage_weight, n)
-                t, f, steps, backtracks = _newton(t, field, ordered)
+                field, to_points = _angle_problem(stage_weight, n)
+                u, f, steps, backtracks = _newton(u, n, field)
                 # the benchmark tracer parses this record, "start" wording and all
                 log.debug("start %d: objective %.15g after %d+%d iterations",
                           stage, f, steps, backtracks)
                 iterations += steps
 
-            x = to_points(t)
+            x = to_points(_unfolded(u, n))
             try:
                 g, scale = _gradient(x, weight, with_scale=True)
             except DegenerateInputError:

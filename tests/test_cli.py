@@ -101,6 +101,13 @@ class TestOptimizeCommand:
         assert payload["converged"] is True
         assert circle_residual(payload["points"], float(b)) <= 1e-9
 
+    def test_circle_next_to_unit_charge_at_small_n(self, capsys):
+        # the Newton run over all n angles stopped short of the tolerance
+        # here (exit 3); the run over the positive half converges
+        payload = run_json(capsys, "circle", "--b", "-0.999", "--n", "6", "--method", "optimize")
+        assert payload["converged"] is True
+        assert circle_residual(payload["points"], -0.999) <= 1e-9
+
 
 class TestRealCommand:
     def test_closed_s2(self, capsys):

@@ -489,8 +489,9 @@ class TestNewtonPath:
 
     @pytest.mark.parametrize("n", [48, 240])
     def test_gauge_orbit_kept_off_the_cholesky_path(self, n):
-        # without the pivot guard Cholesky accepts the nearly singular
-        # matrices next to the stationary point, and this stalls unconverged
+        # over all n angles, Cholesky accepted the nearly singular matrices
+        # next to the stationary point without the pivot guard, and this
+        # stalled unconverged; the fold removes that direction
         assert optimize(CircleWeight(2.79), n).converged
 
     @pytest.mark.parametrize("n", [12, 48, 240])
@@ -506,11 +507,14 @@ class TestNewtonPath:
 
 
 def two_evaluation_objective(t, field):
+    """The objective of all n angles t, over the pairs j < k."""
     chords = 2.0 * np.abs(np.sin(fekete.energy._pair_differences(t) / 2.0))
     return float(np.sum(np.log(chords)) + np.sum(field(t)[0]))
 
 
 def two_evaluation_derivatives(t, field):
+    """The gradient, the sizes of its terms and the negated Hessian of the
+    objective of all n angles t."""
     half = (t[:, None] - t[None, :]) / 2.0
     np.fill_diagonal(half, math.pi / 2.0)
     inv_chord = 0.5 / np.sin(half)
@@ -522,37 +526,82 @@ def two_evaluation_derivatives(t, field):
     return g, np.sum(np.abs(inv_chord), axis=1) + np.abs(d1), neg_h
 
 
-def two_evaluation_newton(t, field, ordered):
-    """The Newton loop that evaluates each accepted iterate twice: once for
-    the objective in the line search, once more for the derivatives of the
-    next step."""
-    f = two_evaluation_objective(t, field)
+def middle_field(n, field):
+    """phi(0), the middle angle's term of the objective at odd n, else 0."""
+    return float(field(np.zeros(1))[0][0]) if n % 2 else 0.0
+
+
+def folded_half_differences(u, n):
+    """(u_k - t_j)/2 for the m positive angles u against all n unfolded
+    angles t, and the index of each row's self pair."""
+    m = u.size
+    t = np.concatenate((-u[::-1], np.zeros(n % 2), u))
+    return (u[:, None] - t[None, :]) / 2.0, (np.arange(m), np.arange(n - m, n))
+
+
+def folded_objective(u, n, field):
+    """The objective of the unfolded angles of u from a fresh m x n block:
+    the self pairs as chords of 1, the middle column at odd n twice, the
+    field as 2 sum phi(u) + phi(0)."""
+    half, self_pairs = folded_half_differences(u, n)
+    chords = 2.0 * np.abs(np.sin(half))
+    chords[self_pairs] = 1.0
+    logs = np.log(chords)
+    total = np.sum(logs) + np.sum(logs[:, u.size]) if n % 2 else np.sum(logs)
+    return float(total + 2.0 * np.sum(field(u)[0]) + middle_field(n, field))
+
+
+def folded_derivatives(u, n, field):
+    """The folded gradient, its term sizes per row and over all n rows, and
+    M = (Q^T N Q)/2, from a fresh m x n block."""
+    m = u.size
+    half, self_pairs = folded_half_differences(u, n)
+    sin_half = np.sin(half)
+    sin_half[self_pairs] = 1.0
+    inv_chord = 0.5 / sin_half
+    inv_chord[self_pairs] = 0.0
+    _, d1, d2 = field(u)
+    g = np.sum(inv_chord * np.cos(half), axis=1) + d1
+    size = np.abs(inv_chord)
+    scale = np.sum(size, axis=1) + np.abs(d1)
+    scale_sum = 2.0 * (np.sum(scale) + np.sum(size[:, m]) if n % 2 else np.sum(scale))
+    w = size * size
+    neg_h = w[:, :m][:, ::-1] - w[:, n - m:]
+    neg_h[np.diag_indices(m)] += np.sum(w, axis=1) - d2
+    return g, scale, scale_sum, neg_h
+
+
+def two_evaluation_newton(u, n, field):
+    """The folded Newton loop that evaluates each accepted iterate twice:
+    once for the objective in the line search, once more for the
+    derivatives of the next step."""
+    f = folded_objective(u, n, field)
     steps = backtracks = 0
     while steps < fekete.energy._MAX_NEWTON_STEPS:
-        g, scale, neg_h = two_evaluation_derivatives(t, field)
+        g, scale, scale_sum, neg_h = folded_derivatives(u, n, field)
         if np.max(np.abs(g) / scale) <= 1e-13:
             break
         p = fekete.energy._newton_step(neg_h, g)
-        slope = float(g @ p)
-        if slope <= 1e-15 * (1.0 + abs(f) + np.max(np.abs(t)) * np.sum(scale)):
-            if ordered(t + p):
-                t = t + p
+        slope = 2.0 * float(g @ p)
+        if slope <= 1e-15 * (1.0 + abs(f) + u[-1] * scale_sum):
+            if fekete.energy._ordered(u + p):
+                u = u + p
                 steps += 1
             break
         step = 1.0
         for _ in range(60):
-            cand = t + step * p
-            if ordered(cand):
-                f_cand = two_evaluation_objective(cand, field)
+            cand = u + step * p
+            if fekete.energy._ordered(cand):
+                f_cand = folded_objective(cand, n, field)
                 if f_cand > f + 1e-4 * step * slope:
                     break
             step *= 0.5
             backtracks += 1
         else:
             break
-        t, f = cand, f_cand
+        u, f = cand, f_cand
         steps += 1
-    return t, f, steps, backtracks
+    return u, f, steps, backtracks
 
 
 def newton_stages(monkeypatch, newton, weight, n):
@@ -560,8 +609,8 @@ def newton_stages(monkeypatch, newton, weight, n):
     n) with newton as its Newton loop."""
     stages = []
 
-    def recorded(t, field, ordered):
-        stages.append(newton(t, field, ordered))
+    def recorded(u, n, field):
+        stages.append(newton(u, n, field))
         return stages[-1]
 
     monkeypatch.setattr(fekete.energy, "_newton", recorded)
@@ -583,9 +632,88 @@ class TestOneEvaluationPerIterate:
         one = newton_stages(monkeypatch, fekete.energy._newton, weight, n)
         two = newton_stages(monkeypatch, two_evaluation_newton, weight, n)
         assert len(one) == len(two) >= 1
-        for (t, f, steps, backtracks), (t_ref, f_ref, steps_ref, backtracks_ref) in zip(one, two):
-            assert np.array_equal(t, t_ref)
+        for (u, f, steps, backtracks), (u_ref, f_ref, steps_ref, backtracks_ref) in zip(one, two):
+            assert np.array_equal(u, u_ref)
             assert f == f_ref and steps == steps_ref and backtracks == backtracks_ref
+
+
+def fold_map(n):
+    """Q, the n x m matrix of the map u -> t = (-u reversed, [0 at odd n], u)."""
+    m = n // 2
+    q = np.zeros((n, m))
+    q[n - m + np.arange(m), np.arange(m)] = 1.0
+    q[m - 1 - np.arange(m), np.arange(m)] = -1.0
+    return q
+
+
+def assert_close_to_largest(value, ref, rel=1e-13):
+    ref = np.asarray(ref)
+    assert np.max(np.abs(value - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestReflectionFold:
+    @pytest.mark.parametrize("n", [2, 3, 12, 25, 48])
+    @pytest.mark.parametrize("weight", [RealWeight(1.3, 2.0), CircleWeight(0.9)],
+                             ids=["line", "circle"])
+    def test_folded_derivatives_match_the_full_space(self, weight, n):
+        # the folded objective is F(Q u) for the objective F of all n angles,
+        # so its gradient is Q^T g and its negated Hessian Q^T N Q; the fold
+        # returns both halved, and the full-space sum of the term sizes
+        u = np.sort(np.random.default_rng(n).uniform(0.0, math.pi, n // 2))
+        field, _ = fekete.energy._angle_problem(weight, n)
+        t = fekete.energy._unfolded(u, n)
+        q = fold_map(n)
+        assert np.array_equal(q @ u, t)
+        f, arrays = fekete.energy._angle_evaluation(u, n, field, middle_field(n, field))
+        g, scale, scale_sum, neg_h = fekete.energy._angle_derivatives(*arrays)
+        g_full, scale_full, neg_h_full = two_evaluation_derivatives(t, field)
+        assert f == pytest.approx(two_evaluation_objective(t, field), rel=1e-13)
+        assert_close_to_largest(g, q.T @ g_full / 2.0)
+        assert_close_to_largest(scale, scale_full[n - n // 2:])
+        assert scale_sum == pytest.approx(np.sum(scale_full), rel=1e-13)
+        assert_close_to_largest(neg_h, q.T @ neg_h_full @ q / 2.0)
+
+    @pytest.mark.parametrize("b", [0.35, 0.9, 2.79, 0.999, -0.999])
+    def test_circle_never_takes_the_eigen_path(self, eigh_calls, b):
+        # the gauge orbit's tangent is odd under the reflection, so the fold
+        # removes it; the full-space steps took the eigen path 2, 12, 2, 32
+        # and 21 times here
+        assert optimize(CircleWeight(b), 48).converged
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("weight, n", [(RealWeight(1.3, 2.0), 3), (RealWeight(1.3, 2.0), 25),
+                                           (CircleWeight(0.9), 25), (CircleWeight(-0.999), 7)],
+                             ids=["line-3", "line-25", "circle-25", "circle-7"])
+    def test_odd_n_keeps_the_middle_angle_at_zero(self, monkeypatch, weight, n):
+        # the angles handed to the command's coordinates are the exact
+        # unfolding of the positive half, with the middle angle 0
+        seen = []
+        unfolded = fekete.energy._unfolded
+
+        def spy(u, n):
+            seen.append(unfolded(u, n))
+            return seen[-1]
+
+        monkeypatch.setattr(fekete.energy, "_unfolded", spy)
+        res = optimize(weight, n)
+        assert res.converged
+        t = seen[-1]
+        assert t[n // 2] == 0.0 and np.array_equal(t, -t[::-1])
+        if isinstance(weight, RealWeight):
+            assert res.points[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [3, 25])
+    def test_odd_n_line_matches_the_closed_form(self, n):
+        res = optimize(RealWeight(1.3, 2.0), n)
+        ref = sgt1_points(1.3, 2.0, n)
+        assert res.converged
+        assert np.max(np.abs(np.asarray(res.points) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_odd_n_circle_matches_the_closed_diameter(self):
+        res = optimize(CircleWeight(0.9), 241)
+        assert res.converged
+        log_ref = math.log(circle_diameter(0.9, 241))
+        assert abs(res.log_diameter - log_ref) <= 1e-13 * abs(log_ref)
 
 
 class TestScaledResidual:
