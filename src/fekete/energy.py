@@ -24,31 +24,33 @@ line onto theta in (-pi, pi), where the objective becomes, up to a constant,
 
     sum_{j<k} log|2 sin((theta_k - theta_j)/2)| + sum_k phi(theta_k)
 
-with phi = (n-1)(s-1) log(2 cos(theta/2)); on the circle phi = (n-1) log w in
-its own angles.  Both weights are even under theta -> -theta (real b), and
-the optimizer keeps the angles reflection-symmetric: it moves the m = n // 2
-positive angles u of theta = (-u reversed, [0 at odd n], u), and each stage
-of it maximizes the objective of those n angles as a function of u.  By the
-principle of symmetric criticality (Palais 1979) a stationary point in u is
-stationary in all n angles, which the final residual checks.  Each stage
-runs damped Newton ascent, a modified Newton method (Nocedal & Wright,
-Numerical Optimization, sec. 3.4), on the m x m folded negated Hessian M =
-(Q^T N Q)/2, N that of the n angles and Q the map u -> theta.  Where M has a
-Cholesky factor whose smallest pivot squared exceeds 1e-10 of its largest
-diagonal entry (the pivot guard), the step is the plain Newton step.
-Otherwise it comes from the eigendecomposition with |lambda| for each
-eigenvalue, dropping |lambda| <= 1e-10 max|lambda|.  In all n angles the
+with phi = -((n-1)(s-1)/2) log1p(tan^2(theta/2)), written in tan(theta/2)
+alone so that it keeps its digits at |theta| ~ 2/sqrt(s), where a large s
+puts the points; on the circle phi = (n-1) log w in its own angles.  Both
+weights are even under theta -> -theta (real b), and the optimizer keeps
+the angles reflection-symmetric: it moves the m = n // 2 positive angles u
+of theta = (-u reversed, [0 at odd n], u), and each stage of it maximizes
+the objective of those n angles as a function of u.  By the principle of
+symmetric criticality (Palais 1979) a stationary point in u is stationary
+in all n angles, which the final residual checks.  Each stage runs damped
+Newton ascent, a modified Newton method (Nocedal & Wright, Numerical
+Optimization, sec. 3.4), on the m x m folded negated Hessian M = (Q^T N Q)/2,
+N that of the n angles and Q the map u -> theta.  The step is the plain
+Newton step M^-1 g where it climbs, g.p > 0, as wherever M is positive
+definite; otherwise, or where M is singular, it is g scaled by 1/|diag M|,
+which for a 1 x 1 M is the eigen-step g/|lambda|.  In all n angles the
 circle's objective is unchanged along the Moebius-conjugated rotation (the
 gauge orbit), and on the line at s = 1 along the common rotation; both
 tangents are odd under the reflection, so the fold removes them.  On the
 line M is bounded below by (n-1)(s-1)/4 and positive definite even at
-s = 1, so every step takes the Cholesky path; on the circle the eigen path
-serves the steps where M is indefinite, next to the charge.  The step
-backtracks to the Armijo condition (constant 1e-4) and is kept only if
-0 < u_1 < ... < u_m < pi.  A stage stops when its scaled residual in the
-angles u is <= 1e-13, or, after one last full step, when the slope 2 g.p
-falls to the rounding level of the objective f, 1e-15 (1 + |f| + max|theta|
-sum_k scale_k), the sum over all n angles.
+s = 1, so every step is the Newton step; on the circle the steps that are
+not come next to the charge, and on every grid tried they were 1 x 1
+(n = 2, 3) with M < 0.  The step backtracks to the Armijo condition
+(constant 1e-4) and is kept only if 0 < u_1 < ... < u_m < pi.  A stage
+stops when its scaled residual in the angles u is <= 1e-13, or, after one
+last full step, when the slope 2 g.p falls to the rounding level of the
+objective f, 1e-15 (1 + |f| + max|theta| sum_k scale_k), the sum over all
+n angles.
 
 The path starts at the equispaced angles, exact for the line at s = 1 and
 for the circle at b = 0 and b -> infinity; the line runs one stage.  From
@@ -66,9 +68,9 @@ is concave, strictly for s > 1 and flat only along the common rotation at
 s = 1.  On the circle the Moebius map carries the objective to the unweighted
 one of the preimage angles plus a constant, concave in the same way in those
 angles.  The optimizer works in the raw angles, where it is not: the
-folded negated Hessian is indefinite on some steps next to the charge.  The
-result is converged when its `scaled_residual` in the command's coordinates
-is <= RESIDUAL_TOL = 1e-10.
+folded negated Hessian is not positive definite on some steps next to the
+charge.  The result is converged when its `scaled_residual` in the
+command's coordinates is <= RESIDUAL_TOL = 1e-10.
 """
 
 from __future__ import annotations
@@ -313,9 +315,9 @@ def _angle_problem(weight, n: int):
         c = (n - 1) * np.float64(weight.s - 1.0)
 
         def field(t):
-            cos_half = np.cos(t / 2.0)
-            return (c * np.log(2.0 * cos_half), -0.5 * c * np.tan(t / 2.0),
-                    -0.25 * c / cos_half ** 2)
+            tan_half = np.tan(t / 2.0)
+            tan_sq = tan_half ** 2
+            return -0.5 * c * np.log1p(tan_sq), -0.5 * c * tan_half, -0.25 * c * (1.0 + tan_sq)
 
         return field, lambda t: weight.a * np.tan(t / 2.0)
     if isinstance(weight, CircleWeight):
@@ -396,35 +398,21 @@ def _angle_derivatives(half, sin_half, d1, d2):
 
 
 def _newton_step(neg_h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The modified Newton step for the negated Hessian neg_h and gradient g.
-
-    Fast path: when the Cholesky factor L of neg_h exists and its smallest
-    pivot passes min(diag L)^2 > 1e-10 max(diag neg_h), the plain step
-    neg_h^-1 g.  Otherwise the eigen-step: |lambda| for each eigenvalue of
-    neg_h, dropping |lambda| <= 1e-10 max|lambda|.
-
-    The guard keeps nearly singular matrices, which Cholesky would accept,
-    on the eigen path.  Each pivot squared is a Schur complement, at least
-    lambda_min, so every matrix whose eigenvalues all lie above the cut
-    passes it, and there the two steps agree up to rounding.  Conversely the
-    last pivot is L_mm^2 = 1/(neg_h^-1)_mm <= lambda_i / (v_i)_m^2 for every
-    eigenpair: a small eigenvalue fails the guard unless its eigenvector
-    nearly vanishes in the last angle.  The optimizer's folded matrices (see
-    module docstring) keep no such direction: the line's is positive
-    definite, and the circle's takes the eigen path where it is indefinite.
-    """
+    """The modified Newton step for the negated Hessian neg_h and gradient g:
+    the plain step neg_h^-1 g where it is an ascent direction, g.p > 0, as
+    wherever neg_h is positive definite.  Otherwise, or where neg_h is
+    singular, g scaled by 1/|diag neg_h|, with 0 where the diagonal entry is
+    0: its slope g.p = sum g_k^2/|neg_h_kk| is never negative.  For a 1 x 1
+    neg_h this is the eigen-step g/|lambda|."""
     try:
-        pivots = np.linalg.cholesky(neg_h).diagonal()
+        p = np.linalg.solve(neg_h, g)
     except np.linalg.LinAlgError:
         pass
     else:
-        if pivots.min() ** 2 > 1e-10 * neg_h.diagonal().max():
-            return np.linalg.solve(neg_h, g)
-    lam, vec = np.linalg.eigh(neg_h)
-    lam = np.abs(lam)
-    keep = lam > 1e-10 * np.max(lam)
-    vec = vec[:, keep]
-    return vec @ ((vec.T @ g) / lam[keep])
+        if g @ p > 0.0:
+            return p
+    diag = np.abs(neg_h.diagonal())
+    return np.divide(g, diag, out=np.zeros_like(g), where=diag > 0.0)
 
 
 def _newton(u: np.ndarray, n: int, field):

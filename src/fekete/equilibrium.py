@@ -458,15 +458,21 @@ def capacity_circle(b: float) -> float:
 def modified_robin_constant(s: float) -> float:
     """The constant value F of U + Q on the support for the s > 1 line weight.
 
-    With r = sqrt(2s-1)/(s-1) and the Green function value
-    g(i, infinity) = log((sqrt(r^2+1) + 1)/r) of the slit-plane domain,
+    With r = sqrt(2s-1)/(s-1), q = sqrt(1 + r^2) and the Green function
+    value g(i, infinity) = log((q + 1)/r) of the slit-plane domain,
 
-        F = s g(i, infinity) + (s-1) log(r/2).
+        F = s g(i, infinity) + (s-1) log(r/2)
+          = (s-1) log((q + 1)/2) + log((q + 1)/r),
+
+    written as two nonnegative log1p terms, with q - 1 = r^2/(q + 1) and
+    q - r = 1/(q + r).  The first form cancels two terms of size
+    (s/2) log s at large s and loses every digit by s = 1e100.
     """
     s = _checked_sgt1(s, "modified_robin_constant")
     r = support_radius(1.0, s)
-    green_i_inf = math.log((math.sqrt(r * r + 1.0) + 1.0) / r)
-    return s * green_i_inf + (s - 1.0) * math.log(r / 2.0)
+    q = math.hypot(1.0, r)
+    return ((s - 1.0) * math.log1p(r * r / (2.0 * (q + 1.0)))
+            + math.log1p((1.0 + 1.0 / (q + r)) / r))
 
 
 def _frostman_report(cap: float, robin: float, f_const: float, diff: np.ndarray,

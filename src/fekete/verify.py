@@ -506,7 +506,7 @@ def _suite_equilibrium() -> list[CheckResult]:
     # on each support and out to three times its radius, which grows like
     # 1/(s - 1) as s -> 1+
     reports = [eq.frostman_check(sv, rl.support_radius(1.0, sv) * np.linspace(-3.0, 3.0, 41))
-               for sv in (1.0 + 1e-8, 1.0 + 1e-6, 1.0001, 2.0, 1e6)]
+               for sv in (1.0 + 1e-8, 1.0 + 1e-6, 1.0001, 2.0, 1e6, 1e12, 1e100, 1e300)]
     out.append(CheckResult("equilibrium", "frostman-no-violation",
                            max(max(rep.frostman_max_violation for rep in reports), 0.0), 1e-6))
     out.append(CheckResult("equilibrium", "frostman-equality-on-support",

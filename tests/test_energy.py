@@ -324,6 +324,18 @@ class TestOptimizer:
         assert res.converged
         assert np.max(np.abs(np.asarray(res.points) - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("a, s, n", [(1.0, 1e4, 48), (1.0, 1e6, 7), (1.0, 1e8, 2),
+                                         (1.0, 1e8, 12), (1.0, 1e12, 3), (1.0, 1e12, 48),
+                                         (1.0, 1e16, 3), (0.5, 1e8, 12), (2.0, 1e20, 24),
+                                         (1.0, 1e20, 48)])
+    def test_line_at_large_s_matches_tridiagonal_points(self, a, s, n):
+        # the points sit at |x| ~ a sqrt(2/s), where c log(2 cos(t/2)) for
+        # the field had rounded to c eps and stopped Newton short
+        res = optimize(RealWeight(a, s), n)
+        ref = sgt1_points(a, s, n)
+        assert res.converged
+        assert np.max(np.abs(np.asarray(res.points) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("b", [0.99, -0.998, 1.01])
     def test_circle_pair_near_unit_charge_converges(self, b):
         # gauged n = 2 points sit at 0 and pi, where every term of the
@@ -401,59 +413,97 @@ def eigen_step(neg_h, g):
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Counts the calls of np.linalg.eigh made through the module."""
-    calls = []
-    eigh = np.linalg.eigh
+def fallback_steps(monkeypatch):
+    """The shapes of the optimizer's steps that are not np.linalg.solve's."""
+    steps = []
+    newton_step = fekete.energy._newton_step
 
-    def spy(a):
-        calls.append(a.shape)
-        return eigh(a)
+    def spy(neg_h, g):
+        p = newton_step(neg_h, g)
+        try:
+            plain = np.linalg.solve(neg_h, g)
+        except np.linalg.LinAlgError:
+            plain = None
+        if plain is None or not np.array_equal(p, plain):
+            steps.append(neg_h.shape)
+        return p
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    return calls
+    monkeypatch.setattr(fekete.energy, "_newton_step", spy)
+    return steps
 
 
 class TestNewtonStep:
-    def test_positive_definite_takes_the_cholesky_path(self, eigh_calls):
+    def test_positive_definite_gives_the_solve(self):
         rng = np.random.default_rng(19)
         m = rng.normal(size=(24, 24))
         neg_h = m @ m.T + np.eye(24)
         g = rng.normal(size=24)
         p = fekete.energy._newton_step(neg_h, g)
-        assert eigh_calls == []
+        assert np.array_equal(p, np.linalg.solve(neg_h, g))
         ref = eigen_step(neg_h, g)
         assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_indefinite_takes_the_eigen_step(self, eigh_calls):
+    @pytest.mark.parametrize("lam", [-2.5, -1e-300, -3e7])
+    def test_negative_1x1_gives_the_eigen_step(self, lam):
+        neg_h, g = np.array([[lam]]), np.array([0.7])
+        p = fekete.energy._newton_step(neg_h, g)
+        assert np.array_equal(p, g / abs(lam))
+        assert np.array_equal(p, eigen_step(neg_h, g))
+
+    def test_descent_newton_direction_gives_the_scaled_gradient(self):
         rng = np.random.default_rng(23)
         q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
         neg_h = (q * np.linspace(-3.0, 5.0, 12)) @ q.T
         neg_h = (neg_h + neg_h.T) / 2.0
         g = rng.normal(size=12)
+        assert g @ np.linalg.solve(neg_h, g) < 0.0
         p = fekete.energy._newton_step(neg_h, g)
-        assert eigh_calls == [(12, 12)]
-        assert np.array_equal(p, eigen_step(neg_h, g))
+        assert np.array_equal(p, g / np.abs(neg_h.diagonal()))
+        assert g @ p > 0.0
 
-    def test_nearly_singular_drops_the_null_direction(self, eigh_calls):
-        # the path-graph Laplacian has the constant vector as its null
-        # direction; shifted by 1e-14 of its norm it is positive definite,
-        # and Cholesky accepts it, but the guard sends it to the eigen path
-        n = 12
-        lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        lap[0, 0] = lap[-1, -1] = 1.0
-        neg_h = lap + 1e-14 * np.linalg.norm(lap, 2) * np.eye(n)
-        np.linalg.cholesky(neg_h)
-        g = np.random.default_rng(29).normal(size=n)
-        p = fekete.energy._newton_step(neg_h, g)
-        assert eigh_calls == [(n, n)]
-        assert np.array_equal(p, eigen_step(neg_h, g))
-        assert abs(np.sum(p)) <= 1e-12 * np.linalg.norm(p) * math.sqrt(n)
+    @pytest.mark.parametrize("neg_h, expected", [
+        ([[0.0]], [0.0]),
+        ([[1.0, 2.0], [2.0, 4.0]], [0.5, -0.75 / 4.0]),
+        ([[0.0, 0.0], [0.0, -2.0]], [0.0, -0.375]),
+    ], ids=["zero", "rank-1", "zero-diagonal"])
+    def test_singular_raises_and_warns_nothing(self, recwarn, neg_h, expected):
+        neg_h = np.array(neg_h)
+        g = np.array([0.5, -0.75])[:neg_h.shape[0]]
+        with np.errstate(all="raise"):
+            p = fekete.energy._newton_step(neg_h, g)
+        assert np.array_equal(p, expected)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("weight, n", [(RealWeight(1.3, 2.0), 48), (CircleWeight(0.999), 3),
+                                           (CircleWeight(0.9), 48)],
+                             ids=["line-48", "circle-3", "circle-48"])
+    def test_one_linalg_call_per_step(self, monkeypatch, weight, n):
+        steps, solves = [], []
+        newton_step, solve = fekete.energy._newton_step, np.linalg.solve
+
+        def counted_step(neg_h, g):
+            steps.append(neg_h.shape)
+            return newton_step(neg_h, g)
+
+        def counted_solve(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        def forbidden(*_):
+            raise AssertionError("second factorization in a Newton step")
+
+        monkeypatch.setattr(fekete.energy, "_newton_step", counted_step)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        for name in ("cholesky", "eigh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        assert optimize(weight, n).converged
+        assert solves == steps and len(steps) >= 1
 
 
-# iterations and log_diameter of the eigen-step optimizer that the Cholesky
-# step replaced, measured with one and with two BLAS threads (the same
-# iterations; log_diameter within 6e-16 relative)
+# iterations and log_diameter of an earlier optimizer that took every step
+# from the eigendecomposition (eigen_step), measured with one and with two
+# BLAS threads (the same iterations; log_diameter within 6e-16 relative);
+# the Newton step of _newton_step keeps them
 EIGEN_STEP_PATH = [
     (RealWeight(1.54, 2.03), 12, 7, -2.382934641934026),
     (RealWeight(1.54, 2.03), 48, 10, -2.53975847630069),
@@ -497,13 +547,10 @@ class TestNewtonPath:
     @pytest.mark.parametrize("n", [12, 48, 240])
     @pytest.mark.parametrize("a", [0.5, 1.3])
     @pytest.mark.parametrize("s", [1.001, 2.0, 5.0])
-    def test_line_never_takes_the_eigen_path(self, monkeypatch, s, a, n):
+    def test_line_never_takes_the_fallback_step(self, fallback_steps, s, a, n):
         # (n - 1)(s - 1)/4 bounds the line's negated Hessian from below
-        def eigh(_):
-            raise AssertionError("eigen fallback taken on the line")
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert optimize(RealWeight(a, s), n).converged
+        assert fallback_steps == []
 
 
 def two_evaluation_objective(t, field):
@@ -674,12 +721,17 @@ class TestReflectionFold:
         assert_close_to_largest(neg_h, q.T @ neg_h_full @ q / 2.0)
 
     @pytest.mark.parametrize("b", [0.35, 0.9, 2.79, 0.999, -0.999])
-    def test_circle_never_takes_the_eigen_path(self, eigh_calls, b):
+    def test_circle_never_takes_the_fallback_step(self, fallback_steps, b):
         # the gauge orbit's tangent is odd under the reflection, so the fold
         # removes it; the full-space steps took the eigen path 2, 12, 2, 32
         # and 21 times here
         assert optimize(CircleWeight(b), 48).converged
-        assert eigh_calls == []
+        assert fallback_steps == []
+
+    def test_circle_next_to_the_charge_takes_the_fallback_step(self, fallback_steps):
+        # the 1 x 1 folded matrix is negative on some steps next to the charge
+        assert optimize(CircleWeight(0.999), 3).converged
+        assert fallback_steps and set(fallback_steps) == {(1, 1)}
 
     @pytest.mark.parametrize("weight, n", [(RealWeight(1.3, 2.0), 3), (RealWeight(1.3, 2.0), 25),
                                            (CircleWeight(0.9), 25), (CircleWeight(-0.999), 7)],

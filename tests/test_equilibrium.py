@@ -308,6 +308,19 @@ class TestModifiedRobin:
         with pytest.raises(InvalidInputError):
             modified_robin_constant(1.0)
 
+    @pytest.mark.parametrize("s", [1.0 + 1e-12, 1.0 + 1e-8, 1.001, 1.5, 5.0, 1e6, 1e12,
+                                   1e100, 1e300])
+    def test_against_high_precision(self, s):
+        # s g + (s-1) log(r/2) cancels two terms of size (s/2) log s, so the
+        # reference carries 2 log10(s) digits more than the 40 it keeps
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(int(2 * math.log10(s)) + 40):
+            t = mpmath.mpf(s)
+            r = mpmath.sqrt(2 * t - 1) / (t - 1)
+            ref = t * mpmath.log((mpmath.sqrt(r * r + 1) + 1) / r) + (t - 1) * mpmath.log(r / 2)
+            err = float(abs(mpmath.mpf(modified_robin_constant(s)) - ref) / ref)
+        assert err <= 1e-14
+
 
 class TestFrostman:
     def test_equality_deep_inside(self):
@@ -331,6 +344,14 @@ class TestFrostman:
         assert report.frostman_max_onsupport_deviation <= 1e-6
         assert report.robin_constant == pytest.approx(-math.log(report.capacity))
         assert report.modified_robin == pytest.approx(math.log(3 * SQRT3 / 2))
+
+    @pytest.mark.parametrize("s", [1e8, 1e12, 1e100, 1e300])
+    def test_report_at_large_s(self, s):
+        # F cancelled as s g + (s-1) log(r/2): 1.9e-3 off at 1e12, 0 at 1e100
+        r = MeasureSpec.real_sgt1(s).support[1]
+        report = frostman_check(s, r * np.linspace(-3.0, 3.0, 41))
+        assert report.frostman_max_violation <= 1e-14
+        assert report.frostman_max_onsupport_deviation <= 1e-14
 
     def test_rejects_nonfinite_grid(self):
         with pytest.raises(InvalidInputError):
