@@ -26,10 +26,14 @@ line onto theta in (-pi, pi), where the objective becomes, up to a constant,
 
 with phi = -((n-1)(s-1)/2) log1p(tan^2(theta/2)), written in tan(theta/2)
 alone so that it keeps its digits at |theta| ~ 2/sqrt(s), where a large s
-puts the points; on the circle phi = (n-1) log w in its own angles.  Both
-weights are even under theta -> -theta (real b), and the optimizer keeps
-the angles reflection-symmetric: it moves the m = n // 2 positive angles u
-of theta = (-u reversed, [0 at odd n], u), and each stage of it maximizes
+puts the points.  On the circle |e^{it} - b| = |b| |e^{it} - 1/b| and
+w_{-b}(t) = w_b(t + pi): b and 1/b have the same Fekete sets, and those of
+-b are those of b turned by a half-turn.  So the optimizer works at the
+charge c = min(|b|, 1/|b|) in [0, 1) (0 at b = 0), with phi = (n-1) log w_c,
+and negates the points e^{it} for b < 0.  Both weights are even under
+theta -> -theta, and the optimizer keeps the angles reflection-symmetric:
+it moves the m = n // 2 positive angles u of theta = (-u reversed, [0 at
+odd n], u), and each stage of it maximizes
 the objective of those n angles as a function of u.  By the principle of
 symmetric criticality (Palais 1979) a stationary point in u is stationary
 in all n angles, which the final residual checks.  Each stage runs damped
@@ -53,12 +57,11 @@ objective f, 1e-15 (1 + |f| + max|theta| sum_k scale_k), the sum over all
 n angles.
 
 The path starts at the equispaced angles, exact for the line at s = 1 and
-for the circle at b = 0 and b -> infinity; the line runs one stage.  From
-there Newton stalls next to the circle's charge (|b| = 0.999, n = 240), so
-the circle continues in the charge (Allgower & Georg, Introduction to
-Numerical Continuation Methods): stages at sign(b) (1 - 2^-k), or its
-reciprocal when |b| > 1, for k = 1, 2, ... while 1 - 2^-k < min(|b|, 1/|b|),
-then at b, each from the angles of the last.  Nothing is drawn at random.
+for the circle at c = 0; the line runs one stage.  From there Newton stalls
+next to the circle's charge (c = 0.999, n = 240), so the circle continues in
+the charge (Allgower & Georg, Introduction to Numerical Continuation
+Methods): stages at each 1 - 2^-k < c, k = 1, 2, ..., then at c, each from
+the angles of the last.  Nothing is drawn at random.
 
 Every ordered stationary configuration is a global maximum, so the scaled
 residual alone judges the answer.  On the line, with -pi < theta_1 < ... <
@@ -307,8 +310,8 @@ def sine_product_bound(n: int) -> float:
 
 
 def _angle_problem(weight, n: int):
-    """The per-weight parts of the angle-space objective: the field (phi,
-    phi', phi'' per angle) and the map to the command's coordinates."""
+    """The per-weight parts of the angle-space objective: the stages' fields
+    (phi, phi', phi'' per angle) and the map to the command's coordinates."""
     if isinstance(weight, RealWeight):
         # a numpy scalar, so that a c past the double range raises under
         # optimize's errstate before the first Newton step
@@ -319,20 +322,25 @@ def _angle_problem(weight, n: int):
             tan_sq = tan_half ** 2
             return -0.5 * c * np.log1p(tan_sq), -0.5 * c * tan_half, -0.25 * c * (1.0 + tan_sq)
 
-        return field, lambda t: weight.a * np.tan(t / 2.0)
+        return [field], lambda t: weight.a * np.tan(t / 2.0)
     if isinstance(weight, CircleWeight):
-        # den = |e^{it} - b|^2 u^2 and c = bu: phi' and phi'' carry one factor u back
-        b, m, u = weight.b, n - 1, weight.unit
-        c, log_u = b * u, math.log(u)
-
-        def field(t):
-            cos, sin = np.cos(t), np.sin(t)
-            den = weight.dist_sq(t)
-            return (-0.5 * m * np.log(den) + m * log_u, -m * c * sin / den * u,
-                    -m * c * (cos * den - 2.0 * c * u * sin * sin) / den ** 2 * u)
-
-        return field, lambda t: _gauge_circle(b, t)
+        b = weight.b
+        c = min(abs(b), 1.0 / abs(b)) if b else 0.0
+        return [_circle_field(q, n - 1) for q in _continuation(c)], lambda t: _gauge_circle(b, t)
     raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
+
+
+def _circle_field(c: float, m: int):
+    """phi = m log w, phi' and phi'' in the angles for the charge 0 <= c < 1."""
+    dist_sq = CircleWeight(c).dist_sq
+
+    def field(t):
+        cos, sin = np.cos(t), np.sin(t)
+        den = dist_sq(t)
+        return (-0.5 * m * np.log(den), -m * c * sin / den,
+                -m * c * (cos * den - 2.0 * c * sin * sin) / den ** 2)
+
+    return field
 
 
 def _unfolded(u: np.ndarray, n: int) -> np.ndarray:
@@ -455,23 +463,19 @@ def _newton(u: np.ndarray, n: int, field):
 
 
 def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
-    """Rotate in preimage space so the first preimage angle is 0, then report
-    sorted angles in [0, 2 pi)."""
-    pre, _ = _sorted_angles(mobius(b, np.exp(1j * t)))
+    """The command's sorted angles in [0, 2 pi) of the angles t at |b|: e^{it},
+    negated for b < 0, rotated in preimage space to a first angle of 0."""
+    z = np.exp(1j * t)
+    pre, _ = _sorted_angles(mobius(b, -z if b < 0.0 else z))
     return _sorted_angles(mobius(b, np.exp(1j * (pre - pre[0]))))[0]
 
 
-def _continuation(b: float) -> list[float]:
-    """The charges of the circle's stages before the one at b (see module
-    docstring); none when min(|b|, 1/|b|) <= 1/2."""
-    rho = min(abs(b), 1.0 / abs(b)) if b else 0.0
-    charges = []
+def _continuation(c: float) -> list[float]:
+    """The circle's stage charges for 0 <= c < 1: each 1 - 2^-k < c, then c."""
     k = 1
-    while 1.0 - 2.0 ** -k < rho:
-        c = math.copysign(1.0 - 2.0 ** -k, b)
-        charges.append(c if abs(b) < 1.0 else 1.0 / c)
+    while 1.0 - 2.0 ** -k < c:
         k += 1
-    return charges
+    return [1.0 - 2.0 ** -j for j in range(1, k)] + [c]
 
 
 def optimize(weight, n: int) -> FeketeResult:
@@ -489,17 +493,13 @@ def optimize(weight, n: int) -> FeketeResult:
     mapped so; an invalid value or a division by zero warns as before.
     """
     n = checked_n(n)
-    stages = [weight]
-    if isinstance(weight, CircleWeight):
-        stages = [CircleWeight(c) for c in _continuation(weight.b)] + stages
-
     # the positive half of the equispaced angles (2k + 1 - n) pi / n
     u = (2.0 * np.arange(n // 2) + 1.0 + n % 2) * math.pi / n
     iterations = 0
     try:
         with np.errstate(over="raise"):
-            for stage, stage_weight in enumerate(stages):
-                field, to_points = _angle_problem(stage_weight, n)
+            fields, to_points = _angle_problem(weight, n)
+            for stage, field in enumerate(fields):
                 u, f, steps, backtracks = _newton(u, n, field)
                 # the benchmark tracer parses this record, "start" wording and all
                 log.debug("start %d: objective %.15g after %d+%d iterations",

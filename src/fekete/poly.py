@@ -40,7 +40,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from numpy.polynomial.polyutils import trimseq
 
-from .errors import InvalidInputError, NumericalError, SingularParameterError, checked_n
+from .errors import (InvalidInputError, NumericalError, SingularParameterError, checked_finite,
+                     checked_n)
 from .real_line import (
     _SINGULAR_TOL,
     _checked_a,
@@ -289,8 +290,8 @@ class OdeFamily:
 
         (x^2 + a^2) f'' - lambda x f' + n (lambda - n + 1) f = 0.
 
-    lambda must avoid {n-1, n, ..., 2n-2}: inside that set the monic
-    polynomial solution either fails to exist or fails to be unique.
+    lambda must be finite and avoid {n-1, n, ..., 2n-2}: inside that set the
+    monic polynomial solution either fails to exist or fails to be unique.
     """
 
     a: float
@@ -300,13 +301,11 @@ class OdeFamily:
     def __post_init__(self):
         object.__setattr__(self, "a", _checked_a(self.a))
         object.__setattr__(self, "n", checked_n(self.n, minimum=1))
-        lam = float(self.lam)
-        for k in range(self.n - 1, 2 * self.n - 1):
-            if abs(lam - k) <= _SINGULAR_TOL:
-                raise SingularParameterError(
-                    f"lambda = {lam} hits the excluded value {k} in "
-                    f"{{n-1, ..., 2n-2}} for n = {self.n}"
-                )
+        lam = checked_finite(self.lam, "lambda")
+        k = min(max(round(lam), self.n - 1), 2 * self.n - 2)  # the nearest excluded value
+        if abs(lam - k) <= _SINGULAR_TOL:
+            raise SingularParameterError(f"lambda = {lam} hits the excluded value {k} in "
+                                         f"{{n-1, ..., 2n-2}} for n = {self.n}")
         object.__setattr__(self, "lam", lam)
 
 
@@ -370,12 +369,8 @@ def ode_monic_solution(fam: OdeFamily) -> np.ndarray:
     ratio = 1.0
     a_sq_pow = 1.0
     for k in range(1, n // 2 + 1):
-        denom = lam - 2.0 * n + 2.0 * k + 1.0
-        if abs(denom) <= _SINGULAR_TOL:
-            raise SingularParameterError(
-                f"zero denominator lambda - 2n + 2k + 1 at k = {k} for lambda = {lam}, n = {n}"
-            )
-        ratio *= (2.0 * k - 1.0) / denom
+        # one rounding, so never 0: OdeFamily keeps lambda off 2n - 2k - 1
+        ratio *= (2.0 * k - 1.0) / (lam - (2 * n - 2 * k - 1))
         a_sq_pow *= a * a
         coeffs[n - 2 * k] = (-1) ** k * a_sq_pow * math.comb(n, 2 * k) * ratio
     return coeffs
@@ -389,7 +384,6 @@ def pseudo_jacobi(a: float, s: float, n: int) -> np.ndarray:
     denominator 2s(n-1) - 2n + 2j + 1 exceeds 2j - 1 >= 1, so the
     construction never degenerates.
     """
-    a = _checked_a(a)
     s = _checked_sgt1(s, "pseudo_jacobi")
     n = checked_n(n)
     return ode_monic_solution(OdeFamily(a=a, lam=2.0 * s * (n - 1), n=n))

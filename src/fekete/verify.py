@@ -377,6 +377,7 @@ def _suite_energy() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 _QUAD_FAIL = 1e-7
+_QUAD_MAX_RADIUS = 1e4  # the largest support radius r of [-r, r] _integral takes
 
 
 def _quad_checked(f, lo, hi, points, tol) -> float:
@@ -402,7 +403,8 @@ def _integral(m: eq.MeasureSpec, f=None, upto=None, singular=None, tol=1e-11) ->
     for arctan, which maps the line onto a finite interval, and
     x = r sin(theta) on [-r, r], which removes the square-root edges; the
     circle family in its own angle.  Every quadrature oracle is a call of
-    this helper."""
+    this helper.  On [-r, r] it raises past r = _QUAD_MAX_RADIUS, where quad
+    can step over the mass near x = 0, a theta-width ~1/r, and report 0."""
     lo, hi = m.support
     dens = m._density
     f = f or (lambda _: 1.0)
@@ -425,7 +427,10 @@ def _integral(m: eq.MeasureSpec, f=None, upto=None, singular=None, tol=1e-11) ->
             x = hi * math.sin(theta)
             return f(x) * dens(x) * hi * math.cos(theta)
     pts = [angle(singular)] if singular is not None and lo < singular < hi else None
-    return _quad_checked(g, angle(lo), angle(hi if upto is None else upto), pts, tol)
+    value = _quad_checked(g, angle(lo), angle(hi if upto is None else upto), pts, tol)
+    if m.family != "arctan" and hi > _QUAD_MAX_RADIUS:
+        raise NumericalError(f"radius {hi:g} is past the quadrature oracle's {_QUAD_MAX_RADIUS:g}")
+    return value
 
 
 def potential_by_quadrature(m: eq.MeasureSpec, x: float) -> float:

@@ -503,7 +503,9 @@ class TestNewtonStep:
 # iterations and log_diameter of an earlier optimizer that took every step
 # from the eigendecomposition (eigen_step), measured with one and with two
 # BLAS threads (the same iterations; log_diameter within 6e-16 relative);
-# the Newton step of _newton_step keeps them
+# the Newton step of _newton_step keeps them.  The b = -0.999, n = 12 run
+# took 70 steps there; it now runs at the charge 0.999 and takes that run's
+# 71, and its log_diameter pin still holds
 EIGEN_STEP_PATH = [
     (RealWeight(1.54, 2.03), 12, 7, -2.382934641934026),
     (RealWeight(1.54, 2.03), 48, 10, -2.53975847630069),
@@ -523,7 +525,7 @@ EIGEN_STEP_PATH = [
     (CircleWeight(0.999), 12, 71, 6.441008827990019),
     (CircleWeight(0.999), 48, 70, 6.297474202419385),
     (CircleWeight(0.999), 240, 70, 6.238039767076181),
-    (CircleWeight(-0.999), 12, 70, 6.441008827990053),
+    (CircleWeight(-0.999), 12, 71, 6.441008827990053),
     (CircleWeight(-0.999), 48, 70, 6.29747420241936),
     (CircleWeight(-0.999), 240, 70, 6.238039767076182),
 ]
@@ -707,7 +709,8 @@ class TestReflectionFold:
         # so its gradient is Q^T g and its negated Hessian Q^T N Q; the fold
         # returns both halved, and the full-space sum of the term sizes
         u = np.sort(np.random.default_rng(n).uniform(0.0, math.pi, n // 2))
-        field, _ = fekete.energy._angle_problem(weight, n)
+        fields, _ = fekete.energy._angle_problem(weight, n)
+        field = fields[-1]
         t = fekete.energy._unfolded(u, n)
         q = fold_map(n)
         assert np.array_equal(q @ u, t)
@@ -766,6 +769,67 @@ class TestReflectionFold:
         assert res.converged
         log_ref = math.log(circle_diameter(0.9, 241))
         assert abs(res.log_diameter - log_ref) <= 1e-13 * abs(log_ref)
+
+
+def mobius_images(b, n):
+    """The angles in [0, 2 pi) of the Moebius images of e^{2 pi i k/n},
+    k = 0..n-1, at 40 digits: the Fekete set of CircleWeight(b) that the
+    optimizer's gauge picks."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        images = [(b * w - 1) / (w - b) for w in (mpmath.expjpi(mpmath.mpf(2 * k) / n)
+                                                   for k in range(n))]
+        return np.array([float(mpmath.arg(z) % (2 * mpmath.pi)) for z in images])
+
+
+def circular_distance(angles, ref):
+    """The largest distance on the circle from an angle to its nearest
+    reference angle."""
+    d = np.abs(np.asarray(angles)[:, None] - ref[None, :]) % TWO_PI
+    return float(np.max(np.min(np.minimum(d, TWO_PI - d), axis=1)))
+
+
+class TestOneCharge:
+    # |e^{it} - b| = |b| |e^{it} - 1/b| and w_{-b}(t) = w_b(t + pi): every
+    # stage runs at c = min(|b|, 1/|b|), and b < 0 negates the points
+
+    @pytest.mark.parametrize("b", [0.0, 0.35, -0.35, 0.999, -0.999, 2.79, -2.79, 1.001,
+                                   -1e6, 1e200])
+    def test_every_stage_runs_at_a_charge_in_0_1(self, monkeypatch, b):
+        charges = []
+        circle_field = fekete.energy._circle_field
+
+        def spy(c, m):
+            charges.append(c)
+            return circle_field(c, m)
+
+        monkeypatch.setattr(fekete.energy, "_circle_field", spy)
+        assert optimize(CircleWeight(b), 12).converged
+        assert all(0.0 <= c < 1.0 for c in charges)
+        assert charges[-1] == (min(abs(b), 1.0 / abs(b)) if b else 0.0)
+
+    @pytest.mark.parametrize("big", [2.75, 1.001])  # 1 and 10 stages
+    def test_four_charge_classes_take_one_newton_path(self, monkeypatch, big):
+        # the float 1.0/big, since 1/(1/b) need not give b back
+        newton = fekete.energy._newton
+        runs = [newton_stages(monkeypatch, newton, CircleWeight(b), 12)
+                for b in (big, -big, 1.0 / big, -1.0 / big)]
+        for stages in runs[1:]:
+            assert len(stages) == len(runs[0])
+            for (u, f, steps, backtracks), (u_ref, f_ref, steps_ref, backtracks_ref) in zip(
+                    stages, runs[0]):
+                assert np.array_equal(u, u_ref)
+                assert f == f_ref and steps == steps_ref and backtracks == backtracks_ref
+
+    @pytest.mark.parametrize("n", [12, 48])
+    @pytest.mark.parametrize("b", [-0.999, -1.001])
+    def test_negative_charge_lands_on_the_exact_set(self, b, n):
+        # solved at b itself, -0.999 at n = 12 landed 1.2e-7 rad off, where
+        # +0.999 lands 8.9e-16 off
+        res = optimize(CircleWeight(b), n)
+        assert res.converged
+        assert circular_distance(res.points, mobius_images(b, n)) <= 1e-10
 
 
 class TestScaledResidual:

@@ -685,6 +685,18 @@ class TestOneQuadratureRoute:
         with pytest.raises(NumericalError, match="quadrature gave up"):
             _integral(MeasureSpec.harmonic_i(1e6), upto=0.0)
 
+    @pytest.mark.parametrize("m", [MeasureSpec.harmonic_i(1e10), MeasureSpec.harmonic_i(1e100),
+                                   MeasureSpec.real_sgt1(1.0 + 1e-12)], ids=spec_id)
+    def test_support_past_the_oracle_range_raises(self, m):
+        # quad stepped over the mass near x = 0 and returned about 0, unflagged
+        with pytest.raises(NumericalError, match="past the quadrature oracle"):
+            _integral(m)
+
+    @pytest.mark.parametrize("m", [MeasureSpec.harmonic_i(1e4), MeasureSpec.real_sgt1(1.001)],
+                             ids=spec_id)
+    def test_unit_mass_inside_the_oracle_range(self, m):
+        assert abs(_integral(m) - 1.0) <= 1e-12
+
     def test_quad_has_one_caller(self):
         # scipy.integrate is imported only inside equilibrium.quad, which is
         # called only from verify._quad_checked, as eq.quad (the module

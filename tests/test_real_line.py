@@ -152,6 +152,19 @@ class TestOdeSolution:
         with pytest.raises(SingularParameterError):
             OdeFamily(a=1.0, lam=lam, n=2)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(InvalidInputError):
+            OdeFamily(a=1.0, lam=lam, n=4)
+
+    @pytest.mark.parametrize("lam", [5.0, 7.0, 9.0])  # 2n - 2k - 1 for n = 6
+    @pytest.mark.parametrize("offset", [-2e-12, 2e-12])
+    def test_lambda_next_to_a_zero_denominator(self, lam, offset):
+        # the constructor keeps lambda off every root of a denominator
+        # lambda - 2n + 2k + 1, so the recursion never divides by zero
+        f = ode_monic_solution(OdeFamily(a=1.0, lam=lam + offset, n=6))
+        assert np.all(np.isfinite(f)) and f[6] == 1.0
+
 
 class TestPseudoJacobi:
     def test_small_members(self):
@@ -163,6 +176,11 @@ class TestPseudoJacobi:
     def test_requires_s_above_one(self):
         with pytest.raises(InvalidInputError):
             pseudo_jacobi(1.0, 1.0, 3)
+
+    def test_lambda_past_the_double_range_is_invalid(self):
+        # 2s(n - 1) overflows to inf, which gave x^n
+        with pytest.raises(InvalidInputError):
+            pseudo_jacobi(1.0, 5e307, 3)
 
 
 def _newton_polished(a, s, n, xs):
