@@ -464,10 +464,23 @@ def _newton(u: np.ndarray, n: int, field):
 
 def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
     """The command's sorted angles in [0, 2 pi) of the angles t at |b|: e^{it},
-    negated for b < 0, rotated in preimage space to a first angle of 0."""
+    negated for b < 0, rotated in preimage space to a first angle of 0.
+
+    The rotation puts the image of w = 1 at -1.  For b < 0 that is in the
+    middle of the cluster of points next to a charge near -1, so the
+    rotation angle would come from a cluster point's preimage, whose error
+    the map amplifies by about 1/(1 - |b|).  At even n the grid
+    e^{2 pi i k/n} is closed under negation and
+    mobius(-b, -w) = -mobius(b, w), so there b < 0 is gauged at |b| and
+    the images are negated.
+    """
+    flip = b < 0.0 and t.size % 2 == 0
+    if flip:
+        b = -b
     z = np.exp(1j * t)
     pre, _ = _sorted_angles(mobius(b, -z if b < 0.0 else z))
-    return _sorted_angles(mobius(b, np.exp(1j * (pre - pre[0]))))[0]
+    w = mobius(b, np.exp(1j * (pre - pre[0])))
+    return _sorted_angles(-w if flip else w)[0]
 
 
 def _continuation(c: float) -> list[float]:

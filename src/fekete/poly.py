@@ -11,10 +11,12 @@ complex input with ``InvalidInputError``.  Everything is a pure function and
 safe for concurrent use.
 
 Root extraction uses companion-matrix eigenvalues refined by a few Newton
-steps; ``stacked_roots`` does this for many polynomials of one degree in one
-eigenvalue call and one Horner pass per step, and ``roots`` is its one-row
-case.  The monomial basis is ill-conditioned, so it loses accuracy quickly
-with the degree and serves only as a small-degree oracle: the Fekete points
+steps; ``stacked_roots`` does this for polynomials of any degrees at once,
+with one eigenvalue call per companion size and one Horner pass per step
+(``verify`` makes one call per suite), and ``roots`` is its
+one-polynomial case.  Every root keeps the bits it has alone.  The
+monomial basis is ill-conditioned, so it loses accuracy quickly with the
+degree and serves only as a small-degree oracle: the Fekete points
 on the line come from Jacobi-matrix eigenvalues (``real_line.sgt1_points``)
 and arctangent progressions.  The discriminant is computed from the n x n
 Bezout matrix of p and p' in exact integer arithmetic over Z, and the
@@ -85,68 +87,94 @@ def _checked_coeffs(c) -> np.ndarray:
     return trimseq(arr)
 
 
-def stacked_roots(polys) -> np.ndarray:
-    """All roots of polynomials of one degree n >= 1: one row per polynomial,
-    with multiplicity, sorted by real part then imaginary part.
+def stacked_roots(polys) -> list[np.ndarray]:
+    """All roots of real polynomials of any degrees >= 1: one array per
+    polynomial, in their order, with multiplicity and sorted by real part
+    then imaginary part.
 
-    Each row carries the bits that ``roots`` gives for its polynomial alone.
-    The real companion matrices are built as ``np.roots`` builds them, with
-    the roots at zero split off exactly; rows with the same number of zero
-    roots go to one ``np.linalg.eigvals`` call.  Newton refinement then runs
-    on all rows at once (see ``roots``).
+    Each array carries the bits that ``roots`` gives for its polynomial
+    alone.  The polynomials are ordered by degree, highest first, and their
+    coefficients zero-padded to the top degree.  The real companion
+    matrices are built as ``np.roots`` builds them, with the roots at zero
+    split off exactly; companion matrices of one size (the degree minus the
+    zero roots) share one ``np.linalg.eigvals`` call.  Newton refinement
+    (see ``roots``) then runs on all polynomials at once.  Its Horner step
+    for coefficient j runs on the polynomials of degree above j alone, so
+    no padded zero enters a value and each polynomial sees the operations
+    it sees alone; the root slots past its degree hold 0, take no step and
+    are dropped.
     """
     rows = [_checked_coeffs(p) for p in polys]
-    if not rows or any(p.size != rows[0].size for p in rows):
-        raise InvalidInputError("stacked root extraction requires polynomials of one degree")
-    if rows[0].size < 2:
+    if not rows:
+        raise InvalidInputError("root extraction requires at least one polynomial")
+    if min(p.size for p in rows) < 2:
         raise InvalidInputError("root extraction requires a nonzero polynomial of degree >= 1")
-    c = np.array(rows)  # ascending, one row per polynomial
-    n = c.shape[1] - 1
+    order = sorted(range(len(rows)), key=lambda i: -rows[i].size)  # highest degree first
+    deg = np.array([rows[i].size - 1 for i in order])
+    c = np.zeros((len(rows), deg[0] + 1))  # ascending, zero-padded to the top degree
+    for i, k in enumerate(order):
+        c[i, :deg[i] + 1] = rows[k]
     zero_roots = np.argmax(c != 0.0, axis=1)
-    r = np.zeros((len(rows), n), dtype=complex)
-    for z in set(zero_roots.tolist()) - {n}:  # a monomial's roots are all zero
-        group = np.flatnonzero(zero_roots == z)
-        top = c[group, z:][:, ::-1]  # highest first, zero roots stripped
-        m = n - z
+    size = deg - zero_roots  # a monomial's roots are all zero
+    r = np.zeros((len(rows), deg[0]), dtype=complex)
+    for m in set(size.tolist()) - {0}:
+        group = np.flatnonzero(size == m)
+        # highest first, zero roots stripped
+        top = c[group[:, None], zero_roots[group, None] + np.arange(m, -1, -1)]
         companion = np.zeros((group.size, m, m))
         companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
         companion[:, 0, :] = -top[:, 1:] / top[:, :1]
         r[group, :m] = np.linalg.eigvals(companion)
-    r = _newton_refined(c, r)
-    return np.take_along_axis(r, np.lexsort((r.imag, r.real), axis=-1), axis=-1)
+    live = np.arange(deg[0]) < deg[:, None]  # the columns that hold a root
+    _newton_refine(c, r, live)
+    r = np.take_along_axis(r, np.lexsort((r.imag, r.real, ~live), axis=-1), axis=-1)
+    out = [None] * len(rows)
+    for i, k in enumerate(order):
+        out[k] = r[i, :deg[i]]
+    return out
 
 
 def _eval_with_derivative(c: np.ndarray, dc: np.ndarray, z: np.ndarray):
     """p(z) and p'(z) row by row, from the ascending coefficient rows c of p
-    and dc of p', in one Horner pass over the two stacked, with dc padded by
-    a leading 0; each value has the bits of ``polyval`` of its row's
-    polynomial or derivative."""
-    n = dc.shape[1]
+    and dc of p', zero-padded to one width and ordered by degree, highest
+    first.  One Horner pass runs over the two stacked, with dc padded by a
+    leading 0; the step of coefficient j runs on the prefix of rows whose
+    degree exceeds j, so each value has the bits of ``polyval`` of its
+    row's polynomial or derivative."""
+    rows, n = dc.shape
+    deg = n - np.argmax(c[:, ::-1] != 0.0, axis=1)
     cc = np.zeros((2,) + c.shape)
     cc[0] = c
     cc[1, :, :n] = dc
-    v = np.broadcast_to(cc[:, :, n, None], (2,) + z.shape).astype(complex)
+    v = np.zeros((2,) + z.shape, dtype=complex)
+    v[0] = c[np.arange(rows), deg][:, None]
+    active = np.searchsorted(-deg, -np.arange(n), side="left")  # rows with degree > j
     for j in range(n - 1, -1, -1):
-        np.multiply(v, z, out=v)
-        v += cc[:, :, j, None]
+        k = active[j]
+        vk = v[:, :k]
+        np.multiply(vk, z[:k], out=vk)
+        vk += cc[:, :k, j, None]
     return v[0], v[1]
 
 
-def _newton_refined(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """_NEWTON_STEPS Newton steps on the roots r of the coefficient rows c,
-    each kept only where it does not increase the residual |p(r)|.  The
-    values at an accepted candidate are those of the next step."""
+def _newton_refine(c: np.ndarray, r: np.ndarray, live: np.ndarray) -> None:
+    """_NEWTON_STEPS Newton steps, in place, on the roots r of the
+    coefficient rows c where live holds, each kept only where it does not
+    increase the residual |p(r)|.  The values at an accepted candidate are
+    those of the next step."""
     dc = c[:, 1:] * np.arange(1, c.shape[1])  # the coefficients of polyder
     pv, dv = _eval_with_derivative(c, dc, r)
+    candidate = np.empty_like(r)
     for _ in range(_NEWTON_STEPS):
-        step = np.divide(pv, dv, out=np.zeros_like(r), where=np.abs(dv) > 0)
-        candidate = r - step
+        candidate.fill(0.0)
+        np.divide(pv, dv, out=candidate, where=live & (np.abs(dv) > 0))
+        np.subtract(r, candidate, out=candidate)
         p_cand, dp_cand = _eval_with_derivative(c, dc, candidate)
         better = np.abs(p_cand) <= np.abs(pv)
-        r = np.where(better, candidate, r)
-        pv = np.where(better, p_cand, pv)
-        dv = np.where(better, dp_cand, dv)
-    return r
+        np.copyto(r, candidate, where=better)
+        np.copyto(pv, p_cand, where=better)
+        np.copyto(dv, dp_cand, where=better)
+        del p_cand, dp_cand  # free before the next evaluation
 
 
 def roots(p) -> np.ndarray:
@@ -154,8 +182,8 @@ def roots(p) -> np.ndarray:
     part then imaginary part.
 
     Real companion-matrix eigenvalues followed by three Newton steps; a step
-    is kept only where it does not increase the residual |p(r)|.  The one-row
-    case of ``stacked_roots``.
+    is kept only where it does not increase the residual |p(r)|.  The
+    one-polynomial case of ``stacked_roots``.
     """
     return stacked_roots([p])[0]
 
@@ -315,8 +343,12 @@ def s1_polynomial(a: float, n: int, gamma: float | None = None) -> np.ndarray:
 
     F(x) = [(an - Bi)(x + ai)^n + (an + Bi)(x - ai)^n] / (2an) with
     B = a n cot(n pi/2 + n gamma).  The two summands are complex conjugates on
-    the real axis, so F has real coefficients; its x^(n-1) coefficient is B,
-    the negated sum of the points.  gamma defaults to the canonical
+    the real axis, so F has the real coefficients
+
+        C(n, k) a^(n-k) rho[(n-k) mod 4],  rho = (1, B/(an), -1, -B/(an)),
+
+    formed so, without complex powers; its x^(n-1) coefficient is B, the
+    negated sum of the points.  gamma defaults to the canonical
     symmetric phase, where B = 0.  Raises NumericalError when a coefficient
     cannot be represented in double precision (e.g. n = 1500, or a = 1.3 at
     n = 1000); s1_points has no such limit.
@@ -332,24 +364,18 @@ def s1_polynomial(a: float, n: int, gamma: float | None = None) -> np.ndarray:
         raise InvalidInputError(
             f"cot({phase}) undefined: n pi/2 + n gamma is a multiple of pi"
         )
-    b_const = a * n * math.cos(phase) / sin_phase
-    lead_plus = a * n - 1j * b_const
-    lead_minus = a * n + 1j * b_const
+    cot = math.cos(phase) / sin_phase  # B / (a n)
+    rho = (1.0, cot, -1.0, -cot)  # Re i^j + cot Im i^j
     try:
-        coeffs = np.array([
-            math.comb(n, k)
-            * (lead_plus * (1j * a) ** (n - k) + lead_minus * (-1j * a) ** (n - k))
-            for k in range(n + 1)
-        ])
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs /= 2.0 * a * n
+        coeffs = np.array([math.comb(n, k) * a ** (n - k) * rho[(n - k) % 4]
+                           for k in range(n + 1)])
     except OverflowError:  # C(n, k) or a power of a beyond the double range
         coeffs = None
     if coeffs is None or not np.all(np.isfinite(coeffs)):
         raise NumericalError(
             f"s1_polynomial(a={a!r}, n={n}): a coefficient exceeds the double range"
         )
-    return coeffs.real.copy()
+    return coeffs
 
 
 def ode_monic_solution(fam: OdeFamily) -> np.ndarray:
@@ -360,19 +386,28 @@ def ode_monic_solution(fam: OdeFamily) -> np.ndarray:
         c_{n-2k} = (-1)^k a^(2k) C(n, 2k) prod_{j=1..k} (2j-1)/(lambda - 2n + 2j + 1),
 
     with every odd-gap coefficient exactly zero.  The ratios are accumulated
-    as a running product, so nothing overflows before the final coefficient
-    would.
+    as a running product, but a^(2k) and C(n, 2k) enter as doubles of their
+    own, so NumericalError comes when one of them or a coefficient leaves the
+    double range: C(n, 2k) does from n = 1030 (pseudo_jacobi(1, 2, 1030)),
+    before the coefficients would.  Small coefficients underflow instead:
+    the constant coefficient of pseudo_jacobi(1, 2, 1000) is already 0.0.
     """
     n, lam, a = fam.n, fam.lam, fam.a
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     ratio = 1.0
     a_sq_pow = 1.0
-    for k in range(1, n // 2 + 1):
-        # one rounding, so never 0: OdeFamily keeps lambda off 2n - 2k - 1
-        ratio *= (2.0 * k - 1.0) / (lam - (2 * n - 2 * k - 1))
-        a_sq_pow *= a * a
-        coeffs[n - 2 * k] = (-1) ** k * a_sq_pow * math.comb(n, 2 * k) * ratio
+    try:
+        for k in range(1, n // 2 + 1):
+            # one rounding, so never 0: OdeFamily keeps lambda off 2n - 2k - 1
+            ratio *= (2.0 * k - 1.0) / (lam - (2 * n - 2 * k - 1))
+            a_sq_pow *= a * a
+            coeffs[n - 2 * k] = (-1) ** k * a_sq_pow * math.comb(n, 2 * k) * ratio
+    except OverflowError:  # C(n, 2k) beyond the double range
+        coeffs = None
+    if coeffs is None or not np.all(np.isfinite(coeffs)):
+        raise NumericalError(f"ode_monic_solution(a={a!r}, lambda={lam!r}, n={n}): "
+                             f"a coefficient exceeds the double range")
     return coeffs
 
 

@@ -18,13 +18,13 @@ the Frostman checks are integrals of ``_integral``, which calls
 The production side comes from the other modules.  Every polynomial is a real
 coefficient array, so the ``poly`` suite draws its roots in conjugate pairs,
 plus one real root at odd degree.  The heavier optimizer sweeps live in the
-acceptance test suite; here every suite is kept fast enough to run on each call: the companion
-roots of each degree's polynomials come from one ``stacked_roots`` call (the
-``real`` suite stacks its pseudo-Jacobi and s = 1 polynomials together, the
-``poly`` suite groups its random draws by degree), the exact discriminants
-and Jacobi polynomials come from the Bezout-matrix and product-form kernels
-of ``fekete.poly``, and each draw of sine-product points from one
-``sine_product`` call on the whole stack.
+acceptance test suite; here every suite is kept fast enough to run on each
+call: the companion roots of a suite come from one ``stacked_roots`` call
+over all its degrees (the ``real`` suite's 348 pseudo-Jacobi and s = 1
+polynomials of n = 2..30, the ``poly`` suite's 30 random draws), the exact
+discriminants and Jacobi polynomials come from the Bezout-matrix and
+product-form kernels of ``fekete.poly``, and each draw of sine-product
+points from one ``sine_product`` call on the whole stack.
 """
 
 from __future__ import annotations
@@ -97,17 +97,16 @@ def _suite_poly() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(101)
 
-    by_degree = {}
+    polys = []
     for _ in range(30):
         deg = int(rng.integers(2, 11))
         rad = np.sqrt(rng.uniform(0.0, 1.0, deg // 2))
         ang = rng.uniform(0.0, math.pi, deg // 2)
         rts = _real_roots(rad * np.exp(1j * ang), rng.uniform(-1.0, 1.0, deg % 2))
-        by_degree.setdefault(deg, []).append(np.poly(rts)[::-1])
+        polys.append(np.poly(rts)[::-1])
     worst = 0.0
-    for polys in by_degree.values():
-        for p, rts in zip(polys, stacked_roots(polys)):
-            worst = max(worst, float(np.max(np.abs(P.polyval(rts, p)))))
+    for p, rts in zip(polys, stacked_roots(polys)):
+        worst = max(worst, float(np.max(np.abs(P.polyval(rts, p)))))
     out.append(CheckResult("poly", "roots-eval-roundtrip", worst, 1e-9))
 
     worst = 0.0
@@ -185,13 +184,17 @@ def _suite_real() -> list[CheckResult]:
     worst_routes = 0.0
     worst_s1 = 0.0
     s_values = (1.5, 2.0)
-    for n in range(2, 31):
-        gammas = [-math.pi / 2.0 + float(rng.uniform(0.1, 0.9)) * math.pi / n
-                  for _ in range(10)]
-        # one companion stack per degree: the pseudo-Jacobi rows, then the s = 1 rows
-        stack = stacked_roots([pseudo_jacobi(1.0, s, n) for s in s_values]
-                              + [s1_polynomial(1.0, n, gamma) for gamma in gammas])
-        for s, rts in zip(s_values, stack):
+    degrees = range(2, 31)
+    gammas = [[-math.pi / 2.0 + float(rng.uniform(0.1, 0.9)) * math.pi / n for _ in range(10)]
+              for n in degrees]
+    # one companion stack for the suite: per degree the pseudo-Jacobi rows,
+    # then the s = 1 rows
+    stack = iter(stacked_roots([p for n, gs in zip(degrees, gammas)
+                                for p in [pseudo_jacobi(1.0, s, n) for s in s_values]
+                                + [s1_polynomial(1.0, n, gamma) for gamma in gs]]))
+    for n, gs in zip(degrees, gammas):
+        for s in s_values:
+            rts = next(stack)
             radius = rl.support_radius(1.0, s)
             xs = np.sort(rts.real)
             sym = float(np.max(np.abs(xs + xs[::-1])))
@@ -201,8 +204,8 @@ def _suite_real() -> list[CheckResult]:
             worst = max(worst, sym, imag, inside, simple)
             gap = float(np.max(np.abs(rl.sgt1_points(1.0, s, n) - xs)))
             worst_routes = max(worst_routes, gap / float(np.max(np.abs(xs))))
-        rts = np.sort(stack[len(s_values):].real, axis=1)
-        points = np.array([rl.s1_points(1.0, n, gamma) for gamma in gammas])
+        rts = np.sort([next(stack).real for _ in gs], axis=1)
+        points = np.array([rl.s1_points(1.0, n, gamma) for gamma in gs])
         worst_s1 = max(worst_s1, float(np.max(np.abs(rts - points))))
     out.append(CheckResult("real", "pseudo-jacobi-roots-real-symmetric-inside", worst, 1e-9))
     out.append(CheckResult("real", "tridiagonal-vs-companion-roots", worst_routes, 1e-10))

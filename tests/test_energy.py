@@ -831,6 +831,16 @@ class TestOneCharge:
         assert res.converged
         assert circular_distance(res.points, mobius_images(b, n)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [12, 48])
+    @pytest.mark.parametrize("b", [-0.999999, -1.000001, -0.35, -2.79])
+    def test_negative_charge_gauge_keeps_the_digits(self, b, n):
+        # gauged at b itself, the reference image -1 lies a half-turn from
+        # the cluster and its preimage lost the digits: 7.5e-6 rad off at
+        # b = -0.999999, n = 12.  Next to the charge the scaled residual
+        # floor leaves these unconverged, which is not at issue here
+        res = optimize(CircleWeight(b), n)
+        assert circular_distance(res.points, mobius_images(b, n)) <= 4.0 * np.spacing(TWO_PI)
+
 
 class TestScaledResidual:
     def test_zero_at_closed_forms(self):

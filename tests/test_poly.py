@@ -31,7 +31,8 @@ class TestPoly:
 
     def test_normalization_trims_trailing_zeros(self):
         assert roots([1.0, 2.0, 0.0, 0.0]).tolist() == [-0.5]
-        assert stacked_roots([[-1.0, 0.0, 1.0, 0.0], [-4.0, 0.0, 1.0]]).shape == (2, 2)
+        stack = stacked_roots([[-1.0, 0.0, 1.0, 0.0], [-4.0, 0.0, 1.0]])
+        assert [r.shape for r in stack] == [(2,), (2,)]
         assert discriminant_resultant([-1.0, 0.0, 1.0, 0.0]) == 4.0
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
@@ -139,10 +140,10 @@ def same_bits(x, y):
 class TestStackedRoots:
     def assert_rows_are_single_roots(self, polys):
         stack = stacked_roots(polys)
-        assert stack.shape == (len(polys), len(polys[0]) - 1)
+        assert len(stack) == len(polys)
         for c, row in zip(polys, stack):
             assert same_bits(row, roots(c))
-            assert same_bits(row, reference_roots(np.asarray(c, dtype=float)))
+            assert same_bits(row, reference_roots(_checked_coeffs(c)))
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_s1_family(self, n):
@@ -155,7 +156,7 @@ class TestStackedRoots:
         polys = [pseudo_jacobi(1.0, s, n) for s in (1.5, 2.0, 3.25)]
         assert all(c[0] == 0 for c in polys)
         self.assert_rows_are_single_roots(polys)
-        assert np.all(stacked_roots(polys)[:, n // 2] == 0)
+        assert all(r[n // 2] == 0 for r in stacked_roots(polys))
 
     @pytest.mark.parametrize("n", [2, 3, 16, 29, 30])
     def test_pseudo_jacobi_and_s1_rows_in_one_stack(self, n):
@@ -183,13 +184,26 @@ class TestStackedRoots:
                  [0.0, 0.0, 0.0, 0.0, 2.0]]
         self.assert_rows_are_single_roots(polys)
 
-    def test_rejects_mixed_degrees_and_constants(self):
-        with pytest.raises(InvalidInputError):
-            stacked_roots([[1.0, 1.0], [1.0, 0.0, 1.0]])
+    def test_every_degree_in_one_stack(self):
+        # degrees 1..30 out of order, with zero roots, monomials and trailing
+        # zeros: each row keeps its own bits
+        rng = np.random.default_rng(9)
+        polys = []
+        for deg in rng.permutation(np.arange(1, 31)).tolist():
+            c = rng.normal(size=deg + 1)
+            c[:int(rng.integers(0, deg + 1))] = 0.0  # up to deg zero roots
+            polys.append(c)
+        polys += [[0.0, 0.0, 0.0, 1.5], [0.0, 2.0], [3.0, 1.0, 0.0],
+                  pseudo_jacobi(1.0, 2.0, 7), s1_polynomial(1.0, 30)]
+        self.assert_rows_are_single_roots(polys)
+
+    def test_rejects_empty_stacks_and_constants(self):
         with pytest.raises(InvalidInputError):
             stacked_roots([])
         with pytest.raises(InvalidInputError):
             stacked_roots([[2.0], [3.0]])
+        with pytest.raises(InvalidInputError):
+            stacked_roots([[1.0, 1.0], [0.0, 0.0]])
 
 
 class TestDiscriminant:

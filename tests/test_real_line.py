@@ -182,6 +182,18 @@ class TestPseudoJacobi:
         with pytest.raises(InvalidInputError):
             pseudo_jacobi(1.0, 5e307, 3)
 
+    @pytest.mark.parametrize("a, s, n", [(1.0, 2.0, 1030), (50.0, 2.0, 300)])
+    def test_coefficient_beyond_double_range_raises(self, a, s, n):
+        # C(1030, 2k) passes the double range (a bare OverflowError before);
+        # a^(2k) at a = 50 overflowed to inf coefficients without a word
+        with pytest.raises(NumericalError, match=f"a={a!r}, lambda={2 * s * (n - 1)!r}, n={n}"):
+            pseudo_jacobi(a, s, n)
+
+    def test_large_n_finite_with_underflowed_constant(self):
+        c = pseudo_jacobi(1.0, 2.0, 1000)
+        assert np.all(np.isfinite(c)) and c[1000] == 1.0
+        assert c[0] == 0.0
+
 
 def _newton_polished(a, s, n, xs):
     """Each point refined by three Newton steps on G_n(x/a) at 40 digits,
