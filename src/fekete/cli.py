@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import logging
 import math
 import os
@@ -65,6 +66,10 @@ EXIT_NOT_CONVERGED = 3
 VERIFY_SUITES = ("poly", "real", "circle", "energy", "equilibrium")
 
 
+# the cells written as "%.17g"; any other cell is written as its own text
+_FLOAT_TYPES = (float, np.floating)
+
+
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INVALID_INPUT):
         super().__init__(message)
@@ -79,33 +84,42 @@ class _Rows:
     def __init__(self, header, columns):
         self.header, self.columns = header, columns
 
-
-def _render_rows(columns, cell, prefixes, end: str) -> str:
-    """The rows of equal-length columns: each row as prefixes[k] + cell k
-    for every k, then end.  The columns are interleaved by one slice
-    assignment each and formatted by one % operation on one row template:
-    a column whose first cell is a float as "%.17g", any other column as
-    cell(v).  Every cell of a column has its first cell's type, and no
-    prefix holds a "%".  A row-major caller passes zip(*rows), or zip(row)
-    for one row."""
-    width, count = len(columns), len(columns[0]) if columns else 0
-    cells = [None] * (width * count)
-    formats = []
-    for k, column in enumerate(columns):
-        if count and isinstance(column[0], (float, np.floating)):
-            formats.append("%.17g")
+    def cells(self) -> list:
+        """The cells row by row, interleaved by one slice assignment per
+        column."""
+        width = len(self.columns)
+        cells = [None] * (width * len(self.columns[0]))
+        for k, column in enumerate(self.columns):
             cells[k::width] = column
-        else:
-            formats.append("%s")
-            cells[k::width] = [cell(v) for v in column]
-    row_template = "".join(map(str.__add__, prefixes, formats)) + end
-    return row_template * count % tuple(cells)
+        return cells
+
+
+def _render_rows(cells: list, cell, prefixes, end: str) -> str:
+    """The rows of cells, a row-major list of len(prefixes) cells to a row:
+    each row as prefixes[k] + cell k for every k, then end, all formatted by
+    one % operation on one row template.  A column whose first cell is a
+    float or np.floating takes "%.17g"; any other takes "%s" of cell(v),
+    written over its cells in the list.  Every cell of a column has its
+    first cell's type, and no prefix holds a "%".  The types are read from
+    the first row alone: one wide row (a flat list, a CSV result) costs one
+    isinstance per cell beyond its formatting, a tall table one per
+    column."""
+    width = len(prefixes)
+    formats = ["%.17g"] * width
+    for k, v in enumerate(cells[:width]):
+        if not isinstance(v, _FLOAT_TYPES):
+            formats[k] = "%s"
+            cells[k::width] = map(cell, cells[k::width])
+    pieces = [None] * (2 * width)
+    pieces[::2], pieces[1::2] = prefixes, formats
+    return ("".join(pieces) + end) * (len(cells) // width) % tuple(cells)
 
 
 def _to_json(value) -> str:
     """Minimal JSON serializer with fixed key order and 17-digit floats.  A
-    list is formatted by one % operation, as one row or, when every item is
-    a list of one nonzero length (the cartesian pairs), as rows."""
+    list is formatted by one % operation: as one wide row of its items, on a
+    copy, or, when every item is a list of one nonzero length (the cartesian
+    pairs), as rows of their items chained end to end."""
     if type(value) is float:
         return format(value, ".17g")
     if isinstance(value, dict):
@@ -114,18 +128,19 @@ def _to_json(value) -> str:
         width = len(value[0]) if value and isinstance(value[0], (list, tuple)) else 0
         if width and all(isinstance(v, (list, tuple)) and len(v) == width for v in value):
             prefixes = ["["] + [", "] * (width - 1)
-            return "[" + _render_rows(list(zip(*value)), _to_json, prefixes, "], ")[:-2] + "]"
+            cells = list(itertools.chain.from_iterable(value))
+            return "[" + _render_rows(cells, _to_json, prefixes, "], ")[:-2] + "]"
         prefixes = [""] + [", "] * (len(value) - 1)
-        return "[" + _render_rows(list(zip(value)), _to_json, prefixes, "") + "]"
+        return "[" + _render_rows(list(value), _to_json, prefixes, "") + "]"
     if isinstance(value, _Rows):
         keys = [f'"{k}": ' for k in value.header]
         prefixes = ["{" + keys[0]] + [", " + k for k in keys[1:]]
-        return "[" + _render_rows(value.columns, _to_json, prefixes, "}, ")[:-2] + "]"
+        return "[" + _render_rows(value.cells(), _to_json, prefixes, "}, ")[:-2] + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, _FLOAT_TYPES):
         return format(float(value), ".17g")
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -134,12 +149,13 @@ def _to_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _to_csv(header, columns) -> str:
-    """The header and the rows of the columns, comma-separated and ending in
-    CRLF, as csv.writer writes them: no cell is None or holds a comma, a
-    quote or a line break, so none is quoted or blanked."""
+def _to_csv(header, cells: list) -> str:
+    """The header and the rows of the row-major list cells (overwritten),
+    comma-separated and ending in CRLF, as csv.writer writes them: no cell
+    is None or holds a comma, a quote or a line break, so none is quoted or
+    blanked."""
     prefixes = [""] + [","] * (len(header) - 1)
-    return ",".join(header) + "\r\n" + _render_rows(columns, str, prefixes, "\r\n")
+    return ",".join(header) + "\r\n" + _render_rows(cells, str, prefixes, "\r\n")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -187,7 +203,7 @@ def _emit_result(payload: dict, fmt: str, out_path: str | None) -> None:
         payload["log_diameter"], payload["diameter"], payload["energy"],
         payload["grad_norm"],
     ] + payload["points"]
-    _emit(_to_csv(header, list(zip(row))), out_path)
+    _emit(_to_csv(header, row), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +340,7 @@ def _cmd_measure(args) -> int:
         }
         _emit(_to_json(payload) + "\n", args.out)
     else:
-        _emit(_to_csv(table.header, table.columns), args.out)
+        _emit(_to_csv(table.header, table.cells()), args.out)
     return EXIT_OK
 
 
@@ -365,7 +381,7 @@ def _cmd_converge(args) -> int:
     if args.format == "json":
         _emit(_to_json({"rows": table}) + "\n", args.out)
     else:
-        _emit(_to_csv(table.header, table.columns), args.out)
+        _emit(_to_csv(table.header, table.cells()), args.out)
     return EXIT_OK
 
 

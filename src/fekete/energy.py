@@ -180,17 +180,22 @@ def _row_blocks(x: np.ndarray, spare: bool = False):
     """The pair differences x_k - x_j in blocks of whole rows, at most
     _BLOCK_ELEMENTS entries each (at least one row): yields the row slice,
     the block, the index of its diagonal entries j = k and, if spare, a
-    second block-shaped array (else None).  Every block is a view of one
-    buffer, which the next block overwrites; the spare arrays likewise.  Both
-    come from one allocation: as two, the heap top was given back and
-    faulted in again on every call."""
+    second block-shaped array (else None).  A block is filled by copying x
+    into each row and subtracting it in place from x_k: two contiguous
+    passes, which numpy runs faster than one subtract of two broadcast
+    operands.  Every block is a view of one buffer, which the next block
+    overwrites; the spare arrays likewise.  Both come from one allocation:
+    as two, the heap top was given back and faulted in again on every
+    call."""
     n = x.size
     rows = min(n, max(1, _BLOCK_ELEMENTS // n))
     buf = np.empty((2 if spare else 1, rows, n))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
+        d = buf[0, :hi - lo]
+        np.copyto(d, x)
         diag = (np.arange(hi - lo), np.arange(lo, hi))
-        yield (slice(lo, hi), np.subtract(x[lo:hi, None], x[None, :], out=buf[0, :hi - lo]),
+        yield (slice(lo, hi), np.subtract(x[lo:hi, None], d, out=d),
                diag, buf[1, :hi - lo] if spare else None)
 
 
@@ -203,8 +208,7 @@ def _line_pair_sums(d, diag, with_scale: bool, _spare):
     return g, np.sum(np.abs(pair, out=pair), axis=1) if with_scale else None
 
 
-def _circle_pair_sums(d, diag, with_scale: bool, sin_out):
-    half = np.multiply(d, 0.5, out=d)
+def _circle_pair_sums(half, diag, with_scale: bool, sin_out):
     half[diag] = math.pi / 2.0  # cot(pi/2) ~ 0 and csc(pi/2) = 1 placeholders
     sin_half = np.sin(half, out=sin_out) if with_scale else None
     # tan(h) = 0 exactly where sin(h) = 0 for |h| < pi
@@ -233,9 +237,12 @@ def _gradient(points, weight, with_scale: bool = False):
     |x_k| << a, where a large s puts them.  A circle
     pair takes its cot as 1/tan of the half difference, one transcendental
     per pair, and the sine for its csc only when the scale is asked for, into
-    a second block buffer allocated once per call.  The pair terms are
-    summed over row blocks, each row in one pass as over the full matrix, so
-    the bits are those of the n x n form."""
+    a second block buffer allocated once per call.  The circle's blocks hold
+    the half differences as t_k/2 - t_j/2, with no halving pass over them:
+    halving is exact for t = 0 and |t| in [2^-1021, 2^1023), so the
+    difference of two halves rounds as (t_k - t_j)/2 does, bit for bit.  The
+    pair terms are summed over row blocks, each row in one pass as over the
+    full matrix, so the bits are those of the n x n form."""
     x = _as_points(points)
     n = x.size
     if isinstance(weight, RealWeight):
@@ -244,20 +251,21 @@ def _gradient(points, weight, with_scale: bool = False):
         h = np.hypot(x, weight.a)
         field = 2.0 * weight.s * (n - 1) * (x / h) / h
         field_size = np.abs(field) if with_scale else None
-        pair_sums, spare = _line_pair_sums, False
+        pair_sums, spare, block_x = _line_pair_sums, False, x
     elif isinstance(weight, CircleWeight):
         # den = |e^{ix} - b|^2 u^2: each term below carries one factor u back
         u = weight.unit
         den = weight.dist_sq(x)
         field = 2.0 * (n - 1) * (weight.b * u) * np.sin(x) / den * u
         field_size = 2.0 * (n - 1) / np.sqrt(den) * u if with_scale else None
-        # the csc of the scale takes a sine per pair, into a spare block
-        pair_sums, spare = _circle_pair_sums, with_scale
+        # the csc of the scale takes a sine per pair, into a spare block;
+        # the blocks hold the half differences t_k/2 - t_j/2
+        pair_sums, spare, block_x = _circle_pair_sums, with_scale, x / 2.0
     else:
         raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
     g = np.empty(n)
     scale = np.empty(n) if with_scale else None
-    for rows, d, diag, spare_block in _row_blocks(x, spare):
+    for rows, d, diag, spare_block in _row_blocks(block_x, spare):
         g[rows], block_scale = pair_sums(d, diag, with_scale, spare_block)
         if with_scale:
             scale[rows] = block_scale
@@ -273,7 +281,10 @@ def energy_gradient(points, weight) -> np.ndarray:
     The pair terms are formed one row block of at most 2^16 entries
     (512 KiB) at a time in one buffer that every block reuses, so memory
     grows linearly in n, a block stays in a core's L2 cache across its
-    passes, and no block is freshly mapped, zeroed and faulted in."""
+    passes, and no block is freshly mapped, zeroed and faulted in.  A
+    circle block is filled from the halved angles, so its half differences
+    cost no pass of their own; they keep the bits of the n x n form for
+    angles 0 and |t| in [2^-1021, 2^1023), where halving is exact."""
     return _gradient(points, weight)
 
 

@@ -165,6 +165,13 @@ def sgt1_log_diameter(a: float, s: float, n: int) -> float:
     sigma (1 - i/sigma) or 2 sigma (1 - (n-1+i)/(2 sigma)): the powers of
     sigma and 2 sigma collect into (2 sigma)^(-1/2) exactly, so the
     O(s log s) terms never form and every remaining sum is O(1).
+
+    Each sum's terms are built in two n-length buffers by out= ufuncs, with
+    the operations of its one numpy expression (coefficient array times log
+    array) in their order, so np.sum sees the array that the expression
+    would build and returns its bits.  The expression's fresh temporaries,
+    five to eight per sum, would be faulted in page by page on every call
+    at n = 10^5.
     """
     a = _checked_a(a)
     s = _checked_sgt1(s, "sgt1_diameter")
@@ -172,14 +179,25 @@ def sgt1_log_diameter(a: float, s: float, n: int) -> float:
     sig = _checked_sigma(s, n)
     i = np.arange(n, dtype=float)
     pairs = n * (n - 1)
+    # each sum's terms as coefficient c times log t
+    c, t = np.empty(n), np.empty(n)
+    np.subtract(np.add(i, 3.0, out=c), 2 * n, out=c)
+    np.multiply(c, np.log(np.add(i, 1.0, out=t), out=t), out=c)
+    sum_k = float(np.sum(c))
+    np.subtract(np.divide(np.multiply(i, 2.0, out=c), pairs, out=c), 2.0 * s / n, out=c)
+    np.log1p(np.divide(np.negative(i, out=t), sig, out=t), out=t)
+    sum_sigma = float(np.sum(np.multiply(c, t, out=c)))
+    np.add(2.0 * (s - 1.0) / n, np.divide(np.subtract(n - 1, i, out=c), pairs, out=c), out=c)
+    np.negative(np.add(n - 1, i, out=t), out=t)
+    np.log1p(np.divide(t, 2.0 * sig, out=t), out=t)
+    sum_2sigma = float(np.sum(np.multiply(c, t, out=c)))
     return (
         (1.0 - 2.0 * s) * math.log(a)
         - 0.5 * math.log(2.0 * sig)
         + (2.0 / n) * math.lgamma(n + 1)
-        + float(np.sum((i + 3.0 - 2 * n) * np.log(i + 1.0))) / pairs
-        + float(np.sum((2.0 * i / pairs - 2.0 * s / n) * np.log1p(-i / sig)))
-        + float(np.sum((2.0 * (s - 1.0) / n + (n - 1 - i) / pairs)
-                       * np.log1p(-(n - 1 + i) / (2.0 * sig))))
+        + sum_k / pairs
+        + sum_sigma
+        + sum_2sigma
     )
 
 

@@ -639,6 +639,8 @@ class TestWriters:
         "real --a 1 --s 2 --n 6",
         "real --a 0.5 --s 1 --n 7 --gamma -1.2",
         "circle --b -3 --n 5 --alpha 0.25",
+        "real --a 1.3 --s 1 --n 1000 --gamma -1.5699",
+        "circle --b -3.98 --n 1000 --alpha 0.0035",
     ])
     def test_csv_is_what_csv_writer_writes(self, capsys, argv):
         out = run_ok(capsys, *argv.split(), "--format", "csv")
@@ -649,7 +651,7 @@ class TestWriters:
         header = ("n", "name", "x", "y", "z")
         rows = [(3, "real", 0.1, np.float64(-2.5e-300), np.int64(7)),
                 (10**20, "closed", math.inf, -0.0, True)]
-        assert _to_csv(header, list(zip(*rows))) == csv_writer_text(header, rows)
+        assert _to_csv(header, [v for row in rows for v in row]) == csv_writer_text(header, rows)
         assert _to_csv(header, []) == csv_writer_text(header, [])
 
     @pytest.mark.parametrize("family, params, grid", [
@@ -804,6 +806,16 @@ class TestJsonLists:
     ], ids=repr)
     def test_one_operation_per_list_matches_the_elementwise_form(self, value):
         assert _to_json(value) == elementwise_json(value)
+
+    @pytest.mark.parametrize("breaker", [7, True, np.float64(-2.5e-300), None, [0.5, -0.0]],
+                             ids=repr)
+    @pytest.mark.parametrize("at", [0, 1, 500, 999])
+    def test_wide_float_list_matches_the_elementwise_form(self, breaker, at):
+        value = np.random.default_rng(at).normal(0.0, 1e3, 1000).tolist()
+        assert _to_json(value) == elementwise_json(value)
+        value[at] = breaker
+        assert _to_json(value) == elementwise_json(value)
+        assert value[at] is breaker  # the list is not written to
 
 
 def fresh_process(argv):

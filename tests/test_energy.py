@@ -154,14 +154,19 @@ class TestBlockedGradient:
         monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", budget)
         rng = np.random.default_rng(n)
         if isinstance(weight, RealWeight):
-            x = np.sort(rng.normal(0.0, 2.0, n))
+            point_sets = [np.sort(rng.normal(0.0, 2.0, n))]
         else:
+            # the circle's blocks hold t_k/2 - t_j/2: its ends, 0, pi and
+            # the largest double below 2 pi, must give (t_k - t_j)/2 too
             x = np.sort(rng.uniform(0.0, TWO_PI, n))
-        g_ref, scale_ref = dense_gradient(x, weight)
-        g, scale = _gradient(x, weight, with_scale=True)
-        assert np.array_equal(g, g_ref) and np.array_equal(scale, scale_ref)
-        assert np.array_equal(_gradient(x, weight), g_ref)
-        assert np.array_equal(energy_gradient(x, weight), g_ref)
+            ends = [0.0, math.pi, np.nextafter(TWO_PI, 0.0)]
+            point_sets = [x, np.sort(np.concatenate((ends, x[3:]))), np.array([0.0, math.pi])]
+        for x in point_sets:
+            g_ref, scale_ref = dense_gradient(x, weight)
+            g, scale = _gradient(x, weight, with_scale=True)
+            assert np.array_equal(g, g_ref) and np.array_equal(scale, scale_ref)
+            assert np.array_equal(_gradient(x, weight), g_ref)
+            assert np.array_equal(energy_gradient(x, weight), g_ref)
 
     @pytest.mark.parametrize("weight", [RealWeight(1.0, 2.0), CircleWeight(0.5)])
     @pytest.mark.parametrize("with_scale", [False, True])
