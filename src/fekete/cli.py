@@ -8,13 +8,15 @@ measure   density/CDF samples of the limit measure families
 converge  diameter-vs-capacity tables with a weak* convergence diagnostic
 verify    run the self-check batteries
 
-Data goes to stdout (or --out), messages to stderr.  Exit codes: 0 success,
-1 verification failure or points the command built that coincide in double
-precision, 2 invalid input, 3 optimizer did not converge (the partial result
-is still emitted).  Floats are printed with 17 significant digits so that
-parsing the output recovers the exact binary values.  The environment
-variable FEKETE_LOG in {off, info, debug} controls diagnostic verbosity on
-stderr; nothing else is read from the environment.
+Data goes to stdout (or --out), messages to stderr, never a traceback.  Exit
+codes: 0 success, 1 verification failure or points the command built that
+coincide in double precision, 2 invalid input, an --out that cannot be
+written (no partial file is left) or memory that cannot be allocated, 3
+optimizer did not converge (the partial result is still emitted), 141 (128 +
+SIGPIPE) when the reader closes stdout.  Floats are printed with 17
+significant digits so that parsing the output recovers the exact binary
+values.  The environment variable FEKETE_LOG in {off, info, debug} controls
+diagnostic verbosity on stderr; nothing else is read from the environment.
 
 main(argv) may be called any number of times in one process, and each call
 prints what a fresh process prints for the same argv: the parser is built
@@ -77,21 +79,13 @@ class CliError(Exception):
 
 
 class _Rows:
-    """A table under a header, held as columns: one list per header name,
-    each as long as the first.  It is written as a JSON list of objects
-    keyed by the header (_to_json) or as a CSV table (_to_csv)."""
+    """A table under a header, held as its cells row by row in one flat
+    list, len(header) to a row.  It is written once, as a JSON list of
+    objects keyed by the header (_to_json) or as a CSV table (_to_csv);
+    writing overwrites its cells that are not floats with their text."""
 
-    def __init__(self, header, columns):
-        self.header, self.columns = header, columns
-
-    def cells(self) -> list:
-        """The cells row by row, interleaved by one slice assignment per
-        column."""
-        width = len(self.columns)
-        cells = [None] * (width * len(self.columns[0]))
-        for k, column in enumerate(self.columns):
-            cells[k::width] = column
-        return cells
+    def __init__(self, header, cells: list):
+        self.header, self.cells = header, cells
 
 
 def _render_rows(cells: list, cell, prefixes, end: str) -> str:
@@ -135,7 +129,7 @@ def _to_json(value) -> str:
     if isinstance(value, _Rows):
         keys = [f'"{k}": ' for k in value.header]
         prefixes = ["{" + keys[0]] + [", " + k for k in keys[1:]]
-        return "[" + _render_rows(value.cells(), _to_json, prefixes, "}, ")[:-2] + "]"
+        return "[" + _render_rows(value.cells, _to_json, prefixes, "}, ")[:-2] + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -159,84 +153,37 @@ def _to_csv(header, cells: list) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    """Write text to out_path, or to stdout, flushed so that a reader that
+    has gone shows here.  An OSError of the file is a CliError; a regular
+    file opened and left partly written is removed."""
+    if not out_path:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return
+    fh = None
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        log.info("wrote %s", out_path)
+    except OSError as exc:
+        if fh is not None and os.path.isfile(out_path):
+            os.remove(out_path)
+        raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+    log.info("wrote %s", out_path)
+
+
+def _write(args, payload: dict, table) -> None:
+    """The one output of real, circle, measure and converge: payload as a
+    JSON line, or with --format csv the _Rows that table() builds."""
+    if args.format == "csv":
+        rows = table()
+        _emit(_to_csv(rows.header, rows.cells), args.out)
     else:
-        sys.stdout.write(text)
-
-
-def _result_payload(params: dict, points, log_diameter: float, grad_norm,
-                    extra: dict | None = None) -> dict:
-    """The result fields.  L = log_diameter must be finite and exp(L) at
-    most the double range's top (an exp(L) below it prints as 0); only then
-    is grad_norm() called, since the gradient of such points overflows."""
-    if not math.isfinite(log_diameter):
-        raise CliError(f"the log diameter is {log_diameter}: an intermediate value "
-                       "left the double range")
-    try:
-        diameter = math.exp(log_diameter)
-    except OverflowError:
-        raise CliError("the weighted diameter exp(L) exceeds the double range") from None
-    payload = {
-        "params": params,
-        "points": np.asarray(points, dtype=float).tolist(),
-        "log_diameter": log_diameter,
-        "diameter": diameter,
-        "energy": -log_diameter,
-        "grad_norm": grad_norm(),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _emit_result(payload: dict, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        _emit(_to_json(payload) + "\n", out_path)
-        return
-    header = list(payload["params"].keys()) + [
-        "log_diameter", "diameter", "energy", "grad_norm",
-    ] + [f"point_{k}" for k in range(len(payload["points"]))]
-    row = list(payload["params"].values()) + [
-        payload["log_diameter"], payload["diameter"], payload["energy"],
-        payload["grad_norm"],
-    ] + payload["points"]
-    _emit(_to_csv(header, row), out_path)
+        _emit(_to_json(payload) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
-
-def _optimize_and_emit(weight, params: dict, args) -> int:
-    log.info("optimizing %d points", args.n)
-    res = optimize(weight, args.n)
-    payload = _result_payload(
-        params, res.points, res.log_diameter, lambda: res.grad_norm,
-        extra={"iterations": res.iterations, "converged": res.converged},
-    )
-    if isinstance(weight, CircleWeight):
-        payload["cartesian"] = [[math.cos(t), math.sin(t)] for t in res.points]
-    _emit_result(payload, args.format, args.out)
-    if not res.converged:
-        print("optimizer did not reach the scaled stationarity residual "
-              f"{RESIDUAL_TOL:g}; best iterate emitted", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
-
-
-def _grad_norm(points, weight) -> float:
-    """max |g_k| of closed-form points; coincident ones were lost to rounding
-    in their construction, not passed in."""
-    try:
-        g = energy_gradient(points, weight)
-    except DegenerateInputError:
-        raise NumericalError(f"the {len(points)} points built for {weight!r} coincide in "
-                             "double precision: gradient undefined") from None
-    return float(np.max(np.abs(g)))
-
 
 def _closed_line(weight: RealWeight, n: int, gamma: float | None = None):
     """Closed-form points, log diameter and phase on the line: the arctangent
@@ -249,39 +196,69 @@ def _closed_line(weight: RealWeight, n: int, gamma: float | None = None):
             sgt1_log_diameter(weight.a, weight.s, n), None)
 
 
-def _cmd_real(args) -> int:
-    weight = RealWeight(a=args.a, s=args.s)
-    params = {"command": "real", "a": weight.a, "s": weight.s, "n": args.n,
-              "method": args.method, "seed": args.seed}
-
-    if args.method == "closed":
-        pts, log_diameter, gamma = _closed_line(weight, args.n, args.gamma)
+def _cmd_points(args) -> int:
+    """real and circle: one weighted Fekete set and its diameter, from the
+    optimizer or the closed form (_closed_line, circle_points).  L =
+    log_diameter must be finite and exp(L) at most the double range's top
+    (an exp(L) below it prints as 0); only then is the gradient of
+    closed-form points taken, since that of such points overflows.  Exit 3
+    if and only if the optimizer did not converge; its best iterate is
+    still written."""
+    line = args.command == "real"
+    if line:
+        weight = RealWeight(a=args.a, s=args.s)
+        params = {"command": "real", "a": weight.a, "s": weight.s}
+    else:
+        weight = CircleWeight(args.b)
+        params = {"command": "circle", "b": weight.b}
+    params.update(n=args.n, method=args.method, seed=args.seed)
+    res, extra = None, {}
+    if args.method == "optimize":
+        log.info("optimizing %d points", args.n)
+        res = optimize(weight, args.n)
+        points, log_diameter = res.points, res.log_diameter
+        grad_norm = res.grad_norm
+        extra = {"iterations": res.iterations, "converged": res.converged}
+        if not line:
+            extra["cartesian"] = [[math.cos(t), math.sin(t)] for t in points]
+    elif line:
+        points, log_diameter, gamma = _closed_line(weight, args.n, args.gamma)
         if gamma is not None:
             params["gamma"] = gamma
-        payload = _result_payload(params, pts, log_diameter, lambda: _grad_norm(pts, weight))
-        _emit_result(payload, args.format, args.out)
-        return EXIT_OK
+    else:
+        params["alpha"] = args.alpha if args.alpha is not None else 0.0
+        sol = circle_points(weight.b, args.n, params["alpha"])
+        points, log_diameter = sol.angles, circle_log_diameter(weight.b, args.n)
+        extra = {"cartesian": [[z.real, z.imag] for z in sol.points]}
 
-    return _optimize_and_emit(weight, params, args)
-
-
-def _cmd_circle(args) -> int:
-    weight = CircleWeight(args.b)
-    params = {"command": "circle", "b": weight.b, "n": args.n,
-              "method": args.method, "seed": args.seed}
-
-    if args.method == "closed":
-        alpha = args.alpha if args.alpha is not None else 0.0
-        sol = circle_points(weight.b, args.n, alpha)
-        params["alpha"] = alpha
-        angles = np.asarray(sol.angles)
-        payload = _result_payload(params, angles, circle_log_diameter(weight.b, args.n),
-                                  lambda: _grad_norm(angles, weight))
-        payload["cartesian"] = [[z.real, z.imag] for z in sol.points]
-        _emit_result(payload, args.format, args.out)
-        return EXIT_OK
-
-    return _optimize_and_emit(weight, params, args)
+    if not math.isfinite(log_diameter):
+        raise CliError(f"the log diameter is {log_diameter}: an intermediate value "
+                       "left the double range")
+    try:
+        diameter = math.exp(log_diameter)
+    except OverflowError:
+        raise CliError("the weighted diameter exp(L) exceeds the double range") from None
+    points = np.asarray(points, dtype=float)
+    if res is None:
+        try:
+            grad_norm = float(np.max(np.abs(energy_gradient(points, weight))))
+        except DegenerateInputError:
+            # the closed form's points, distinct in exact arithmetic, were
+            # not passed in: rounding lost them in their construction
+            raise NumericalError(f"the {len(points)} points built for {weight!r} coincide "
+                                 "in double precision: gradient undefined") from None
+    payload = {"params": params, "points": points.tolist(), "log_diameter": log_diameter,
+               "diameter": diameter, "energy": -log_diameter, "grad_norm": grad_norm,
+               **extra}
+    keys = ("log_diameter", "diameter", "energy", "grad_norm")
+    _write(args, payload, lambda: _Rows(
+        [*params, *keys, *(f"point_{k}" for k in range(len(points)))],
+        [*params.values(), *(payload[k] for k in keys), *payload["points"]]))
+    if res is not None and not res.converged:
+        print("optimizer did not reach the scaled stationarity residual "
+              f"{RESIDUAL_TOL:g}; best iterate emitted", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -329,18 +306,12 @@ def _cmd_measure(args) -> int:
     if math.isfinite(lo):
         # clip to the support and pin the endpoints as first/last rows
         grid = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
-    table = _Rows(("x", "density", "cdf"),
-                  (grid.tolist(), density(m, grid).tolist(), cdf(m, grid).tolist()))
-    if args.format == "json":
-        payload = {
-            "family": m.family,
-            "params": {k: v for k, v in (("s", m.s), ("b", m.b), ("r", m.r))
-                       if v is not None},
-            "rows": table,
-        }
-        _emit(_to_json(payload) + "\n", args.out)
-    else:
-        _emit(_to_csv(table.header, table.cells()), args.out)
+    cells = [None] * (3 * len(grid))
+    cells[::3], cells[1::3], cells[2::3] = (grid.tolist(), density(m, grid).tolist(),
+                                            cdf(m, grid).tolist())
+    table = _Rows(("x", "density", "cdf"), cells)
+    params = {k: v for k, v in (("s", m.s), ("b", m.b), ("r", m.r)) if v is not None}
+    _write(args, {"family": m.family, "params": params, "rows": table}, lambda: table)
     return EXIT_OK
 
 
@@ -360,28 +331,23 @@ def _cmd_converge(args) -> int:
     if (args.s is None) == (args.b is None):
         raise CliError("give exactly one of --s (line) or --b (circle)")
     ns = _parse_n_list(args.n_list)
-    rows = []
     if args.s is not None:
         cap = capacity_real(args.s)
         weight = RealWeight(1.0, args.s)
         m = MeasureSpec.arctan() if weight.s == 1.0 else MeasureSpec.real_sgt1(weight.s)
-        for n in ns:
+    else:
+        cap, m = capacity_circle(args.b), MeasureSpec.circle_poisson(args.b)
+    cells = []
+    for n in ns:
+        if args.s is not None:
             pts, log_delta, _ = _closed_line(weight, n)
             delta = math.exp(log_delta)
-            rows.append((n, delta, cap, delta - cap, ks_distance(pts, m)))
-    else:
-        cap = capacity_circle(args.b)
-        m = MeasureSpec.circle_poisson(args.b)
-        for n in ns:
+        else:
             delta = circle_diameter(args.b, n)
-            sol = circle_points(args.b, n, 0.0)
-            rows.append((n, delta, cap, delta - cap, ks_distance(sol.angles, m)))
-    table = _Rows(("n", "delta_n", "capacity", "delta_minus_capacity", "ks_distance"),
-                  list(zip(*rows)))
-    if args.format == "json":
-        _emit(_to_json({"rows": table}) + "\n", args.out)
-    else:
-        _emit(_to_csv(table.header, table.cells()), args.out)
+            pts = circle_points(args.b, n, 0.0).angles
+        cells += (n, delta, cap, delta - cap, ks_distance(pts, m))
+    table = _Rows(("n", "delta_n", "capacity", "delta_minus_capacity", "ks_distance"), cells)
+    _write(args, {"rows": table}, lambda: table)
     return EXIT_OK
 
 
@@ -391,13 +357,11 @@ def _cmd_verify(args) -> int:
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names)
-    lines = [r.line() for r in results]
-    failed = [r for r in results if not r.passed]
+    failed = [r.name for r in results if not r.passed]
     summary = f"{len(results) - len(failed)}/{len(results)} checks passed"
-    _emit("\n".join(lines + [summary]) + "\n", args.out)
+    _emit("".join(r.line() + "\n" for r in results) + summary + "\n", args.out)
     if failed:
-        print(f"verification failed: {', '.join(r.name for r in failed)}",
-              file=sys.stderr)
+        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -425,32 +389,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")
 
-    p = sub.add_parser("real", help="Fekete sets for w(x) = |x - ai|^-s on the line")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("closed", "optimize"), default="closed")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="free phase for s = 1 (default: symmetric choice)")
-    p.add_argument("--seed", type=_seed, default=0, help=seed_help)
-    common(p)
-    p.set_defaults(handler=_cmd_real)
+    def points(name, help, weight, phase, phase_help):
+        p = sub.add_parser(name, help=help)
+        for option in weight:
+            p.add_argument(option, type=float, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--method", choices=("closed", "optimize"), default="closed")
+        p.add_argument(phase, type=float, default=None, help=phase_help)
+        p.add_argument("--seed", type=_seed, default=0, help=seed_help)
+        common(p)
+        p.set_defaults(handler=_cmd_points)
 
-    p = sub.add_parser("circle", help="Fekete sets for w(z) = 1/|z - b| on the circle")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("closed", "optimize"), default="closed")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="free rotation of the preimage grid (default 0)")
-    p.add_argument("--seed", type=_seed, default=0, help=seed_help)
-    common(p)
-    p.set_defaults(handler=_cmd_circle)
+    points("real", "Fekete sets for w(x) = |x - ai|^-s on the line", ("--a", "--s"),
+           "--gamma", "free phase for s = 1 (default: symmetric choice)")
+    points("circle", "Fekete sets for w(z) = 1/|z - b| on the circle", ("--b",),
+           "--alpha", "free rotation of the preimage grid (default 0)")
 
     p = sub.add_parser("measure", help="sample a limit measure density and CDF")
-    p.add_argument("--family",
-                   choices=("real-s", "arctan", "circle-poisson",
-                            "harmonic-inf", "harmonic-i"),
-                   required=True)
+    p.add_argument("--family", required=True, choices=(
+        "real-s", "arctan", "circle-poisson", "harmonic-inf", "harmonic-i"))
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
@@ -512,17 +469,11 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     """Merge '--opt -value' pairs so argparse does not read negative values
     (e.g. a grid '-2:2:5') as option flags."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _VALUE_OPTIONS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and argv[i + 1] != "--"
-                and not argv[i + 1].startswith("--")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _VALUE_OPTIONS and tok.startswith("-") and tok[:2] != "--":
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -533,15 +484,24 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_join_dash_values(list(argv)))
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered for it goes to
+        # devnull, so that the interpreter's last flush does not fail again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # a stdout with no descriptor of its own
+            pass
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
     except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        message, code = str(exc), EXIT_INVALID_INPUT
     except FeketeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        message, code = str(exc), EXIT_VERIFY_FAILED
+    except MemoryError as exc:
+        message, code = f"not enough memory: {exc}", EXIT_INVALID_INPUT
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

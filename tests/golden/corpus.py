@@ -54,7 +54,6 @@ EPS = 2.0 ** -52
 ULPS = 4.0
 NOISE = 2.0 ** 4
 NOISE_FIELDS = ("grad_norm",)
-RESIDUAL_TOL = 1e-10  # fekete.energy.RESIDUAL_TOL, the optimizer's gate
 
 # name, argv
 CASES = [
@@ -167,6 +166,8 @@ def tokenize(text: str, csv: bool) -> Tokens:
 def budgets(tokens: Tokens, optimized: bool) -> list[float]:
     """The budget of each number token of a recorded output (see the module
     docstring)."""
+    from fekete.energy import RESIDUAL_TOL
+
     values = [abs(float(t)) for t in tokens.numbers]
     by_field: dict[str, float] = {}
     for f, v in zip(tokens.fields, values):

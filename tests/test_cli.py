@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import logging
@@ -709,6 +710,86 @@ class TestVerifyCommand:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
         assert "{poly,real,circle,energy,equilibrium,all}" in capsys.readouterr().err
+
+
+class TestOutputErrors:
+    """Failures on the output side and out of memory end in one error line
+    and a documented exit code, never a traceback."""
+
+    def test_out_in_a_missing_directory_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "real", "--a", "1", "--s", "2", "--n", "3",
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["real", "--a", "1", "--s", "2", "--n", "3"],
+        ["measure", "--family", "arctan", "--grid", "0:1:3"],
+        ["verify", "--suite", "circle"],
+    ])
+    def test_out_naming_a_directory_exits_two(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_left_partly_written_is_removed(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "x.csv"
+
+        class Full(io.StringIO):
+            def write(self, text):
+                target.write_text(text[:10])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Full(), raising=False)
+        code, out, err = run(capsys, "real", "--a", "1", "--s", "2", "--n", "3",
+                             "--format", "csv", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: No space left on device\n"
+        assert not target.exists()
+
+    def test_closed_stdout_exits_141_quietly(self, capsys, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["real", "--a", "1", "--s", "1", "--n", "2000", "--format", "csv"]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_closed_before_the_write_exits_141_quietly(self):
+        # the read end is closed before the child starts, so its first write
+        # fails with EPIPE on every run
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "FEKETE_LOG"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fekete.__file__))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fekete.cli", "real", "--a", "1", "--s", "1",
+                 "--n", "5"], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    # 10^15 points ask for petabytes: the allocation fails at once, with no
+    # page touched, on any 64-bit host
+    @pytest.mark.parametrize("argv", [
+        "real --a 1 --s 1 --n 1000000000000000",
+        "real --a 1 --s 2 --n 1000000000000000",
+        "circle --b 0.5 --n 1000000000000000",
+        "real --a 1 --s 2 --n 1000000000000000 --method optimize",
+        "circle --b 0.5 --n 1000000000000000 --method optimize",
+        "measure --family arctan --grid 0:1:1000000000000000",
+        "converge --s 2 --n-list 1000000000000000",
+        "converge --b 0.5 --n-list 1000000000000000",
+    ])
+    def test_allocation_failure_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
 
 
 class TestOutputContract:

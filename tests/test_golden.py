@@ -34,10 +34,11 @@ def perturbed(text, index, past):
     tokens = corpus.tokenize(text, csv=False)
     budget = corpus.budgets(tokens, optimized=False)[index]
     y = float(tokens.numbers[index])
-    x = y + math.copysign(budget, y)
-    x = math.nextafter(x, math.copysign(math.inf, y) if past else y)
-    if not past:
-        x = math.nextafter(x, y)
+    edge = y + math.copysign(budget, y)
+    if past:
+        x = math.nextafter(edge, math.copysign(math.inf, y))
+    else:
+        x = math.nextafter(math.nextafter(edge, y), y)
     numbers = list(tokens.numbers)
     numbers[index] = format(x, ".17g")
     return "".join(b + n for b, n in zip(tokens.between, numbers)) + tokens.between[-1]
