@@ -68,6 +68,10 @@ CASES = [
     ("real_sgt1_n300", "real --a 1 --s 3 --n 300"),
     ("real_sgt1_n301_csv", "real --a 0.7 --s 1.5 --n 301 --format csv"),
     ("real_large_s", "real --a 1 --s 1e8 --n 12"),
+    # n = 1000: the s = 1 and s > 1 lines and a circle inside the unit disc,
+    # each gated over many strips
+    ("real_s1_n1000_csv", "real --a 1.3 --s 1 --n 1000 --format csv"),
+    ("real_sgt1_n1000", "real --a 1 --s 2.5 --n 1000"),
     # circle, closed: b = 0, 0 < b < 1, b < 0, |b| > 1, --alpha, CSV
     ("circle_zero", "circle --b 0 --n 5"),
     ("circle_half", "circle --b 0.5 --n 6"),
@@ -75,6 +79,7 @@ CASES = [
     ("circle_outside", "circle --b 2.5 --n 8"),
     ("circle_alpha_csv", "circle --b 0.7 --n 5 --alpha 0.4 --format csv"),
     ("circle_outside_negative_n300_csv", "circle --b -3.98 --n 300 --format csv"),
+    ("circle_inside_n1000_csv", "circle --b 0.507 --n 1000 --format csv"),
     # the optimizer at n <= 48; the last one stops short of its gate, exit 3
     ("opt_real_sgt1", "real --a 1.3 --s 2 --n 12 --method optimize"),
     ("opt_real_sgt1_odd", "real --a 1.3 --s 2 --n 3 --method optimize --seed 5"),
