@@ -99,7 +99,7 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10  # a result is converged when scaled_residual <= this
 _MAX_NEWTON_STEPS = 200  # the Newton steps of each optimizer stage, at most
-_BLOCK_ELEMENTS = 1 << 16  # entries per row block of the gradient (see energy_gradient)
+_BLOCK_ELEMENTS = 1 << 16  # entries per upper strip of the gradient (see _upper_strips)
 
 
 @dataclass(frozen=True)
@@ -176,52 +176,70 @@ def discrete_energy(points, weight: RealWeight) -> float:
     return -2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1))
 
 
-def _row_blocks(x: np.ndarray, spare: bool = False):
-    """The pair differences x_k - x_j in blocks of whole rows, at most
-    _BLOCK_ELEMENTS entries each (at least one row): yields the row slice,
-    the block, the index of its diagonal entries j = k and, if spare, a
-    second block-shaped array (else None).  A block is filled by copying x
-    into each row and subtracting it in place from x_k: two contiguous
-    passes, which numpy runs faster than one subtract of two broadcast
-    operands.  Every block is a view of one buffer, which the next block
-    overwrites; the spare arrays likewise.  Both come from one allocation:
-    as two, the heap top was given back and faulted in again on every
-    call."""
+def _upper_strips(x: np.ndarray, spare: bool = False):
+    """The pair differences x_k - x_j in upper strips: a strip holds the rows
+    lo <= k < hi against the columns j >= lo only, h = hi - lo rows of
+    w = n - lo entries, h = min(w, max(1, _BLOCK_ELEMENTS // w)), so at most
+    _BLOCK_ELEMENTS entries (at least one row), the strips growing taller as
+    they narrow.  Its first h columns are the diagonal square, which holds
+    the pairs of its rows both ways and the diagonal j = k; the columns
+    right of it hold each pair k < j with j >= hi once.  Where n^2 <=
+    _BLOCK_ELEMENTS the one strip is the n x n square.  Yields lo, the
+    strip and, if spare, a second strip-shaped array (else None).  A strip
+    is filled by copying x[lo:] into each row and subtracting it in place
+    from x_k: two contiguous passes, which numpy runs faster than one
+    subtract of two broadcast operands.  Every strip is a view of one
+    buffer, which the next strip overwrites; the spare arrays likewise.
+    Both come from one allocation: as two, the heap top was given back and
+    faulted in again on every call."""
     n = x.size
-    rows = min(n, max(1, _BLOCK_ELEMENTS // n))
-    buf = np.empty((2 if spare else 1, rows, n))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        d = buf[0, :hi - lo]
-        np.copyto(d, x)
-        diag = (np.arange(hi - lo), np.arange(lo, hi))
-        yield (slice(lo, hi), np.subtract(x[lo:hi, None], d, out=d),
-               diag, buf[1, :hi - lo] if spare else None)
+    size = min(n * n, max(_BLOCK_ELEMENTS, n))
+    buf = np.empty((2 if spare else 1, size))
+    lo = 0
+    while lo < n:
+        w = n - lo
+        h = min(w, max(1, _BLOCK_ELEMENTS // w))
+        d = buf[0, :h * w].reshape(h, w)
+        np.copyto(d, x[lo:])
+        yield (lo, np.subtract(x[lo:lo + h, None], d, out=d),
+               buf[1, :h * w].reshape(h, w) if spare else None)
+        lo += h
 
 
-def _line_pair_sums(d, diag, with_scale: bool, _spare):
-    d[diag] = np.inf
-    if np.any(d == 0.0):
-        raise DegenerateInputError("coincident points: gradient undefined")
+def _diagonal(strip: np.ndarray) -> np.ndarray:
+    """The entries (k, k) of an h x w strip, h <= w, as a writable view."""
+    return strip.reshape(-1)[::strip.shape[1] + 1]
+
+
+def _add_strip(out: np.ndarray, strip: np.ndarray, mirror) -> None:
+    """Adds the row sums of an h-row strip to out[:h], its own rows, and
+    mirror(out[h:], the column sums of its entries right of the diagonal
+    square) to out[h:], the later rows: np.subtract for a term odd in the
+    pair, np.add for a size, which is even."""
+    h = strip.shape[0]
+    out[:h] += strip.sum(axis=1)
+    if h < strip.shape[1]:
+        mirror(out[h:], strip[:, h:].sum(axis=0), out=out[h:])
+
+
+def _line_strip(d, g, scale, _spare):
+    _diagonal(d)[...] = np.inf
     pair = np.divide(2.0, d, out=d)
-    g = np.sum(pair, axis=1)
-    return g, np.sum(np.abs(pair, out=pair), axis=1) if with_scale else None
+    _add_strip(g, pair, np.subtract)
+    if scale is not None:
+        _add_strip(scale, np.abs(pair, out=pair), np.add)
 
 
-def _circle_pair_sums(half, diag, with_scale: bool, sin_out):
-    half[diag] = math.pi / 2.0  # cot(pi/2) ~ 0 and csc(pi/2) = 1 placeholders
-    sin_half = np.sin(half, out=sin_out) if with_scale else None
-    # tan(h) = 0 exactly where sin(h) = 0 for |h| < pi
-    cot = np.tan(half, out=half)
-    if np.any(cot == 0.0):
-        raise DegenerateInputError("coincident angles: gradient undefined")
-    np.divide(1.0, cot, out=cot)
-    cot[diag] = 0.0
-    if not with_scale:
-        return np.sum(cot, axis=1), None
-    csc = np.divide(1.0, np.abs(sin_half, out=sin_half), out=sin_half)
-    csc[diag] = 0.0
-    return np.sum(cot, axis=1), np.sum(csc, axis=1)
+def _circle_strip(half, g, scale, sin_out):
+    _diagonal(half)[...] = math.pi / 2.0  # cot(pi/2) ~ 0 and csc(pi/2) = 1 placeholders
+    sin_half = np.sin(half, out=sin_out) if scale is not None else None
+    cot = np.divide(1.0, np.tan(half, out=half), out=half)
+    _diagonal(cot)[...] = 0.0
+    _add_strip(g, cot, np.subtract)
+    if scale is not None:
+        csc = np.divide(1.0, np.abs(sin_half, out=sin_half), out=sin_half)
+        _diagonal(csc)[...] = 0.0
+        _add_strip(scale, csc, np.add)
 
 
 def _gradient(points, weight, with_scale: bool = False):
@@ -237,12 +255,34 @@ def _gradient(points, weight, with_scale: bool = False):
     |x_k| << a, where a large s puts them.  A circle
     pair takes its cot as 1/tan of the half difference, one transcendental
     per pair, and the sine for its csc only when the scale is asked for, into
-    a second block buffer allocated once per call.  The circle's blocks hold
+    a second strip buffer allocated once per call.  The circle's strips hold
     the half differences as t_k/2 - t_j/2, with no halving pass over them:
     halving is exact for t = 0 and |t| in [2^-1021, 2^1023), so the
-    difference of two halves rounds as (t_k - t_j)/2 does, bit for bit.  The
-    pair terms are summed over row blocks, each row in one pass as over the
-    full matrix, so the bits are those of the n x n form."""
+    difference of two halves rounds as (t_k - t_j)/2 does, bit for bit.
+
+    Coincident points are found before any pair term is formed, as a zero
+    difference of neighbours in the sorted coordinates the strips are filled
+    from (x, or t/2 on the circle): exactly where a pair's difference, and
+    so its tangent, is 0.
+
+    The pair terms are summed over upper strips (see _upper_strips).  A pair
+    term, 2/(x_k - x_j) or cot((t_k - t_j)/2), is odd in the pair and its
+    size is even, so each pair k < j right of a diagonal square is formed
+    once: its strip's row sums go to its rows, and the column sums of its
+    part right of the diagonal square are subtracted from g and added to
+    the scale of the later rows.  So g_k is 0, minus the column sums of the
+    strips above row k one strip after another (each the sum of that
+    strip's rows in order), plus the sum of its own strip's row (one
+    pairwise pass, as over a full row), minus the weight's term.  Where
+    n^2 <= _BLOCK_ELEMENTS = 2^16 (n <= 256) the one strip is the n x n
+    square, and g and the scale have the bits of the n x n form.  Beyond
+    it each pair term keeps its rounded value (negation, subtraction and
+    numpy's tan and sin are odd), and only the order of the sum changes:
+    g_k sums n + 2 rounded numbers (n - 1 pair terms, two zeros and the
+    weight's term) in n + 1 additions, and any order of them errs by at
+    most gamma_{n+1} = (n+1)u / (1 - (n+1)u), u = 2^-53, times the sum of
+    their moduli (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2), at most the scale."""
     x = _as_points(points)
     n = x.size
     if isinstance(weight, RealWeight):
@@ -251,24 +291,26 @@ def _gradient(points, weight, with_scale: bool = False):
         h = np.hypot(x, weight.a)
         field = 2.0 * weight.s * (n - 1) * (x / h) / h
         field_size = np.abs(field) if with_scale else None
-        pair_sums, spare, block_x = _line_pair_sums, False, x
+        strip_sums, spare, block_x, what = _line_strip, False, x, "points"
     elif isinstance(weight, CircleWeight):
         # den = |e^{ix} - b|^2 u^2: each term below carries one factor u back
         u = weight.unit
         den = weight.dist_sq(x)
         field = 2.0 * (n - 1) * (weight.b * u) * np.sin(x) / den * u
         field_size = 2.0 * (n - 1) / np.sqrt(den) * u if with_scale else None
-        # the csc of the scale takes a sine per pair, into a spare block;
-        # the blocks hold the half differences t_k/2 - t_j/2
-        pair_sums, spare, block_x = _circle_pair_sums, with_scale, x / 2.0
+        # the csc of the scale takes a sine per pair, into a spare strip;
+        # the strips hold the half differences t_k/2 - t_j/2
+        strip_sums, spare, block_x, what = _circle_strip, with_scale, x / 2.0, "angles"
     else:
         raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
-    g = np.empty(n)
-    scale = np.empty(n) if with_scale else None
-    for rows, d, diag, spare_block in _row_blocks(block_x, spare):
-        g[rows], block_scale = pair_sums(d, diag, with_scale, spare_block)
-        if with_scale:
-            scale[rows] = block_scale
+    # inf - inf and overflow here are the strips' to report
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.any(np.diff(np.sort(block_x)) == 0.0):
+            raise DegenerateInputError(f"coincident {what}: gradient undefined")
+    g = np.zeros(n)
+    scale = np.zeros(n) if with_scale else None
+    for lo, d, spare_strip in _upper_strips(block_x, spare):
+        strip_sums(d, g[lo:], scale[lo:] if with_scale else None, spare_strip)
     g -= field
     if not with_scale:
         return g
@@ -278,13 +320,19 @@ def _gradient(points, weight, with_scale: bool = False):
 def energy_gradient(points, weight) -> np.ndarray:
     """Stationarity residual g of the configuration (see module docstring):
     zero exactly at weighted Fekete sets; coincident points are an error.
-    The pair terms are formed one row block of at most 2^16 entries
-    (512 KiB) at a time in one buffer that every block reuses, so memory
-    grows linearly in n, a block stays in a core's L2 cache across its
-    passes, and no block is freshly mapped, zeroed and faulted in.  A
-    circle block is filled from the halved angles, so its half differences
-    cost no pass of their own; they keep the bits of the n x n form for
-    angles 0 and |t| in [2^-1021, 2^1023), where halving is exact."""
+    Each pair term is formed once, in an upper strip of at most 2^16
+    entries (512 KiB) that holds some rows against the later columns; its
+    column sums give the later rows their terms, which are the same numbers
+    with the sign flipped.  Every strip reuses one buffer, so memory grows
+    linearly in n, a strip stays in a core's L2 cache across its passes,
+    and no strip is freshly mapped, zeroed and faulted in.  For n <= 256
+    the one strip is the n x n square, and g has the bits of the n x n
+    form; beyond it only the order of each row's sum differs, and g_k errs
+    by at most (n+1) 2^-53 (to first order) times the sum of the moduli of
+    its terms (see _gradient).  A circle strip is filled from the halved
+    angles, so its half differences cost no pass of their own; they keep
+    the bits of the n x n form for angles 0 and |t| in [2^-1021, 2^1023),
+    where halving is exact."""
     return _gradient(points, weight)
 
 

@@ -58,7 +58,7 @@ NOISE_FIELDS = ("grad_norm",)
 # name, argv
 CASES = [
     # real, closed: s = 1 with and without --gamma, s > 1 at odd and even n,
-    # JSON and CSV; n = 300 puts the gradient gate over two row blocks
+    # JSON and CSV; n = 300 puts the gradient gate over two upper strips
     ("real_s1", "real --a 1.3 --s 1 --n 7"),
     ("real_s1_gamma", "real --a 0.8 --s 1 --n 6 --gamma -1.2"),
     ("real_s1_n300_csv", "real --a 2 --s 1 --n 300 --format csv"),

@@ -108,65 +108,147 @@ class TestEnergyGradient:
             energy_gradient([1.0, 1.0], CircleWeight(0.5))
 
 
-def dense_gradient(points, weight, cot=lambda half: 1.0 / np.tan(half)):
-    """The n x n form of the stationarity residual and its scale, which
-    _gradient evaluates in row blocks; on the circle cot(h) is taken from one
-    tangent unless another form is passed."""
-    x = np.asarray(points, dtype=float)
+def weight_term(x, weight):
+    """The weight's term of the stationarity residual at each point, and its size."""
     n = x.size
+    if isinstance(weight, RealWeight):
+        h = np.hypot(x, weight.a)
+        field = 2.0 * weight.s * (n - 1) * (x / h) / h
+        return field, np.abs(field)
+    den = weight.dist_sq(x)
+    return 2.0 * (n - 1) * weight.b * np.sin(x) / den, 2.0 * (n - 1) / np.sqrt(den)
+
+
+def dense_terms(points, weight, cot=lambda half: 1.0 / np.tan(half)):
+    """The n x n pair terms of the stationarity residual and their sizes, 0 on
+    the diagonal, and the weight's term and its size; on the circle cot(h)
+    is taken from one tangent unless another form is passed."""
+    x = np.asarray(points, dtype=float)
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, np.inf)
     if isinstance(weight, RealWeight):
         pair = 2.0 / d
-        h = np.hypot(x, weight.a)
-        g = np.sum(pair, axis=1) - 2.0 * weight.s * (n - 1) * (x / h) / h
-        return g, np.sum(np.abs(pair), axis=1) + np.abs(2.0 * weight.s * (n - 1) * (x / h) / h)
+        return (pair, np.abs(pair), *weight_term(x, weight))
     half = d / 2.0
     np.fill_diagonal(half, math.pi / 2.0)
     pair = cot(half)
     np.fill_diagonal(pair, 0.0)
-    den = weight.dist_sq(x)
-    g = np.sum(pair, axis=1) - 2.0 * (n - 1) * weight.b * np.sin(x) / den
     csc = 1.0 / np.abs(np.sin(half))
     np.fill_diagonal(csc, 0.0)
-    return g, np.sum(csc, axis=1) + 2.0 * (n - 1) / np.sqrt(den)
+    return (pair, csc, *weight_term(x, weight))
+
+
+def dense_gradient(points, weight, cot=lambda half: 1.0 / np.tan(half)):
+    """The n x n form of the stationarity residual and its scale: each row
+    summed in one pass, as _gradient does where one strip holds every row."""
+    pair, size, field, field_size = dense_terms(points, weight, cot)
+    return np.sum(pair, axis=1) - field, np.sum(size, axis=1) + field_size
+
+
+def strip_order_gradient(points, weight, budget):
+    """The stationarity residual and its scale from the n x n terms, summed in
+    _gradient's strip order for an element budget: each strip's row sums to
+    its rows, the column sums of its part right of the diagonal square
+    subtracted from g and added to the scale of the later rows."""
+    pair, size, field, field_size = dense_terms(points, weight)
+    n = pair.shape[0]
+    g, scale = np.zeros(n), np.zeros(n)
+    lo = 0
+    while lo < n:
+        hi = lo + min(n - lo, max(1, budget // (n - lo)))
+        g[lo:hi] += pair[lo:hi, lo:].sum(axis=1)
+        g[hi:] -= pair[lo:hi, hi:].sum(axis=0)
+        scale[lo:hi] += size[lo:hi, lo:].sum(axis=1)
+        scale[hi:] += size[lo:hi, hi:].sum(axis=0)
+        lo = hi
+    return g - field, scale + field_size
 
 
 def cos_sin_cot(half):
     return np.cos(half) / np.sin(half)
 
 
+def gradient_point_sets(weight, n):
+    rng = np.random.default_rng(n)
+    if isinstance(weight, RealWeight):
+        return [np.sort(rng.normal(0.0, 2.0, n))]
+    # the circle's strips hold t_k/2 - t_j/2: its ends, 0, pi and the
+    # largest double below 2 pi, must give (t_k - t_j)/2 too
+    x = np.sort(rng.uniform(0.0, TWO_PI, n))
+    ends = [0.0, math.pi, np.nextafter(TWO_PI, 0.0)]
+    return [x, np.sort(np.concatenate((ends, x[3:]))), np.array([0.0, math.pi])]
+
+
+GRADIENT_WEIGHTS = pytest.mark.parametrize(
+    "weight", [RealWeight(1.3, 2.0), CircleWeight(0.5), CircleWeight(-2.5)],
+    ids=["line", "circle-in", "circle-out"])
+
+
 class TestBlockedGradient:
-    # (element budget, n): rows per block is budget // n
+    # (element budget, n): one strip, the n x n square, while n^2 <= budget
     @pytest.mark.parametrize("budget, n", [
-        (100, 9),               # one block, n one below the boundary at 10
-        (100, 10),              # one block, exactly full
-        (100, 11),              # blocks of 9 and 2 rows
-        (136, 17),              # blocks of 8, 8 and 1 rows
-        # the module's budget, 1 << 16 = 65536 entries: 65536 // 257 = 255
-        # rows per block, so blocks of 255 and 2 rows
-        (1 << 16, 257),
+        (100, 9),               # one strip, n one below the boundary at 10
+        (100, 10),              # one strip, exactly full
+        (1 << 16, 256),         # the module's budget, exactly full
     ])
-    @pytest.mark.parametrize("weight", [RealWeight(1.3, 2.0), CircleWeight(0.5),
-                                        CircleWeight(-2.5)],
-                             ids=["line", "circle-in", "circle-out"])
+    @GRADIENT_WEIGHTS
     def test_bits_match_dense_form(self, monkeypatch, budget, n, weight):
         monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", budget)
-        rng = np.random.default_rng(n)
-        if isinstance(weight, RealWeight):
-            point_sets = [np.sort(rng.normal(0.0, 2.0, n))]
-        else:
-            # the circle's blocks hold t_k/2 - t_j/2: its ends, 0, pi and
-            # the largest double below 2 pi, must give (t_k - t_j)/2 too
-            x = np.sort(rng.uniform(0.0, TWO_PI, n))
-            ends = [0.0, math.pi, np.nextafter(TWO_PI, 0.0)]
-            point_sets = [x, np.sort(np.concatenate((ends, x[3:]))), np.array([0.0, math.pi])]
-        for x in point_sets:
+        for x in gradient_point_sets(weight, n):
             g_ref, scale_ref = dense_gradient(x, weight)
             g, scale = _gradient(x, weight, with_scale=True)
             assert np.array_equal(g, g_ref) and np.array_equal(scale, scale_ref)
             assert np.array_equal(_gradient(x, weight), g_ref)
             assert np.array_equal(energy_gradient(x, weight), g_ref)
+
+    # strips of h = min(w, budget // w) rows of the w = n - lo last columns
+    @pytest.mark.parametrize("budget, n", [
+        (100, 11),              # rows 0-8 against 11 columns, then 9-10 against 2
+        (136, 17),              # rows 0-7 against 17 columns, then 8-16 against 9
+        # the module's budget: rows 0-254 against 257 columns, then 255-256
+        (1 << 16, 257),
+    ])
+    @GRADIENT_WEIGHTS
+    def test_bits_match_strip_order(self, monkeypatch, budget, n, weight):
+        monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", budget)
+        for x in gradient_point_sets(weight, n):
+            g_ref, scale_ref = strip_order_gradient(x, weight, budget)
+            g, scale = _gradient(x, weight, with_scale=True)
+            assert np.array_equal(g, g_ref) and np.array_equal(scale, scale_ref)
+            assert np.array_equal(_gradient(x, weight), g_ref)
+            assert np.array_equal(energy_gradient(x, weight), g_ref)
+
+    @pytest.mark.parametrize("n", [257, 1000])
+    @pytest.mark.parametrize("weight, points", [
+        (RealWeight(1.3, 2.5), lambda n: sgt1_points(1.3, 2.5, n)),
+        (RealWeight(1.3, 1.0), lambda n: s1_points(1.3, n, canonical_gamma(n))),
+        (CircleWeight(0.507), lambda n: circle_points(0.507, n).angles),
+        (CircleWeight(-3.98), lambda n: circle_points(-3.98, n).angles),
+    ], ids=["line-sgt1", "line-s1", "circle-in", "circle-out"])
+    def test_error_within_the_summation_bound(self, n, weight, points):
+        # g_k sums n + 2 rounded numbers, the n - 1 pair terms of row k, two
+        # zeros (its diagonal and the start) and minus the weight's term, in
+        # n + 1 additions; any order of them errs from their exact sum S_k by
+        # at most gamma_{n+1} A_k, A_k the sum of their moduli.  fsum rounds
+        # S_k and A_k once each, so |g_k - fsum| <= gamma_{n+3} fsum(moduli).
+        x = np.asarray(points(n), dtype=float)
+        field, _ = weight_term(x, weight)
+        g, scale = _gradient(x, weight, with_scale=True)
+        u = 2.0 ** -53
+        gamma = (n + 3) * u / (1.0 - (n + 3) * u)
+        for k in range(n):
+            others = np.delete(x, k)
+            if isinstance(weight, RealWeight):
+                pair = 2.0 / (x[k] - others)
+            else:
+                pair = 1.0 / np.tan(x[k] / 2.0 - others / 2.0)
+            terms = [*pair, 0.0, -field[k]]
+            exact = math.fsum(terms)
+            size = math.fsum(abs(t) for t in terms)
+            assert abs(g[k] - exact) <= gamma * size
+            assert size <= scale[k] * (1.0 + gamma)
+        # stationary points: each g_k cancels far below its scale
+        assert np.max(np.abs(g) / scale) <= RESIDUAL_TOL
 
     @pytest.mark.parametrize("weight", [RealWeight(1.0, 2.0), CircleWeight(0.5)])
     @pytest.mark.parametrize("with_scale", [False, True])
@@ -176,6 +258,25 @@ class TestBlockedGradient:
         x[10] = x[9]
         with pytest.raises(DegenerateInputError):
             _gradient(x, weight, with_scale)
+
+    @pytest.mark.parametrize("weight, what", [(RealWeight(1.0, 2.0), "points"),
+                                              (CircleWeight(0.5), "angles")])
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_coincident_pair_across_a_strip_boundary_rejected(self, monkeypatch, weight,
+                                                              what, with_scale):
+        monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", 100)  # rows 0-8, then 9-10
+        x = np.linspace(0.1, 3.0, 11)
+        x[9] = x[8]  # row 8's pair with column 9, right of its diagonal square
+        with pytest.raises(DegenerateInputError, match=f"^coincident {what}: gradient undefined$"):
+            _gradient(x, weight, with_scale)
+
+    @pytest.mark.parametrize("weight", [RealWeight(1.0, 2.0), CircleWeight(0.5)])
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_signed_zero_pair_rejected(self, recwarn, weight, with_scale):
+        # -0.0 and +0.0 are one point: their difference is 0
+        with pytest.raises(DegenerateInputError):
+            _gradient([1.0, -0.0, 0.5, 0.0], weight, with_scale)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("n", [12, 240, 1000])
     @pytest.mark.parametrize("b", [0.5, -2.5, 0.999])
