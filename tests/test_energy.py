@@ -179,6 +179,13 @@ def gradient_point_sets(weight, n):
     return [x, np.sort(np.concatenate((ends, x[3:]))), np.array([0.0, math.pi])]
 
 
+def assert_gradient_bits(x, weight, g_ref, scale_ref):
+    g, scale = _gradient(x, weight, with_scale=True)
+    assert np.array_equal(g, g_ref) and np.array_equal(scale, scale_ref)
+    assert np.array_equal(_gradient(x, weight), g_ref)
+    assert np.array_equal(energy_gradient(x, weight), g_ref)
+
+
 GRADIENT_WEIGHTS = pytest.mark.parametrize(
     "weight", [RealWeight(1.3, 2.0), CircleWeight(0.5), CircleWeight(-2.5)],
     ids=["line", "circle-in", "circle-out"])
@@ -195,11 +202,7 @@ class TestBlockedGradient:
     def test_bits_match_dense_form(self, monkeypatch, budget, n, weight):
         monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", budget)
         for x in gradient_point_sets(weight, n):
-            g_ref, scale_ref = dense_gradient(x, weight)
-            g, scale = _gradient(x, weight, with_scale=True)
-            assert np.array_equal(g, g_ref) and np.array_equal(scale, scale_ref)
-            assert np.array_equal(_gradient(x, weight), g_ref)
-            assert np.array_equal(energy_gradient(x, weight), g_ref)
+            assert_gradient_bits(x, weight, *dense_gradient(x, weight))
 
     # strips of h = min(w, budget // w) rows of the w = n - lo last columns
     @pytest.mark.parametrize("budget, n", [
@@ -212,11 +215,7 @@ class TestBlockedGradient:
     def test_bits_match_strip_order(self, monkeypatch, budget, n, weight):
         monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", budget)
         for x in gradient_point_sets(weight, n):
-            g_ref, scale_ref = strip_order_gradient(x, weight, budget)
-            g, scale = _gradient(x, weight, with_scale=True)
-            assert np.array_equal(g, g_ref) and np.array_equal(scale, scale_ref)
-            assert np.array_equal(_gradient(x, weight), g_ref)
-            assert np.array_equal(energy_gradient(x, weight), g_ref)
+            assert_gradient_bits(x, weight, *strip_order_gradient(x, weight, budget))
 
     @pytest.mark.parametrize("n", [257, 1000])
     @pytest.mark.parametrize("weight, points", [
