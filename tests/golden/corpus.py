@@ -87,6 +87,10 @@ CASES = [
     ("opt_circle_inside", "circle --b 0.35 --n 24 --method optimize"),
     ("opt_circle_outside_csv", "circle --b -2.79 --n 48 --method optimize --format csv"),
     ("opt_circle_not_converged", "circle --b 0.999999 --n 12 --method optimize"),
+    # the optimizer at n = 300, where its final gate, the scaled residual
+    # that decides converged and the exit code, runs over two upper strips
+    ("opt_circle_n300", "circle --b 0.5 --n 300 --method optimize"),
+    ("opt_real_sgt1_n300", "real --a 1.3 --s 2 --n 300 --method optimize"),
     # every measure family
     ("measure_real_s", "measure --family real-s --s 2 --grid -2:2:9"),
     ("measure_arctan_csv", "measure --family arctan --grid -3:3:7 --format csv"),
@@ -97,7 +101,9 @@ CASES = [
     ("converge_s", "converge --s 2 --n-list 5,10,20"),
     ("converge_s1_csv", "converge --s 1 --n-list 4,8 --format csv"),
     ("converge_b", "converge --b 0.5 --n-list 5,10,20"),
+    # verify: the circle suite alone, then every suite
     ("verify_circle", "verify --suite circle"),
+    ("verify_all", "verify --suite all"),
     # exit 1: valid input whose points coincide in double precision
     ("exit1_coincident", "circle --b 0.999999999999999 --n 12"),
     # exit 2: invalid input, from the handlers and from argparse
