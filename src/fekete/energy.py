@@ -176,7 +176,7 @@ def discrete_energy(points, weight: RealWeight) -> float:
     return -2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1))
 
 
-def _upper_strips(x: np.ndarray, spare: bool = False):
+def _upper_strips(x: np.ndarray):
     """The pair differences x_k - x_j in upper strips: a strip holds the rows
     lo <= k < hi against the columns j >= lo only, h = hi - lo rows of
     w = n - lo entries, h = min(w, max(1, _BLOCK_ELEMENTS // w)), so at most
@@ -184,25 +184,22 @@ def _upper_strips(x: np.ndarray, spare: bool = False):
     they narrow.  Its first h columns are the diagonal square, which holds
     the pairs of its rows both ways and the diagonal j = k; the columns
     right of it hold each pair k < j with j >= hi once.  Where n^2 <=
-    _BLOCK_ELEMENTS the one strip is the n x n square.  Yields lo, the
-    strip and, if spare, a second strip-shaped array (else None).  A strip
-    is filled by copying x[lo:] into each row and subtracting it in place
-    from x_k: two contiguous passes, which numpy runs faster than one
-    subtract of two broadcast operands.  Every strip is a view of one
-    buffer, which the next strip overwrites; the spare arrays likewise.
-    Both come from one allocation: as two, the heap top was given back and
-    faulted in again on every call."""
+    _BLOCK_ELEMENTS the one strip is the n x n square.  Yields lo and the
+    strip, which a kernel overwrites with each pair's term, then its size,
+    the modulus of the complex term (see _gradient).  A strip is filled by
+    copying x[lo:] into each row and subtracting it in place from x_k: two
+    contiguous passes, which numpy runs faster than one subtract of two
+    broadcast operands.  Every strip is a view of one buffer, which the
+    next strip overwrites."""
     n = x.size
-    size = min(n * n, max(_BLOCK_ELEMENTS, n))
-    buf = np.empty((2 if spare else 1, size))
+    buf = np.empty(min(n * n, max(_BLOCK_ELEMENTS, n)))
     lo = 0
     while lo < n:
         w = n - lo
         h = min(w, max(1, _BLOCK_ELEMENTS // w))
-        d = buf[0, :h * w].reshape(h, w)
+        d = buf[:h * w].reshape(h, w)
         np.copyto(d, x[lo:])
-        yield (lo, np.subtract(x[lo:lo + h, None], d, out=d),
-               buf[1, :h * w].reshape(h, w) if spare else None)
+        yield lo, np.subtract(x[lo:lo + h, None], d, out=d)
         lo += h
 
 
@@ -222,7 +219,8 @@ def _add_strip(out: np.ndarray, strip: np.ndarray, mirror) -> None:
         mirror(out[h:], strip[:, h:].sum(axis=0), out=out[h:])
 
 
-def _line_strip(d, g, scale, _spare):
+def _line_strip(d, g, scale):
+    """2/d into g and, if asked, its size |2/d + 0i| into the scale."""
     _diagonal(d)[...] = np.inf
     pair = np.divide(2.0, d, out=d)
     _add_strip(g, pair, np.subtract)
@@ -230,16 +228,17 @@ def _line_strip(d, g, scale, _spare):
         _add_strip(scale, np.abs(pair, out=pair), np.add)
 
 
-def _circle_strip(half, g, scale, sin_out):
-    _diagonal(half)[...] = math.pi / 2.0  # cot(pi/2) ~ 0 and csc(pi/2) = 1 placeholders
-    sin_half = np.sin(half, out=sin_out) if scale is not None else None
+def _circle_strip(half, g, scale):
+    """cot h into g and, if asked, its size |cot h + i| = hypot(1, cot h),
+    within 3 ulps of 1/|sin h|, into the scale; 0 on the diagonal."""
+    _diagonal(half)[...] = math.pi / 2.0  # a finite tan placeholder
     cot = np.divide(1.0, np.tan(half, out=half), out=half)
     _diagonal(cot)[...] = 0.0
     _add_strip(g, cot, np.subtract)
     if scale is not None:
-        csc = np.divide(1.0, np.abs(sin_half, out=sin_half), out=sin_half)
-        _diagonal(csc)[...] = 0.0
-        _add_strip(scale, csc, np.add)
+        size = np.hypot(1.0, cot, out=cot)
+        _diagonal(size)[...] = 0.0
+        _add_strip(scale, size, np.add)
 
 
 def _gradient(points, weight, with_scale: bool = False):
@@ -248,15 +247,15 @@ def _gradient(points, weight, with_scale: bool = False):
     q log|z_k - c| for one charge c: another point (q = 1), or the weight's
     charge, ai of strength s(n-1) on the line or b of strength n-1 on the
     circle.  Its size is the modulus of that derivative in the complex plane,
-    2q/|z_k - c|: csc((t_k - t_j)/2) for a pair of circle points.  The line
-    weight's term is the real part of such a derivative, smaller than its
-    modulus 2s(n-1)/|x_k - ai| by |x_k|/|x_k - ai|, and takes its own
+    2q/|z_k - c|.  A pair's derivative is its term plus i times 0 on the line
+    and 1 on the circle: 2/(x_k - x_j), of size |2/(x_k - x_j)|, and
+    cot h + i, h = (t_k - t_j)/2, of size hypot(1, cot h) = |csc h|, within
+    3 ulps of 1/|sin h| and formed in place from the term with no sine.  The
+    line weight's term is the real part of such a derivative, smaller than
+    its modulus 2s(n-1)/|x_k - ai| by |x_k|/|x_k - ai|, and takes its own
     modulus as its size: the larger one would hide the error of points at
-    |x_k| << a, where a large s puts them.  A circle
-    pair takes its cot as 1/tan of the half difference, one transcendental
-    per pair, and the sine for its csc only when the scale is asked for, into
-    a second strip buffer allocated once per call.  The circle's strips hold
-    the half differences as t_k/2 - t_j/2, with no halving pass over them:
+    |x_k| << a, where a large s puts them.  The circle's strips hold the
+    half differences as t_k/2 - t_j/2, with no halving pass over them:
     halving is exact for t = 0 and |t| in [2^-1021, 2^1023), so the
     difference of two halves rounds as (t_k - t_j)/2 does, bit for bit.
 
@@ -277,12 +276,12 @@ def _gradient(points, weight, with_scale: bool = False):
     n^2 <= _BLOCK_ELEMENTS = 2^16 (n <= 256) the one strip is the n x n
     square, and g and the scale have the bits of the n x n form.  Beyond
     it each pair term keeps its rounded value (negation, subtraction and
-    numpy's tan and sin are odd), and only the order of the sum changes:
-    g_k sums n + 2 rounded numbers (n - 1 pair terms, two zeros and the
-    weight's term) in n + 1 additions, and any order of them errs by at
-    most gamma_{n+1} = (n+1)u / (1 - (n+1)u), u = 2^-53, times the sum of
-    their moduli (Higham, Accuracy and Stability of Numerical Algorithms,
-    sec. 4.2), at most the scale."""
+    numpy's tan are odd), and only the order of the sum changes: g_k sums
+    n + 2 rounded numbers (n - 1 pair terms, two zeros and the weight's
+    term) in n + 1 additions, and any order of them errs by at most
+    gamma_{n+1} = (n+1)u / (1 - (n+1)u), u = 2^-53, times the sum of their
+    moduli (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+    4.2), at most the scale."""
     x = _as_points(points)
     n = x.size
     if isinstance(weight, RealWeight):
@@ -291,16 +290,15 @@ def _gradient(points, weight, with_scale: bool = False):
         h = np.hypot(x, weight.a)
         field = 2.0 * weight.s * (n - 1) * (x / h) / h
         field_size = np.abs(field) if with_scale else None
-        strip_sums, spare, block_x, what = _line_strip, False, x, "points"
+        strip_sums, block_x, what = _line_strip, x, "points"
     elif isinstance(weight, CircleWeight):
         # den = |e^{ix} - b|^2 u^2: each term below carries one factor u back
         u = weight.unit
         den = weight.dist_sq(x)
         field = 2.0 * (n - 1) * (weight.b * u) * np.sin(x) / den * u
         field_size = 2.0 * (n - 1) / np.sqrt(den) * u if with_scale else None
-        # the csc of the scale takes a sine per pair, into a spare strip;
         # the strips hold the half differences t_k/2 - t_j/2
-        strip_sums, spare, block_x, what = _circle_strip, with_scale, x / 2.0, "angles"
+        strip_sums, block_x, what = _circle_strip, x / 2.0, "angles"
     else:
         raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
     # inf - inf and overflow here are the strips' to report
@@ -309,8 +307,8 @@ def _gradient(points, weight, with_scale: bool = False):
             raise DegenerateInputError(f"coincident {what}: gradient undefined")
     g = np.zeros(n)
     scale = np.zeros(n) if with_scale else None
-    for lo, d, spare_strip in _upper_strips(block_x, spare):
-        strip_sums(d, g[lo:], scale[lo:] if with_scale else None, spare_strip)
+    for lo, d in _upper_strips(block_x):
+        strip_sums(d, g[lo:], scale[lo:] if with_scale else None)
     g -= field
     if not with_scale:
         return g
@@ -328,11 +326,11 @@ def energy_gradient(points, weight) -> np.ndarray:
     and no strip is freshly mapped, zeroed and faulted in.  For n <= 256
     the one strip is the n x n square, and g has the bits of the n x n
     form; beyond it only the order of each row's sum differs, and g_k errs
-    by at most (n+1) 2^-53 (to first order) times the sum of the moduli of
-    its terms (see _gradient).  A circle strip is filled from the halved
-    angles, so its half differences cost no pass of their own; they keep
-    the bits of the n x n form for angles 0 and |t| in [2^-1021, 2^1023),
-    where halving is exact."""
+    by at most (n+1) 2^-53 (to first order) times its scale, which sizes a
+    pair by the modulus of its complex term, 2/(x_k - x_j) or cot h + i
+    (see _gradient).  Circle strips are filled from the halved angles, at
+    no pass of their own, and keep the n x n form's bits for angles 0 and
+    |t| in [2^-1021, 2^1023), where halving is exact."""
     return _gradient(points, weight)
 
 

@@ -122,7 +122,8 @@ def weight_term(x, weight):
 def dense_terms(points, weight, cot=lambda half: 1.0 / np.tan(half)):
     """The n x n pair terms of the stationarity residual and their sizes, 0 on
     the diagonal, and the weight's term and its size; on the circle cot(h)
-    is taken from one tangent unless another form is passed."""
+    is taken from one tangent unless another form is passed, and its size
+    is hypot(1, cot h), the modulus of cot h + i."""
     x = np.asarray(points, dtype=float)
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, np.inf)
@@ -133,9 +134,9 @@ def dense_terms(points, weight, cot=lambda half: 1.0 / np.tan(half)):
     np.fill_diagonal(half, math.pi / 2.0)
     pair = cot(half)
     np.fill_diagonal(pair, 0.0)
-    csc = 1.0 / np.abs(np.sin(half))
-    np.fill_diagonal(csc, 0.0)
-    return (pair, csc, *weight_term(x, weight))
+    size = np.hypot(1.0, pair)
+    np.fill_diagonal(size, 0.0)
+    return (pair, size, *weight_term(x, weight))
 
 
 def dense_gradient(points, weight, cot=lambda half: 1.0 / np.tan(half)):
@@ -286,6 +287,34 @@ class TestBlockedGradient:
         g = energy_gradient(x, weight)
         assert np.all(np.abs(g - g_ref) <= 8.0 * np.finfo(float).eps * scale)
 
+    @pytest.mark.parametrize("n", [257, 1000])
+    @pytest.mark.parametrize("b", [0.507, -3.98])
+    def test_circle_size_within_ulps_of_the_sine_form(self, b, n):
+        # a pair's size hypot(1, cot h) against 1/|sin h|, per term, on the
+        # half differences of the test point sets and the closed-form set
+        # and next to 0 and +-pi; then the scaled residual, whose g is the
+        # same, against the one with the sine sizes
+        weight = CircleWeight(b)
+        sets = [*gradient_point_sets(weight, n), np.asarray(circle_points(b, n).angles)]
+        tiny = 10.0 ** -np.arange(1.0, 300.0)
+        edges = np.concatenate((tiny, math.pi - tiny[:16], [np.nextafter(math.pi, 0.0)]))
+        h = np.concatenate([edges, -edges] + [
+            (x[:, None] / 2.0 - x[None, :] / 2.0)[np.triu_indices(x.size, 1)] for x in sets])
+        size = np.zeros(h.size + 1)
+        # one row: 0 on its diagonal, each pair's size added to its column
+        fekete.energy._circle_strip(np.concatenate(([0.0], h))[None, :],
+                                    np.zeros(h.size + 1), size)
+        csc = 1.0 / np.abs(np.sin(h))
+        assert np.all(np.abs(size[1:] - csc) <= 4.0 * np.spacing(csc))
+        for x in sets:
+            half = x[:, None] / 2.0 - x[None, :] / 2.0
+            np.fill_diagonal(half, math.pi / 2.0)
+            csc = 1.0 / np.abs(np.sin(half))
+            np.fill_diagonal(csc, 0.0)
+            g = energy_gradient(x, weight)
+            by_sine = np.max(np.abs(g) / (csc.sum(axis=1) + weight_term(x, weight)[1]))
+            assert abs(scaled_residual(x, weight) - by_sine) <= (x.size + 1) * 2.0 ** -53 * by_sine
+
     def test_closed_circle_gradient_reuses_its_pages(self):
         # with 4 MiB blocks, each temporary a fresh mapping that was zeroed
         # and faulted in, these 20 calls took about 135,000 minor faults
@@ -317,15 +346,18 @@ class TestBlockedGradient:
         assert int(out) < 2000
 
     def test_closed_circle_memory_linear_in_n(self):
-        # the n x n temporaries took 1181 MB at n = 6000
-        code = ("import contextlib, io, resource; from fekete.cli import main\n"
+        # the n x n temporaries took 1181 MB at n = 6000.  The child reads its
+        # own peak, VmHWM: its ru_maxrss keeps the peak of the process that
+        # started it across exec, here pytest's
+        code = ("import contextlib, io; from fekete.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    assert main(['circle', '--b', '0.5', '--n', '6000']) == 0\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+                "with open('/proc/self/status') as fh:\n"
+                "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fekete.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert int(out) / 1024 < 150  # ru_maxrss is in KiB on Linux
+        assert int(out) / 1024 < 150  # VmHWM is in kB
 
 
 class TestSineProduct:

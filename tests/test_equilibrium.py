@@ -239,6 +239,23 @@ class TestCdfArrays:
             cdf(m, np.array([0.0, math.nan, 0.5]))
 
 
+def line_capacity_reference(s, dps):
+    """The capacity of the line's weight at s >= 1 as an mpmath number,
+    evaluated to dps digits in the log1p form
+
+        log cap = -(s-1)^2 log1p(-1/s) + (2s-1)^2/2 log1p(-1/(2s)) - log(2s)/2,
+
+    where only the two O(s) terms cancel, down to O(1): about log10(s) of
+    the dps digits go.  The form with log s, log(s-1) and log(2s-1) cancels
+    O(s^2 log s) terms instead."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(s)
+        return mpmath.exp(-(t - 1) ** 2 * mpmath.log1p(-1 / t)
+                          + (2 * t - 1) ** 2 / 2 * mpmath.log1p(-1 / (2 * t))
+                          - mpmath.log(2 * t) / 2)
+
+
 class TestCapacity:
     def test_s_equals_one(self):
         assert capacity_real(1.0) == 0.5
@@ -255,25 +272,12 @@ class TestCapacity:
 
     @pytest.mark.parametrize("s", [1e3, 1e4, 1e6, 1e8, 1e12])
     def test_large_s_against_high_precision(self, s):
-        # the O(s^2) logs of the closed form cancel down to O(log s)
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            t = mpmath.mpf(s)
-            ref = float(mpmath.exp((2 * t - 2 * t * t - 1) * mpmath.log(2) - t * t * mpmath.log(t)
-                                   - (t - 1) ** 2 * mpmath.log(t - 1)
-                                   + (2 * t - 1) ** 2 / 2 * mpmath.log(2 * t - 1)))
-        assert capacity_real(s) == pytest.approx(ref, rel=1e-14)
+        assert capacity_real(s) == pytest.approx(float(line_capacity_reference(s, 50)),
+                                                 rel=1e-14)
 
     @pytest.mark.parametrize("s", [2.0 ** 1023, 1e308, 1.7976931348623157e308])
     def test_past_the_overflow_of_2s_against_high_precision(self, s):
-        # the two O(s) terms cancel down to O(1): 308 digits go
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(340):
-            ss = mpmath.mpf(s)
-            log_cap = (-(ss - 1) ** 2 * mpmath.log1p(-1 / ss)
-                       + (2 * ss - 1) ** 2 / 2 * mpmath.log1p(-1 / (2 * ss))
-                       - mpmath.log(2 * ss) / 2)
-            ref = float(mpmath.exp(log_cap))
+        ref = float(line_capacity_reference(s, 340))  # 308 digits cancel
         # relative only: approx's default absolute 1e-12 would pass any value here
         assert abs(capacity_real(s) - ref) <= 1e-14 * ref
 
@@ -282,12 +286,8 @@ class TestCapacity:
         # the exponential of -(1/2) log(2s) + R, near -355 at the top of the
         # range, was 1.8e-14 off at s = 1e300
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(700):  # the O(s^2) logs cancel down to O(log s)
-            t = mpmath.mpf(s)
-            log_cap = ((2 * t - 2 * t * t - 1) * mpmath.log(2) - t * t * mpmath.log(t)
-                       - (t - 1) ** 2 * mpmath.log(t - 1)
-                       + (2 * t - 1) ** 2 / 2 * mpmath.log(2 * t - 1))
-            ref = mpmath.exp(log_cap)
+        with mpmath.workdps(700):
+            ref = line_capacity_reference(s, 700)
             err = float(abs(mpmath.mpf(capacity_real(s)) - ref) / ref)
         assert err <= 4.5e-16
 
