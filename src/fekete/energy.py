@@ -17,7 +17,10 @@ variant differentiates the analogous objective with respect to the angles.
 one per charge q at c (the other points and the weight's charge): 2q/|z_k - c|
 for a pair and for the circle's charge, and its own modulus
 2s(n-1)|x_k|/(x_k^2 + a^2) for the line weight's term.  It reads 0 at a
-Fekete set, at most 1, and is unchanged by scaling the problem.
+Fekete set, at most 1, and is unchanged by scaling the problem.  The log
+weighted Vandermonde, which gives the optimizer's diameter, and this gate
+walk the point pairs in the same upper strips of at most 2^16 entries, in
+memory linear in n.
 
 The optimizer works in angles for both weights: x = a tan(theta/2) maps the
 line onto theta in (-pi, pi), where the objective becomes, up to a constant,
@@ -78,7 +81,6 @@ command's coordinates is <= RESIDUAL_TOL = 1e-10.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -90,16 +92,14 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalError, che
 from .real_line import RealWeight
 
 __all__ = [
-    "FeketeResult", "log_weighted_vandermonde", "numeric_diameter",
-    "discrete_energy", "energy_gradient", "scaled_residual", "optimize",
-    "sine_product", "sine_product_bound",
+    "FeketeResult", "log_weighted_vandermonde", "energy_gradient", "scaled_residual", "optimize",
 ]
 
 log = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10  # a result is converged when scaled_residual <= this
 _MAX_NEWTON_STEPS = 200  # the Newton steps of each optimizer stage, at most
-_BLOCK_ELEMENTS = 1 << 16  # entries per upper strip of the gradient (see _upper_strips)
+_BLOCK_ELEMENTS = 1 << 16  # entries per upper strip of the pair sums (see _upper_strips)
 
 
 @dataclass(frozen=True)
@@ -126,56 +126,6 @@ def _as_points(points) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_mask(n: int) -> np.ndarray:
-    """Read-only mask of the strict upper triangle of an n x n matrix; it
-    selects the pairs j < k in the same row-major order as np.triu_indices."""
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    mask.setflags(write=False)
-    return mask
-
-
-def _pair_differences(x: np.ndarray) -> np.ndarray:
-    return (x[:, None] - x[None, :])[_upper_mask(x.size)]
-
-
-def log_weighted_vandermonde(points, weight) -> float:
-    """log of prod_{j<k} |z_j - z_k| w(z_j) w(z_k).
-
-    Line weights take coordinates, circle weights take angles of e^{it}.
-    Coincident points yield -inf (a degenerate configuration, not an error).
-    """
-    x = _as_points(points)
-    if isinstance(weight, RealWeight):
-        gaps = np.abs(_pair_differences(x))
-    elif isinstance(weight, CircleWeight):
-        gaps = 2.0 * np.abs(np.sin(_pair_differences(x) / 2.0))
-    else:
-        raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
-    if np.any(gaps == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(gaps)) + (x.size - 1) * np.sum(weight.log_w(x)))
-
-
-def numeric_diameter(points, weight) -> float:
-    """The weighted Vandermonde product of the configuration raised to the
-    power 2/(n(n-1)); equals the n-th weighted diameter at a Fekete set."""
-    n = _as_points(points).size
-    return math.exp(2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1)))
-
-
-def discrete_energy(points, weight: RealWeight) -> float:
-    """E_w = -2/(n(n-1)) sum_{j<k} log|z_j - z_k| + (2s/n) sum_k log|z_k - ai|.
-
-    Equals -2/(n(n-1)) times the log weighted Vandermonde; +inf for a
-    degenerate (coincident) configuration.
-    """
-    if not isinstance(weight, RealWeight):
-        raise InvalidInputError("discrete_energy is defined for line weights")
-    n = _as_points(points).size
-    return -2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1))
-
-
 def _upper_strips(x: np.ndarray):
     """The pair differences x_k - x_j in upper strips: a strip holds the rows
     lo <= k < hi against the columns j >= lo only, h = hi - lo rows of
@@ -185,8 +135,9 @@ def _upper_strips(x: np.ndarray):
     the pairs of its rows both ways and the diagonal j = k; the columns
     right of it hold each pair k < j with j >= hi once.  Where n^2 <=
     _BLOCK_ELEMENTS the one strip is the n x n square.  Yields lo and the
-    strip, which a kernel overwrites with each pair's term, then its size,
-    the modulus of the complex term (see _gradient).  A strip is filled by
+    strip, which a kernel overwrites: with each pair's log chord (see
+    log_weighted_vandermonde), or with its gradient term, then that term's
+    size, the modulus of the complex term (see _gradient).  A strip is filled by
     copying x[lo:] into each row and subtracting it in place from x_k: two
     contiguous passes, which numpy runs faster than one subtract of two
     broadcast operands.  Every strip is a view of one buffer, which the
@@ -206,6 +157,48 @@ def _upper_strips(x: np.ndarray):
 def _diagonal(strip: np.ndarray) -> np.ndarray:
     """The entries (k, k) of an h x w strip, h <= w, as a writable view."""
     return strip.reshape(-1)[::strip.shape[1] + 1]
+
+
+def _coincident(x: np.ndarray) -> bool:
+    """Whether two of the coordinates the strips are filled from coincide: a
+    zero difference of neighbours in sorted order, exactly where a pair's
+    difference in a strip, and so its chord and its tangent, is 0."""
+    # inf - inf and overflow here are the strips' to report
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(np.any(np.diff(np.sort(x)) == 0.0))
+
+
+def log_weighted_vandermonde(points, weight) -> float:
+    """log of prod_{j<k} |z_j - z_k| w(z_j) w(z_k).
+
+    Line weights take coordinates, circle weights take angles of e^{it}.
+    Coincident points yield -inf (a degenerate configuration, not an error).
+    The log chords, log|x_k - x_j| on the line and log|2 sin(t_k/2 - t_j/2)|
+    on the circle, are summed over the gate's upper strips (see
+    _upper_strips): those right of a strip's diagonal square once, plus
+    half the square's sum with its diagonal at chord 1.  The square holds
+    each pair both ways with the same bits, since subtraction and numpy's
+    sin are odd, and halving the circle's angles is exact where the gate's
+    is (see _gradient).
+    """
+    x = _as_points(points)
+    if not isinstance(weight, (RealWeight, CircleWeight)):
+        raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
+    circle = isinstance(weight, CircleWeight)
+    block_x = x / 2.0 if circle else x
+    if _coincident(block_x):
+        return -math.inf
+    chords = 0.0
+    for _, d in _upper_strips(block_x):
+        h = d.shape[0]
+        if circle:
+            np.sin(d, out=d)
+            d *= 2.0
+        chord = np.abs(d, out=d)
+        _diagonal(chord)[...] = 1.0
+        logs = np.log(chord, out=chord)
+        chords += logs[:, h:].sum() + 0.5 * logs[:, :h].sum()
+    return float(chords + (x.size - 1) * np.sum(weight.log_w(x)))
 
 
 def _add_strip(out: np.ndarray, strip: np.ndarray, mirror) -> None:
@@ -261,8 +254,8 @@ def _gradient(points, weight, with_scale: bool = False):
 
     Coincident points are found before any pair term is formed, as a zero
     difference of neighbours in the sorted coordinates the strips are filled
-    from (x, or t/2 on the circle): exactly where a pair's difference, and
-    so its tangent, is 0.
+    from (x, or t/2 on the circle; see _coincident): exactly where a pair's
+    difference, and so its tangent, is 0.
 
     The pair terms are summed over upper strips (see _upper_strips).  A pair
     term, 2/(x_k - x_j) or cot((t_k - t_j)/2), is odd in the pair and its
@@ -301,10 +294,8 @@ def _gradient(points, weight, with_scale: bool = False):
         strip_sums, block_x, what = _circle_strip, x / 2.0, "angles"
     else:
         raise InvalidInputError(f"unsupported weight type {type(weight).__name__}")
-    # inf - inf and overflow here are the strips' to report
-    with np.errstate(invalid="ignore", over="ignore"):
-        if np.any(np.diff(np.sort(block_x)) == 0.0):
-            raise DegenerateInputError(f"coincident {what}: gradient undefined")
+    if _coincident(block_x):
+        raise DegenerateInputError(f"coincident {what}: gradient undefined")
     g = np.zeros(n)
     scale = np.zeros(n) if with_scale else None
     for lo, d in _upper_strips(block_x):
@@ -342,28 +333,6 @@ def scaled_residual(points, weight) -> float:
     are an error."""
     g, scale = _gradient(points, weight, with_scale=True)
     return float(np.max(np.abs(g) / scale))
-
-
-def sine_product(ys):
-    """prod_{j<k} sin^2(y_j - y_k) for arguments in (-pi/2, pi/2].
-
-    Bounded above by 2^(-n(n-1)) n^n, with equality exactly at arithmetic
-    progressions with difference pi/n.  A float for one configuration of n
-    points; an (..., n) stack of configurations gives an array of shape
-    (...), each entry with the bits of that configuration alone.
-    """
-    y = np.asarray(ys, dtype=float)
-    if y.ndim == 0 or y.shape[-1] < 2:
-        raise InvalidInputError("need at least two points")
-    diffs = (y[..., :, None] - y[..., None, :])[..., _upper_mask(y.shape[-1])]
-    prod = np.prod(np.sin(diffs) ** 2, axis=-1)
-    return float(prod) if y.ndim == 1 else prod
-
-
-def sine_product_bound(n: int) -> float:
-    """The sharp upper bound 2^(-n(n-1)) n^n for the sine product."""
-    n = checked_n(n)
-    return 2.0 ** (-n * (n - 1)) * float(n) ** n
 
 
 def _angle_problem(weight, n: int):

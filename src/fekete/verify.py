@@ -15,9 +15,11 @@ field integral of the modified Robin constant, and
 ``potential_by_quadrature`` against the closed-form ``log_potential`` behind
 the Frostman checks are integrals of ``_integral``, which calls
 ``equilibrium.quad`` and raises when scipy flags an integral.
-The production side comes from the other modules.  Every polynomial is a real
-coefficient array, so the ``poly`` suite draws its roots in conjugate pairs,
-plus one real root at odd degree.  The heavier optimizer sweeps live in the
+``sine_product`` and ``sine_product_bound``, the two sides of the
+sine-product bound, live here too.  The production side comes from the
+other modules.  Every polynomial is a real coefficient array, so the
+``poly`` suite draws its roots in conjugate pairs, plus one real root at
+odd degree.  The heavier optimizer sweeps live in the
 acceptance test suite; here every suite is kept fast enough to run on each
 call: the companion roots of a suite come from one ``stacked_roots`` call
 over all its degrees (the ``real`` suite's 348 pseudo-Jacobi and s = 1
@@ -39,7 +41,7 @@ from . import circle as circ
 from . import energy as en
 from . import equilibrium as eq
 from . import real_line as rl
-from .errors import NumericalError, SingularParameterError
+from .errors import InvalidInputError, NumericalError, SingularParameterError, checked_n
 from .poly import (
     OdeFamily,
     discriminant_resultant,
@@ -304,6 +306,28 @@ def _fd_gradient(points, weight, h=1e-6):
     return g
 
 
+def sine_product(ys):
+    """prod_{j<k} sin^2(y_j - y_k) for arguments in (-pi/2, pi/2].
+
+    Bounded above by 2^(-n(n-1)) n^n, with equality exactly at arithmetic
+    progressions with difference pi/n.  A float for one configuration of n
+    points; an (..., n) stack of configurations gives an array of shape
+    (...), each entry with the bits of that configuration alone.
+    """
+    y = np.asarray(ys, dtype=float)
+    if y.ndim == 0 or y.shape[-1] < 2:
+        raise InvalidInputError("need at least two points")
+    j, k = np.triu_indices(y.shape[-1], 1)
+    prod = np.prod(np.sin(y[..., j] - y[..., k]) ** 2, axis=-1)
+    return float(prod) if y.ndim == 1 else prod
+
+
+def sine_product_bound(n: int) -> float:
+    """The sharp upper bound 2^(-n(n-1)) n^n for the sine product."""
+    n = checked_n(n)
+    return 2.0 ** (-n * (n - 1)) * float(n) ** n
+
+
 def _suite_energy() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(106)
@@ -333,8 +357,9 @@ def _suite_energy() -> list[CheckResult]:
         x = np.sort(rng.uniform(-2.0, 2.0, n))
         if np.min(np.diff(x)) < 0.05:
             x = np.linspace(-1.5, 1.5, n)
-        d_base = en.numeric_diameter(x, rl.RealWeight(1.0, 2.0))
-        d_scaled = en.numeric_diameter(c * x, rl.RealWeight(c, 2.0))
+        d_base, d_scaled = (
+            math.exp(2.0 * en.log_weighted_vandermonde(y, rl.RealWeight(a, 2.0)) / (n * (n - 1)))
+            for y, a in ((x, 1.0), (c * x, c)))
         expected = c ** (1.0 - 2.0 * 2.0) * d_base
         worst = max(worst, abs(d_scaled - expected) / expected)
     expected = 2.0 ** (1.0 - 4.0) * rl.sgt1_diameter(1.0, 2.0, 2)
@@ -345,11 +370,11 @@ def _suite_energy() -> list[CheckResult]:
     worst_excess = -math.inf
     worst_eq = 0.0
     for n in range(2, 7):
-        bound = en.sine_product_bound(n)
+        bound = sine_product_bound(n)
         ys = rng.uniform(-math.pi / 2.0, math.pi / 2.0, (1000, n))
-        worst_excess = max(worst_excess, float(np.max(en.sine_product(ys) - bound)))
+        worst_excess = max(worst_excess, float(np.max(sine_product(ys) - bound)))
         ap = np.arange(n) * math.pi / n
-        worst_eq = max(worst_eq, _rel(en.sine_product(ap), bound))
+        worst_eq = max(worst_eq, _rel(sine_product(ap), bound))
     out.append(CheckResult("energy", "sine-product-bound", worst_excess, 0.0))
     out.append(CheckResult("energy", "sine-product-equality-at-progression", worst_eq, 1e-12))
 

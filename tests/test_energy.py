@@ -17,20 +17,19 @@ from fekete import (
     canonical_gamma,
     circle_diameter,
     circle_points,
-    discrete_energy,
     energy_gradient,
     log_weighted_vandermonde,
     mobius,
     optimize,
+    s1_diameter,
     s1_points,
     scaled_residual,
     sgt1_diameter,
     sgt1_points,
-    sine_product,
-    sine_product_bound,
 )
 from fekete.energy import RESIDUAL_TOL, _gradient
 from fekete.poly import pseudo_jacobi, roots
+from fekete.verify import sine_product, sine_product_bound
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -41,6 +40,18 @@ def optimize_logged(caplog, weight, n):
     with caplog.at_level(logging.DEBUG, logger="fekete.energy"):
         res = optimize(weight, n)
     return res, [r for r in caplog.records if r.name == "fekete.energy"]
+
+
+# closed-form sets at n = 257 (the module's budget: rows 0-254, then 255-256)
+# and n = 1000 (many strips)
+FEKETE_SETS_OVER_STRIPS = pytest.mark.parametrize("n, weight, points", [
+    (n, weight, points) for n in (257, 1000) for weight, points in [
+        (RealWeight(1.3, 2.5), lambda n: sgt1_points(1.3, 2.5, n)),
+        (RealWeight(1.3, 1.0), lambda n: s1_points(1.3, n, canonical_gamma(n))),
+        (CircleWeight(0.507), lambda n: circle_points(0.507, n).angles),
+        (CircleWeight(-3.98), lambda n: circle_points(-3.98, n).angles)]
+], ids=[f"{name}-{n}" for n in (257, 1000)
+        for name in ("line-sgt1", "line-s1", "circle-in", "circle-out")])
 
 
 class TestLogWeightedVandermonde:
@@ -65,26 +76,70 @@ class TestLogWeightedVandermonde:
         with pytest.raises(InvalidInputError):
             log_weighted_vandermonde([1.0], RealWeight(1.0, 2.0))
 
+    @FEKETE_SETS_OVER_STRIPS
+    def test_error_within_the_summation_bound(self, n, weight, points):
+        # L sums the entries of every strip, each pair's log chord once right
+        # of a diagonal square or twice at half weight inside one (halving is
+        # exact), the diagonal zeros, the start and the weight's term: at
+        # most N = n^2 + 2 numbers whose moduli sum to A, fsum(|log chord|)
+        # plus the weight term's modulus.  Any order of them errs from their
+        # exact sum by at most gamma_{N-1} A, and fsum rounds once more.
+        x = np.asarray(points(n), dtype=float)
+        j, k = np.triu_indices(n, 1)
+        if isinstance(weight, RealWeight):
+            chords = np.abs(x[j] - x[k])
+        else:
+            chords = 2.0 * np.abs(np.sin(x[j] / 2.0 - x[k] / 2.0))
+        logs = np.log(chords)
+        weight_term = (n - 1) * np.sum(weight.log_w(x))
+        u = 2.0 ** -53
+        big_n = n * n + 2
+        gamma = big_n * u / (1.0 - big_n * u)
+        exact = math.fsum(np.append(logs, weight_term))
+        size = math.fsum(np.abs(logs)) + abs(weight_term)
+        assert abs(log_weighted_vandermonde(x, weight) - exact) <= gamma * size
+
+    @pytest.mark.parametrize("weight", [RealWeight(1.0, 2.0), CircleWeight(0.5)])
+    def test_coincident_pair_across_a_strip_boundary(self, monkeypatch, recwarn, weight):
+        monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", 100)  # rows 0-8, then 9-10
+        x = np.linspace(0.1, 3.0, 11)
+        assert math.isfinite(log_weighted_vandermonde(x, weight))
+        x[9] = x[8]  # row 8's pair with column 9, right of its diagonal square
+        assert log_weighted_vandermonde(x, weight) == -math.inf
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("weight", [RealWeight(1.0, 2.0), CircleWeight(0.5)])
+    def test_signed_zero_pair(self, monkeypatch, recwarn, weight):
+        # -0.0 and +0.0 are one point: their difference is 0
+        monkeypatch.setattr(fekete.energy, "_BLOCK_ELEMENTS", 100)
+        assert log_weighted_vandermonde([1.0, -0.0, 0.5, 0.0], weight) == -math.inf
+        assert not recwarn.list
+
 
 class TestDiscreteEnergy:
+    # E_w = -2/(n(n-1)) log weighted Vandermonde, -L for a pair
     def test_matches_negative_log_diameter(self):
-        e = discrete_energy([-1 / SQRT3, 1 / SQRT3], RealWeight(1.0, 2.0))
+        e = -log_weighted_vandermonde([-1 / SQRT3, 1 / SQRT3], RealWeight(1.0, 2.0))
         assert e == pytest.approx(-math.log(3.0 * SQRT3 / 8.0), rel=1e-12)
         assert e == pytest.approx(3.0 * math.log(2.0 / SQRT3), rel=1e-12)
 
     def test_s1_pair(self):
-        assert discrete_energy([-1.0, 1.0], RealWeight(1.0, 1.0)) == \
+        assert -log_weighted_vandermonde([-1.0, 1.0], RealWeight(1.0, 1.0)) == \
             pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 7, 300])
+    def test_matches_negative_log_diameter_at_fekete_sets(self, n):
+        for weight, points, diameter in [
+                (RealWeight(1.3, 1.0), s1_points(1.3, n, canonical_gamma(n)), s1_diameter(1.3, n)),
+                (RealWeight(1.3, 2.5), sgt1_points(1.3, 2.5, n), sgt1_diameter(1.3, 2.5, n))]:
+            e = -2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1))
+            assert e == pytest.approx(-math.log(diameter), rel=1e-12, abs=1e-12)
 
     def test_symmetric_pair_minimized_at_calculus_point(self):
         w = RealWeight(1.0, 2.0)
-        star = discrete_energy([-1 / SQRT3, 1 / SQRT3], w)
+        star = -log_weighted_vandermonde([-1 / SQRT3, 1 / SQRT3], w)
         for t in np.linspace(0.05, 3.0, 200):
-            assert discrete_energy([-t, t], w) >= star - 1e-12
-
-    def test_circle_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            discrete_energy([0.0, math.pi], CircleWeight(0.5))
+            assert -log_weighted_vandermonde([-t, t], w) >= star - 1e-12
 
 
 class TestEnergyGradient:
@@ -218,13 +273,7 @@ class TestBlockedGradient:
         for x in gradient_point_sets(weight, n):
             assert_gradient_bits(x, weight, *strip_order_gradient(x, weight, budget))
 
-    @pytest.mark.parametrize("n", [257, 1000])
-    @pytest.mark.parametrize("weight, points", [
-        (RealWeight(1.3, 2.5), lambda n: sgt1_points(1.3, 2.5, n)),
-        (RealWeight(1.3, 1.0), lambda n: s1_points(1.3, n, canonical_gamma(n))),
-        (CircleWeight(0.507), lambda n: circle_points(0.507, n).angles),
-        (CircleWeight(-3.98), lambda n: circle_points(-3.98, n).angles),
-    ], ids=["line-sgt1", "line-s1", "circle-in", "circle-out"])
+    @FEKETE_SETS_OVER_STRIPS
     def test_error_within_the_summation_bound(self, n, weight, points):
         # g_k sums n + 2 rounded numbers, the n - 1 pair terms of row k, two
         # zeros (its diagonal and the start) and minus the weight's term, in
@@ -694,7 +743,8 @@ class TestNewtonPath:
 
 def two_evaluation_objective(t, field):
     """The objective of all n angles t, over the pairs j < k."""
-    chords = 2.0 * np.abs(np.sin(fekete.energy._pair_differences(t) / 2.0))
+    j, k = np.triu_indices(t.size, 1)
+    chords = 2.0 * np.abs(np.sin((t[j] - t[k]) / 2.0))
     return float(np.sum(np.log(chords)) + np.sum(field(t)[0]))
 
 

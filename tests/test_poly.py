@@ -319,3 +319,13 @@ class TestOracleSplit:
         assert len(fekete.__all__) == len(set(fekete.__all__))
         assert set(fekete.__all__) == production | {"__version__"}
 
+    @pytest.mark.parametrize("name", ["numeric_diameter", "discrete_energy", "sine_product",
+                                      "sine_product_bound"])
+    def test_oracle_only_names_are_not_exported(self, name):
+        # the diameter and the energy are one expression of
+        # log_weighted_vandermonde; the sine product is an oracle of verify
+        from fekete import energy, verify
+
+        assert name not in fekete.__all__ and name not in verify.__all__
+        assert not hasattr(fekete, name) and not hasattr(energy, name)
+
