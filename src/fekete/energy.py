@@ -161,11 +161,12 @@ def _diagonal(strip: np.ndarray) -> np.ndarray:
 
 def _coincident(x: np.ndarray) -> bool:
     """Whether two of the coordinates the strips are filled from coincide: a
-    zero difference of neighbours in sorted order, exactly where a pair's
-    difference in a strip, and so its chord and its tangent, is 0."""
-    # inf - inf and overflow here are the strips' to report
-    with np.errstate(invalid="ignore", over="ignore"):
-        return bool(np.any(np.diff(np.sort(x)) == 0.0))
+    zero difference of neighbours in sorted order, that is equal finite
+    neighbours (inf - inf is NaN), exactly where a pair's difference in a
+    strip, and so its chord and its tangent, is 0."""
+    s = np.sort(x)
+    equal = s[1:] == s[:-1]
+    return bool(equal.any()) and bool(np.isfinite(s[1:][equal]).any())
 
 
 def log_weighted_vandermonde(points, weight) -> float:
@@ -197,7 +198,8 @@ def log_weighted_vandermonde(points, weight) -> float:
         chord = np.abs(d, out=d)
         _diagonal(chord)[...] = 1.0
         logs = np.log(chord, out=chord)
-        chords += logs[:, h:].sum() + 0.5 * logs[:, :h].sum()
+        square = 0.5 * logs[:, :h].sum()
+        chords += logs[:, h:].sum() + square if h < logs.shape[1] else square
     return float(chords + (x.size - 1) * np.sum(weight.log_w(x)))
 
 

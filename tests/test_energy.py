@@ -21,7 +21,6 @@ from fekete import (
     log_weighted_vandermonde,
     mobius,
     optimize,
-    s1_diameter,
     s1_points,
     scaled_residual,
     sgt1_diameter,
@@ -126,14 +125,6 @@ class TestDiscreteEnergy:
     def test_s1_pair(self):
         assert -log_weighted_vandermonde([-1.0, 1.0], RealWeight(1.0, 1.0)) == \
             pytest.approx(0.0, abs=1e-14)
-
-    @pytest.mark.parametrize("n", [3, 7, 300])
-    def test_matches_negative_log_diameter_at_fekete_sets(self, n):
-        for weight, points, diameter in [
-                (RealWeight(1.3, 1.0), s1_points(1.3, n, canonical_gamma(n)), s1_diameter(1.3, n)),
-                (RealWeight(1.3, 2.5), sgt1_points(1.3, 2.5, n), sgt1_diameter(1.3, 2.5, n))]:
-            e = -2.0 * log_weighted_vandermonde(points, weight) / (n * (n - 1))
-            assert e == pytest.approx(-math.log(diameter), rel=1e-12, abs=1e-12)
 
     def test_symmetric_pair_minimized_at_calculus_point(self):
         w = RealWeight(1.0, 2.0)
