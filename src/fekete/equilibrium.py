@@ -26,20 +26,22 @@ x = r cos(phi)) or Fourier series (the circle) against the family's
 moments, which are geometric, so each series sums to a logarithm.  The
 Frostman checks take U from log_potential over their whole grid.
 Each family's density is one formula, with the family's constants bound
-once, written for a float and an array alike: the quadrature integrands of
-fekete.verify call it on a float at every node, and density runs it once
-over a grid's points on the support, with numpy's arithmetic and sqrt,
-which round as Python's do, and the math module's sin and cos.  The
+once, written for a float and an array alike: density runs it once over a
+grid's points on the support, and the quadrature integrands of
+fekete.verify once over all the new nodes of a round, with numpy's
+arithmetic and sqrt, which round as Python's do, and the math module's sin
+and cos.  The
 harmonic families take r >= 1e-300 and, for r outside [2^-480, 2^500),
 scale r and x by a power of two, so that r^2 and (r - x)(r + x) stay in
 the double range.  Densities evaluate to 0 outside their support
 (including at the boundary; the harmonic families diverge in the
 open-interior limit there).
 
-Nothing here integrates.  The quadrature oracles (total masses, CDFs and
-potentials by quadrature) live in fekete.verify; quad, the lazily imported
-scipy.integrate.quad they call, stays here as the name that the benchmark
-tracer wraps.
+No production value here is an integral.  quad, a globally adaptive
+composite Gauss-Legendre rule in numpy array calls, is the one quadrature
+of the package: only the oracles of fekete.verify (total masses, CDFs, the
+field integral and potentials by quadrature) call it, and it stays here as
+the name that the benchmark tracer wraps.  No module loads scipy.integrate.
 """
 
 from __future__ import annotations
@@ -270,14 +272,75 @@ def density(m: MeasureSpec, x):
     return out.reshape(xs.shape)
 
 
-def quad(f, lo, hi, **kwargs):
-    """scipy.integrate.quad, imported on the first call, so that no command
-    but verify loads scipy.integrate.  Only verify's quadrature oracles call
-    it, through this module attribute (eq.quad): bench/tracing.py wraps
-    equilibrium.quad by name to time every integral."""
-    from scipy.integrate import quad as scipy_quad
+# the Gauss-Legendre (nodes, weights) of quad at 32 and 16 points, filled on
+# its first call
+_GAUSS: list = []
+_QUAD_ROUNDS = 40  # the bisection rounds of quad, at most
 
-    return scipy_quad(f, lo, hi, **kwargs)
+
+def _gauss_pieces(f, lo: np.ndarray, hi: np.ndarray):
+    """The 32-point Gauss-Legendre values of f over the pieces [lo, hi] and
+    their distances from the 16-point values, in one call of f on the
+    nodes of the pieces of nonzero width; an empty piece has value and
+    estimate 0."""
+    (x32, w32), (x16, w16) = _GAUSS
+    value, error = np.zeros(lo.size), np.zeros(lo.size)
+    wide = hi != lo
+    half = (hi[wide] - lo[wide]) / 2.0
+    nodes = (lo[wide] + half)[:, None] + half[:, None] * np.concatenate((x32, x16))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # quad checks
+        fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    if not np.isfinite(fx).all():
+        raise NumericalError("quadrature gave up: the integrand is not finite at a node")
+    value[wide] = half * (fx[:, :32] @ w32)
+    error[wide] = np.abs(value[wide] - half * (fx[:, 32:] @ w16))
+    return value, error
+
+
+def quad(f, ends, tol: float = 1e-11) -> np.ndarray:
+    """The integrals of f over the intervals [ends[i], ends[i+1]] of the
+    nondecreasing mesh ends, as an array, to within max(tol, tol |I|) in
+    all, I their sum.
+
+    f maps a 1-d array of nodes to the integrand's values there.  Every
+    piece of the mesh gets the 32-point Gauss-Legendre rule, and its
+    distance from the 16-point rule as its error estimate (nodes and
+    weights from numpy's leggauss, which solves the Golub-Welsch
+    eigenproblem, on the first call).  Each round bisects every piece whose
+    estimate exceeds a quarter of the largest and evaluates the new halves
+    only, until the estimates sum to within the bound.  A non-finite
+    integrand value, or a bound not reached in _QUAD_ROUNDS rounds, raises
+    NumericalError ("quadrature gave up"): no value is returned that the
+    estimate does not put within tol.
+
+    Only verify's quadrature oracles call it, through this module attribute
+    (eq.quad): bench/tracing.py wraps equilibrium.quad by name to time
+    every integral.
+    """
+    if not _GAUSS:
+        _GAUSS.extend(np.polynomial.legendre.leggauss(k) for k in (32, 16))
+    ends = np.asarray(ends, dtype=float)
+    lo, hi = ends[:-1], ends[1:]
+    owner = np.arange(lo.size)  # the interval of each piece
+    value, error = _gauss_pieces(f, lo, hi)
+    rounds = 0
+    while True:
+        total = math.fsum(error.tolist())
+        if total <= max(tol, tol * abs(math.fsum(value.tolist()))):
+            return np.bincount(owner, value, minlength=ends.size - 1)
+        if rounds == _QUAD_ROUNDS:
+            raise NumericalError(f"quadrature gave up: error estimate {total:.1e} after "
+                                 f"{rounds} rounds of bisection")
+        rounds += 1
+        split = error > 0.25 * error.max()
+        mid = (lo[split] + hi[split]) / 2.0
+        halves = (np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])))
+        new_value, new_error = _gauss_pieces(f, *halves)
+        keep = ~split
+        lo, hi = (np.concatenate((e[keep], h)) for e, h in zip((lo, hi), halves))
+        owner = np.concatenate((owner[keep], np.tile(owner[split], 2)))
+        value = np.concatenate((value[keep], new_value))
+        error = np.concatenate((error[keep], new_error))
 
 
 def cdf(m: MeasureSpec, x):

@@ -13,8 +13,20 @@ discriminant route) comes from ``fekete.poly``.  The quadrature oracles,
 which no production module has, live here: the unit masses, the CDFs, the
 field integral of the modified Robin constant, and
 ``potential_by_quadrature`` against the closed-form ``log_potential`` behind
-the Frostman checks are integrals of ``_integral``, which calls
-``equilibrium.quad`` and raises when scipy flags an integral.
+the Frostman checks are integrals of ``_integral``, one call of
+``equilibrium.quad`` each.  That rule gives every piece of a mesh the
+32-point Gauss-Legendre rule, with its distance from the 16-point rule as
+the error estimate, and bisects every piece whose estimate exceeds a
+quarter of the largest until the estimates sum to at most
+``max(tol, tol |I|)``.  A CDF grid is one mesh, its values cumulative sums.
+Next to the log singularity of a potential the mesh is graded
+geometrically (ratio 0.15, 13 levels), dropping the ends whose point lies
+within 2^-40 |x| of the split point x, so that no node rounds onto
+it.  Failure policy: the rule never returns a value its estimate does not
+put within ``tol``.  A non-finite integrand value, or 40 rounds without
+reaching the bound, raises ``NumericalError("quadrature gave up")``, and
+``_integral`` raises before integrating over a support radius past
+``_QUAD_MAX_RADIUS``.
 ``sine_product`` and ``sine_product_bound``, the two sides of the
 sine-product bound, live here too.  The production side comes from the
 other modules.  Every polynomial is a real coefficient array, so the
@@ -404,61 +416,75 @@ def _suite_energy() -> list[CheckResult]:
 # equilibrium
 # ---------------------------------------------------------------------------
 
-_QUAD_FAIL = 1e-7
-_QUAD_MAX_RADIUS = 1e4  # the largest support radius r of [-r, r] _integral takes
+_QUAD_MAX_RADIUS = 1e8  # the largest support radius r of [-r, r] _integral takes
+# the graded mesh next to a split point x: ends at 0.15^k of each neighbouring
+# piece from it, k = 1..13, but none whose point lies within 2^-40 |x| of x,
+# so that no node's point rounds onto x
+_GRADING = 0.15 ** np.arange(1, 14)
+_NEAREST = 2.0 ** -40
 
 
-def _quad_checked(f, lo, hi, points, tol) -> float:
-    """quad's value to absolute and relative tolerance tol; NumericalError
-    when quad flags the integral (then its value can be wrong by orders of
-    magnitude) or its error estimate exceeds _QUAD_FAIL.  It calls eq.quad,
-    the module attribute, which the benchmark tracer wraps."""
-    val, err, _, *flag = eq.quad(f, lo, hi, points=points, full_output=1,
-                                 epsabs=tol, epsrel=tol, limit=200)
-    if flag:
-        raise NumericalError(f"quadrature gave up: {flag[0].splitlines()[0]}")
-    if err > _QUAD_FAIL:
-        raise NumericalError(
-            f"quadrature reached absolute error {err:.2e} > {_QUAD_FAIL:.0e}"
-        )
-    return val
-
-
-def _integral(m: eq.MeasureSpec, f=None, upto=None, singular=None, tol=1e-11) -> float:
+def _integral(m: eq.MeasureSpec, f=None, upto=None, singular=None, tol=1e-11):
     """int f(t) d mu(t) from the left end of the support up to upto (all of
     it when None; f = 1 when None), split at singular when that lies inside
-    the support.  Line families are integrated in an angle: x = tan(theta)
-    for arctan, which maps the line onto a finite interval, and
-    x = r sin(theta) on [-r, r], which removes the square-root edges; the
-    circle family in its own angle.  Every quadrature oracle is a call of
-    this helper.  On [-r, r] it raises past r = _QUAD_MAX_RADIUS, where quad
-    can step over the mass near x = 0, a theta-width ~1/r, and report 0."""
+    the support.  upto is a float, with a float result, or an increasing
+    array, with the integrals up to each of its values as cumulative sums
+    over one mesh.  f maps an array of points to an array.  Line families
+    are integrated in an angle: x = tan(theta) for arctan, which maps the
+    line onto a finite interval, and x = r sin(theta) on [-r, r], which
+    removes the square-root edges; the circle family in its own angle.  The
+    integrand is the family's density formula over arrays (m._formula with
+    eq._ARRAYS); every quadrature oracle is a call of this helper, and each
+    call is one call of eq.quad.  Next to the split point the mesh is
+    graded geometrically (_GRADING), which resolves a log singularity there
+    within the first rounds.  On [-r, r] it raises, before integrating,
+    past r = _QUAD_MAX_RADIUS: the mass near x = 0 has a theta-width ~1/r,
+    which the first rule can step over, and the rule was checked against
+    mpmath up to r = 1e9."""
     lo, hi = m.support
-    dens = m._density
-    f = f or (lambda _: 1.0)
-    if m.family == "arctan":
-        angle = math.atan
-
-        def g(theta):
-            x = math.tan(theta)
-            return f(x) * dens(x) / math.cos(theta) ** 2
-    elif m.is_circle:
-        angle = float
-
-        def g(t):
-            return f(t) * dens(t)
-    else:
-        def angle(x):
-            return math.asin(min(max(x / hi, -1.0), 1.0))
-
-        def g(theta):
-            x = hi * math.sin(theta)
-            return f(x) * dens(x) * hi * math.cos(theta)
-    pts = [angle(singular)] if singular is not None and lo < singular < hi else None
-    value = _quad_checked(g, angle(lo), angle(hi if upto is None else upto), pts, tol)
     if m.family != "arctan" and hi > _QUAD_MAX_RADIUS:
         raise NumericalError(f"radius {hi:g} is past the quadrature oracle's {_QUAD_MAX_RADIUS:g}")
-    return value
+    if m.family == "arctan":
+        angle, point = np.arctan, np.tan
+
+        def jacobian(theta):
+            return 1.0 / np.cos(theta) ** 2
+    elif m.is_circle:
+        angle = point = np.asarray
+
+        def jacobian(_):
+            return 1.0
+    else:
+        def angle(x):
+            return np.arcsin(np.clip(np.asarray(x) / hi, -1.0, 1.0))
+
+        def point(theta):
+            return hi * np.sin(theta)
+
+        def jacobian(theta):
+            return hi * np.cos(theta)
+    formula = m._formula
+    f = f or (lambda _: 1.0)
+
+    def g(theta):
+        x = point(theta)
+        return f(x) * formula(x, eq._ARRAYS) * jacobian(theta)
+
+    ends = np.concatenate(([angle(lo)], np.atleast_1d(angle(hi if upto is None else upto))))
+    starts = np.arange(ends.size - 1)  # the first mesh piece of each interval
+    if singular is not None and lo < singular < hi:
+        split = float(angle(singular))
+        k = int(np.searchsorted(ends, split))
+        if 0 < k < ends.size:
+            graded = np.concatenate((split - (split - ends[k - 1]) * _GRADING,
+                                     split + (ends[k] - split) * _GRADING[::-1]))
+            graded = graded[np.abs(point(graded) - singular) > _NEAREST * abs(singular)]
+            graded = np.insert(graded, np.searchsorted(graded, split), split)
+            ends = np.insert(ends, k, graded)
+            starts[k:] += graded.size
+    parts = np.add.reduceat(eq.quad(g, ends, tol), starts) if starts.size else starts
+    cumulative = np.cumsum(parts)
+    return float(cumulative[-1]) if np.ndim(upto) == 0 else cumulative
 
 
 def potential_by_quadrature(m: eq.MeasureSpec, x: float) -> float:
@@ -466,9 +492,9 @@ def potential_by_quadrature(m: eq.MeasureSpec, x: float) -> float:
     with 2|sin((x - t)/2)| for |x - t| on the circle, by quadrature split at
     the integrable log singularity."""
     if m.is_circle:
-        return _integral(m, lambda t: -math.log(2.0 * abs(math.sin((x - t) / 2.0))),
+        return _integral(m, lambda t: -np.log(2.0 * np.abs(np.sin((x - t) / 2.0))),
                          singular=x)
-    return _integral(m, lambda t: -math.log(abs(x - t)), singular=x)
+    return _integral(m, lambda t: -np.log(np.abs(x - t)), singular=x)
 
 
 def _suite_equilibrium() -> list[CheckResult]:
@@ -516,11 +542,10 @@ def _suite_equilibrium() -> list[CheckResult]:
               eq.MeasureSpec.harmonic_inf(1.0), eq.MeasureSpec.circle_poisson(0.5)):
         lo, hi = m.support
         xs = np.linspace(lo, hi, 41)
-        vals = eq.cdf(m, xs).tolist()
-        worst_mono = max(worst_mono, max(0.0, -min(np.diff(vals))))
-        worst_edge = max(worst_edge, abs(vals[0]), abs(vals[-1] - 1.0))
-        worst_quad = max(worst_quad, max(abs(v - _integral(m, upto=x))
-                                         for x, v in zip(xs, vals)))
+        vals = eq.cdf(m, xs)
+        worst_mono = max(worst_mono, max(0.0, -float(np.min(np.diff(vals)))))
+        worst_edge = max(worst_edge, abs(float(vals[0])), abs(float(vals[-1]) - 1.0))
+        worst_quad = max(worst_quad, float(np.max(np.abs(vals - _integral(m, upto=xs)))))
     far = eq.cdf(eq.MeasureSpec.arctan(), np.array([-1e12, 1e12])).tolist()
     worst_edge = max(worst_edge, abs(far[0]), abs(far[1] - 1.0))
     out.append(CheckResult("equilibrium", "cdf-nondecreasing", worst_mono, 1e-12))
@@ -530,7 +555,7 @@ def _suite_equilibrium() -> list[CheckResult]:
     worst = 0.0
     for sv in (2.0, 5.0):
         field_integral = _integral(eq.MeasureSpec.real_sgt1(sv),
-                                   lambda x: 0.5 * math.log(1.0 + x ** 2), tol=1e-12)
+                                   lambda x: 0.5 * np.log1p(x * x), tol=1e-12)
         lhs = eq.modified_robin_constant(sv)
         rhs = -math.log(eq.capacity_real(sv)) - sv * field_integral
         worst = max(worst, abs(lhs - rhs))

@@ -270,16 +270,17 @@ class TestOracleSplit:
         assert out.strip() == "[]"
 
     def test_cli_loads_scipy_only_where_it_is_used(self):
-        # scipy.integrate (which loads scipy.linalg) was most of every
-        # command's start-up; only verify integrates, and only real at s > 1
-        # calls the tridiagonal eigensolver.  The optimizer is numpy-only.  The oracles, fekete.poly and
-        # fekete.verify, are loaded by verify alone.
+        # only real at s > 1 calls the tridiagonal eigensolver, so only it and
+        # verify load scipy.linalg; the quadrature oracle is numpy, so no
+        # command loads scipy.integrate or scipy.special.  The optimizer is
+        # numpy-only.  The oracles, fekete.poly and fekete.verify, are loaded
+        # by verify alone.
         code = "\n".join([
             "import contextlib, io, sys",
             "from fekete.cli import build_parser, main",
             "def loaded():",
-            "    print([m for m in ('scipy.linalg', 'scipy.integrate', 'fekete.poly',",
-            "                       'fekete.verify') if m in sys.modules])",
+            "    print([m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.special',",
+            "                       'fekete.poly', 'fekete.verify') if m in sys.modules])",
             "build_parser()",
             "loaded()",
             "for argv in (['circle', '--b', '0.5', '--n', '8'],",
@@ -289,7 +290,8 @@ class TestOracleSplit:
             "             ['real', '--a', '1.3', '--s', '2', '--n', '12', '--method', 'optimize'],",
             "             ['circle', '--b', '0.9', '--n', '12', '--method', 'optimize'],",
             "             ['real', '--a', '1', '--s', '2', '--n', '8'],",
-            "             ['verify', '--suite', 'equilibrium']):",
+            "             ['verify', '--suite', 'equilibrium'],",
+            "             ['verify', '--suite', 'all']):",
             "    with contextlib.redirect_stdout(io.StringIO()):",
             "        assert main(argv) == 0",
             "    loaded()",
@@ -299,7 +301,8 @@ class TestOracleSplit:
                              capture_output=True, text=True).stdout
         assert out.splitlines() == ["[]"] * 7 + [
             "['scipy.linalg']",
-            "['scipy.linalg', 'scipy.integrate', 'fekete.poly', 'fekete.verify']",
+            "['scipy.linalg', 'fekete.poly', 'fekete.verify']",
+            "['scipy.linalg', 'fekete.poly', 'fekete.verify']",
         ]
 
     def test_layer_names_resolve(self):
