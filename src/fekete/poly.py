@@ -97,12 +97,12 @@ def stacked_roots(polys) -> list[np.ndarray]:
     coefficients zero-padded to the top degree.  The real companion
     matrices are built as ``np.roots`` builds them, with the roots at zero
     split off exactly; companion matrices of one size (the degree minus the
-    zero roots) share one ``np.linalg.eigvals`` call.  Newton refinement
-    (see ``roots``) then runs on all polynomials at once.  Its Horner step
-    for coefficient j runs on the polynomials of degree above j alone, so
-    no padded zero enters a value and each polynomial sees the operations
-    it sees alone; the root slots past its degree hold 0, take no step and
-    are dropped.
+    zero roots) share one ``np.linalg.eigvals`` call.  The roots are laid
+    out flat, polynomial by polynomial, so that the Newton refinement (see
+    ``roots``) runs on all of them at once and on no padded slot.  Its
+    Horner step for coefficient j runs on the roots of the polynomials of
+    degree above j alone, a prefix of the flat layout, so no padded zero
+    enters a value and each polynomial sees the operations it sees alone.
     """
     rows = [_checked_coeffs(p) for p in polys]
     if not rows:
@@ -116,7 +116,8 @@ def stacked_roots(polys) -> list[np.ndarray]:
         c[i, :deg[i] + 1] = rows[k]
     zero_roots = np.argmax(c != 0.0, axis=1)
     size = deg - zero_roots  # a monomial's roots are all zero
-    r = np.zeros((len(rows), deg[0]), dtype=complex)
+    first = np.cumsum(deg) - deg  # the first root of each polynomial
+    r = np.zeros(int(deg.sum()), dtype=complex)
     for m in set(size.tolist()) - {0}:
         group = np.flatnonzero(size == m)
         # highest first, zero roots stripped
@@ -124,52 +125,51 @@ def stacked_roots(polys) -> list[np.ndarray]:
         companion = np.zeros((group.size, m, m))
         companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
         companion[:, 0, :] = -top[:, 1:] / top[:, :1]
-        r[group, :m] = np.linalg.eigvals(companion)
-    live = np.arange(deg[0]) < deg[:, None]  # the columns that hold a root
-    _newton_refine(c, r, live)
-    r = np.take_along_axis(r, np.lexsort((r.imag, r.real, ~live), axis=-1), axis=-1)
+        r[first[group, None] + np.arange(m)] = np.linalg.eigvals(companion)
+    _newton_refine(c, r, deg)
+    r = r[np.lexsort((r.imag, r.real, np.repeat(np.arange(len(rows)), deg)))]
     out = [None] * len(rows)
     for i, k in enumerate(order):
-        out[k] = r[i, :deg[i]]
+        out[k] = r[first[i]:first[i] + deg[i]]
     return out
 
 
-def _eval_with_derivative(c: np.ndarray, dc: np.ndarray, z: np.ndarray):
-    """p(z) and p'(z) row by row, from the ascending coefficient rows c of p
-    and dc of p', zero-padded to one width and ordered by degree, highest
-    first.  One Horner pass runs over the two stacked, with dc padded by a
-    leading 0; the step of coefficient j runs on the prefix of rows whose
+def _eval_with_derivative(c: np.ndarray, dc: np.ndarray, z: np.ndarray, counts: np.ndarray):
+    """p(z) and p'(z) at the flat points z, the first counts[0] of them on
+    the polynomial of row 0, the next counts[1] on row 1 and so on, from the
+    ascending coefficient rows c of p and dc of p', zero-padded to one width
+    and ordered by degree, highest first.  One Horner pass runs over the
+    two; the step of coefficient j runs on the prefix of points whose row's
     degree exceeds j, so each value has the bits of ``polyval`` of its
     row's polynomial or derivative."""
-    rows, n = dc.shape
+    n = dc.shape[1]
     deg = n - np.argmax(c[:, ::-1] != 0.0, axis=1)
-    cc = np.zeros((2,) + c.shape)
-    cc[0] = c
-    cc[1, :, :n] = dc
-    v = np.zeros((2,) + z.shape, dtype=complex)
-    v[0] = c[np.arange(rows), deg][:, None]
-    active = np.searchsorted(-deg, -np.arange(n), side="left")  # rows with degree > j
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    live = np.searchsorted(-deg, -np.arange(n), side="left")  # rows with degree > j
+    v = np.zeros((2, z.size), dtype=complex)
+    v[0] = np.repeat(c[np.arange(deg.size), deg], counts)
     for j in range(n - 1, -1, -1):
-        k = active[j]
-        vk = v[:, :k]
-        np.multiply(vk, z[:k], out=vk)
-        vk += cc[:, :k, j, None]
+        rows = live[j]
+        vk = v[:, :ends[rows]]
+        np.multiply(vk, z[:ends[rows]], out=vk)
+        vk[0] += np.repeat(c[:rows, j], counts[:rows])
+        vk[1] += np.repeat(dc[:rows, j], counts[:rows])
     return v[0], v[1]
 
 
-def _newton_refine(c: np.ndarray, r: np.ndarray, live: np.ndarray) -> None:
-    """_NEWTON_STEPS Newton steps, in place, on the roots r of the
-    coefficient rows c where live holds, each kept only where it does not
+def _newton_refine(c: np.ndarray, r: np.ndarray, counts: np.ndarray) -> None:
+    """_NEWTON_STEPS Newton steps, in place, on the flat roots r, counts[i]
+    of them on the coefficient row i of c, each kept only where it does not
     increase the residual |p(r)|.  The values at an accepted candidate are
     those of the next step."""
     dc = c[:, 1:] * np.arange(1, c.shape[1])  # the coefficients of polyder
-    pv, dv = _eval_with_derivative(c, dc, r)
+    pv, dv = _eval_with_derivative(c, dc, r, counts)
     candidate = np.empty_like(r)
     for _ in range(_NEWTON_STEPS):
         candidate.fill(0.0)
-        np.divide(pv, dv, out=candidate, where=live & (np.abs(dv) > 0))
+        np.divide(pv, dv, out=candidate, where=np.abs(dv) > 0)
         np.subtract(r, candidate, out=candidate)
-        p_cand, dp_cand = _eval_with_derivative(c, dc, candidate)
+        p_cand, dp_cand = _eval_with_derivative(c, dc, candidate, counts)
         better = np.abs(p_cand) <= np.abs(pv)
         np.copyto(r, candidate, where=better)
         np.copyto(pv, p_cand, where=better)

@@ -62,9 +62,8 @@ class TestPoly:
 def horner(c, z):
     """p(z) and p'(z) for the coefficients c by the Newton step's Horner kernel."""
     c = np.array([c], dtype=float)
-    pv, dv = _eval_with_derivative(c, c[:, 1:] * np.arange(1, c.shape[1]),
-                                   np.array([z], dtype=complex).reshape(1, -1))
-    return pv[0], dv[0]
+    z = np.array(z, dtype=complex).reshape(-1)
+    return _eval_with_derivative(c, c[:, 1:] * np.arange(1, c.shape[1]), z, [z.size])
 
 
 class TestEval:
@@ -85,10 +84,10 @@ class TestEval:
         # the kernel's values carry the bits of polyval, rows and points at once
         rng = np.random.default_rng(5)
         c, z = rng.normal(size=(3, 6)), rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        pv, dv = _eval_with_derivative(c, c[:, 1:] * np.arange(1, 6), z)
+        pv, dv = _eval_with_derivative(c, c[:, 1:] * np.arange(1, 6), z.ravel(), [4, 4, 4])
         for k in range(3):
-            assert pv[k].tolist() == P.polyval(z[k], c[k]).tolist()
-            assert dv[k].tolist() == P.polyval(z[k], P.polyder(c[k])).tolist()
+            assert pv[4 * k:4 * k + 4].tolist() == P.polyval(z[k], c[k]).tolist()
+            assert dv[4 * k:4 * k + 4].tolist() == P.polyval(z[k], P.polyder(c[k])).tolist()
 
 
 class TestRoots:

@@ -7,6 +7,7 @@ test names every failed check with its residual and tolerance.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -105,6 +106,19 @@ def test_real_suite_stacks_roots_once(monkeypatch):
 
 def test_poly_suite_stacks_roots_once(monkeypatch):
     assert count_root_stacks(monkeypatch, "poly") == [30]
+
+
+def test_real_suite_memory_peak():
+    # the root stack's Newton refinement runs on its 5,568 live roots alone;
+    # on the padded 348 x 30 rectangle the traced peak was 1,962,474 bytes
+    run_suite("real")
+    tracemalloc.start()
+    try:
+        run_suite("real")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * 2 ** 20
 
 
 def test_equilibrium_suite_bytes_do_not_depend_on_the_blas_thread_count():
