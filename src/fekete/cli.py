@@ -250,7 +250,9 @@ def _cmd_points(args) -> int:
     payload = {"params": params, "points": points.tolist(), "log_diameter": log_diameter,
                "diameter": diameter, "energy": -log_diameter, "grad_norm": grad_norm,
                **extra}
-    keys = ("log_diameter", "diameter", "energy", "grad_norm")
+    # the optimizer's iterations and converged follow grad_norm, as in JSON
+    keys = ("log_diameter", "diameter", "energy", "grad_norm",
+            *(("iterations", "converged") if res is not None else ()))
     _write(args, payload, lambda: _Rows(
         [*params, *keys, *(f"point_{k}" for k in range(len(points)))],
         [*params.values(), *(payload[k] for k in keys), *payload["points"]]))

@@ -648,6 +648,23 @@ class TestWriters:
         rows = csv_rows(out)
         assert out == csv_writer_text(rows[0], rows[1:])
 
+    @pytest.mark.parametrize("argv", ["real --a 1 --s 1 --n 6 --method optimize",
+                                      "circle --b -2.79 --n 12 --method optimize"])
+    def test_optimize_csv_carries_iterations_and_converged(self, capsys, argv):
+        # right after grad_norm, in the JSON payload's order, as str() writes them
+        payload = run_json(capsys, *argv.split())
+        out = run_ok(capsys, *argv.split(), "--format", "csv")
+        header, row = csv_rows(out)
+        at = header.index("grad_norm")
+        assert header[at - 3:at + 4] == ["log_diameter", "diameter", "energy", "grad_norm",
+                                         "iterations", "converged", "point_0"]
+        assert row[at + 1:at + 3] == [str(payload["iterations"]), "True"]
+        assert out == csv_writer_text(header, [row])
+
+    def test_closed_form_csv_has_no_optimizer_columns(self, capsys):
+        header, _ = csv_rows(run_ok(capsys, "circle", "--b", "0.5", "--n", "4", "--format", "csv"))
+        assert header[header.index("grad_norm") + 1] == "point_0"
+
     def test_csv_cells_of_every_type(self):
         header = ("n", "name", "x", "y", "z")
         rows = [(3, "real", 0.1, np.float64(-2.5e-300), np.int64(7)),
