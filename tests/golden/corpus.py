@@ -4,7 +4,10 @@
     PYTHONPATH=src python tests/golden/corpus.py --check    # compare, report
 
 Each case in CASES is run through ``fekete.cli.main`` in this process, with
-FEKETE_LOG unset and COLUMNS=80.  Regenerating writes ``cases.json`` (the
+FEKETE_LOG unset and COLUMNS=80.  Run as a script, for recording and
+``--check`` alike, it pins one OpenBLAS, OpenMP and MKL thread before numpy
+loads, as ``bench/run.py`` does: the optimizer's LAPACK solves round
+differently across thread counts.  Regenerating writes ``cases.json`` (the
 argv, exit code and stderr of each case) and ``<name>.out`` (its stdout)
 next to this file, so an intended change of output is one reviewed diff.
 ``--check`` reruns every case and prints, per case, ``bytes`` when stdout,
@@ -54,6 +57,7 @@ EPS = 2.0 ** -52
 ULPS = 4.0
 NOISE = 2.0 ** 4
 NOISE_FIELDS = ("grad_norm",)
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # name, argv
 CASES = [
@@ -265,5 +269,6 @@ def check() -> int:
 
 
 if __name__ == "__main__":
+    os.environ.update(dict.fromkeys(THREAD_VARIABLES, "1"))  # numpy is not loaded yet
     sys.path.insert(0, str(HERE.parent.parent / "src"))
     sys.exit(check() if sys.argv[1:] == ["--check"] else regenerate())
