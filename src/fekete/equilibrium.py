@@ -30,10 +30,9 @@ once, written for a float and an array alike: density runs it once over a
 grid's points on the support, and the quadrature integrands of
 fekete.verify once over all the new nodes of a round, with numpy's
 arithmetic and sqrt, which round as Python's do, and the math module's sin
-and cos.  The
-harmonic families take r >= 1e-300 and, for r outside [2^-480, 2^500),
-scale r and x by a power of two, so that r^2 and (r - x)(r + x) stay in
-the double range.  Densities evaluate to 0 outside their support
+and cos.  The harmonic families take r >= 1e-300 and, for r outside
+[2^-480, 2^500), scale r and x by a power of two, so that r^2 and
+(r - x)(r + x) stay in the double range.  Densities evaluate to 0 outside their support
 (including at the boundary; the harmonic families diverge in the
 open-interior limit there).
 
@@ -288,7 +287,8 @@ def _gauss_pieces(f, lo: np.ndarray, hi: np.ndarray):
     wide = hi != lo
     half = (hi[wide] - lo[wide]) / 2.0
     nodes = (lo[wide] + half)[:, None] + half[:, None] * np.concatenate((x32, x16))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # quad checks
+    # a value that is not finite raises below, with no warning first
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     if not np.isfinite(fx).all():
         raise NumericalError("quadrature gave up: the integrand is not finite at a node")
@@ -299,8 +299,8 @@ def _gauss_pieces(f, lo: np.ndarray, hi: np.ndarray):
 
 def quad(f, ends, tol: float = 1e-11) -> np.ndarray:
     """The integrals of f over the intervals [ends[i], ends[i+1]] of the
-    nondecreasing mesh ends, as an array, to within max(tol, tol |I|) in
-    all, I their sum.
+    mesh ends (negative where ends decrease), as an array, to within
+    max(tol, tol |I|) in all, I their sum.
 
     f maps a 1-d array of nodes to the integrand's values there.  Every
     piece of the mesh gets the 32-point Gauss-Legendre rule, and its
@@ -325,8 +325,8 @@ def quad(f, ends, tol: float = 1e-11) -> np.ndarray:
     value, error = _gauss_pieces(f, lo, hi)
     rounds = 0
     while True:
-        total = math.fsum(error.tolist())
-        if total <= max(tol, tol * abs(math.fsum(value.tolist()))):
+        total = error.sum()
+        if total <= max(tol, tol * abs(value.sum())):
             return np.bincount(owner, value, minlength=ends.size - 1)
         if rounds == _QUAD_ROUNDS:
             raise NumericalError(f"quadrature gave up: error estimate {total:.1e} after "
@@ -337,7 +337,8 @@ def quad(f, ends, tol: float = 1e-11) -> np.ndarray:
         halves = (np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])))
         new_value, new_error = _gauss_pieces(f, *halves)
         keep = ~split
-        lo, hi = (np.concatenate((e[keep], h)) for e, h in zip((lo, hi), halves))
+        lo = np.concatenate((lo[keep], halves[0]))
+        hi = np.concatenate((hi[keep], halves[1]))
         owner = np.concatenate((owner[keep], np.tile(owner[split], 2)))
         value = np.concatenate((value[keep], new_value))
         error = np.concatenate((error[keep], new_error))

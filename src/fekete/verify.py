@@ -482,8 +482,7 @@ def _integral(m: eq.MeasureSpec, f=None, upto=None, singular=None, tol=1e-11):
             graded = np.insert(graded, np.searchsorted(graded, split), split)
             ends = np.insert(ends, k, graded)
             starts[k:] += graded.size
-    parts = np.add.reduceat(eq.quad(g, ends, tol), starts) if starts.size else starts
-    cumulative = np.cumsum(parts)
+    cumulative = np.cumsum(np.add.reduceat(eq.quad(g, ends, tol), starts))
     return float(cumulative[-1]) if np.ndim(upto) == 0 else cumulative
 
 

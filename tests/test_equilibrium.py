@@ -619,8 +619,8 @@ def mp_measure(m, mp):
         return mp.atan, mp.tan, lambda th: 1 / mp.pi
     if m.is_circle:
         b = mp.mpf(m.b)
-        return (lambda t: t), (lambda t: t), \
-            lambda t: abs(1 - b * b) / (2 * mp.pi * (1 - 2 * b * mp.cos(t) + b * b))
+        return mp.mpf, mp.mpf, lambda t: abs(1 - b * b) / (2 * mp.pi * (1 - 2 * b * mp.cos(t)
+                                                                          + b * b))
     r = mp.mpf(m.support[1])
     weights = {
         "real-s": lambda th: ((mp.mpf(m.s) - 1) * (r * mp.cos(th)) ** 2
