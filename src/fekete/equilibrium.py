@@ -280,21 +280,17 @@ _QUAD_ROUNDS = 40  # the bisection rounds of quad, at most
 def _gauss_pieces(f, lo: np.ndarray, hi: np.ndarray):
     """The 32-point Gauss-Legendre values of f over the pieces [lo, hi] and
     their distances from the 16-point values, in one call of f on the
-    nodes of the pieces of nonzero width; an empty piece has value and
-    estimate 0."""
+    nodes of all the pieces."""
     (x32, w32), (x16, w16) = _GAUSS
-    value, error = np.zeros(lo.size), np.zeros(lo.size)
-    wide = hi != lo
-    half = (hi[wide] - lo[wide]) / 2.0
-    nodes = (lo[wide] + half)[:, None] + half[:, None] * np.concatenate((x32, x16))
+    half = (hi - lo) / 2.0
+    nodes = (lo + half)[:, None] + half[:, None] * np.concatenate((x32, x16))
     # a value that is not finite raises below, with no warning first
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     if not np.isfinite(fx).all():
         raise NumericalError("quadrature gave up: the integrand is not finite at a node")
-    value[wide] = half * (fx[:, :32] @ w32)
-    error[wide] = np.abs(value[wide] - half * (fx[:, 32:] @ w16))
-    return value, error
+    value = half * (fx[:, :32] @ w32)
+    return value, np.abs(value - half * (fx[:, 32:] @ w16))
 
 
 def quad(f, ends, tol: float = 1e-11) -> np.ndarray:
@@ -320,8 +316,9 @@ def quad(f, ends, tol: float = 1e-11) -> np.ndarray:
     if not _GAUSS:
         _GAUSS.extend(np.polynomial.legendre.leggauss(k) for k in (32, 16))
     ends = np.asarray(ends, dtype=float)
-    lo, hi = ends[:-1], ends[1:]
-    owner = np.arange(lo.size)  # the interval of each piece
+    wide = ends[1:] != ends[:-1]  # an empty interval has integral 0
+    lo, hi = ends[:-1][wide], ends[1:][wide]
+    owner = np.flatnonzero(wide)  # the interval of each piece
     value, error = _gauss_pieces(f, lo, hi)
     rounds = 0
     while True:
