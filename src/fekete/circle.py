@@ -47,26 +47,19 @@ class CircleWeight:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "unit", math.ldexp(1.0, min(0, 128 - math.frexp(b)[1])))
 
-    def dist_sq(self, angles, lib=None):
+    def dist_sq(self, angles):
         """|e^{it} - b|^2 u^2 with u = self.unit, vectorized over angles, as
         (u-c)^2 + 4cu h^2 with h = sin(t/2) for c = bu >= 0 and (u+c)^2 -
         4cu h^2 with h = cos(t/2) for c < 0: both terms are nonnegative, so
-        nothing cancels next to the charge.  sin and cos are lib's: by
-        default math's for a float and numpy's for an array (the density
-        passes its own).  h^2 is h * h in both, rounded once (a float's
-        h ** 2 would go through pow, which is not correctly rounded), so the
-        two agree bit for bit where their sines do."""
-        if lib is None:
-            if isinstance(angles, float):
-                lib = math
-            else:
-                angles, lib = np.asarray(angles, dtype=float), np
+        nothing cancels next to the charge.  sin and cos are numpy's, for a
+        float as for an array, and h^2 is h * h, rounded once."""
+        angles = np.asarray(angles, dtype=float)
         u = self.unit
         c = self.b * u
         if c >= 0.0:
-            h = lib.sin(angles / 2.0)
+            h = np.sin(angles / 2.0)
             return (u - c) ** 2 + 4.0 * c * u * (h * h)
-        h = lib.cos(angles / 2.0)
+        h = np.cos(angles / 2.0)
         return (u + c) ** 2 - 4.0 * c * u * (h * h)
 
     def log_w(self, angles):

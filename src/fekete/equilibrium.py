@@ -17,24 +17,22 @@ s * harmonic-i - (s-1) * harmonic-inf, which is how it arises from sweeping
 the attracting charge onto the support.
 
 CDFs are elementary closed forms (arctangents, and the sweep identity above
-for real-s).  cdf takes a float or a whole grid; its atan, atan2 and tan go
-through the math module element by element, so a grid's values keep libm's
-bits.  Log potentials are closed forms too, over a float or a whole grid:
--log|x - i| for arctan, and otherwise the sums of the log kernel's
-Chebyshev series (real-s and the harmonic families, in the angle of
-x = r cos(phi)) or Fourier series (the circle) against the family's
-moments, which are geometric, so each series sums to a logarithm.  The
-Frostman checks take U from log_potential over their whole grid.
-Each family's density is one formula, with the family's constants bound
-once, written for a float and an array alike: density runs it once over a
-grid's points on the support, and the quadrature integrands of
-fekete.verify once over all the new nodes of a round, with numpy's
-arithmetic and sqrt, which round as Python's do, and the math module's sin
-and cos.  The harmonic families take r >= 1e-300 and, for r outside
-[2^-480, 2^500), scale r and x by a power of two, so that r^2 and
-(r - x)(r + x) stay in the double range.  Densities evaluate to 0 outside their support
-(including at the boundary; the harmonic families diverge in the
-open-interior limit there).
+for real-s).  Log potentials are closed forms too: -log|x - i| for arctan,
+and otherwise the sums of the log kernel's Chebyshev series (real-s and the
+harmonic families, in the angle of x = r cos(phi)) or Fourier series (the
+circle) against the family's moments, which are geometric, so each series
+sums to a logarithm.  The Frostman checks take U from log_potential over
+their whole grid.  Each family's density is one formula, with the family's
+constants bound once: density runs it over a grid's points on the support,
+and the quadrature integrands of fekete.verify over all the new nodes of a
+round.  cdf, density and log_potential take a float or a whole grid and
+evaluate with numpy ufuncs over whole arrays, a float as a grid of one
+point, so a float's value has the bits of the same point in a grid.  The
+harmonic families take r >= 1e-300 and, for r outside [2^-480, 2^500),
+scale r and x by a power of two, so that r^2 and (r - x)(r + x) stay in the
+double range.  Densities evaluate to 0 outside their support (including at
+the boundary; the harmonic families diverge in the open-interior limit
+there).
 
 No production value here is an integral.  quad, a globally adaptive
 composite Gauss-Legendre rule in numpy array calls, is the one quadrature
@@ -47,8 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -120,16 +116,13 @@ class MeasureSpec:
     r: float | None = None
     weight: CircleWeight | None = field(default=None, repr=False, compare=False)
     unit: float = field(init=False, repr=False, compare=False)
-    # the density formula over floats and arrays (_density_fn), and the
-    # density at one float (_on_support_fn)
+    # the density formula over arrays of points on the support (_density_fn)
     _formula: Callable = field(init=False, repr=False, compare=False)
-    _density: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         harmonic = self.family in (_HARMONIC_INF, _HARMONIC_I)
         object.__setattr__(self, "unit", _radius_unit(self.r) if harmonic else 1.0)
         object.__setattr__(self, "_formula", _density_fn(self))
-        object.__setattr__(self, "_density", _on_support_fn(self))
 
     @classmethod
     def real_sgt1(cls, s: float) -> "MeasureSpec":
@@ -188,65 +181,38 @@ def _k_unit(m: MeasureSpec) -> float:
     return (math.sqrt(1.0 + r * r) if u == 1.0 else max(r, 1.0)) * u
 
 
-def _libm(fn, *args) -> np.ndarray:
-    """A scalar function of the math module over arrays, element by element:
-    numpy's sin, cos, atan, atan2 and tan can differ from libm's in the last
-    ulp, which would move printed digits."""
-    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
-
-
-# what the density formulas call on an array: numpy's sqrt, which rounds as
-# math.sqrt does, and the math module's sin and cos element by element
-_ARRAYS = SimpleNamespace(sqrt=np.sqrt, sin=partial(_libm, math.sin),
-                          cos=partial(_libm, math.cos))
-
-
 def _density_fn(m: MeasureSpec) -> Callable:
-    """The family's density formula f(x, lib=math) on its support, with the
-    family's constants bound once, built with each MeasureSpec: x is a float
-    with lib = math, or an array with lib = _ARRAYS, whose operations round
-    as math's do, so the two give the same bits.  The one formula behind
-    density and the quadrature integrands."""
-    lo, hi = m.support
+    """The family's density formula f(x) over an array x of points on its
+    support, with the family's constants bound once, built with each
+    MeasureSpec.  The one formula behind density and the quadrature
+    integrands."""
+    hi = m.support[1]
     if m.family == _ARCTAN:
-        return lambda x, lib=math: 1.0 / (math.pi * (1.0 + x * x))
+        return lambda x: 1.0 / (math.pi * (1.0 + x * x))
     if m.family == _CIRCLE_POISSON:
         # |1 - b^2| / |e^{ix} - b|^2, both scaled by u^2 (CircleWeight.unit)
         u = m.weight.unit
         c = m.b * u
         num = abs(u - c) * abs(u + c)
         dist_sq = m.weight.dist_sq
-        return lambda x, lib=math: num / (TWO_PI * dist_sq(x, lib))
+        return lambda x: num / (TWO_PI * dist_sq(x))
     if m.family == _REAL_SGT1:
         s1 = m.s - 1.0
         # sqrt(2s-1 - (s-1)^2 x^2) = (s-1) sqrt(r^2 - x^2), the root taken as
         # sqrt((r-x)(r+x)), which does not cancel at the edges
-        return lambda x, lib=math: (s1 * lib.sqrt((hi - x) * (hi + x))
-                                    / (math.pi * (1.0 + x * x)))
+        return lambda x: s1 * np.sqrt((hi - x) * (hi + x)) / (math.pi * (1.0 + x * x))
     # the harmonic families: sqrt(r^2 - x^2) = sqrt((r-x)(r+x)) / u from r and
     # x scaled by u, so that neither r^2 nor the edge products leave the range
     u = m.unit
     ru = hi * u
     if m.family == _HARMONIC_INF:
-        return lambda x, lib=math: u / (math.pi * lib.sqrt((ru - x * u) * (ru + x * u)))
+        return lambda x: u / (math.pi * np.sqrt((ru - x * u) * (ru + x * u)))
     if m.family == _HARMONIC_I:
         k = _k_unit(m)
         # 1 + x^2 overflows past |x| = 1.3e154, where the density is below
         # 1e-300 and evaluates to 0
-        return lambda x, lib=math: (k / (math.pi * (1.0 + x * x)
-                                         * lib.sqrt((ru - x * u) * (ru + x * u))))
+        return lambda x: k / (math.pi * (1.0 + x * x) * np.sqrt((ru - x * u) * (ru + x * u)))
     raise InvalidInputError(f"unknown measure family {m.family!r}")
-
-
-def _on_support_fn(m: MeasureSpec) -> Callable[[float], float]:
-    """The density at one float: the formula on the support, where the
-    circle's is closed and every other family's open, and 0 off it (at NaN
-    too)."""
-    lo, hi = m.support
-    formula = m._formula
-    if m.is_circle:
-        return lambda x: formula(x) if lo <= x <= hi else 0.0
-    return lambda x: formula(x) if lo < x < hi else 0.0
 
 
 def density(m: MeasureSpec, x):
@@ -254,21 +220,19 @@ def density(m: MeasureSpec, x):
     the support rather than raising.
 
     x is a float or an array; the result is a float or an array of x's
-    shape.  An array runs the family's formula once, over its points on the
-    support, with numpy's arithmetic and sqrt and the math module's sin and
-    cos, so an array value has the bits of the scalar one.
+    shape.  The family's formula runs once, over x's points on the support
+    (closed for the circle, open otherwise; NaN is off it), in numpy
+    ufuncs.
     """
     xs = np.asarray(x, dtype=float)
-    if xs.ndim == 0:
-        return m._density(float(xs))
     flat = xs.ravel()
     lo, hi = m.support
     inside = (flat >= lo) & (flat <= hi) if m.is_circle else (flat > lo) & (flat < hi)
     out = np.zeros(flat.size)
     # x^2 overflows past |x| = 1.3e154, as it does silently in a float
     with np.errstate(over="ignore"):
-        out[inside] = m._formula(flat[inside], _ARRAYS)
-    return out.reshape(xs.shape)
+        out[inside] = m._formula(flat[inside])
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 # the Gauss-Legendre (nodes, weights) of quad at 32 and 16 points, filled on
@@ -349,10 +313,8 @@ def cdf(m: MeasureSpec, x):
     arctan, H = 1/2 + atan(k x / sqrt(r^2 - x^2))/pi with k = 1
     (harmonic-inf) or sqrt(1 + r^2) (harmonic-i), H_inf + s (H_i - H_inf)
     for real-s, and arctan(|(1+b)/(1-b)| tan(t/2))/pi (plus 1 past t = pi)
-    for the circle.  The arithmetic, square roots and the clamp run in numpy,
-    which rounds them as Python floats do; atan, atan2 and tan go through the
-    math module, so an array value has the bits of the scalar one.  NaN is
-    rejected; -inf and +inf map to 0 and 1.
+    for the circle, all in numpy ufuncs over x's points inside the support.
+    NaN is rejected; -inf and +inf map to 0 and 1.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
@@ -363,24 +325,23 @@ def cdf(m: MeasureSpec, x):
     inside = (flat > lo) & (flat < hi)
     t = flat[inside]
     if m.family == _ARCTAN:
-        val = 0.5 + _libm(math.atan, t) / math.pi
+        val = 0.5 + np.arctan(t) / math.pi
     elif m.family == _CIRCLE_POISSON:
         ratio = abs((1.0 + m.b) / (1.0 - m.b))
-        val = _libm(math.atan, ratio * _libm(math.tan, t / 2.0)) / math.pi
+        val = np.arctan(ratio * np.tan(t / 2.0)) / math.pi
         val[t > math.pi] += 1.0
     else:
         # both arguments of the arctangent times m.unit (see _density_fn)
         unit, ru, tu = m.unit, hi * m.unit, t * m.unit
         root = np.sqrt((ru - tu) * (ru + tu))
         kx = (_k_unit(m) if m.family == _HARMONIC_I else unit) * t
-        val = 0.5 + _libm(math.atan2, kx, root) / math.pi
+        val = 0.5 + np.arctan2(kx, root) / math.pi
         if m.family == _REAL_SGT1:
             # H_i - H_inf as one arctangent (k - 1 = r^2/(k+1)) in u = x/r and
             # v = root/r: s H_i - (s-1) H_inf as written cancels O(s)
             k = math.sqrt(1.0 + hi * hi)
             u, v = t / hi, root / hi
-            val += m.s * _libm(math.atan2, u * v * hi * hi / (k + 1.0),
-                               v * v + k * u * u) / math.pi
+            val += m.s * np.arctan2(u * v * hi * hi / (k + 1.0), v * v + k * u * u) / math.pi
     out[inside] = np.minimum(np.maximum(val, 0.0), 1.0)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 

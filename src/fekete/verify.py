@@ -433,8 +433,8 @@ def _integral(m: eq.MeasureSpec, f=None, upto=None, singular=None, tol=1e-11):
     are integrated in an angle: x = tan(theta) for arctan, which maps the
     line onto a finite interval, and x = r sin(theta) on [-r, r], which
     removes the square-root edges; the circle family in its own angle.  The
-    integrand is the family's density formula over arrays (m._formula with
-    eq._ARRAYS); every quadrature oracle is a call of this helper, and each
+    integrand is the family's density formula over arrays (m._formula, in
+    numpy ufuncs); every quadrature oracle is a call of this helper, and each
     call is one call of eq.quad.  Next to the split point the mesh is
     graded geometrically (_GRADING), which resolves a log singularity there
     within the first rounds.  On [-r, r] it raises, before integrating,
@@ -468,7 +468,7 @@ def _integral(m: eq.MeasureSpec, f=None, upto=None, singular=None, tol=1e-11):
 
     def g(theta):
         x = point(theta)
-        return f(x) * formula(x, eq._ARRAYS) * jacobian(theta)
+        return f(x) * formula(x) * jacobian(theta)
 
     ends = np.concatenate(([angle(lo)], np.atleast_1d(angle(hi if upto is None else upto))))
     starts = np.arange(ends.size - 1)  # the first mesh piece of each interval

@@ -12,7 +12,6 @@ from fekete import (
     mobius,
     optimize,
 )
-from fekete import equilibrium
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,14 +38,14 @@ class TestCircleWeight:
 
     @pytest.mark.parametrize("b", [0.5, -0.54, 3.0, 0.999999, 1e200])
     def test_float_and_array_paths_agree_bit_for_bit(self, b):
-        # the float path squared through pow, which is not correctly rounded,
-        # and differed in the last bit at 56 of these angles at b = 0.5; the
-        # array path is the density's, whose sin and cos are libm's, so the
-        # comparison does not rest on numpy's sin
+        # an earlier float path squared through pow, which is not correctly
+        # rounded, and differed in the last bit at 56 of these angles at
+        # b = 0.5; a float now runs the array code on one point, whose sin
+        # and cos must round as they do inside a whole array
         w = CircleWeight(b)
         t = np.linspace(0.0, TWO_PI, 100_000)
         scalar = np.array([w.dist_sq(x) for x in t.tolist()])
-        array = w.dist_sq(t, equilibrium._ARRAYS)
+        array = w.dist_sq(t)
         assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
 
     def test_unit_is_one_for_moderate_charges(self):

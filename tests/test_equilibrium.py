@@ -143,28 +143,38 @@ class TestCdf:
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
 
 
-def scalar_cdf(m, x):
-    """The CDF formulas one float at a time through the math module: the
-    reference for the array route."""
+def mp_cdf(m, xs):
+    """The family's CDF at the doubles xs in mpmath at 40 digits, from the
+    parameters as m holds them (s, b, and the support's right end as r) and
+    clamped to [0, 1], as cdf writes it: the sweep for real-s as
+    s H_i - (s-1) H_inf, which cancels O(s), 8 of the 40 digits at s = 1e8."""
+    mpmath = pytest.importorskip("mpmath")
     lo, hi = m.support
-    if m.family == "arctan":
-        return 0.5 + math.atan(x) / math.pi
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    if m.family == "circle-poisson":
-        val = math.atan(abs((1.0 + m.b) / (1.0 - m.b)) * math.tan(x / 2.0)) / math.pi
-        if x > math.pi:
-            val += 1.0
-    else:
-        k = math.sqrt(1.0 + hi * hi)
-        root = math.sqrt((hi - x) * (hi + x))
-        val = 0.5 + math.atan2((k if m.family == "harmonic-i" else 1.0) * x, root) / math.pi
-        if m.family == "real-s":
-            u, v = x / hi, root / hi
-            val += m.s * math.atan2(u * v * hi * hi / (k + 1.0), v * v + k * u * u) / math.pi
-    return min(max(val, 0.0), 1.0)
+    out = []
+    with mpmath.workdps(40):
+        pi, r = mpmath.pi, mpmath.mpf(hi)
+        if m.family == "circle-poisson":
+            b = mpmath.mpf(m.b)
+            ratio = abs((1 + b) / (1 - b))
+        elif m.family != "arctan":
+            k = mpmath.sqrt(1 + r * r) if m.family == "harmonic-i" else 1
+        for x in xs:
+            t = mpmath.mpf(x)
+            if x <= lo or x >= hi:
+                val = mpmath.mpf(x > lo)
+            elif m.family == "arctan":
+                val = 0.5 + mpmath.atan(t) / pi
+            elif m.family == "circle-poisson":
+                val = mpmath.atan(ratio * mpmath.tan(t / 2)) / pi + (t > pi)
+            elif m.family != "real-s":
+                val = 0.5 + mpmath.atan2(k * t, mpmath.sqrt((r - t) * (r + t))) / pi
+            else:
+                root, s = mpmath.sqrt((r - t) * (r + t)), mpmath.mpf(m.s)
+                h_inf = mpmath.atan2(t, root)
+                h_i = mpmath.atan2(mpmath.sqrt(1 + r * r) * t, root)
+                val = 0.5 + (s * h_i - (s - 1) * h_inf) / pi
+            out.append(min(max(val, 0), 1))
+    return out
 
 
 CDF_FAMILIES = [
@@ -203,11 +213,14 @@ def bits(values):
 
 class TestCdfArrays:
     @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
-    def test_array_has_the_bits_of_the_scalar_formulas(self, m):
-        # a sweep this dense meets inputs where numpy's atan, atan2 or tan
-        # round differently from libm's
-        pts = cdf_points(m, 40001)
-        assert bits(cdf(m, np.array(pts))) == bits([scalar_cdf(m, x) for x in pts])
+    def test_within_two_eps_of_mpmath(self, m):
+        # numpy's arctan, arctan2 and tan differ from libm's by 1 ulp on a
+        # few inputs in a thousand; both routes stay below 0.9 * 2^-52 here
+        mpmath = pytest.importorskip("mpmath")
+        pts = cdf_points(m, 2001)
+        got = cdf(m, np.array(pts)).tolist()
+        worst = max(abs(mpmath.mpf(g) - ref) for g, ref in zip(got, mp_cdf(m, pts)))
+        assert worst <= 2.0 * 2.0 ** -52, (float(worst) / 2.0 ** -52)
 
     @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
     def test_scalar_calls_have_the_bits_of_the_array(self, m):
@@ -550,10 +563,30 @@ class TestKsDistance:
         n = xs.size
         worst = 0.0
         for i, x in enumerate(xs):
-            c = scalar_cdf(m, float(x))
+            c = cdf(m, float(x))
             worst = max(worst, abs((i + 1) / n - c), abs(i / n - c))
         got = ks_distance(points, m)
         assert type(got) is float and bits([got]) == bits([worst])
+
+    @pytest.mark.parametrize("n", [10, 1000, 10_000])
+    def test_exact_distances_of_the_closed_form_sets(self, n):
+        """The canonical s = 1 set has CDF values (2i+1)/(2n), hence KS
+        distance 1/(2n); circle_points(b, n, 0) has i/n, hence 1/n.
+
+        The computed distance is off by the rounding of (i+1)/n or i/n
+        (at most 2^-53, as they are at most 1), the error of cdf at the
+        computed point (at most 2 * 2^-52, test_within_two_eps_of_mpmath),
+        and the error of the point itself, budgeted as three roundings of an
+        angle below 2 pi (each at most 2^-51) that the CDF carries over
+        times its density in the angle: 1/pi for s = 1 and at most 3/(2 pi)
+        for these b, so under 2^-52 each.  The sum is 5.5 * 2^-52, under the
+        bound 6 * 2^-52; the worst seen is 1.95 * 2^-52 (b = 0.5, n = 10^4)."""
+        bound = 6.0 * 2.0 ** -52
+        got = ks_distance(s1_points(1.0, n, canonical_gamma(n)), MeasureSpec.arctan())
+        assert abs(got - 1.0 / (2 * n)) <= bound
+        for b in (0.5, -3.98):
+            got = ks_distance(circle_points(b, n, 0.0).angles, MeasureSpec.circle_poisson(b))
+            assert abs(got - 1.0 / n) <= bound
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_points(self, bad):
@@ -921,6 +954,38 @@ class TestDensityClosures:
         got = np.array([potential_by_quadrature(m, x) for x in xs.tolist()])
         closed = log_potential(m, xs)
         assert np.all(np.abs(got - closed) <= 1e-11 * np.maximum(1.0, np.abs(closed)))
+
+
+class TestOneNumpyRoute:
+    @pytest.mark.parametrize("m", CDF_FAMILIES, ids=spec_id)
+    def test_grids_need_no_math_trigonometry(self, m, monkeypatch):
+        # cdf and density evaluate in numpy ufuncs, a float as a grid of one
+        # point: with the math module's trigonometric functions raising,
+        # every grid and float still evaluates
+        def gone(*_):
+            raise AssertionError("an element-by-element math call")
+
+        for name in ("atan", "atan2", "tan", "sin", "cos"):
+            monkeypatch.setattr(math, name, gone)
+        grid = np.array(cdf_points(m, 401))
+        assert np.isfinite(cdf(m, grid)).all() and np.isfinite(density(m, grid)).all()
+        x = float(np.mean(m.support) if m.family != "arctan" else 0.5)
+        assert 0.0 < cdf(m, x) < 1.0 and density(m, x) > 0.0
+
+    def test_no_math_function_is_passed_as_a_value(self):
+        # a math function handed to map, partial or a helper runs element
+        # by element over an array's items; np.fromiter collects such maps
+        found = []
+        for name, tree in source_trees():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                functions = [arg for arg in node.args if isinstance(arg, ast.Attribute)
+                             and isinstance(arg.value, ast.Name) and arg.value.id == "math"
+                             and arg.attr not in ("pi", "inf", "nan")]
+                if functions or ast.unparse(node.func).endswith("fromiter"):
+                    found.append((name, ast.unparse(node)))
+        assert not found
 
 
 def harmonic_reference(family, r, x):
