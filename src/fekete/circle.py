@@ -6,7 +6,9 @@ and carries chord lengths so that the weighted Vandermonde product of
 phi-images equals the unweighted one of the preimages up to the constant
 |1 - b^2|.  Consequently every maximizer is the phi-image of n equally spaced
 points, with one free rotation alpha, and the weighted n-th diameter is
-n^(1/(n-1)) / |1 - b^2|.
+n^(1/(n-1)) / |1 - b^2|.  In angles, phi(e^{i theta}) = e^{it} with tan(t/2)
+= c cot(theta/2), c = (1 - b)/(1 + b): the one route of the closed form and
+the optimizer's gauge.  The complex quotient is an oracle of fekete.verify.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 from .errors import InvalidInputError, checked_finite, checked_n
 
 __all__ = [
-    "CircleWeight", "CircleSolution", "mobius", "circle_points", "circle_diameter",
-    "circle_log_diameter",
+    "CircleWeight", "CircleSolution", "circle_points", "circle_diameter", "circle_log_diameter",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -71,9 +72,9 @@ class CircleWeight:
 class CircleSolution:
     """A weighted Fekete set on the circle: free phase, points, sorted angles.
 
-    Points are reported sorted by angle; angles live in [0, 2 pi).  Applying
-    the (involutive) Moebius map to the points recovers preimages whose
-    arguments are equally spaced with gap 2 pi / n.
+    Angles live in [0, 2 pi), ascending, and each point is cos + i sin of
+    its angle.  Applying the (involutive) Moebius map to the points recovers
+    preimages whose arguments are equally spaced with gap 2 pi / n.
     """
 
     alpha: float
@@ -81,27 +82,17 @@ class CircleSolution:
     angles: tuple[float, ...]
 
 
-def mobius(b: float, w):
-    """phi(w) = (bw - 1)/(w - b): a self-inverse bijection of the unit circle.
-
-    Accepts scalars or arrays; w = b (the pole) is rejected, which cannot
-    happen for |w| = 1 and |b| != 1.
-    """
-    b = CircleWeight(b).b
-    w_arr = np.asarray(w, dtype=complex)
-    if np.any(w_arr == b):
-        raise InvalidInputError(f"mobius pole: w = b = {b}")
-    out = (b * w_arr - 1.0) / (w_arr - b)
-    return complex(out) if out.ndim == 0 else out
-
-
-def _sorted_angles(z):
-    """Arguments of z in [0, 2 pi), ascending, and the order that sorts z;
-    np.mod(-tiny, 2 pi) rounds to 2 pi, which is reported as 0."""
-    angles = np.mod(np.angle(z), TWO_PI)
-    angles[angles == TWO_PI] = 0.0
-    order = np.argsort(angles)
-    return angles[order], order
+def _image_angles(b: float, theta, turn: float = 0.0) -> np.ndarray:
+    """The angles in [0, 2 pi) of phi(e^{i theta}) turned by turn (0 or pi),
+    one per angle of the array theta, unsorted: 2 atan(c / tan(theta/2)) +
+    turn with c = (1 - b)/(1 + b), folded once.  theta = 0 and an
+    overflowing quotient give +-inf silently, so the image pi.  Turning
+    the images is exact where turning a preimage would round pi, an error
+    that the map multiplies by c."""
+    with np.errstate(divide="ignore", over="ignore"):
+        t = np.mod(2.0 * np.arctan((1.0 - b) / (1.0 + b) / np.tan(theta / 2.0)) + turn, TWO_PI)
+    t[t == TWO_PI] = 0.0  # np.mod(-tiny, 2 pi) rounds to 2 pi
+    return t
 
 
 def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
@@ -109,14 +100,9 @@ def circle_points(b: float, n: int, alpha: float = 0.0) -> CircleSolution:
     weight = CircleWeight(b)
     n = checked_n(n)
     alpha = checked_finite(alpha, "rotation alpha")
-    pre = np.exp(1j * (alpha + TWO_PI * np.arange(n) / n))
-    pts = mobius(weight.b, pre)
-    angles, order = _sorted_angles(pts)
-    return CircleSolution(
-        alpha=alpha,
-        points=tuple(pts[order].tolist()),
-        angles=tuple(angles.tolist()),
-    )
+    angles = np.sort(_image_angles(weight.b, alpha + TWO_PI * np.arange(n) / n))
+    points = np.cos(angles) + 1j * np.sin(angles)
+    return CircleSolution(alpha, tuple(points.tolist()), tuple(angles.tolist()))
 
 
 def _diameter_over_unit_sq(b: float, n: int):

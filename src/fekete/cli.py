@@ -219,8 +219,6 @@ def _cmd_points(args) -> int:
         points, log_diameter = res.points, res.log_diameter
         grad_norm = res.grad_norm
         extra = {"iterations": res.iterations, "converged": res.converged}
-        if not line:
-            extra["cartesian"] = [[math.cos(t), math.sin(t)] for t in points]
     elif line:
         points, log_diameter, gamma = _closed_line(weight, args.n, args.gamma)
         if gamma is not None:
@@ -229,7 +227,6 @@ def _cmd_points(args) -> int:
         params["alpha"] = args.alpha if args.alpha is not None else 0.0
         sol = circle_points(weight.b, args.n, params["alpha"])
         points, log_diameter = sol.angles, circle_log_diameter(weight.b, args.n)
-        extra = {"cartesian": [[z.real, z.imag] for z in sol.points]}
 
     if not math.isfinite(log_diameter):
         raise CliError(f"the log diameter is {log_diameter}: an intermediate value "
@@ -250,6 +247,8 @@ def _cmd_points(args) -> int:
     payload = {"params": params, "points": points.tolist(), "log_diameter": log_diameter,
                "diameter": diameter, "energy": -log_diameter, "grad_norm": grad_norm,
                **extra}
+    if not line:
+        payload["cartesian"] = np.stack((np.cos(points), np.sin(points)), axis=1).tolist()
     # the optimizer's iterations and converged follow grad_norm, as in JSON
     keys = ("log_diameter", "diameter", "energy", "grad_norm",
             *(("iterations", "converged") if res is not None else ()))

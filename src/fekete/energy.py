@@ -33,7 +33,7 @@ puts the points.  On the circle |e^{it} - b| = |b| |e^{it} - 1/b| and
 w_{-b}(t) = w_b(t + pi): b and 1/b have the same Fekete sets, and those of
 -b are those of b turned by a half-turn.  So the optimizer works at the
 charge c = min(|b|, 1/|b|) in [0, 1) (0 at b = 0), with phi = (n-1) log w_c,
-and negates the points e^{it} for b < 0.  Both weights are even under
+and its gauge turns the points by pi for b < 0.  Both weights are even under
 theta -> -theta, and the optimizer keeps the angles reflection-symmetric:
 it moves the m = n // 2 positive angles u of theta = (-u reversed, [0 at
 odd n], u), and each stage of it maximizes
@@ -87,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleWeight, _sorted_angles, mobius
+from .circle import CircleWeight, _image_angles
 from .errors import DegenerateInputError, InvalidInputError, NumericalError, checked_n
 from .real_line import RealWeight
 
@@ -465,6 +465,7 @@ def _newton(u: np.ndarray, n: int, field):
     steps = backtracks = 0
     while steps < _MAX_NEWTON_STEPS:
         g, scale, scale_sum, neg_h = _angle_derivatives(*at_u)
+        at_u = None  # spent blocks: free them before the line search forms its own
         if (np.abs(g) / scale).max() <= 1e-13:
             break
         p = _newton_step(neg_h, g)
@@ -478,6 +479,7 @@ def _newton(u: np.ndarray, n: int, field):
         for _ in range(60):
             cand = u + step * p
             if _ordered(cand):
+                at_cand = None  # the blocks of the iterate or of a rejected candidate
                 f_cand, at_cand = _angle_evaluation(cand, n, field, phi_mid)
                 if f_cand > f + 1e-4 * step * slope:
                     break
@@ -491,24 +493,21 @@ def _newton(u: np.ndarray, n: int, field):
 
 
 def _gauge_circle(b: float, t: np.ndarray) -> np.ndarray:
-    """The command's sorted angles in [0, 2 pi) of the angles t at |b|: e^{it},
-    negated for b < 0, rotated in preimage space to a first angle of 0.
-
-    The rotation puts the image of w = 1 at -1.  For b < 0 that is in the
-    middle of the cluster of points next to a charge near -1, so the
-    rotation angle would come from a cluster point's preimage, whose error
-    the map amplifies by about 1/(1 - |b|).  At even n the grid
-    e^{2 pi i k/n} is closed under negation and
-    mobius(-b, -w) = -mobius(b, w), so there b < 0 is gauged at |b| and
-    the images are negated.
-    """
-    flip = b < 0.0 and t.size % 2 == 0
-    if flip:
-        b = -b
-    z = np.exp(1j * t)
-    pre, _ = _sorted_angles(mobius(b, -z if b < 0.0 else z))
-    w = mobius(b, np.exp(1j * (pre - pre[0])))
-    return _sorted_angles(-w if flip else w)[0]
+    """The command's sorted angles in [0, 2 pi) of the angles t at |b|,
+    turned by pi for b < 0, rotated in preimage space to a first preimage
+    angle of 0: pre = sort(M(t)), then sort(M(pre - pre[0])), M =
+    _image_angles.  As phi_{-b}(-w) = -phi_b(w), the preimages at b < 0 of
+    the turned t are the images at |b| turned.  The rotation puts the image
+    of w = 1 at -1, for b < 0 amid the cluster next to the charge; at even
+    n, with no point at the cluster's centre, the rotation would come from
+    a cluster point's preimage, whose error the map amplifies by about
+    1/(1 - |b|), so there b < 0 is gauged at |b| and the images turned."""
+    turn = math.pi if b < 0.0 else 0.0
+    if t.size % 2:
+        pre = np.sort(_image_angles(abs(b), t, turn))
+        return np.sort(_image_angles(b, pre - pre[0]))
+    pre = np.sort(_image_angles(abs(b), t))
+    return np.sort(_image_angles(abs(b), pre - pre[0], turn))
 
 
 def _continuation(c: float) -> list[float]:

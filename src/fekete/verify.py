@@ -28,7 +28,8 @@ reaching the bound, raises ``NumericalError("quadrature gave up")``, and
 ``_integral`` raises before integrating over a support radius past
 ``_QUAD_MAX_RADIUS``.
 ``sine_product`` and ``sine_product_bound``, the two sides of the
-sine-product bound, live here too.  The production side comes from the
+sine-product bound, live here too, and so does ``mobius``, the complex
+oracle of the circle's angle map.  The production side comes from the
 other modules.  Every polynomial is a real coefficient array, so the
 ``poly`` suite draws its roots in conjugate pairs, plus one real root at
 odd degree.  The heavier optimizer sweeps live in the
@@ -268,20 +269,32 @@ def _suite_real() -> list[CheckResult]:
 # circle
 # ---------------------------------------------------------------------------
 
+def mobius(b: float, w):
+    """phi(w) = (bw - 1)/(w - b), self-inverse on the unit circle, for
+    scalars or arrays; the pole w = b, off the circle, is rejected."""
+    b = circ.CircleWeight(b).b
+    w_arr = np.asarray(w, dtype=complex)
+    if np.any(w_arr == b):
+        raise InvalidInputError(f"mobius pole: w = b = {b}")
+    out = (b * w_arr - 1.0) / (w_arr - b)
+    return complex(out) if out.ndim == 0 else out
+
+
 def _suite_circle() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(105)
     bs = (0.0, 0.5, -0.5, 2.0, -2.0, 10.0)
 
-    worst_mod = 0.0
-    worst_inv = 0.0
+    worst_map = worst_inv = 0.0
     for b in bs:
-        w = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 100))
-        img = circ.mobius(b, w)
-        worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(img) - 1.0))))
-        worst_inv = max(worst_inv, float(np.max(np.abs(circ.mobius(b, img) - w))))
-    out.append(CheckResult("circle", "mobius-preserves-modulus", worst_mod, 1e-12))
-    out.append(CheckResult("circle", "mobius-involution", worst_inv, 1e-12))
+        theta = rng.uniform(0.0, 2.0 * math.pi, 100)
+        img = circ._image_angles(b, theta)
+        gap = np.abs(np.exp(1j * img) - mobius(b, np.exp(1j * theta)))
+        worst_map = max(worst_map, float(np.max(gap)))
+        gap = np.abs(circ._image_angles(b, img) - theta)
+        worst_inv = max(worst_inv, float(np.max(np.minimum(gap, 2.0 * math.pi - gap))))
+    out.append(CheckResult("circle", "angle-map-vs-mobius", worst_map, 1e-12))
+    out.append(CheckResult("circle", "angle-map-involution", worst_inv, 1e-12))
 
     worst = 0.0
     for b in (0.5, 2.0):

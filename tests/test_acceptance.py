@@ -25,7 +25,6 @@ from fekete import (
     frostman_check,
     ks_distance,
     log_weighted_vandermonde,
-    mobius,
     optimize,
     s1_diameter,
     sgt1_diameter,
@@ -33,6 +32,7 @@ from fekete import (
 )
 from fekete.cli import main as cli_main
 from fekete.poly import pseudo_jacobi, roots
+from fekete.verify import mobius
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi

@@ -19,7 +19,6 @@ from fekete import (
     circle_points,
     energy_gradient,
     log_weighted_vandermonde,
-    mobius,
     optimize,
     s1_points,
     scaled_residual,
@@ -28,7 +27,7 @@ from fekete import (
 )
 from fekete.energy import RESIDUAL_TOL, _gradient
 from fekete.poly import pseudo_jacobi, roots
-from fekete.verify import sine_product, sine_product_bound
+from fekete.verify import mobius, sine_product, sine_product_bound
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -398,6 +397,30 @@ class TestBlockedGradient:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert int(out) / 1024 < 150  # VmHWM is in kB
+
+    def test_optimizer_holds_one_evaluation_of_blocks(self):
+        """The optimizer's peak at n = 2000 over a bare n = 20 run, both read
+        as VmHWM in a fresh child with one OpenBLAS thread.  Newton's
+        arrays are m x n blocks of doubles, 16 MB (15,625 kB) each at
+        m = 1000.  One evaluation holds four at its peak: half, sin_half,
+        the temporary 2|sin_half| and logs; the negated Hessian, m x m,
+        adds half a block.  With the allocator's slack that read 5.2
+        blocks.  Holding the iterate's two spent blocks, and a rejected
+        candidate's two, while a candidate is evaluated read 7.2.  The
+        bound is 6 blocks."""
+        def peak(n):
+            code = ("import contextlib, io; from fekete.cli import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    assert main(['real', '--a', '1', '--s', '2', '--n', '{n}',"
+                    " '--method', 'optimize']) == 0\n"
+                    "with open('/proc/self/status') as fh:\n"
+                    "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                       PYTHONPATH=os.path.dirname(os.path.dirname(fekete.__file__)))
+            return int(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+
+        assert peak(2000) - peak(20) < 6 * 15_625  # VmHWM is in kB
 
 
 class TestSineProduct:

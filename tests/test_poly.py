@@ -322,12 +322,13 @@ class TestOracleSplit:
         assert set(fekete.__all__) == production | {"__version__"}
 
     @pytest.mark.parametrize("name", ["numeric_diameter", "discrete_energy", "sine_product",
-                                      "sine_product_bound"])
+                                      "sine_product_bound", "mobius"])
     def test_oracle_only_names_are_not_exported(self, name):
         # the diameter and the energy are one expression of
-        # log_weighted_vandermonde; the sine product is an oracle of verify
-        from fekete import energy, verify
+        # log_weighted_vandermonde; the sine product and the complex Moebius
+        # map are oracles of verify
+        from fekete import circle, energy, verify
 
         assert name not in fekete.__all__ and name not in verify.__all__
-        assert not hasattr(fekete, name) and not hasattr(energy, name)
+        assert not any(hasattr(module, name) for module in (fekete, circle, energy))
 

@@ -9,10 +9,12 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import fekete.verify as verify
-from fekete.verify import SUITES, run_suite, run_suites
+from fekete import InvalidInputError
+from fekete.verify import SUITES, mobius, run_suite, run_suites
 
 # Every (suite, check) name the battery carries; a check may be added, never
 # dropped silently.
@@ -35,8 +37,8 @@ INVENTORY = {
         "recurrence-vs-ode-family",
     },
     "circle": {
-        "mobius-preserves-modulus",
-        "mobius-involution",
+        "angle-map-vs-mobius",
+        "angle-map-involution",
         "alpha-free-diameter",
         "diameter-b-scaling",
     },
@@ -131,3 +133,19 @@ def test_equilibrium_suite_bytes_do_not_depend_on_the_blas_thread_count():
             [sys.executable, "-m", "fekete.cli", "verify", "--suite", "equilibrium"],
             env=env, capture_output=True, check=True).stdout)
     assert outs[0] == outs[1]
+
+
+class TestMobius:
+    def test_values(self):
+        assert mobius(0.5, 1.0) == pytest.approx(-1.0)
+        assert mobius(0.5, -1.0) == pytest.approx(1.0)
+        assert mobius(2.0, 1.0) == pytest.approx(-1.0)
+        assert mobius(2.0, -1.0) == pytest.approx(1.0)
+
+    def test_b_zero_is_negative_inverse(self):
+        w = np.exp(1j * 0.7)
+        assert mobius(0.0, w) == pytest.approx(-1.0 / w)
+
+    def test_pole_rejected(self):
+        with pytest.raises(InvalidInputError):
+            mobius(0.5, 0.5)
